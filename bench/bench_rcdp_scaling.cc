@@ -239,7 +239,7 @@ void WriteRelcoreJson() {
 
   std::string json = "{\n";
   json += "  \"benchmark\": \"rcdp_data_complexity\",\n";
-  bench::AppendHardwareJson(&json, 1);
+  bench::AppendHardwareJson(&json, EffectiveThreads(RcdpOptions()));
   json += StrCat("  \"instance\": { \"num_domestic\": ", n,
                  ", \"num_international\": ", n / 2,
                  ", \"num_employees\": 2, \"support_per_employee\": 2 },\n");
@@ -360,7 +360,7 @@ void WriteRobustnessJson() {
 
   std::string json = "{\n";
   json += "  \"benchmark\": \"rcdp_budget_overhead\",\n";
-  bench::AppendHardwareJson(&json, 1);
+  bench::AppendHardwareJson(&json, EffectiveThreads(RcdpOptions()));
   json += StrCat("  \"instance\": { \"num_domestic\": ", n,
                  ", \"num_international\": ", n / 2,
                  ", \"num_employees\": 2, \"support_per_employee\": 2 },\n");

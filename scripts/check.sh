@@ -6,8 +6,9 @@
 # fault-injection sweep, the eval equivalence tests, the network
 # front end's wire/socket suites and the concurrent verdict-cache
 # hammer; the tsan test preset carries the filter), then the
-# standalone ubsan preset (pure UBSan over the full suite). Run from
-# anywhere.
+# standalone ubsan preset (pure UBSan over the full suite). Later
+# stages re-run labelled suites under a sanitizer and finish with the
+# benchmark's known-answer selftest. Run from anywhere.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -66,5 +67,12 @@ run ctest --test-dir build-asan -L incremental --output-on-failure
 # fuzzers — once more on the default build as a fast smoke of the
 # ablation toggles' shared plumbing.
 run ctest --test-dir build -L core --output-on-failure
+
+# Benchmark known-answer stage: the smallest instance of each perfbench
+# workload decided by DecideRcdp/DecideRcqp and checked against the
+# BruteForceRcdp/BruteForceRcqp oracles, including master_design's RCQP
+# witness path. run.py builds perfbench as Release under .bench_build/
+# on first use.
+run python3 perfbench/run.py --selftest
 
 echo "All checks passed."

@@ -46,7 +46,7 @@ std::string BoundedDatabaseReport::ToString() const {
 
 Result<BoundedDatabaseReport> CheckBoundedDatabase(
     const AnyQuery& query, const Database& db, const Database& master,
-    const ConstraintSet& constraints, size_t max_bindings) {
+    const ConstraintSet& constraints) {
   if (!DecidableLanguage(query.language()) ||
       !DecidableLanguage(constraints.Language())) {
     return Status::Unsupported(
@@ -74,11 +74,12 @@ Result<BoundedDatabaseReport> CheckBoundedDatabase(
     ValuationEnumerator::Options options;
     options.pruned = false;            // definitional: enumerate everything
     options.symmetry_break_fresh = false;
-    options.max_bindings = max_bindings;
+    options.interner = db.interner().get();
     ValuationEnumerator enumerator(&tableau, &adom, options);
     Status inner;
-    RELCOMP_RETURN_NOT_OK(enumerator.Enumerate(
-        nullptr, [&](const Bindings& mu) {
+    RELCOMP_RETURN_NOT_OK(enumerator.EnumerateIds(
+        nullptr, [&](const IdValuation& v) {
+          const Bindings mu = v.ToBindings();
           Result<Tuple> summary = tableau.SummaryTuple(mu);
           if (!summary.ok()) {
             inner = summary.status();
@@ -170,8 +171,7 @@ Result<BoundedQueryReport> CheckIndBoundedQuery(
 Result<bool> CheckBoundingDatabaseE2(const AnyQuery& query,
                                      const Database& dv,
                                      const Database& master,
-                                     const ConstraintSet& constraints,
-                                     size_t max_bindings) {
+                                     const ConstraintSet& constraints) {
   if (!DecidableLanguage(query.language()) ||
       !DecidableLanguage(constraints.Language())) {
     return Status::Unsupported(
@@ -197,12 +197,13 @@ Result<bool> CheckBoundingDatabaseE2(const AnyQuery& query,
     ValuationEnumerator::Options options;
     options.pruned = false;
     options.symmetry_break_fresh = false;
-    options.max_bindings = max_bindings;
+    options.interner = dv.interner().get();
     ValuationEnumerator enumerator(&tableau, &adom, options);
     bool bounded = true;
     Status inner;
-    RELCOMP_RETURN_NOT_OK(enumerator.Enumerate(
-        nullptr, [&](const Bindings& mu) {
+    RELCOMP_RETURN_NOT_OK(enumerator.EnumerateIds(
+        nullptr, [&](const IdValuation& v) {
+          const Bindings mu = v.ToBindings();
           // Does some watched variable escape to a fresh value while
           // (dv ∪ μ(T), Dm) |= V?
           bool escapes = false;

@@ -50,7 +50,7 @@ struct BoundedDatabaseReport {
 /// specification). Supports L_Q, L_C in {CQ, UCQ, ∃FO+}.
 Result<BoundedDatabaseReport> CheckBoundedDatabase(
     const AnyQuery& query, const Database& db, const Database& master,
-    const ConstraintSet& constraints, size_t max_bindings = 0);
+    const ConstraintSet& constraints);
 
 /// Result of the bounded-query checks (Section 4.2).
 struct BoundedQueryReport {
@@ -88,8 +88,7 @@ Result<BoundedQueryReport> CheckIndBoundedQuery(
 Result<bool> CheckBoundingDatabaseE2(const AnyQuery& query,
                                      const Database& dv,
                                      const Database& master,
-                                     const ConstraintSet& constraints,
-                                     size_t max_bindings = 0);
+                                     const ConstraintSet& constraints);
 
 }  // namespace relcomp
 

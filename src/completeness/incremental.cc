@@ -357,8 +357,9 @@ uint64_t FingerprintRcdpOptions(const RcdpOptions& options) {
   flags |= options.ind_fast_path ? 2u : 0;
   flags |= options.delta_constraint_check ? 4u : 0;
   flags |= options.collapse_dont_care ? 8u : 0;
-  return CheckpointFingerprint({FingerprintString("rcdp-opts/1"), flags,
-                                options.max_bindings,
+  // The 0 is the retired binding-cap slot: hashing it keeps every
+  // certificate minted while the cap existed valid.
+  return CheckpointFingerprint({FingerprintString("rcdp-opts/1"), flags, 0,
                                 options.max_union_disjuncts});
 }
 

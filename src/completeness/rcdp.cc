@@ -11,19 +11,16 @@
 #include "util/str.h"
 
 namespace relcomp {
-namespace {
 
-/// Resolves RcdpOptions::num_threads: 0 = hardware_concurrency, and the
-/// legacy copy-per-candidate paths (use_overlay off) are forced serial
-/// because they intern candidate tuples into the shared ValueInterner.
 size_t EffectiveThreads(const RcdpOptions& options) {
   if (!options.use_overlay) return 1;
-  if (options.num_threads == 1) return 1;
   if (options.num_threads == 0) {
     return std::max<size_t>(1, std::thread::hardware_concurrency());
   }
   return options.num_threads;
 }
+
+namespace {
 
 /// Balanced freeze/unfreeze of the shared databases around the
 /// concurrent phase of one disjunct search.
@@ -195,11 +192,17 @@ class DisjunctSearch {
     std::vector<Worker> workers(threads);
     for (Worker& w : workers) InitWorker(&w);
 
+    // The hot callbacks below operate purely on ValueId rows; Values
+    // are materialized only at the rare boundaries (a partial row not
+    // already in D, or a full valuation surviving every prune). The
+    // family interner was pre-populated by ActiveDomain::Build, so the
+    // per-unit enumerators stay strictly read-only post-freeze.
+    const ValueInterner* interner = db_.interner().get();
     ValuationEnumerator::Options enum_options;
     enum_options.pruned = options_.prune;
-    enum_options.max_bindings = options_.max_bindings;
     enum_options.candidate_overrides = candidate_overrides;
     enum_options.budget = options_.budget;
+    enum_options.interner = interner;
 
     // Precompute, for each enumeration position, which rows become
     // fully bound there: the prune hook checks V on the partially
@@ -226,14 +229,6 @@ class DisjunctSearch {
     }
 
     // --- Id-plane search plans -------------------------------------
-    // The hot callbacks below operate purely on ValueId rows; Values
-    // are materialized only at the rare boundaries (a partial row not
-    // already in D, or a full valuation surviving every prune). The
-    // family interner was pre-populated by ActiveDomain::Build, so the
-    // per-unit enumerators stay strictly read-only post-freeze.
-    const ValueInterner* interner = db_.interner().get();
-    enum_options.interner = interner;
-
     // Summary plan: code >= 0 names an enumeration slot, code < 0 a
     // constant at the same index (its id in summary_const_ids).
     // summary_ground_depth is the prefix length at which the summary
@@ -256,7 +251,7 @@ class DisjunctSearch {
         summary_codes[i] = static_cast<int32_t>(it->second);
         summary_ground_depth =
             std::max(summary_ground_depth, it->second + 1);
-      } else if (interner != nullptr) {
+      } else {
         std::optional<ValueId> id = interner->TryGet(t.value());
         if (id.has_value()) {
           summary_const_ids[i] = *id;
@@ -270,8 +265,7 @@ class DisjunctSearch {
     // while it was built); otherwise fall back to Value tuples. With a
     // shared interner, a summary constant the interner has never seen
     // cannot occur in Q(D) at all, so the prune never fires.
-    const bool answer_shared =
-        interner != nullptr && current_answer_.interner().get() == interner;
+    const bool answer_shared = current_answer_.interner().get() == interner;
 
     // Row plans: PartialRowsSatisfyV over ids. `rel` is resolved now,
     // pre-freeze, so db_.Get may populate its empty-relation cache.
@@ -300,8 +294,7 @@ class DisjunctSearch {
         plan.codes.push_back(
             -static_cast<int32_t>(plan.const_ids.size()) - 1);
         plan.const_vals.push_back(&t.value());
-        std::optional<ValueId> id =
-            interner != nullptr ? interner->TryGet(t.value()) : std::nullopt;
+        std::optional<ValueId> id = interner->TryGet(t.value());
         if (id.has_value()) {
           plan.const_ids.push_back(*id);
         } else {
@@ -389,11 +382,7 @@ class DisjunctSearch {
       // Materialize the full valuation once: counterexample judging is
       // rare (most candidates die in the prunes above), and the legacy
       // Bindings-based judge keeps its battle-tested semantics.
-      Bindings valuation;
-      for (size_t i = 0; i < order.size(); ++i) {
-        valuation.Set(order[i], v.enumerator->ResolveId(v.ids[i]));
-      }
-      Result<bool> is_cex = IsCounterexample(&w, valuation, &w.candidate);
+      Result<bool> is_cex = IsCounterexample(&w, v.ToBindings(), &w.candidate);
       if (!is_cex.ok()) {
         w.error = is_cex.status();
         return false;

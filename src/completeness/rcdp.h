@@ -92,12 +92,6 @@ struct RcdpOptions {
   /// D instead of copying D per valuation. Disable for the legacy
   /// copy-per-candidate paths (bench_ablation).
   bool use_overlay = true;
-  /// Budget on valuation-search binding steps per disjunct
-  /// (0 = unlimited). With num_threads > 1 the budget is one shared
-  /// atomic counter across all workers of a disjunct, so the global cap
-  /// matches the serial semantics (a parallel run may hit it on a
-  /// schedule a serial run would not, but never exceeds it).
-  size_t max_bindings = 0;
   /// Worker threads for the valuation search. 0 = hardware_concurrency;
   /// 1 = today's serial path, bit-for-bit. Values > 1 partition the
   /// candidate lists of the first one-or-two enumeration variables into
@@ -140,6 +134,13 @@ struct RcdpOptions {
   /// fingerprint check happens here.
   const RcdpDisjunctPlan* plan = nullptr;
 };
+
+/// Worker threads the valuation searches run for `options` (the one
+/// resolver of RcdpOptions::num_threads): 0 = hardware_concurrency, and
+/// the legacy copy-per-candidate paths (use_overlay off) are forced
+/// serial because they intern candidate tuples into the shared
+/// ValueInterner. Never 0.
+size_t EffectiveThreads(const RcdpOptions& options);
 
 /// The decision, plus the evidence the paper's characterizations yield.
 struct RcdpResult {

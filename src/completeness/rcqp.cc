@@ -6,7 +6,6 @@
 #include <map>
 #include <set>
 #include <string_view>
-#include <thread>
 
 #include "completeness/active_domain.h"
 #include "completeness/valuation_search.h"
@@ -116,46 +115,34 @@ Result<bool> ValuationRealizable(const TableauQuery& tableau,
   return Satisfies(constraints, *scratch, master);
 }
 
-/// Resolves RcdpOptions::num_threads for the rcqp probes (same contract
-/// as the RCDP decider: 0 = hardware_concurrency, use_overlay off =
-/// forced serial for symmetry with the RCDP search it mirrors).
-size_t EffectiveThreads(const RcdpOptions& options) {
-  if (!options.use_overlay) return 1;
-  if (options.num_threads == 1) return 1;
-  if (options.num_threads == 0) {
-    return std::max<size_t>(1, std::thread::hardware_concurrency());
-  }
-  return options.num_threads;
-}
-
-/// Outcome of one realizability probe: the hit (if any), or the budget
-/// exhaustion point — next_rank is the resume rank within the probe's
-/// own enumeration space (every lower rank was searched without a hit).
+/// Outcome of one realizability probe: whether a realizable valuation
+/// exists, or the budget exhaustion point — next_rank is the resume
+/// rank within the probe's own enumeration space (every lower rank was
+/// searched without a hit).
 struct ProbeOutcome {
-  std::optional<Bindings> hit;
+  bool realizable = false;
   bool exhausted = false;
   size_t next_rank = 0;
   Status exhaustion_status;
 };
 
 /// Searches for a valid valuation μ of `tableau` with (μ(T), Dm) |= V.
-/// Returns the valuation if found. With num_threads > 1 the enumeration
-/// runs on the parallel driver: each worker stages candidates on its
-/// own empty-database overlay, Dm is frozen for the concurrent phase,
-/// and the returned valuation is the serial-first one (lowest work
-/// unit wins). With a budget the driver switches to its fixed
-/// thread-count-independent unit partition, so exhaustion and
-/// next_rank are deterministic at any num_threads.
+/// With num_threads > 1 the enumeration runs on the parallel driver:
+/// each worker stages candidates on its own empty-database overlay, Dm
+/// is frozen for the concurrent phase, and the verdict is the serial
+/// one (lowest work unit wins). With a budget the driver switches to
+/// its fixed thread-count-independent unit partition, so exhaustion
+/// and next_rank are deterministic at any num_threads. `interner` is
+/// the family interner the active domain was built on.
 Result<ProbeOutcome> FindRealizableValuation(
     const TableauQuery& tableau, const Database& master,
     const ConstraintSet& constraints, const CompiledConstraintCheck* compiled,
     const std::shared_ptr<const Schema>& db_schema, const ActiveDomain& adom,
-    size_t max_bindings, size_t num_threads, ExecutionBudget* budget,
-    size_t resume_rank) {
+    const ValueInterner* interner, size_t num_threads,
+    ExecutionBudget* budget, size_t resume_rank) {
   struct Worker {
     std::optional<Database> empty_db;
     std::optional<DatabaseOverlay> scratch;
-    std::optional<Bindings> hit;
     Status error;
     bool found = false;
   };
@@ -167,14 +154,14 @@ Result<ProbeOutcome> FindRealizableValuation(
     if (budget != nullptr) w.scratch->set_memory_tracker(budget);
   }
   ValuationEnumerator::Options enum_options;
-  enum_options.max_bindings = max_bindings;
   enum_options.budget = budget;
+  enum_options.interner = interner;
   ParallelSearchOptions parallel_options;
   parallel_options.num_threads = threads;
   parallel_options.resume_rank = resume_rank;
-  auto on_total = [&](size_t wi, const Bindings& valuation) {
+  auto on_total = [&](size_t wi, const IdValuation& v) {
     Worker& w = workers[wi];
-    Result<bool> sat = ValuationRealizable(tableau, valuation, master,
+    Result<bool> sat = ValuationRealizable(tableau, v.ToBindings(), master,
                                            constraints, compiled, budget,
                                            &*w.scratch);
     if (!sat.ok()) {
@@ -182,7 +169,6 @@ Result<ProbeOutcome> FindRealizableValuation(
       return false;
     }
     if (*sat) {
-      w.hit = valuation;
       w.found = true;
       return false;
     }
@@ -199,9 +185,9 @@ Result<ProbeOutcome> FindRealizableValuation(
   };
   ParallelSearchOutcome outcome;
   if (threads > 1) master.Freeze();
-  ParallelValuationSearch(tableau, adom, enum_options, parallel_options,
-                          /*should_prune=*/nullptr, on_total, epilogue,
-                          &outcome);
+  ParallelValuationSearchIds(tableau, adom, enum_options, parallel_options,
+                             /*should_prune=*/nullptr, on_total, epilogue,
+                             &outcome);
   if (threads > 1) master.Unfreeze();
   ProbeOutcome probe;
   if (outcome.exhausted) {
@@ -211,7 +197,7 @@ Result<ProbeOutcome> FindRealizableValuation(
     return probe;
   }
   RELCOMP_RETURN_NOT_OK(outcome.failure);
-  if (outcome.found) probe.hit = workers[outcome.winner_worker].hit;
+  probe.realizable = outcome.found;
   return probe;
 }
 
@@ -220,31 +206,42 @@ Result<ProbeOutcome> FindRealizableValuation(
 /// materialized into `witness` only for valuations that realize. The
 /// witness is best-effort under a budget: by the time it is built the
 /// Exists decision already stands, so exhaustion here clears
-/// *witness_complete instead of failing the call.
+/// *witness_complete instead of failing the call. `interner` is the
+/// family interner the active domain was built on.
 Status AccumulateIndWitness(const TableauQuery& tableau,
                             const Database& master,
                             const ConstraintSet& constraints,
                             const CompiledConstraintCheck* compiled,
-                            const ActiveDomain& adom, size_t max_bindings,
+                            const ActiveDomain& adom,
+                            const ValueInterner* interner,
                             ExecutionBudget* budget, Database* witness,
                             bool* witness_complete) {
   ValuationEnumerator::Options options;
-  options.max_bindings = max_bindings;
   options.budget = budget;
+  options.interner = interner;
   ValuationEnumerator enumerator(&tableau, &adom, options);
+  // Covered summary tuples, keyed on the ids of the summary's variable
+  // slots (the constants are the same in every summary tuple, and id
+  // equality is value equality within one enumeration).
+  std::vector<size_t> summary_slots;
+  for (const Term& t : tableau.summary()) {
+    if (!t.is_variable()) continue;
+    const std::vector<std::string>& order = enumerator.order();
+    summary_slots.push_back(static_cast<size_t>(
+        std::find(order.begin(), order.end(), t.var()) - order.begin()));
+  }
   Database empty_db(witness->schema_ptr());
   DatabaseOverlay scratch(&empty_db);
   if (budget != nullptr) scratch.set_memory_tracker(budget);
-  std::set<Tuple> covered;
+  std::set<std::vector<ValueId>> covered;
+  std::vector<ValueId> key;
   Status inner;
-  Status enumerated = enumerator.Enumerate(
-      nullptr, [&](const Bindings& valuation) {
-        Result<Tuple> summary = tableau.SummaryTuple(valuation);
-        if (!summary.ok()) {
-          inner = summary.status();
-          return false;
-        }
-        if (covered.count(*summary) > 0) return true;
+  Status enumerated = enumerator.EnumerateIds(
+      nullptr, [&](const IdValuation& v) {
+        key.clear();
+        for (size_t slot : summary_slots) key.push_back(v.ids[slot]);
+        if (covered.count(key) > 0) return true;
+        const Bindings valuation = v.ToBindings();
         Result<bool> sat = ValuationRealizable(tableau, valuation, master,
                                                constraints, compiled, budget,
                                                &scratch);
@@ -253,7 +250,7 @@ Status AccumulateIndWitness(const TableauQuery& tableau,
           return false;
         }
         if (*sat) {
-          covered.insert(*summary);
+          covered.insert(key);
           Status st = tableau.InstantiateInto(valuation, witness);
           if (!st.ok()) {
             inner = st;
@@ -581,7 +578,7 @@ Result<RcqpResult> DecideRcqp(const AnyQuery& query,
         RELCOMP_ASSIGN_OR_RETURN(
             ProbeOutcome probe,
             FindRealizableValuation(tableau, master, constraints, compiled_ptr,
-                                    db_schema, adom, options.max_valuations,
+                                    db_schema, adom, empty_db.interner().get(),
                                     EffectiveThreads(options.rcdp), budget,
                                     ti == start_tableau ? start_rank : 0));
         if (probe.exhausted) {
@@ -601,7 +598,7 @@ Result<RcqpResult> DecideRcqp(const AnyQuery& query,
                                               std::move(payload));
           return result;
         }
-        realizable_found = probe.hit.has_value();
+        realizable_found = probe.realizable;
         if (realizable_found) realized.insert(ti);
       }
       if (realizable_found) {
@@ -626,7 +623,7 @@ Result<RcqpResult> DecideRcqp(const AnyQuery& query,
       for (const TableauQuery& tableau : tableaux) {
         RELCOMP_RETURN_NOT_OK(AccumulateIndWitness(
             tableau, master, constraints, compiled_ptr, adom,
-            options.max_valuations, budget, &witness, &witness_complete));
+            empty_db.interner().get(), budget, &witness, &witness_complete));
         if (!witness_complete) break;
       }
       if (witness_complete) {
@@ -754,7 +751,7 @@ Result<RcqpResult> DecideRcqp(const AnyQuery& query,
                            BuildPool(tableaux, cc_tableaux, adom,
                                      options.max_pool_size, &pool));
   size_t candidates_tried = 0;
-  bool budget_hit = false;        // legacy max_candidates / max_bindings caps
+  bool budget_hit = false;        // the max_candidates cap
   bool budget_exhausted = false;  // ExecutionBudget (deadline/steps/memory/
                                   // cancel) tripped
   Status exhausted_status;
@@ -802,14 +799,11 @@ Result<RcqpResult> DecideRcqp(const AnyQuery& query,
           DecideRcdp(query, candidate, master, constraints, inner_rcdp);
       RELCOMP_RETURN_NOT_OK(rcdp.status());
       if (rcdp->verdict == Verdict::kUnknown) {
-        // This leaf was not fully judged; a resumed call re-judges it
-        // from scratch (the inner RCDP is deterministic).
-        if (budget != nullptr && budget->exhausted()) {
-          budget_exhausted = true;
-          exhausted_status = budget->exhaustion_status();
-        } else {
-          budget_hit = true;  // inner legacy max_bindings cap
-        }
+        // Only the shared budget leaves an inner RCDP undecided. This
+        // leaf was not fully judged; a resumed call re-judges it from
+        // scratch (the inner RCDP is deterministic).
+        budget_exhausted = true;
+        exhausted_status = budget->exhaustion_status();
         exhausted_rank = my_leaf;
         return true;
       }
@@ -854,7 +848,7 @@ Result<RcqpResult> DecideRcqp(const AnyQuery& query,
   result.verdict =
       result.exhaustive ? Verdict::kIncomplete : Verdict::kUnknown;
   if (budget_hit) {
-    // Legacy-cap inconclusiveness is resumable too: a follow-up call
+    // max_candidates inconclusiveness is resumable too: a follow-up call
     // gets a fresh max_candidates allowance from this leaf on.
     result.checkpoint =
         make_checkpoint("rcqp-pool", 0, exhausted_rank, std::string());

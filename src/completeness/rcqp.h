@@ -24,9 +24,6 @@ struct RcqpOptions {
   size_t max_pool_size = 4096;
   /// Budget on candidate witness databases examined.
   size_t max_candidates = 100000;
-  /// Budget on valuations examined by the IND realizability check and
-  /// witness construction (0 = unlimited).
-  size_t max_valuations = 0;
   /// General path: before the pool search, try to build a witness by
   /// chasing the empty database to completeness (each round adds an
   /// RCDP counterexample). Often finds multi-tuple witnesses the

@@ -7,8 +7,6 @@
 #include <set>
 #include <thread>
 
-#include "util/str.h"
-
 namespace relcomp {
 
 ValuationEnumerator::ValuationEnumerator(const TableauQuery* tableau,
@@ -122,41 +120,48 @@ ValuationEnumerator::ValuationEnumerator(const TableauQuery* tableau,
   // construction order — deterministic, so every unit sees the same
   // mapping. Equal values share one synthetic id, so id equality means
   // value equality across the whole enumeration.
-  if (options_.interner != nullptr) {
-    std::map<Value, ValueId> synth;
-    auto id_of = [&](const Value& v) -> ValueId {
-      std::optional<ValueId> id = options_.interner->TryGet(v);
-      if (id.has_value()) return *id;
-      auto it = synth.find(v);
-      if (it != synth.end()) return it->second;
-      ValueId sid = static_cast<ValueId>(ValueInterner::kFreshIdBase - 1 -
-                                         synth_values_.size());
-      assert(sid >= options_.interner->num_base_ids());
-      synth.emplace(v, sid);
-      synth_values_.push_back(&v);
-      return sid;
-    };
-    candidate_ids_.resize(candidates_.size());
-    for (size_t i = 0; i < candidates_.size(); ++i) {
-      candidate_ids_[i].reserve(candidates_[i].size());
-      for (const Value& v : candidates_[i]) {
-        candidate_ids_[i].push_back(id_of(v));
-      }
+  assert(options_.interner != nullptr);
+  std::map<Value, ValueId> synth;
+  auto id_of = [&](const Value& v) -> ValueId {
+    std::optional<ValueId> id = options_.interner->TryGet(v);
+    if (id.has_value()) return *id;
+    auto it = synth.find(v);
+    if (it != synth.end()) return it->second;
+    ValueId sid = static_cast<ValueId>(ValueInterner::kFreshIdBase - 1 -
+                                       synth_values_.size());
+    assert(sid >= options_.interner->num_base_ids());
+    synth.emplace(v, sid);
+    synth_values_.push_back(&v);
+    return sid;
+  };
+  candidate_ids_.resize(candidates_.size());
+  for (size_t i = 0; i < candidates_.size(); ++i) {
+    candidate_ids_[i].reserve(candidates_[i].size());
+    for (const Value& v : candidates_[i]) {
+      candidate_ids_[i].push_back(id_of(v));
     }
-    diseq_codes_.reserve(diseqs.size());
-    for (const auto& [lhs, rhs] : diseqs) {
-      auto code_of = [&](const Term& t) -> int32_t {
-        if (t.is_variable()) {
-          return static_cast<int32_t>(position[t.var()]);
-        }
-        diseq_const_ids_.push_back(id_of(t.value()));
-        return -static_cast<int32_t>(diseq_const_ids_.size());
-      };
-      int32_t l = code_of(lhs);
-      diseq_codes_.emplace_back(l, code_of(rhs));
-    }
-    ids_ready_ = true;
   }
+  diseq_codes_.reserve(diseqs.size());
+  for (const auto& [lhs, rhs] : diseqs) {
+    auto code_of = [&](const Term& t) -> int32_t {
+      if (t.is_variable()) {
+        return static_cast<int32_t>(position[t.var()]);
+      }
+      diseq_const_ids_.push_back(id_of(t.value()));
+      return -static_cast<int32_t>(diseq_const_ids_.size());
+    };
+    int32_t l = code_of(lhs);
+    diseq_codes_.emplace_back(l, code_of(rhs));
+  }
+}
+
+Bindings IdValuation::ToBindings() const {
+  Bindings out;
+  const std::vector<std::string>& order = enumerator->order();
+  for (size_t i = 0; i < depth; ++i) {
+    out.Set(order[i], enumerator->ResolveId(ids[i]));
+  }
+  return out;
 }
 
 size_t ValuationEnumerator::PrefixSpace(size_t depth) const {
@@ -166,11 +171,11 @@ size_t ValuationEnumerator::PrefixSpace(size_t depth) const {
   return total;
 }
 
-bool ValuationEnumerator::EnterBindingStep(bool* stopped) {
-  if (options_.stop.stop_requested()) {
+bool ValuationEnumerator::EnterBindingStep() {
+  if (options_.best_unit != nullptr &&
+      options_.best_unit->load(std::memory_order_acquire) < options_.unit) {
     failure_ = Status::Cancelled(
-        "valuation search cancelled (another work unit already won)");
-    *stopped = true;
+        "valuation search cancelled (a lower work unit already won)");
     return false;
   }
   if (options_.budget != nullptr) {
@@ -180,41 +185,28 @@ bool ValuationEnumerator::EnterBindingStep(bool* stopped) {
     Status bst = options_.budget->OnDecisionPoint();
     if (!bst.ok()) {
       failure_ = std::move(bst);
-      *stopped = true;
       return false;
     }
   }
   ++stats_.bindings_tried;
-  size_t used = stats_.bindings_tried;
-  if (options_.shared_bindings != nullptr) {
-    used = options_.shared_bindings->fetch_add(1,
-                                               std::memory_order_relaxed) +
-           1;
-  }
-  if (options_.max_bindings > 0 && used > options_.max_bindings) {
-    failure_ = Status::ResourceExhausted(
-        StrCat("valuation search exceeded ", options_.max_bindings,
-               " binding steps"));
-    *stopped = true;
-    return false;
-  }
   return true;
 }
 
-bool ValuationEnumerator::Recurse(
-    size_t index, size_t lo, size_t hi, Bindings* bindings,
-    const std::function<bool(const Bindings&)>& should_prune,
-    const std::function<bool(const Bindings&)>& on_total, bool* stopped) {
+bool ValuationEnumerator::RecurseIds(
+    size_t index, size_t lo, size_t hi,
+    const std::function<bool(const IdValuation&)>& should_prune,
+    const std::function<bool(const IdValuation&)>& on_total) {
   if (index == order_.size()) {
-    if (!options_.pruned && !tableau_->IsValidValuation(*bindings)) {
+    const IdValuation total{slot_ids_.data(), order_.size(), this};
+    // Naive-mode leaves check validity (domain membership and all
+    // disequalities) on Values; this is the deliberately slow ablation
+    // baseline, so the per-leaf materialization is part of the
+    // measured algorithm.
+    if (!options_.pruned && !tableau_->IsValidValuation(total.ToBindings())) {
       return true;
     }
     ++stats_.totals_delivered;
-    if (!on_total(*bindings)) {
-      *stopped = true;
-      return false;
-    }
-    return true;
+    return on_total(total);
   }
   // At sharded levels only the candidates whose rank block intersects
   // [lo, hi) are visited; below shard_depth_ the full list is.
@@ -228,97 +220,7 @@ bool ValuationEnumerator::Recurse(
     k_end = std::min(k_end, (hi + weight - 1) / weight);
   }
   for (size_t k = k_begin; k < k_end; ++k) {
-    const Value& v = candidates_[index][k];
-    if (!EnterBindingStep(stopped)) return false;
-    bindings->Set(order_[index], v);
-    bool ok = true;
-    if (options_.pruned) {
-      for (size_t d : disequalities_at_[index]) {
-        const auto& [lhs, rhs] = tableau_->disequalities()[d];
-        std::optional<Value> lv = bindings->Resolve(lhs);
-        std::optional<Value> rv = bindings->Resolve(rhs);
-        if (lv.has_value() && rv.has_value() && *lv == *rv) {
-          ok = false;
-          break;
-        }
-      }
-      if (ok && should_prune != nullptr && should_prune(*bindings)) {
-        ok = false;
-      }
-      if (!ok) ++stats_.prunes;
-    }
-    if (ok) {
-      size_t sub_lo = 0;
-      size_t sub_hi = 0;
-      if (sharded && index + 1 < shard_depth_) {
-        // Clamp the child's rank range into this candidate's block.
-        size_t block_lo = k * weight;
-        sub_lo = lo > block_lo ? lo - block_lo : 0;
-        sub_hi = std::min(hi - block_lo, weight);
-      }
-      if (!Recurse(index + 1, sub_lo, sub_hi, bindings, should_prune,
-                   on_total, stopped)) {
-        bindings->Unset(order_[index]);
-        return false;
-      }
-    }
-  }
-  bindings->Unset(order_[index]);
-  return true;
-}
-
-Status ValuationEnumerator::Enumerate(
-    const std::function<bool(const Bindings&)>& should_prune,
-    const std::function<bool(const Bindings&)>& on_total) {
-  if (!tableau_->satisfiable()) return Status::OK();
-  failure_ = Status::OK();
-  size_t lo = 0;
-  size_t hi = 0;
-  if (shard_depth_ > 0) {
-    lo = options_.shard_begin;
-    hi = std::min(options_.shard_end, PrefixSpace(shard_depth_));
-    if (lo >= hi) return Status::OK();
-  }
-  Bindings bindings;
-  bool stopped = false;
-  Recurse(0, lo, hi, &bindings, should_prune, on_total, &stopped);
-  return failure_;
-}
-
-bool ValuationEnumerator::RecurseIds(
-    size_t index, size_t lo, size_t hi,
-    const std::function<bool(const IdValuation&)>& should_prune,
-    const std::function<bool(const IdValuation&)>& on_total, bool* stopped) {
-  if (index == order_.size()) {
-    if (!options_.pruned) {
-      // Naive-mode leaves replay the legacy validity check verbatim
-      // (domain membership and all disequalities on Values); this is
-      // the deliberately slow ablation baseline, so the per-leaf
-      // materialization is part of the measured algorithm.
-      Bindings bindings;
-      for (size_t i = 0; i < order_.size(); ++i) {
-        bindings.Set(order_[i], ResolveId(slot_ids_[i]));
-      }
-      if (!tableau_->IsValidValuation(bindings)) return true;
-    }
-    ++stats_.totals_delivered;
-    if (!on_total(IdValuation{slot_ids_.data(), order_.size(), this})) {
-      *stopped = true;
-      return false;
-    }
-    return true;
-  }
-  size_t k_begin = 0;
-  size_t k_end = candidates_[index].size();
-  const bool sharded = index < shard_depth_;
-  size_t weight = 1;
-  if (sharded) {
-    weight = shard_weight_[index];
-    k_begin = std::min(k_end, lo / weight);
-    k_end = std::min(k_end, (hi + weight - 1) / weight);
-  }
-  for (size_t k = k_begin; k < k_end; ++k) {
-    if (!EnterBindingStep(stopped)) return false;
+    if (!EnterBindingStep()) return false;
     slot_ids_[index] = candidate_ids_[index][k];
     bool ok = true;
     if (options_.pruned) {
@@ -342,12 +244,12 @@ bool ValuationEnumerator::RecurseIds(
       size_t sub_lo = 0;
       size_t sub_hi = 0;
       if (sharded && index + 1 < shard_depth_) {
+        // Clamp the child's rank range into this candidate's block.
         size_t block_lo = k * weight;
         sub_lo = lo > block_lo ? lo - block_lo : 0;
         sub_hi = std::min(hi - block_lo, weight);
       }
-      if (!RecurseIds(index + 1, sub_lo, sub_hi, should_prune, on_total,
-                      stopped)) {
+      if (!RecurseIds(index + 1, sub_lo, sub_hi, should_prune, on_total)) {
         slot_ids_[index] = kInvalidValueId;
         return false;
       }
@@ -361,10 +263,6 @@ Status ValuationEnumerator::EnumerateIds(
     const std::function<bool(const IdValuation&)>& should_prune,
     const std::function<bool(const IdValuation&)>& on_total) {
   if (!tableau_->satisfiable()) return Status::OK();
-  if (!ids_ready_) {
-    return Status::InvalidArgument(
-        "EnumerateIds requires Options::interner");
-  }
   failure_ = Status::OK();
   size_t lo = 0;
   size_t hi = 0;
@@ -374,8 +272,7 @@ Status ValuationEnumerator::EnumerateIds(
     if (lo >= hi) return Status::OK();
   }
   slot_ids_.assign(order_.size(), kInvalidValueId);
-  bool stopped = false;
-  RecurseIds(0, lo, hi, should_prune, on_total, &stopped);
+  RecurseIds(0, lo, hi, should_prune, on_total);
   return failure_;
 }
 
@@ -388,6 +285,23 @@ const Value& ValuationEnumerator::ResolveId(ValueId id) const {
 }
 
 namespace {
+
+/// Target work units per worker in uncontrolled runs: more units =
+/// better load balancing, more per-unit setup (one enumerator
+/// construction each).
+constexpr size_t kUnitsPerThread = 4;
+
+using IdCallback = std::function<bool(const IdValuation&)>;
+
+/// `callback` with the worker index bound in (empty stays empty).
+IdCallback ForWorker(
+    const std::function<bool(size_t worker, const IdValuation&)>& callback,
+    size_t worker) {
+  if (callback == nullptr) return IdCallback();
+  return [&callback, worker](const IdValuation& v) {
+    return callback(worker, v);
+  };
+}
 
 /// Atomically lowers `target` to at most `value`.
 void StoreMin(std::atomic<size_t>* target, size_t value) {
@@ -404,9 +318,8 @@ enum class UnitState : uint8_t {
   kHit,
   kAborted,
   kCancelled,
-  /// The execution budget (or legacy shared max_bindings cap) blew
-  /// while this unit was in flight; its unsearched remainder is
-  /// covered by the resume checkpoint.
+  /// The execution budget blew while this unit was in flight; its
+  /// unsearched remainder is covered by the resume checkpoint.
   kBudget,
 };
 
@@ -418,16 +331,15 @@ struct UnitInfo {
   Status status;
 };
 
-/// The shared engine behind both ParallelValuationSearch flavors:
-/// plans the unit partition, runs `run_unit(enumerator, worker)` per
-/// claimed unit (the flavor wraps its callbacks and picks
-/// Enumerate/EnumerateIds), and resolves the winner deterministically.
-void ParallelSearchDriver(
+}  // namespace
+
+void ParallelValuationSearchIds(
     const TableauQuery& tableau, const ActiveDomain& adom,
     const ValuationEnumerator::Options& enum_options,
     const ParallelSearchOptions& parallel_options,
-    const std::function<Status(ValuationEnumerator&, size_t worker)>&
-        run_unit,
+    const std::function<bool(size_t worker, const IdValuation&)>&
+        should_prune,
+    const std::function<bool(size_t worker, const IdValuation&)>& on_total,
     const std::function<ParallelUnitResult(size_t worker)>& epilogue,
     ParallelSearchOutcome* outcome) {
   *outcome = ParallelSearchOutcome();
@@ -435,12 +347,12 @@ void ParallelSearchDriver(
 
   const size_t threads = std::max<size_t>(1, parallel_options.num_threads);
   ExecutionBudget* budget = enum_options.budget;
-  // Controlled runs (budget, binding cap, or resume) always go through
-  // the unit partition — with a thread-count-independent unit target —
-  // so the counted decision points and rank checkpoints are identical
-  // in serial and parallel mode.
-  const bool controlled = budget != nullptr || enum_options.max_bindings > 0 ||
-                          parallel_options.resume_rank > 0;
+  // Controlled runs (budget or resume) always go through the unit
+  // partition — with a thread-count-independent unit target — so the
+  // counted decision points and rank checkpoints are identical in
+  // serial and parallel mode.
+  const bool controlled =
+      budget != nullptr || parallel_options.resume_rank > 0;
 
   // Plan the partition on a probe enumerator (order and candidate
   // lists are shard-independent, so the probe sees exactly what every
@@ -451,9 +363,7 @@ void ParallelSearchDriver(
   probe_options.budget = nullptr;
   ValuationEnumerator probe(&tableau, &adom, probe_options);
   const size_t target_units =
-      controlled
-          ? kControlledUnits
-          : threads * std::max<size_t>(1, parallel_options.units_per_thread);
+      controlled ? kControlledUnits : threads * kUnitsPerThread;
   size_t depth = 0;
   if (!probe.order().empty()) {
     depth = 1;
@@ -462,21 +372,21 @@ void ParallelSearchDriver(
     }
   }
   const size_t total = probe.PrefixSpace(depth);
-  outcome->total_ranks = total;
   const size_t begin_rank = std::min(parallel_options.resume_rank, total);
   const size_t span = total - begin_rank;
   const size_t num_units = std::min(span, target_units);
 
-  auto run_serial = [&]() {
+  if (!controlled && (threads <= 1 || num_units <= 1)) {
+    // Budget-free fast path: one enumerator over the whole space, no
+    // per-unit prefix re-binding, no decision-point overhead.
     ValuationEnumerator enumerator(&tableau, &adom, enum_options);
-    Status st = run_unit(enumerator, 0);
+    Status st = enumerator.EnumerateIds(ForWorker(should_prune, 0),
+                                        ForWorker(on_total, 0));
     outcome->stats += enumerator.stats();
-    outcome->units_total = 1;
-    outcome->threads_used = 1;
     ParallelUnitResult unit = epilogue(0);
-    // Callback errors surface before the enumerator's own status — the
-    // serial deciders' historical precedence (a prune-hook error aborts
-    // its subtree first, then wins over e.g. a later budget blow).
+    // Callback errors surface before the enumerator's own status, as
+    // in the unit classification below (a prune-hook error aborts its
+    // subtree first, then wins over any later failure).
     if (!unit.status.ok()) {
       outcome->failure = unit.status;
     } else if (!st.ok()) {
@@ -484,22 +394,15 @@ void ParallelSearchDriver(
     } else if (unit.found) {
       outcome->found = true;
       outcome->winner_worker = 0;
-      outcome->winner_unit = 0;
     } else {
       outcome->next_rank = total;
     }
-  };
-  if (!controlled && (threads <= 1 || num_units <= 1)) {
-    // Budget-free fast path: one enumerator over the whole space, no
-    // per-unit prefix re-binding, no decision-point overhead.
-    run_serial();
     return;
   }
   if (num_units == 0) {
     // Resumed at (or past) the end of the rank space: every rank was
     // already searched by the interrupted run(s).
     outcome->next_rank = total;
-    outcome->threads_used = 1;
     return;
   }
 
@@ -512,33 +415,26 @@ void ParallelSearchDriver(
 
   std::atomic<size_t> next_unit{0};
   std::atomic<size_t> best_unit{SIZE_MAX};
-  std::atomic<size_t> shared_bindings{0};
-  std::atomic<bool> budget_blown{false};
-  std::vector<std::atomic<size_t>> current_unit(num_workers);
-  for (auto& c : current_unit) c.store(SIZE_MAX, std::memory_order_relaxed);
-  std::vector<std::stop_source> stops(num_workers);
   std::vector<ValuationSearchStats> worker_stats(num_workers);
 
   auto worker_fn = [&](size_t w) {
-    std::stop_token token = stops[w].get_token();
-    while (!token.stop_requested()) {
+    const IdCallback prune = ForWorker(should_prune, w);
+    const IdCallback deliver = ForWorker(on_total, w);
+    for (;;) {
       const size_t u = next_unit.fetch_add(1, std::memory_order_relaxed);
       if (u >= units.size()) break;
       // Units beyond an already-resolved winner cannot change the
       // deterministic outcome; stop claiming.
       if (u > best_unit.load(std::memory_order_acquire)) break;
-      current_unit[w].store(u, std::memory_order_release);
 
       ValuationEnumerator::Options unit_options = enum_options;
       unit_options.shard_depth = depth;
       unit_options.shard_begin = units[u].begin;
       unit_options.shard_end = units[u].end;
-      unit_options.stop = token;
-      if (enum_options.max_bindings > 0) {
-        unit_options.shared_bindings = &shared_bindings;
-      }
+      unit_options.best_unit = &best_unit;
+      unit_options.unit = u;
       ValuationEnumerator enumerator(&tableau, &adom, unit_options);
-      Status st = run_unit(enumerator, w);
+      Status st = enumerator.EnumerateIds(prune, deliver);
       worker_stats[w] += enumerator.stats();
       ++worker_stats[w].work_units;
       ParallelUnitResult unit_result = epilogue(w);
@@ -547,10 +443,11 @@ void ParallelSearchDriver(
       // An exhausted shared budget — whether it surfaced through the
       // enumerator or through a callback's own budgeted evaluation —
       // is a global stop: no in-flight unit can be trusted to have
-      // exhausted its shard. A user CancelToken routed through the
-      // budget lands here too (budget->exhausted() is its sticky
-      // record), so user cancellation is never misread as the driver's
-      // internal lowest-unit-wins stop below.
+      // exhausted its shard, and every other worker stops at its next
+      // decision point on the budget's sticky status. A user
+      // CancelToken routed through the budget lands here too
+      // (budget->exhausted() is its sticky record), so user
+      // cancellation is never misread as the lowest-unit-wins stop.
       const bool budget_exhausted = budget != nullptr && budget->exhausted();
       if (!unit_result.status.ok() && !budget_exhausted) {
         // A deterministic callback failure at unit u: it takes
@@ -569,21 +466,12 @@ void ParallelSearchDriver(
       } else if (budget_exhausted) {
         units[u].state = UnitState::kBudget;
         units[u].status = budget->exhaustion_status();
-        budget_blown.store(true, std::memory_order_release);
-        for (auto& s : stops) s.request_stop();
         break;
-      } else if (!st.ok() && st.code() == StatusCode::kCancelled) {
-        // Internal lowest-unit-wins cancellation (another unit already
-        // won); swallowed by design.
+      } else if (st.code() == StatusCode::kCancelled) {
+        // Lowest-unit-wins: a lower unit already won; swallowed by
+        // design.
         units[u].state = UnitState::kCancelled;
         ++worker_stats[w].work_units_cancelled;
-        break;
-      } else if (!st.ok() && st.code() == StatusCode::kResourceExhausted) {
-        // Legacy shared max_bindings cap without an ExecutionBudget.
-        units[u].state = UnitState::kBudget;
-        units[u].status = st;
-        budget_blown.store(true, std::memory_order_release);
-        for (auto& s : stops) s.request_stop();
         break;
       } else if (!st.ok()) {
         units[u].state = UnitState::kAborted;
@@ -592,17 +480,9 @@ void ParallelSearchDriver(
         units[u].state = UnitState::kExhausted;
         continue;
       }
-      // Hit or abort: lower the winner bound and cancel workers that
-      // are provably on later units (their current unit exceeds u; a
-      // stale read only delays the cancellation, never misdirects it,
-      // because per-worker unit claims are monotone).
+      // Hit or abort: publish u as the winner bound; enumerations of
+      // later units see it at their next binding step and cancel.
       StoreMin(&best_unit, u);
-      for (size_t x = 0; x < num_workers; ++x) {
-        if (x == w) continue;
-        if (current_unit[x].load(std::memory_order_acquire) > u) {
-          stops[x].request_stop();
-        }
-      }
       break;
     }
   };
@@ -621,14 +501,13 @@ void ParallelSearchDriver(
     }
   }  // joins
 
-  outcome->units_total = num_units;
-  outcome->threads_used = num_workers;
   for (const ValuationSearchStats& s : worker_stats) outcome->stats += s;
 
   // Deterministic resolution: scan units in index order; the first
-  // non-exhausted unit decides. A pending/cancelled unit before any
-  // hit can only arise from a budget blow (winner-driven cancellation
-  // only ever targets units above the winner).
+  // non-exhausted unit decides. Only units above a winner are ever
+  // cancelled, and every unit below one runs to exhaustion, so a
+  // pending or cancelled unit before any hit means the budget stopped
+  // the search.
   for (const UnitInfo& unit : units) {
     switch (unit.state) {
       case UnitState::kExhausted:
@@ -636,7 +515,6 @@ void ParallelSearchDriver(
       case UnitState::kHit:
         outcome->found = true;
         outcome->winner_worker = unit.worker;
-        outcome->winner_unit = static_cast<size_t>(&unit - units.data());
         return;
       case UnitState::kAborted:
         outcome->failure = unit.status;
@@ -651,15 +529,9 @@ void ParallelSearchDriver(
       case UnitState::kPending:
       case UnitState::kCancelled:
         outcome->next_rank = unit.begin;
-        if (budget_blown.load(std::memory_order_acquire)) {
+        if (budget != nullptr && budget->exhausted()) {
           outcome->exhausted = true;
-          outcome->failure =
-              budget != nullptr
-                  ? budget->exhaustion_status()
-                  : Status::ResourceExhausted(
-                        StrCat("valuation search exceeded ",
-                               enum_options.max_bindings,
-                               " binding steps (shared across workers)"));
+          outcome->failure = budget->exhaustion_status();
         } else {
           outcome->failure = Status::Internal(
               "parallel valuation search left a work unit unresolved "
@@ -670,53 +542,6 @@ void ParallelSearchDriver(
   }
   // Every unit exhausted: the whole rank space was searched.
   outcome->next_rank = total;
-}
-
-}  // namespace
-
-void ParallelValuationSearch(
-    const TableauQuery& tableau, const ActiveDomain& adom,
-    const ValuationEnumerator::Options& enum_options,
-    const ParallelSearchOptions& parallel_options,
-    const std::function<bool(size_t worker, const Bindings&)>& should_prune,
-    const std::function<bool(size_t worker, const Bindings&)>& on_total,
-    const std::function<ParallelUnitResult(size_t worker)>& epilogue,
-    ParallelSearchOutcome* outcome) {
-  auto run_unit = [&](ValuationEnumerator& enumerator, size_t w) {
-    auto prune1 =
-        should_prune == nullptr
-            ? std::function<bool(const Bindings&)>()
-            : std::function<bool(const Bindings&)>(
-                  [&, w](const Bindings& b) { return should_prune(w, b); });
-    return enumerator.Enumerate(
-        prune1, [&, w](const Bindings& b) { return on_total(w, b); });
-  };
-  ParallelSearchDriver(tableau, adom, enum_options, parallel_options,
-                       run_unit, epilogue, outcome);
-}
-
-void ParallelValuationSearchIds(
-    const TableauQuery& tableau, const ActiveDomain& adom,
-    const ValuationEnumerator::Options& enum_options,
-    const ParallelSearchOptions& parallel_options,
-    const std::function<bool(size_t worker, const IdValuation&)>&
-        should_prune,
-    const std::function<bool(size_t worker, const IdValuation&)>& on_total,
-    const std::function<ParallelUnitResult(size_t worker)>& epilogue,
-    ParallelSearchOutcome* outcome) {
-  auto run_unit = [&](ValuationEnumerator& enumerator, size_t w) {
-    auto prune1 =
-        should_prune == nullptr
-            ? std::function<bool(const IdValuation&)>()
-            : std::function<bool(const IdValuation&)>(
-                  [&, w](const IdValuation& v) {
-                    return should_prune(w, v);
-                  });
-    return enumerator.EnumerateIds(
-        prune1, [&, w](const IdValuation& v) { return on_total(w, v); });
-  };
-  ParallelSearchDriver(tableau, adom, enum_options, parallel_options,
-                       run_unit, epilogue, outcome);
 }
 
 }  // namespace relcomp

@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <stop_token>
 #include <string>
 #include <vector>
 
@@ -80,6 +79,11 @@ struct IdValuation {
   const ValueId* ids = nullptr;
   size_t depth = 0;
   const ValuationEnumerator* enumerator = nullptr;
+
+  /// The bound prefix as a variable → Value map, for the boundaries
+  /// that judge a valuation on Values (counterexample evidence, the
+  /// characterizations, naive-mode validity).
+  Bindings ToBindings() const;
 };
 
 /// Enumerates the paper's valid valuations of a tableau: total
@@ -97,11 +101,6 @@ class ValuationEnumerator {
  public:
   struct Options {
     bool pruned = true;
-    /// Abort with kResourceExhausted after this many binding steps
-    /// (0 = unlimited). When `shared_bindings` is set the cap applies
-    /// to that shared counter instead of the local one, making it a
-    /// global budget across the workers of a parallel search.
-    size_t max_bindings = 0;
     /// Per-variable candidate overrides (e.g. the RCDP decider's
     /// don't-care collapse). Overridden variables use exactly the
     /// given values; others follow the normal adom(y) rules.
@@ -124,25 +123,24 @@ class ValuationEnumerator {
     size_t shard_depth = 0;
     size_t shard_begin = 0;
     size_t shard_end = 0;
-    /// Cooperative cancellation, checked once per binding step; a
-    /// triggered stop aborts the enumeration with kCancelled. A
-    /// default-constructed token never triggers (serial mode).
-    std::stop_token stop;
-    /// When set, the max_bindings budget is enforced against this
-    /// shared atomic counter (incremented once per binding step) so
-    /// concurrent workers respect one global cap.
-    std::atomic<size_t>* shared_bindings = nullptr;
-    /// Optional shared execution budget (not owned). Claims one
-    /// decision point per binding step; an exhausted budget aborts the
-    /// enumeration with the budget's sticky status (kResourceExhausted
-    /// for deadline/steps/memory, kCancelled for a user CancelToken).
+    /// Lowest-unit-wins stop, set by the parallel driver: this
+    /// enumeration is work unit `unit`, and once the shared `best_unit`
+    /// (not owned) names a lower unit, the next binding step aborts
+    /// with kCancelled. Null = never (serial mode).
+    const std::atomic<size_t>* best_unit = nullptr;
+    size_t unit = 0;
+    /// Optional shared execution budget (not owned) — the only cap on
+    /// the search. Claims one decision point per binding step; an
+    /// exhausted budget aborts the enumeration with the budget's sticky
+    /// status (kResourceExhausted for deadline/steps/memory, kCancelled
+    /// for a user CancelToken).
     ExecutionBudget* budget = nullptr;
-    /// Optional interner of the instance's database family (not owned;
-    /// may be null). Required for EnumerateIds: candidate values and
-    /// disequality constants are resolved to ValueIds at construction
-    /// (TryGet only — a frozen interner is never grown; never-seen
-    /// values get synthetic ids, see IdValuation), and disequality
-    /// checks during the enumeration become pure id comparisons.
+    /// Interner of the instance's database family (not owned;
+    /// required). Candidate values and disequality constants are
+    /// resolved to ValueIds at construction (TryGet only — a frozen
+    /// interner is never grown; never-seen values get synthetic ids,
+    /// see IdValuation), and disequality checks during the enumeration
+    /// become pure id comparisons.
     const ValueInterner* interner = nullptr;
   };
 
@@ -150,28 +148,20 @@ class ValuationEnumerator {
                       Options options);
 
   /// Runs the enumeration. `should_prune`, if non-null, is called after
-  /// each variable binding (pruned mode only); returning true cuts the
-  /// subtree. `on_total` receives each valid total valuation; returning
-  /// false stops the whole search.
-  Status Enumerate(const std::function<bool(const Bindings&)>& should_prune,
-                   const std::function<bool(const Bindings&)>& on_total);
-
-  /// Id-plane enumeration: identical search order, shard semantics,
-  /// budget points, and stats as Enumerate, but callbacks receive the
-  /// bound prefix as an IdValuation instead of a Bindings map — no
-  /// per-step map mutation or Value materialization. Requires
-  /// Options::interner (kInvalidArgument otherwise). In naive mode
-  /// (pruned = false) leaf validity is still checked through
-  /// TableauQuery::IsValidValuation on a materialized Bindings, exactly
-  /// like the legacy path.
+  /// each variable binding (pruned mode only) with the bound prefix;
+  /// returning true cuts the subtree. `on_total` receives each valid
+  /// total valuation; returning false stops the whole search. Callbacks
+  /// see the valuation on the id plane — no per-step map mutation or
+  /// Value materialization. In naive mode (pruned = false) leaf
+  /// validity is checked through TableauQuery::IsValidValuation on the
+  /// materialized Bindings.
   Status EnumerateIds(
       const std::function<bool(const IdValuation&)>& should_prune,
       const std::function<bool(const IdValuation&)>& on_total);
 
   /// The value behind an id of this enumeration (an interner id or one
-  /// of the enumerator's synthetic ids). Precondition: Options::interner
-  /// was set and `id` appeared in an IdValuation of this enumerator or
-  /// is an id of that interner.
+  /// of the enumerator's synthetic ids). Precondition: `id` appeared in
+  /// an IdValuation of this enumerator or is an id of its interner.
   const Value& ResolveId(ValueId id) const;
 
   /// The variable enumeration order actually used (pruned mode:
@@ -192,19 +182,13 @@ class ValuationEnumerator {
   const ValuationSearchStats& stats() const { return stats_; }
 
  private:
-  bool Recurse(size_t index, size_t lo, size_t hi, Bindings* bindings,
-               const std::function<bool(const Bindings&)>& should_prune,
-               const std::function<bool(const Bindings&)>& on_total,
-               bool* stopped);
   bool RecurseIds(size_t index, size_t lo, size_t hi,
                   const std::function<bool(const IdValuation&)>& should_prune,
-                  const std::function<bool(const IdValuation&)>& on_total,
-                  bool* stopped);
-  /// Pre-loop bookkeeping shared by both Recurse flavors: stop token,
-  /// budget decision point, and the (possibly shared) binding counter.
-  /// Returns false — with failure_ set and *stopped = true — when the
-  /// enumeration must abort before binding the next candidate.
-  bool EnterBindingStep(bool* stopped);
+                  const std::function<bool(const IdValuation&)>& on_total);
+  /// Bookkeeping before each binding step: the lowest-unit-wins stop
+  /// and the budget decision point. Returns false — with failure_ set —
+  /// when the enumeration must abort before binding the next candidate.
+  bool EnterBindingStep();
   /// The id a disequality operand code denotes (>= 0: bound slot,
   /// < 0: pre-resolved constant).
   ValueId DiseqOperandId(int32_t code) const {
@@ -226,12 +210,10 @@ class ValuationEnumerator {
   /// (product of candidate counts of levels i+1..depth-1).
   size_t shard_depth_ = 0;
   std::vector<size_t> shard_weight_;
-  /// Id plane (built only when Options::interner is set):
-  /// candidate_ids_[i][k] is the unified id of candidates_[i][k];
-  /// synth_values_[k] is the value behind synthetic id
-  /// kFreshIdBase - 1 - k; diseq codes reference slots (>= 0) or
+  /// Id plane: candidate_ids_[i][k] is the unified id of
+  /// candidates_[i][k]; synth_values_[k] is the value behind synthetic
+  /// id kFreshIdBase - 1 - k; diseq codes reference slots (>= 0) or
   /// diseq_const_ids_ entries (< 0, index -code - 1).
-  bool ids_ready_ = false;
   std::vector<std::vector<ValueId>> candidate_ids_;
   std::vector<const Value*> synth_values_;
   std::vector<std::pair<int32_t, int32_t>> diseq_codes_;
@@ -252,13 +234,10 @@ struct ParallelUnitResult {
   Status status;
 };
 
-/// Options for ParallelValuationSearch.
+/// Options for ParallelValuationSearchIds.
 struct ParallelSearchOptions {
   /// Worker threads. <= 1 runs the serial path on the calling thread.
   size_t num_threads = 1;
-  /// Target work units per worker; more units = better load balancing,
-  /// more per-unit setup (one enumerator construction each).
-  size_t units_per_thread = 4;
   /// Resume support: skip every rank below this value (a prior run's
   /// ParallelSearchOutcome::next_rank). Ranks are absolute positions
   /// in the flattened prefix space, which is identical across thread
@@ -269,54 +248,49 @@ struct ParallelSearchOptions {
 /// Aggregated outcome of a parallel search.
 struct ParallelSearchOutcome {
   /// True when some unit found a target; winner_worker identifies the
-  /// per-worker state holding it and winner_unit the winning unit.
+  /// per-worker state holding it.
   bool found = false;
   size_t winner_worker = SIZE_MAX;
-  size_t winner_unit = SIZE_MAX;
-  size_t units_total = 0;
-  size_t threads_used = 1;
   /// Enumerator stats summed over every unit (bindings_tried
   /// upper-bounds the serial count: each unit re-binds its prefix).
   ValuationSearchStats stats;
   /// First deterministic failure (callback error in the winning unit,
-  /// or the shared binding budget), OK otherwise. Kept out of the
-  /// return Status so callers can merge stats before propagating.
+  /// or the execution budget), OK otherwise. Kept out of the return
+  /// Status so callers can merge stats before propagating.
   Status failure;
-  /// Rank-space bookkeeping for checkpoint/resume: the size of the
-  /// flattened prefix space the search partitions, and the lowest rank
-  /// not yet fully searched — equal to total_ranks after a complete
-  /// (exhaustive or found) run, and the sound resume point after a
-  /// budget exhaustion (every rank below it was searched without a
-  /// hit).
-  size_t total_ranks = 0;
+  /// Rank-space bookkeeping for checkpoint/resume: the lowest rank not
+  /// yet fully searched — the size of the flattened prefix space after
+  /// an exhaustive run, and the sound resume point after a budget
+  /// exhaustion (every rank below it was searched without a hit).
   size_t next_rank = 0;
-  /// True when the search stopped because the execution budget (or the
-  /// legacy shared max_bindings cap) was exhausted or a user
-  /// CancelToken fired; `failure` then holds the exhaustion status.
-  /// Distinguishes user cancellation from the driver's internal
-  /// lowest-unit-wins stop_token cancellation, which is never
-  /// surfaced.
+  /// True when the search stopped because the execution budget was
+  /// exhausted or a user CancelToken fired; `failure` then holds the
+  /// exhaustion status. The driver's internal lowest-unit-wins
+  /// cancellation is never surfaced.
   bool exhausted = false;
 };
 
 /// Number of work units used whenever a run is budget-controlled
-/// (budget, max_bindings cap, or resume). Independent of num_threads
-/// so the unit partition — and with it the set of counted decision
-/// points and the rank checkpoints — is identical at every thread
-/// count.
+/// (budget or resume). Independent of num_threads so the unit
+/// partition — and with it the set of counted decision points and the
+/// rank checkpoints — is identical at every thread count.
 inline constexpr size_t kControlledUnits = 16;
 
 /// Runs the valuation search over `tableau` split into contiguous
 /// work units of the flattened rank space of the first one-or-two
-/// order_ variables, on `num_threads` std::jthread workers.
+/// order_ variables, on `num_threads` std::jthread workers — the one
+/// valuation search behind the deciders and the characterizations.
 ///
 /// Callbacks receive the worker index (0-based) so callers can give
-/// every worker its own scratch state (overlay, bindings, counters);
-/// their Bindings contract matches ValuationEnumerator::Enumerate.
-/// After each unit stops, `epilogue(worker)` must report whether that
-/// worker's unit found a target or failed, and reset the worker's
-/// per-unit flags (found/error) — found state itself must survive
-/// until the driver returns so the winner can be read out.
+/// every worker its own scratch state (overlay, buffers, counters);
+/// their IdValuation contract matches ValuationEnumerator::EnumerateIds.
+/// Per-enumerator synthetic ids are assigned by the deterministic
+/// construction order, so every unit — on any worker — observes the
+/// identical id mapping. After each unit stops, `epilogue(worker)`
+/// must report whether that worker's unit found a target or failed,
+/// and reset the worker's per-unit flags (found/error) — found state
+/// itself must survive until the driver returns so the winner can be
+/// read out.
 ///
 /// Determinism: units are claimed work-stealing style, but the winner
 /// is resolved as the LOWEST unit index that found (or failed), and a
@@ -324,25 +298,11 @@ inline constexpr size_t kControlledUnits = 16;
 /// contiguous ranks and within-unit enumeration is in serial order,
 /// the winning valuation is exactly the one the serial search would
 /// have found first — results are identical for every thread count
-/// and partition. With a max_bindings budget the cap is shared across
-/// workers, so a parallel run may exhaust the budget on a schedule a
-/// serial run would not (the global cap is respected either way).
-void ParallelValuationSearch(
-    const TableauQuery& tableau, const ActiveDomain& adom,
-    const ValuationEnumerator::Options& enum_options,
-    const ParallelSearchOptions& parallel_options,
-    const std::function<bool(size_t worker, const Bindings&)>& should_prune,
-    const std::function<bool(size_t worker, const Bindings&)>& on_total,
-    const std::function<ParallelUnitResult(size_t worker)>& epilogue,
-    ParallelSearchOutcome* outcome);
-
-/// Id-plane flavor of ParallelValuationSearch: identical unit
-/// partition, winner resolution, budget semantics, and determinism
-/// guarantees, with callbacks on the id plane
-/// (ValuationEnumerator::EnumerateIds per unit). Requires
-/// enum_options.interner. Per-enumerator synthetic ids are assigned by
-/// the deterministic construction order, so every unit — on any worker
-/// — observes the identical id mapping.
+/// and partition. Stopping follows the same rule: a hit or failure at
+/// unit u publishes u as the shared best unit, and only enumerations
+/// of units above it cancel (each checks at every binding step), so
+/// every unit below the winner runs to exhaustion. A tripped budget
+/// stops every worker through its sticky status.
 void ParallelValuationSearchIds(
     const TableauQuery& tableau, const ActiveDomain& adom,
     const ValuationEnumerator::Options& enum_options,

@@ -233,7 +233,7 @@ class Relation {
       col_index_;
   mutable std::vector<char> col_index_built_;
   /// Lazily built composite indexes, keyed by column bitmask. Guarded
-  /// by composite_mu_ so the lazy build under ParallelValuationSearch
+  /// by composite_mu_ so the lazy build under ParallelValuationSearchIds
   /// is race free; a built tree is immutable and probed lock free.
   mutable std::map<uint32_t, std::unique_ptr<RadixIndex>> composite_;
   mutable std::mutex composite_mu_;

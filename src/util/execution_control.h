@@ -96,9 +96,13 @@ class FaultInjector {
   FaultInjector(Fault fault, size_t at_decision_point)
       : fault_(fault), at_(at_decision_point) {}
 
-  /// The BudgetKind to inject at decision point `point`, kNone otherwise.
+  /// The BudgetKind to inject at decision point `point`: the fault
+  /// from the chosen point on (like the limits it imitates, it stays
+  /// true), kNone before it. Failing every later point, not just the
+  /// chosen one, keeps concurrent workers that claim later points
+  /// before the sticky record lands from running on.
   BudgetKind Observe(size_t point) const {
-    if (point != at_) return BudgetKind::kNone;
+    if (point < at_) return BudgetKind::kNone;
     switch (fault_) {
       case Fault::kCancel: return BudgetKind::kCancel;
       case Fault::kDeadline: return BudgetKind::kDeadline;

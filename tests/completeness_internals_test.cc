@@ -60,19 +60,21 @@ class ValuationSearchTest : public ::testing::Test {
 
   size_t CountTotals(const TableauQuery& tableau, const ActiveDomain& adom,
                      ValuationEnumerator::Options options) {
+    options.interner = &interner_;
     ValuationEnumerator enumerator(&tableau, &adom, options);
     size_t count = 0;
     EXPECT_TRUE(enumerator
-                    .Enumerate(nullptr,
-                               [&](const Bindings&) {
-                                 ++count;
-                                 return true;
-                               })
+                    .EnumerateIds(nullptr,
+                                  [&](const IdValuation&) {
+                                    ++count;
+                                    return true;
+                                  })
                     .ok());
     return count;
   }
 
   std::shared_ptr<const Schema> schema_;
+  ValueInterner interner_;
 };
 
 TEST_F(ValuationSearchTest, NaiveCountsFullProduct) {
@@ -126,12 +128,16 @@ TEST_F(ValuationSearchTest, UnsatisfiableTableauYieldsNothing) {
 TEST_F(ValuationSearchTest, BudgetSurfacesAsResourceExhausted) {
   TableauQuery t = Tableau("Q(x) :- R(x, y).");
   ActiveDomain adom = ActiveDomain::Build({Value::Int(1), Value::Int(2)}, 4);
+  ExecutionBudget budget;
+  budget.set_max_steps(3);
   ValuationEnumerator::Options options;
-  options.max_bindings = 3;
+  options.budget = &budget;
+  options.interner = &interner_;
   ValuationEnumerator enumerator(&t, &adom, options);
-  Status st = enumerator.Enumerate(nullptr,
-                                   [](const Bindings&) { return true; });
+  Status st = enumerator.EnumerateIds(
+      nullptr, [](const IdValuation&) { return true; });
   EXPECT_EQ(st.code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(enumerator.stats().bindings_tried, 3u);
 }
 
 TEST_F(ValuationSearchTest, CandidateOverridesApply) {
@@ -149,16 +155,18 @@ TEST_F(ValuationSearchTest, CandidateOverridesApply) {
 TEST_F(ValuationSearchTest, CallerPruneCutsSubtrees) {
   TableauQuery t = Tableau("Q(x) :- R(x, y).");
   ActiveDomain adom = ActiveDomain::Build({Value::Int(1), Value::Int(2)}, 0);
-  ValuationEnumerator enumerator(&t, &adom, ValuationEnumerator::Options());
+  ValuationEnumerator::Options options;
+  options.interner = &interner_;
+  ValuationEnumerator enumerator(&t, &adom, options);
   size_t totals = 0;
   ASSERT_TRUE(enumerator
-                  .Enumerate(
-                      [](const Bindings& partial) {
+                  .EnumerateIds(
+                      [](const IdValuation& partial) {
                         // Cut every subtree where x = 1.
-                        std::optional<Value> x = partial.Get("x");
+                        std::optional<Value> x = partial.ToBindings().Get("x");
                         return x.has_value() && *x == Value::Int(1);
                       },
-                      [&](const Bindings&) {
+                      [&](const IdValuation&) {
                         ++totals;
                         return true;
                       })

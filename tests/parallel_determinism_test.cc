@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <optional>
-#include <stop_token>
 
 #include "completeness/active_domain.h"
 #include "completeness/rcdp.h"
@@ -167,9 +167,9 @@ TEST_P(ParallelDeterminismTest, RcqpAgreesAcrossThreadCounts) {
 INSTANTIATE_TEST_SUITE_P(Seeds, ParallelDeterminismTest,
                          ::testing::Range(1, 7));
 
-/// The shared binding budget: with num_threads > 1 the cap is one
-/// atomic counter across all workers, so a tiny budget must surface
-/// kResourceExhausted no matter how the units are scheduled — and must
+/// The shared step budget: with num_threads > 1 every worker claims
+/// its decision points on one ExecutionBudget, so a tiny cap must
+/// surface as kUnknown no matter how the units are scheduled — and must
 /// stop every worker (the search returns promptly instead of running
 /// the full space).
 TEST(ParallelBudgetTest, SharedBudgetExhaustsAcrossWorkers) {
@@ -199,9 +199,11 @@ TEST(ParallelBudgetTest, SharedBudgetExhaustsAcrossWorkers) {
   auto decided = DecideRcdp(*q, db, master, v, unbounded);
   ASSERT_TRUE(decided.ok()) << decided.status().ToString();
 
+  ExecutionBudget budget;
+  budget.set_max_steps(3);
   RcdpOptions bounded;
   bounded.num_threads = 8;
-  bounded.max_bindings = 3;
+  bounded.budget = &budget;
   auto exhausted = DecideRcdp(*q, db, master, v, bounded);
   // The counterexample may be found within the budget (the serial-first
   // winner sits in unit 0); otherwise the shared cap must surface as a
@@ -217,31 +219,47 @@ TEST(ParallelBudgetTest, SharedBudgetExhaustsAcrossWorkers) {
   }
 }
 
-/// Cooperative cancellation: an enumerator whose stop token is already
-/// triggered aborts with kCancelled before delivering any valuation —
-/// the mechanism the driver uses to halt workers on later units once a
-/// winner is known.
-TEST(ParallelBudgetTest, TriggeredStopTokenCancelsEnumeration) {
+/// The lowest-unit-wins stop rule, deterministically: with unit 2
+/// published as the winner, enumerations of units 0 and 2 deliver every
+/// valuation of their shard, and the enumeration of unit 3 cancels
+/// before delivering any. Units below a winner are never cancelled —
+/// the serial-first hit may sit there — so the driver can never leave
+/// one unresolved.
+TEST(ParallelStopRuleTest, OnlyUnitsAboveThePublishedWinnerCancel) {
   auto db_schema = std::make_shared<Schema>();
-  ASSERT_TRUE(db_schema->AddRelation("S", 1).ok());
-  auto q = ParseQuery("Q(x) :- S(x).", QueryLanguage::kCq);
+  ASSERT_TRUE(db_schema->AddRelation("S", 2).ok());
+  auto q = ParseQuery("Q(x) :- S(x, y).", QueryLanguage::kCq);
   ASSERT_TRUE(q.ok());
   auto tableau =
       TableauQuery::FromConjunctive(*q.value().as_cq(), *db_schema);
   ASSERT_TRUE(tableau.ok());
-  ActiveDomain adom =
-      ActiveDomain::Build({Value::Int(1), Value::Int(2)}, 1);
+  ActiveDomain adom = ActiveDomain::Build(
+      {Value::Int(1), Value::Int(2), Value::Int(3), Value::Int(4)}, 0);
+  ValueInterner interner;
+  std::atomic<size_t> best_unit{2};
 
-  std::stop_source stop;
-  stop.request_stop();
-  ValuationEnumerator::Options options;
-  options.stop = stop.get_token();
-  ValuationEnumerator enumerator(&*tableau, &adom, options);
+  auto run_unit = [&](size_t unit, size_t* delivered) {
+    ValuationEnumerator::Options options;
+    options.interner = &interner;
+    options.shard_depth = 1;  // one unit per candidate of the first var
+    options.shard_begin = unit;
+    options.shard_end = unit + 1;
+    options.best_unit = &best_unit;
+    options.unit = unit;
+    ValuationEnumerator enumerator(&*tableau, &adom, options);
+    return enumerator.EnumerateIds(nullptr, [&](const IdValuation&) {
+      ++*delivered;
+      return true;
+    });
+  };
+  for (size_t unit : {size_t{0}, size_t{2}}) {
+    size_t delivered = 0;
+    Status st = run_unit(unit, &delivered);
+    EXPECT_TRUE(st.ok()) << "unit " << unit << ": " << st.ToString();
+    EXPECT_EQ(delivered, 4u) << "unit " << unit;  // 1 x-value × 4 y-values
+  }
   size_t delivered = 0;
-  Status st = enumerator.Enumerate(nullptr, [&](const Bindings&) {
-    ++delivered;
-    return true;
-  });
+  Status st = run_unit(3, &delivered);
   EXPECT_EQ(st.code(), StatusCode::kCancelled) << st.ToString();
   EXPECT_EQ(delivered, 0u);
 }
