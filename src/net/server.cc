@@ -596,11 +596,11 @@ WireReply NetServer::HandleSubmit(DecisionService* service,
   }
   // Idempotency-key dedup: a client that retries after an ambiguous
   // failure (timeout, reset mid-reply) must never double-submit. The
-  // serialized spec is the identity — same key + same bytes is the
-  // same job, same key + different bytes is a collision.
-  Result<JobSpec> existing = service->GetJobSpec(request.key);
+  // serialized spec's digest is the identity — same key + same bytes
+  // is the same job, same key + different bytes is a collision.
+  Result<uint64_t> existing = service->JobDigest(request.key);
   if (existing.ok()) {
-    if (existing->Serialize() == spec->Serialize()) {
+    if (*existing == JobSpec::Digest(spec->Serialize())) {
       reply.message = "duplicate";
       std::lock_guard<std::mutex> lock(stats_mu_);
       ++stats_.submits_deduped;

@@ -1,6 +1,7 @@
 #include "query/parser.h"
 
 #include <cctype>
+#include <charconv>
 #include <map>
 #include <set>
 #include <vector>
@@ -43,66 +44,103 @@ struct Token {
 constexpr size_t kMaxFormulaDepth = 256;
 constexpr size_t kMaxArgs = 4096;
 
+// Lexical rules shared by the Lexer and ParseGroundAtom, so trivia,
+// identifiers, integers and string literals have one grammar. Each
+// scanner starts at `*i` and advances it past what it read.
+
+bool IsIdentStart(char c) {
+  return std::isalpha(static_cast<unsigned char>(c)) || c == '_';
+}
+
+bool IsDigitAt(std::string_view in, size_t i) {
+  return i < in.size() && std::isdigit(static_cast<unsigned char>(in[i]));
+}
+
+/// True when an integer literal `-?[0-9]+` starts at `i`.
+bool IsIntStart(std::string_view in, size_t i) {
+  return IsDigitAt(in, i) ||
+         (i < in.size() && in[i] == '-' && IsDigitAt(in, i + 1));
+}
+
+bool IsQuote(char c) { return c == '"' || c == '\''; }
+
+/// Skips whitespace and `%` line comments.
+void SkipTrivia(std::string_view in, size_t* i) {
+  while (*i < in.size()) {
+    if (std::isspace(static_cast<unsigned char>(in[*i]))) {
+      ++*i;
+    } else if (in[*i] == '%') {
+      while (*i < in.size() && in[*i] != '\n') ++*i;
+    } else {
+      return;
+    }
+  }
+}
+
+/// `[A-Za-z_][A-Za-z0-9_$]*`; precondition: IsIdentStart(in[*i]).
+std::string_view ScanIdent(std::string_view in, size_t* i) {
+  const size_t start = (*i)++;
+  while (*i < in.size() &&
+         (std::isalnum(static_cast<unsigned char>(in[*i])) || in[*i] == '_' ||
+          in[*i] == '$')) {
+    ++*i;
+  }
+  return in.substr(start, *i - start);
+}
+
+/// Precondition: IsIntStart(in, *i). Out-of-range literals are errors.
+Result<int64_t> ScanInt(std::string_view in, size_t* i) {
+  const size_t start = *i;
+  size_t end = start + 1;
+  while (IsDigitAt(in, end)) ++end;
+  int64_t value = 0;
+  auto [ptr, ec] = std::from_chars(in.data() + start, in.data() + end, value);
+  if (ec != std::errc() || ptr != in.data() + end) {
+    return Status::InvalidArgument(
+        StrCat("bad integer literal at offset ", start));
+  }
+  *i = end;
+  return value;
+}
+
+/// A `"…"` or `'…'` literal, no escapes; precondition: IsQuote(in[*i]).
+/// Returns the payload between the quotes.
+Result<std::string_view> ScanString(std::string_view in, size_t* i) {
+  const size_t start = *i;
+  const size_t close = in.find(in[start], start + 1);
+  if (close == std::string_view::npos) {
+    return Status::InvalidArgument(
+        StrCat("unterminated string literal at offset ", start));
+  }
+  *i = close + 1;
+  return in.substr(start + 1, close - start - 1);
+}
+
 class Lexer {
  public:
   explicit Lexer(std::string_view input) : input_(input) {}
 
   Status Tokenize(std::vector<Token>* out) {
     size_t i = 0;
-    while (i < input_.size()) {
-      char c = input_[i];
-      if (std::isspace(static_cast<unsigned char>(c))) {
-        ++i;
+    for (;;) {
+      SkipTrivia(input_, &i);
+      if (i >= input_.size()) break;
+      const char c = input_[i];
+      const size_t start = i;
+      if (IsIdentStart(c)) {
+        out->push_back(
+            {TokKind::kIdent, std::string(ScanIdent(input_, &i)), 0, start});
         continue;
       }
-      if (c == '%') {  // line comment
-        while (i < input_.size() && input_[i] != '\n') ++i;
-        continue;
-      }
-      size_t start = i;
-      if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
-        size_t j = i;
-        while (j < input_.size() &&
-               (std::isalnum(static_cast<unsigned char>(input_[j])) ||
-                input_[j] == '_' || input_[j] == '$')) {
-          ++j;
-        }
-        out->push_back({TokKind::kIdent,
-                        std::string(input_.substr(i, j - i)), 0, start});
-        i = j;
-        continue;
-      }
-      if (std::isdigit(static_cast<unsigned char>(c)) ||
-          (c == '-' && i + 1 < input_.size() &&
-           std::isdigit(static_cast<unsigned char>(input_[i + 1])))) {
-        size_t j = i + 1;
-        while (j < input_.size() &&
-               std::isdigit(static_cast<unsigned char>(input_[j]))) {
-          ++j;
-        }
-        int64_t value = 0;
-        if (!ParseInt64(input_.substr(i, j - i), &value)) {
-          return Status::InvalidArgument(
-              StrCat("bad integer literal at offset ", i));
-        }
+      if (IsIntStart(input_, i)) {
+        RELCOMP_ASSIGN_OR_RETURN(int64_t value, ScanInt(input_, &i));
         out->push_back({TokKind::kInt, "", value, start});
-        i = j;
         continue;
       }
-      if (c == '"' || c == '\'') {
-        char quote = c;
-        size_t j = i + 1;
-        std::string payload;
-        while (j < input_.size() && input_[j] != quote) {
-          payload.push_back(input_[j]);
-          ++j;
-        }
-        if (j >= input_.size()) {
-          return Status::InvalidArgument(
-              StrCat("unterminated string literal at offset ", i));
-        }
-        out->push_back({TokKind::kString, std::move(payload), 0, start});
-        i = j + 1;
+      if (IsQuote(c)) {
+        RELCOMP_ASSIGN_OR_RETURN(std::string_view payload,
+                                 ScanString(input_, &i));
+        out->push_back({TokKind::kString, std::string(payload), 0, start});
         continue;
       }
       switch (c) {
@@ -457,6 +495,64 @@ Result<FoQuery> ParseFoQuery(std::string_view text) {
         StrCat("trailing input at offset ", cur.Peek().pos));
   }
   return FoQuery(std::move(name), std::move(head_vars), std::move(formula));
+}
+
+Result<GroundAtom> ParseGroundAtom(std::string_view text) {
+  auto expected = [](const char* what, size_t at) {
+    return Status::InvalidArgument(
+        StrCat("expected ", what, " at offset ", at));
+  };
+  size_t i = 0;
+  SkipTrivia(text, &i);
+  if (i >= text.size() || !IsIdentStart(text[i])) {
+    return expected("relation name", i);
+  }
+  GroundAtom atom;
+  atom.relation = std::string(ScanIdent(text, &i));
+  SkipTrivia(text, &i);
+  if (i >= text.size() || text[i] != '(') return expected("'('", i);
+  ++i;
+  std::vector<Value> values;
+  SkipTrivia(text, &i);
+  if (i < text.size() && text[i] == ')') {
+    ++i;
+  } else {
+    for (;;) {
+      if (values.size() >= kMaxArgs) {
+        return Status::InvalidArgument(
+            StrCat("argument list exceeds ", kMaxArgs, " terms at offset ", i));
+      }
+      if (IsIntStart(text, i)) {
+        RELCOMP_ASSIGN_OR_RETURN(int64_t value, ScanInt(text, &i));
+        values.push_back(Value::Int(value));
+      } else if (i < text.size() && IsQuote(text[i])) {
+        RELCOMP_ASSIGN_OR_RETURN(std::string_view payload,
+                                 ScanString(text, &i));
+        values.push_back(Value::Str(payload));
+      } else {
+        return expected("a constant", i);
+      }
+      SkipTrivia(text, &i);
+      if (i < text.size() && text[i] == ')') {
+        ++i;
+        break;
+      }
+      if (i >= text.size() || text[i] != ',') return expected("',' or ')'", i);
+      ++i;
+      SkipTrivia(text, &i);
+    }
+  }
+  // As at the end of a rule body, one stray ',' may follow the atom.
+  SkipTrivia(text, &i);
+  if (i < text.size() && text[i] == ',') {
+    ++i;
+    SkipTrivia(text, &i);
+  }
+  if (i < text.size()) {
+    return Status::InvalidArgument(StrCat("trailing input at offset ", i));
+  }
+  atom.tuple = Tuple(std::move(values));
+  return atom;
 }
 
 Result<AnyQuery> ParseQuery(std::string_view text, QueryLanguage lang) {

@@ -5,6 +5,7 @@
 #include <string_view>
 
 #include "query/any_query.h"
+#include "relational/tuple.h"
 #include "util/status.h"
 
 namespace relcomp {
@@ -44,6 +45,17 @@ Result<DatalogProgram> ParseDatalogProgram(std::string_view text,
 
 /// Parses "Name(v1, ..., vk) := formula" as an FO query.
 Result<FoQuery> ParseFoQuery(std::string_view text);
+
+/// A relation atom whose arguments are all constants: one fact.
+struct GroundAtom {
+  std::string relation;
+  Tuple tuple;
+};
+
+/// Parses "Name(c1, ..., ck)", where every ci is an integer or a quoted
+/// string, in one pass with the same lexical rules as the query syntax
+/// above. As at the end of a rule body, one trailing ',' is allowed.
+Result<GroundAtom> ParseGroundAtom(std::string_view text);
 
 /// Parses `text` in the syntax appropriate for `lang` and wraps it.
 /// For kPositive the formula must be in ∃FO+ (checked).

@@ -147,21 +147,42 @@ bool TakeField(std::string_view* text, std::string_view* field) {
 }  // namespace
 
 uint32_t CheckpointStore::Crc32(std::string_view data) {
-  static const auto table = [] {
-    std::array<uint32_t, 256> t{};
+  // Slicing-by-8: t[k][b] is the CRC of byte b followed by k zero
+  // bytes, so eight input bytes fold in through eight independent
+  // lookups instead of a chain of eight dependent ones.
+  static const auto t = [] {
+    std::array<std::array<uint32_t, 256>, 8> tables{};
     for (uint32_t i = 0; i < 256; ++i) {
       uint32_t c = i;
       for (int k = 0; k < 8; ++k) {
         c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
       }
-      t[i] = c;
+      tables[0][i] = c;
     }
-    return t;
+    for (size_t k = 1; k < 8; ++k) {
+      for (uint32_t i = 0; i < 256; ++i) {
+        const uint32_t prev = tables[k - 1][i];
+        tables[k][i] = (prev >> 8) ^ tables[0][prev & 0xFF];
+      }
+    }
+    return tables;
   }();
+  auto le32 = [](const unsigned char* p) {
+    return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
+           static_cast<uint32_t>(p[2]) << 16 |
+           static_cast<uint32_t>(p[3]) << 24;
+  };
+  const auto* p = reinterpret_cast<const unsigned char*>(data.data());
+  size_t n = data.size();
   uint32_t crc = 0xFFFFFFFFu;
-  for (unsigned char byte : std::string_view(data)) {
-    crc = table[(crc ^ byte) & 0xFF] ^ (crc >> 8);
+  for (; n >= 8; p += 8, n -= 8) {
+    const uint32_t lo = crc ^ le32(p);
+    const uint32_t hi = le32(p + 4);
+    crc = t[7][lo & 0xFF] ^ t[6][(lo >> 8) & 0xFF] ^ t[5][(lo >> 16) & 0xFF] ^
+          t[4][lo >> 24] ^ t[3][hi & 0xFF] ^ t[2][(hi >> 8) & 0xFF] ^
+          t[1][(hi >> 16) & 0xFF] ^ t[0][hi >> 24];
   }
+  for (; n > 0; ++p, --n) crc = t[0][(crc ^ *p) & 0xFF] ^ (crc >> 8);
   return crc ^ 0xFFFFFFFFu;
 }
 

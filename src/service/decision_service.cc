@@ -54,6 +54,19 @@ std::string ChaseEvidence(const ChaseResult& r) {
                 r.db.ToString());
 }
 
+/// Parses a job's spec and checks its query index: the one parse a job
+/// gets, at admission (or at recovery).
+Result<CompletenessSpec> ParseJob(const JobSpec& spec) {
+  RELCOMP_ASSIGN_OR_RETURN(CompletenessSpec parsed,
+                           ParseCompletenessSpec(spec.spec_text));
+  if (spec.query_index >= parsed.queries.size()) {
+    return Status::InvalidArgument(
+        StrCat("query index ", spec.query_index, " out of range; spec has ",
+               parsed.queries.size(), " queries"));
+  }
+  return parsed;
+}
+
 }  // namespace
 
 const char* JobKindToString(JobKind kind) {
@@ -133,14 +146,26 @@ Result<JobSpec> JobSpec::Deserialize(std::string_view text) {
   return spec;
 }
 
+uint64_t JobSpec::Digest(std::string_view serialized) {
+  return FingerprintString(serialized);
+}
+
 // --- Job state ------------------------------------------------------
 
 struct DecisionService::Job {
   std::string id;
+  /// The admitted spec. Its spec_text is released when the job becomes
+  /// terminal; spec_digest keeps the identity idempotent resubmission
+  /// is checked against.
   JobSpec spec;
+  uint64_t spec_digest = 0;
+  /// The parsed spec, owned from admission until RunJob takes it.
+  std::unique_ptr<CompletenessSpec> problem;
+  /// The instance fingerprint, when admission already computed it (the
+  /// degraded-mode cache check), so RunJob does not compute it again.
+  std::optional<uint64_t> instance_fp;
   /// Absolute EDF deadline (time_point::max() when the spec has none).
   std::chrono::steady_clock::time_point deadline;
-  bool recovered = false;
   /// Admitted while degraded, against the verdict cache, with no
   /// durable job record — the store is never asked to Forget it.
   bool ephemeral = false;
@@ -180,18 +205,28 @@ Result<std::unique_ptr<DecisionService>> DecisionService::Start(
   // in-flight — re-create and re-enqueue it. Recovered jobs bypass
   // admission control (shedding a job the previous process already
   // accepted would break the "accepted means survives a kill"
-  // contract).
-  {
-    std::unique_lock<std::mutex> lock(service->mu_);
-    for (const std::string& id : service->store_->PendingRequests()) {
-      Result<std::string> payload = service->store_->LoadJob(id);
-      if (!payload.ok()) continue;  // corrupt record: skipped, counted
-      Result<JobSpec> spec = JobSpec::Deserialize(*payload);
-      if (!spec.ok()) continue;
-      Status st = service->SubmitLocked(id, *spec, /*recovered=*/true,
-                                        /*ephemeral=*/false, lock);
-      if (st.ok()) service->recovered_.push_back(id);
+  // contract). Each is parsed here, once; one whose spec no longer
+  // parses ends terminal with the parse error.
+  for (const std::string& id : service->store_->PendingRequests()) {
+    Result<std::string> payload = service->store_->LoadJob(id);
+    if (!payload.ok()) continue;  // corrupt record: skipped, counted
+    Result<JobSpec> spec = JobSpec::Deserialize(*payload);
+    if (!spec.ok()) continue;
+    Result<CompletenessSpec> parsed = ParseJob(*spec);
+    auto job = std::make_unique<Job>();
+    job->id = id;
+    job->spec_digest = JobSpec::Digest(spec->Serialize());
+    job->spec = std::move(*spec);
+    std::lock_guard<std::mutex> lock(service->mu_);
+    service->recovered_.push_back(id);
+    if (parsed.ok()) {
+      job->problem = std::make_unique<CompletenessSpec>(std::move(*parsed));
+      service->AdmitLocked(std::move(job));
+      continue;
     }
+    service->store_->Forget(id);
+    service->FinishLocked(job.get(), parsed.status());
+    service->jobs_[id] = std::move(job);
   }
 
   const size_t workers = std::max<size_t>(1, options.num_workers);
@@ -396,9 +431,8 @@ size_t DecisionService::checkpoints_persisted() const {
 
 // --- Admission ------------------------------------------------------
 
-Status DecisionService::Submit(const std::string& request_id,
-                               const JobSpec& spec) {
-  std::unique_lock<std::mutex> lock(mu_);
+Status DecisionService::RefuseLocked(const std::string& request_id,
+                                     const JobSpec& spec) {
   if (crashed_) {
     return Status::FailedPrecondition("decision service crashed");
   }
@@ -420,92 +454,119 @@ Status DecisionService::Submit(const std::string& request_id,
                options_.max_queue_depth, "; job \"", request_id,
                "\" shed"));
   }
-  if (degraded_) {
-    // Degraded mode: the store cannot make new jobs durable, so the
-    // "accepted means survives a kill" contract is unpayable — shed
-    // durable admission typed. The one thing still admissible is a
-    // job the verdict cache can answer without the disk: it is taken
-    // ephemerally (no job record; it never claimed durability).
-    if (verdict_cache_ != nullptr && spec.kind == JobKind::kRcdp &&
-        jobs_.count(request_id) == 0) {
-      Result<CompletenessSpec> parsed =
-          ParseCompletenessSpec(spec.spec_text);
-      if (parsed.ok() && spec.query_index < parsed->queries.size()) {
-        const uint64_t fp = FingerprintRcdpInstance(
-            parsed->queries[spec.query_index], parsed->db, parsed->master,
-            parsed->constraints);
-        if (verdict_cache_->Lookup(fp).has_value()) {
-          ++ephemeral_admissions_;
-          return SubmitLocked(request_id, spec, /*recovered=*/false,
-                              /*ephemeral=*/true, lock);
-        }
-      }
-    }
-    ++jobs_shed_;
-    ++submits_shed_degraded_;
-    return Status::ResourceExhausted(
-        StrCat("store degraded: durable admission suspended until a "
-               "health probe succeeds; job \"", request_id, "\" shed"));
+  // Degraded mode: the store cannot make new jobs durable, so the
+  // "accepted means survives a kill" contract is unpayable — durable
+  // admission is shed typed. The one thing still admissible is a new
+  // kRcdp job the verdict cache can answer without the disk; whether
+  // it can is known only after the parse.
+  const bool taken = jobs_.count(request_id) > 0;
+  if (degraded_ && (verdict_cache_ == nullptr ||
+                    spec.kind != JobKind::kRcdp || taken)) {
+    return ShedDegradedLocked(request_id);
   }
-  return SubmitLocked(request_id, spec, /*recovered=*/false,
-                      /*ephemeral=*/false, lock);
-}
-
-Status DecisionService::SubmitLocked(const std::string& request_id,
-                                     const JobSpec& spec, bool recovered,
-                                     bool ephemeral,
-                                     std::unique_lock<std::mutex>& lock) {
-  if (jobs_.count(request_id) > 0) {
+  if (taken) {
     return Status::InvalidArgument(
         StrCat("duplicate request id: ", request_id));
   }
-  if (!recovered) {
-    // Reject unrunnable jobs at the door: a spec that does not parse
-    // would otherwise be discovered only by a worker (or, worse, by a
-    // restarted process during recovery).
-    Result<CompletenessSpec> parsed = ParseCompletenessSpec(spec.spec_text);
-    if (!parsed.ok()) return parsed.status();
-    if (spec.query_index >= parsed->queries.size()) {
-      return Status::InvalidArgument(
-          StrCat("query index ", spec.query_index, " out of range; spec has ",
-                 parsed->queries.size(), " queries"));
-    }
-    // Durability before admission: once Submit returns OK the job
-    // survives a kill. Ephemeral (degraded cache-hit) jobs skip this —
-    // they never claimed durability and will be served from memory.
-    if (!ephemeral) {
-      Status persisted = store_->PersistJob(request_id, spec.Serialize());
-      if (!persisted.ok()) {
-        if (persisted.code() == StatusCode::kFailedPrecondition) {
-          return persisted;  // crashed / fenced store, not a disk fault
-        }
-        // First contact with the bad disk on the admission path:
-        // degrade now and shed this job typed, so the caller gets the
-        // same retryable answer every later degraded submit will.
-        degraded_ = true;
-        ++jobs_shed_;
-        ++submits_shed_degraded_;
-        return Status::ResourceExhausted(
-            StrCat("store write failed (", persisted.message(),
-                   "); durable admission suspended; job \"", request_id,
-                   "\" shed"));
-      }
-    }
+  return Status::OK();
+}
+
+Status DecisionService::ShedDegradedLocked(const std::string& request_id) {
+  ++jobs_shed_;
+  ++submits_shed_degraded_;
+  return Status::ResourceExhausted(
+      StrCat("store degraded: durable admission suspended until a "
+             "health probe succeeds; job \"", request_id, "\" shed"));
+}
+
+Status DecisionService::Submit(const std::string& request_id,
+                               const JobSpec& spec) {
+  // Refusals that need no parse come first: a full queue or a crashed,
+  // stopping or detaching service refuses before paying for one.
+  bool degraded_at_entry = false;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    RELCOMP_RETURN_NOT_OK(RefuseLocked(request_id, spec));
+    degraded_at_entry = degraded_;
   }
 
+  // The job's one parse, its record and the record's digest are built
+  // outside mu_: for a large spec they are the cost of admission, and
+  // the network server runs every Submit on its one loop thread.
+  // Rejecting an unparseable spec here means a worker (or, worse, a
+  // restarted process during recovery) never meets it.
+  Result<CompletenessSpec> parsed = ParseJob(spec);
+  const std::string record = spec.Serialize();
   auto job = std::make_unique<Job>();
   job->id = request_id;
   job->spec = spec;
-  job->recovered = recovered;
-  job->ephemeral = ephemeral;
-  job->deadline = spec.deadline.has_value()
-                      ? std::chrono::steady_clock::now() + *spec.deadline
-                      : std::chrono::steady_clock::time_point::max();
-  queue_.emplace(std::make_pair(job->deadline, next_seq_++), request_id);
-  jobs_[request_id] = std::move(job);
-  ++queued_count_;
-  queue_cv_.notify_one();
+  job->spec_digest = JobSpec::Digest(record);
+  bool cache_hit = false;
+  if (parsed.ok()) {
+    if (degraded_at_entry) {
+      // RefuseLocked let a degraded submit through only for this check.
+      job->instance_fp = FingerprintRcdpInstance(
+          parsed->queries[spec.query_index], parsed->db, parsed->master,
+          parsed->constraints);
+      cache_hit = verdict_cache_->Lookup(*job->instance_fp).has_value();
+    }
+    job->problem = std::make_unique<CompletenessSpec>(std::move(*parsed));
+  }
+
+  std::unique_lock<std::mutex> lock(mu_);
+  // The service may have changed state while the spec was parsed.
+  RELCOMP_RETURN_NOT_OK(RefuseLocked(request_id, spec));
+  if (degraded_) {
+    // Admitted ephemerally (no job record; it never claimed
+    // durability), to be served from memory. A service that degraded
+    // during the parse has no cache answer at hand and sheds.
+    if (!cache_hit) return ShedDegradedLocked(request_id);
+    ++ephemeral_admissions_;
+    job->ephemeral = true;
+    AdmitLocked(std::move(job));
+    return Status::OK();
+  }
+  if (!parsed.ok()) return parsed.status();
+  // Durability before admission: once Submit returns OK the job
+  // survives a kill.
+  Status persisted = store_->PersistJob(request_id, record);
+  if (!persisted.ok()) {
+    if (persisted.code() == StatusCode::kFailedPrecondition) {
+      return persisted;  // crashed / fenced store, not a disk fault
+    }
+    // First contact with the bad disk on the admission path: degrade
+    // now and shed this job typed, so the caller gets the same
+    // retryable answer every later degraded submit will.
+    degraded_ = true;
+    ++jobs_shed_;
+    ++submits_shed_degraded_;
+    return Status::ResourceExhausted(
+        StrCat("store write failed (", persisted.message(),
+               "); durable admission suspended; job \"", request_id,
+               "\" shed"));
+  }
+  AdmitLocked(std::move(job));
   return Status::OK();
+}
+
+void DecisionService::AdmitLocked(std::unique_ptr<Job> job) {
+  job->deadline = job->spec.deadline.has_value()
+                      ? std::chrono::steady_clock::now() + *job->spec.deadline
+                      : std::chrono::steady_clock::time_point::max();
+  queue_.emplace(std::make_pair(job->deadline, next_seq_++), job->id);
+  ++queued_count_;
+  jobs_[job->id] = std::move(job);
+  queue_cv_.notify_one();
+}
+
+void DecisionService::FinishLocked(Job* job, Status status) {
+  job->running = false;
+  job->terminal = true;
+  job->terminal_status = std::move(status);
+  job->problem.reset();
+  std::string().swap(job->spec.spec_text);  // clear() would keep the buffer
+  completed_order_.push_back(job->id);
+  result_cv_.notify_all();
 }
 
 Result<JobResult> DecisionService::Wait(const std::string& request_id) {
@@ -574,27 +635,25 @@ Status DecisionService::Cancel(const std::string& request_id) {
       }
     }
     if (!job->ephemeral) store_->Forget(request_id);
-    job->terminal = true;
     job->result.verdict = Verdict::kUnknown;
     job->result.evidence =
         StrCat("unknown|", BudgetKindToString(BudgetKind::kCancel));
     job->result.exhaustion.kind = BudgetKind::kCancel;
     job->result.exhaustion.detail = "cancelled before execution";
     --queued_count_;
-    completed_order_.push_back(request_id);
-    result_cv_.notify_all();
+    FinishLocked(job, Status::OK());
   }
   return Status::OK();
 }
 
-Result<JobSpec> DecisionService::GetJobSpec(
+Result<uint64_t> DecisionService::JobDigest(
     const std::string& request_id) const {
   std::unique_lock<std::mutex> lock(mu_);
   auto it = jobs_.find(request_id);
   if (it == jobs_.end()) {
     return Status::NotFound(StrCat("unknown request id: ", request_id));
   }
-  return it->second->spec;
+  return it->second->spec_digest;
 }
 
 // --- Execution ------------------------------------------------------
@@ -630,30 +689,18 @@ void DecisionService::RunJob(Job* job,
                              std::unique_lock<std::mutex>& lock) {
   auto finish = [&](Status status) {
     // Terminal bookkeeping under the lock; `lock` is held here.
-    job->running = false;
-    job->terminal = true;
-    job->terminal_status = std::move(status);
     --queued_count_;
-    completed_order_.push_back(job->id);
-    result_cv_.notify_all();
+    FinishLocked(job, std::move(status));
   };
 
   const JobSpec& spec = job->spec;
-  lock.unlock();
-  Result<CompletenessSpec> parsed = ParseCompletenessSpec(spec.spec_text);
-  if (!parsed.ok() || spec.query_index >= parsed->queries.size()) {
-    Status st = !parsed.ok()
-                    ? parsed.status()
-                    : Status::InvalidArgument(
-                          StrCat("query index ", spec.query_index,
-                                 " out of range"));
-    if (!job->ephemeral) store_->Forget(job->id);
-    lock.lock();
-    finish(std::move(st));
-    return;
-  }
-  CompletenessSpec problem = std::move(*parsed);
+  // The job's one parse ran at admission; its parsed spec is freed
+  // when this returns.
+  std::unique_ptr<CompletenessSpec> owned = std::move(job->problem);
+  const CompletenessSpec& problem = *owned;
   const AnyQuery& query = problem.queries[spec.query_index];
+  const std::optional<uint64_t> admitted_fp = job->instance_fp;
+  lock.unlock();
 
   // Verdict-cache fast path: a decided verdict cached for this exact
   // instance content (strong fingerprint over Q, V, D, Dm — thread
@@ -662,11 +709,15 @@ void DecisionService::RunJob(Job* job,
   // deciders have no content fingerprint.
   uint64_t instance_fp = 0;
   if (verdict_cache_ != nullptr && spec.kind == JobKind::kRcdp) {
-    instance_fp = FingerprintRcdpInstance(query, problem.db, problem.master,
-                                          problem.constraints);
+    instance_fp = admitted_fp.has_value()
+                      ? *admitted_fp
+                      : FingerprintRcdpInstance(query, problem.db,
+                                                problem.master,
+                                                problem.constraints);
     if (std::optional<CachedVerdict> cached =
             verdict_cache_->Lookup(instance_fp)) {
       if (!job->ephemeral) store_->Forget(job->id);
+      owned.reset();  // free a large parse before taking the lock
       lock.lock();
       if (crashed_) return;
       job->result.verdict = cached->verdict;
@@ -858,12 +909,14 @@ void DecisionService::RunJob(Job* job,
       ++last_generation;
     }
 
-    // Classify. Step-slice and memory exhaustion are transient: back
-    // off (capped exponential in the budget's monotonic retry count)
-    // and resume. Deadline, cancel, and the chase round cap are
-    // terminal: retrying cannot help (the deadline stays expired, the
-    // cap stays reached), so the job ends kUnknown with its newest
-    // checkpoint retained in the store for a manual resume.
+    // Classify. Step-slice and memory exhaustion are transient and
+    // resume from the checkpoint: a step slice is the service's own
+    // planned boundary, so it resumes at once; memory exhaustion backs
+    // off first (capped exponential in the budget's monotonic retry
+    // count). Deadline, cancel, and the chase round cap are terminal:
+    // retrying cannot help (the deadline stays expired, the cap stays
+    // reached), so the job ends kUnknown with its newest checkpoint
+    // retained in the store for a manual resume.
     const BudgetKind kind = exhaustion.kind;
     const bool transient =
         kind == BudgetKind::kSteps || kind == BudgetKind::kMemory;
@@ -882,11 +935,13 @@ void DecisionService::RunJob(Job* job,
       return;
     }
 
-    const size_t retry = budget.retry_count();
-    std::chrono::milliseconds delay =
-        retry >= 20 ? options_.backoff_cap
-                    : std::min(options_.backoff_cap,
-                               options_.backoff_base * (1u << retry));
+    std::chrono::milliseconds delay{0};
+    if (kind == BudgetKind::kMemory) {
+      const size_t retry = budget.retry_count();
+      delay = retry >= 20 ? options_.backoff_cap
+                          : std::min(options_.backoff_cap,
+                                     options_.backoff_base * (1u << retry));
+    }
     budget.Rearm();
     resume = std::move(checkpoint);
     lock.unlock();

@@ -53,6 +53,9 @@ struct JobSpec {
   /// Single-line versioned text form (the store's job record).
   std::string Serialize() const;
   static Result<JobSpec> Deserialize(std::string_view text);
+  /// 64-bit digest of a Serialize() form: the identity an idempotent
+  /// resubmission is checked against (DecisionService::JobDigest).
+  static uint64_t Digest(std::string_view serialized);
 };
 
 /// Terminal outcome of a job.
@@ -95,8 +98,9 @@ struct DecisionServiceOptions {
   /// Cap on transient-exhaustion retries per job (0 = unlimited; the
   /// deadline still bounds sliced jobs).
   size_t max_retries = 0;
-  /// Capped exponential backoff before a retry: delay =
-  /// min(backoff_base << retry_count, backoff_cap).
+  /// Capped exponential backoff before a retry after memory
+  /// exhaustion: delay = min(backoff_base << retry_count, backoff_cap).
+  /// A step-slice boundary is planned, so its retry resumes at once.
   std::chrono::milliseconds backoff_base{1};
   std::chrono::milliseconds backoff_cap{64};
   /// Start with the workers parked until Resume() — lets tests fill
@@ -144,12 +148,15 @@ struct DecisionServiceOptions {
 /// the queue oldest-deadline-first, run each job's decider under a
 /// per-request ExecutionBudget (deadline inherited from the JobSpec),
 /// persist the checkpoint at every slice boundary, and retry transient
-/// exhaustion (step-slice, memory) with capped exponential backoff by
-/// resuming from the persisted checkpoint. Deadline and cancel
-/// exhaustion are terminal: the job ends kUnknown with its latest
-/// checkpoint left in the store. Completed jobs are Forget()ten.
+/// exhaustion by resuming from the persisted checkpoint: at once after
+/// a step slice, after a capped exponential backoff after memory
+/// exhaustion. Deadline and cancel exhaustion are terminal: the job
+/// ends kUnknown with its latest checkpoint left in the store.
+/// Completed jobs are Forget()ten. Each job's spec is parsed once, by
+/// Submit before it takes the service lock; the worker decides on
+/// that parse.
 ///
-/// Crash recovery: a restarted service re-parses each pending job's
+/// Crash recovery: at Start(), a restarted service parses each pending job's
 /// spec and resumes from its newest valid checkpoint; the PR-3 resume
 /// guarantees make the final verdict and evidence bit-for-bit equal to
 /// an uninterrupted run at any thread count. Chase jobs are the one
@@ -171,7 +178,9 @@ class DecisionService {
   /// Admits `spec` as `request_id`, durably persisting it first.
   /// kResourceExhausted when the queue is full (load shedding);
   /// kInvalidArgument on a bad id, duplicate id, or a spec that does
-  /// not serialize; kFailedPrecondition after a (simulated) crash.
+  /// not parse; kFailedPrecondition after a (simulated) crash. The
+  /// spec is parsed outside the service lock, and only after the
+  /// refusals that need no parse.
   Status Submit(const std::string& request_id, const JobSpec& spec);
 
   /// Blocks until `request_id` is terminal and returns its result.
@@ -199,11 +208,12 @@ class DecisionService {
   /// abandoned, not recoverable. kNotFound for an unknown id.
   Status Cancel(const std::string& request_id);
 
-  /// The spec `request_id` was admitted with — the dedup anchor for
-  /// idempotent network retries: a resubmission whose serialized spec
-  /// is identical is the same job, anything else is a key collision.
-  /// kNotFound for an unknown id.
-  Result<JobSpec> GetJobSpec(const std::string& request_id) const;
+  /// JobSpec::Digest of the spec `request_id` was admitted with — the
+  /// dedup anchor for idempotent network retries: a resubmission whose
+  /// serialized spec has the same digest is the same job, anything
+  /// else is a key collision. It outlives the spec text, which a
+  /// terminal job releases. kNotFound for an unknown id.
+  Result<uint64_t> JobDigest(const std::string& request_id) const;
 
   /// Releases workers parked by start_paused. Idempotent.
   void Resume();
@@ -295,9 +305,18 @@ class DecisionService {
 
   explicit DecisionService(DecisionServiceOptions options);
 
-  Status SubmitLocked(const std::string& request_id, const JobSpec& spec,
-                      bool recovered, bool ephemeral,
-                      std::unique_lock<std::mutex>& lock);
+  /// The admission refusals that need no parse: a crashed, stopping or
+  /// detaching service, a full queue, a duplicate id, and a degraded
+  /// service that cannot serve `spec` from the verdict cache.
+  Status RefuseLocked(const std::string& request_id, const JobSpec& spec);
+  /// Counts and returns a degraded-mode shed.
+  Status ShedDegradedLocked(const std::string& request_id);
+  /// Enqueues an admitted (or recovered) job.
+  void AdmitLocked(std::unique_ptr<Job> job);
+  /// Terminal bookkeeping: marks `job` terminal with `status`, frees
+  /// its spec text and parsed spec, and wakes waiters. The caller
+  /// settles queued_count_.
+  void FinishLocked(Job* job, Status status);
   void WorkerLoop();
   /// Background store health probe with capped backoff; parks until
   /// the store is sick, probes, and clears degraded mode on success.

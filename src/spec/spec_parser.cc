@@ -22,26 +22,19 @@ constexpr size_t kMaxSpecArity = 4096;
 constexpr int64_t kMaxFiniteDomainSize = 1 << 20;
 
 /// Strips a trailing comment (% or #) outside of string literals.
-std::string StripComment(std::string_view line) {
-  std::string out;
-  bool in_string = false;
-  char quote = '"';
-  for (char c : line) {
-    if (in_string) {
-      out.push_back(c);
-      if (c == quote) in_string = false;
-      continue;
-    }
-    if (c == '"' || c == '\'') {
-      in_string = true;
+std::string_view StripComment(std::string_view line) {
+  char quote = 0;  // the open literal's quote, 0 outside literals
+  for (size_t i = 0; i < line.size(); ++i) {
+    const char c = line[i];
+    if (quote != 0) {
+      if (c == quote) quote = 0;
+    } else if (c == '"' || c == '\'') {
       quote = c;
-      out.push_back(c);
-      continue;
+    } else if (c == '%' || c == '#') {
+      return line.substr(0, i);
     }
-    if (c == '%' || c == '#') break;
-    out.push_back(c);
   }
-  return out;
+  return line;
 }
 
 /// Parses "Name(attr[: dom], ...)" into a RelationSchema.
@@ -98,27 +91,13 @@ Result<RelationSchema> ParseRelationDecl(std::string_view text, size_t line) {
   return RelationSchema(name, std::move(attrs));
 }
 
-/// Parses "R(const, ...)" into (relation, tuple).
-Result<std::pair<std::string, Tuple>> ParseFact(std::string_view text,
-                                                size_t line) {
-  // Reuse the rule parser: "f() :- <atom>."
-  auto rule = ParseConjunctiveQuery(StrCat("f() :- ", text, "."));
-  if (!rule.ok()) {
-    return LineError(line, StrCat("bad fact: ", rule.status().message()));
+/// Parses a fact "R(const, ...)"; errors carry the line number.
+Result<GroundAtom> ParseFact(std::string_view text, size_t line) {
+  Result<GroundAtom> fact = ParseGroundAtom(text);
+  if (!fact.ok()) {
+    return LineError(line, StrCat("bad fact: ", fact.status().message()));
   }
-  if (rule->body().size() != 1 || !rule->body()[0].is_relation()) {
-    return LineError(line, "a fact is a single relation atom");
-  }
-  const Atom& atom = rule->body()[0];
-  std::vector<Value> values;
-  for (const Term& t : atom.args()) {
-    if (!t.is_constant()) {
-      return LineError(line, StrCat("fact arguments must be constants; got ",
-                                    t.ToString()));
-    }
-    values.push_back(t.value());
-  }
-  return std::make_pair(atom.relation(), Tuple(std::move(values)));
+  return fact;
 }
 
 /// Parses "Rel[0, 2]" / "empty" into a CC target.
@@ -232,8 +211,7 @@ Result<CompletenessSpec> ParseCompletenessSpec(std::string_view text) {
                                : text.substr(start, nl - start);
     start = nl == std::string_view::npos ? text.size() + 1 : nl + 1;
     ++line_no;
-    std::string stripped = StripComment(raw);
-    std::string_view rest = TrimWhitespace(stripped);
+    std::string_view rest = TrimWhitespace(StripComment(raw));
     if (rest.empty()) continue;
 
     std::string keyword = TakeWord(&rest);
@@ -249,9 +227,9 @@ Result<CompletenessSpec> ParseCompletenessSpec(std::string_view text) {
                          : spec.db_schema->AddRelation(std::move(rs));
       if (!st.ok()) return LineError(line_no, st.message());
     } else if (keyword == "fact") {
-      RELCOMP_ASSIGN_OR_RETURN(auto fact, ParseFact(rest, line_no));
+      RELCOMP_ASSIGN_OR_RETURN(GroundAtom fact, ParseFact(rest, line_no));
       facts.push_back(
-          {master, std::move(fact.first), std::move(fact.second), line_no});
+          {master, std::move(fact.relation), std::move(fact.tuple), line_no});
     } else if (keyword == "constraint") {
       if (master) return LineError(line_no, "constraints cannot be 'master'");
       size_t sep = rest.find("|=");
@@ -326,8 +304,7 @@ Result<DeltaBatch> ParseDeltaBatch(std::string_view text) {
                                : text.substr(start, nl - start);
     start = nl == std::string_view::npos ? text.size() + 1 : nl + 1;
     ++line_no;
-    std::string stripped = StripComment(raw);
-    std::string_view rest = TrimWhitespace(stripped);
+    std::string_view rest = TrimWhitespace(StripComment(raw));
     if (rest.empty()) continue;
 
     std::string keyword = TakeWord(&rest);
@@ -347,9 +324,9 @@ Result<DeltaBatch> ParseDeltaBatch(std::string_view text) {
                               "`master`); got: ",
                               keyword));
     }
-    RELCOMP_ASSIGN_OR_RETURN(auto fact, ParseFact(rest, line_no));
-    op.relation = std::move(fact.first);
-    op.tuple = std::move(fact.second);
+    RELCOMP_ASSIGN_OR_RETURN(GroundAtom fact, ParseFact(rest, line_no));
+    op.relation = std::move(fact.relation);
+    op.tuple = std::move(fact.tuple);
     (master ? batch.master_ops : batch.db_ops).push_back(std::move(op));
   }
   return batch;

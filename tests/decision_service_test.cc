@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -14,6 +16,7 @@
 #include "service/checkpoint_store.h"
 #include "spec/spec_parser.h"
 #include "util/execution_control.h"
+#include "util/fs_env.h"
 #include "util/str.h"
 
 namespace relcomp {
@@ -189,6 +192,25 @@ TEST(DecisionServiceTest, SlicedExecutionPersistsAndStillMatches) {
             StatusCode::kNotFound);
 }
 
+TEST(DecisionServiceTest, StepSlicesResumeWithoutBackoff) {
+  // A step slice is the service's own planned boundary: its retry
+  // resumes at once. Were the backoff applied, this job would sleep at
+  // least 30 s before its second slice.
+  const size_t total = CountDecisionPoints(IncompleteSpec(), JobKind::kRcdp, 1);
+  DecisionServiceOptions options;
+  options.backoff_base = std::chrono::seconds(30);
+  options.backoff_cap = std::chrono::seconds(30);
+  const auto start = std::chrono::steady_clock::now();
+  JobResult r = RunToCompletion(
+      FreshDir("nosleep"),
+      MakeJob(JobKind::kRcdp, IncompleteSpec(), 1, total / 4 + 1), options);
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(10));
+  EXPECT_EQ(r.evidence, DirectRcdpEvidence(IncompleteSpec(), 1));
+  EXPECT_GE(r.attempts, 2u) << "slice never exhausted";
+  EXPECT_EQ(r.exhaustion.retry_count, r.attempts - 1)
+      << "retry count is no longer monotonic";
+}
+
 // ---------------------------------------------------------------------------
 // Admission, scheduling, deadlines.
 
@@ -269,6 +291,23 @@ TEST(DecisionServiceTest, InvalidSpecsAndDuplicateIdsAreRejectedAtSubmit) {
   EXPECT_EQ((*service)->Wait("nonesuch").status().code(),
             StatusCode::kNotFound);
   EXPECT_TRUE((*service)->Wait("dup").ok());
+}
+
+TEST(DecisionServiceRecoveryTest, RecoveredSpecThatNoLongerParsesEndsTerminal) {
+  const std::string dir = FreshDir("unparseable");
+  {
+    auto store = CheckpointStore::Open(dir);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    const JobSpec stale = MakeJob(JobKind::kRcdp, "relation ((((");
+    ASSERT_TRUE((*store)->PersistJob("stale", stale.Serialize()).ok());
+  }
+  auto service = DecisionService::Start(dir);
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+  EXPECT_EQ((*service)->RecoveredJobs(), std::vector<std::string>{"stale"});
+  auto result = (*service)->Wait("stale");
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
+      << result.status().ToString();
+  EXPECT_TRUE((*service)->store().PendingRequests().empty());
 }
 
 TEST(DecisionServiceTest, JobSpecWireFormRoundTrips) {
@@ -537,6 +576,136 @@ TEST(DecisionServiceConcurrencyTest, ConcurrentSubmittersAndWorkersAreClean) {
       EXPECT_EQ(result->evidence, expected);
     }
   }
+}
+
+/// A small complete instance; each k is a distinct verdict-cache key.
+std::string TinySpec(int k) {
+  return StrCat("relation R(a)\nmaster relation M(m)\nfact R(", k,
+                ")\nmaster fact M(", k,
+                ")\nconstraint c(x) :- R(x) |= M[0]\nquery cq Q(x) :- R(x)\n");
+}
+
+/// Four submitters race cache hits, cache misses, an unparseable spec
+/// and duplicate ids (one id every thread tries, one already taken)
+/// while a fifth thread polls. Submit parses outside mu_ and re-checks
+/// admission after the parse; every job must still be admitted or
+/// refused exactly as a serial service would, and decide as directly.
+void ExpectExactAdmissionUnderRace(bool degraded) {
+  FsEnv env;
+  DecisionServiceOptions options;
+  options.num_workers = 2;
+  options.max_queue_depth = 1024;
+  options.enable_verdict_cache = true;
+  options.store_options.fs_env = &env;
+  auto service = DecisionService::Start(
+      FreshDir(degraded ? "race_degraded" : "race"), options);
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+  DecisionService& svc = **service;
+  const std::string hit_spec = TinySpec(0);
+  ASSERT_TRUE(svc.Submit("warm", MakeJob(JobKind::kRcdp, hit_spec)).ok());
+  ASSERT_TRUE(svc.Wait("warm").ok());
+  if (degraded) {
+    // The next durable admission fails its persist and degrades the
+    // service; from then on only cache hits are admitted, ephemerally.
+    env.set_fault_plan([] {
+      StorageFaultPlan plan;
+      plan.kind = StorageFaultKind::kEio;
+      plan.every = 1;
+      plan.site = "record";
+      return plan;
+    }());
+    EXPECT_EQ(svc.Submit("trip", MakeJob(JobKind::kRcdp, TinySpec(-1))).code(),
+              StatusCode::kResourceExhausted);
+    ASSERT_TRUE(svc.degraded());
+  }
+  const size_t shed_before = svc.jobs_shed();
+
+  enum Kind { kHit, kMiss, kBad, kTaken, kShared, kKinds };
+  struct Outcome {
+    std::string id;
+    std::string spec;
+    Kind kind;
+    Status status;
+  };
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 3 * kKinds;
+  std::vector<std::vector<Outcome>> outcomes(kThreads);
+  std::atomic<bool> done{false};
+  std::thread poller([&] {
+    while (!done.load()) {
+      for (int t = 0; t < kThreads; ++t) {
+        (void)svc.Poll(StrCat("t", t, "-", kPerThread / 2));
+      }
+      (void)svc.Poll("shared");
+      (void)svc.verdicts_served_from_cache();
+      std::this_thread::yield();
+    }
+  });
+  std::vector<std::thread> submitters;
+  for (int t = 0; t < kThreads; ++t) {
+    submitters.emplace_back([&, t] {
+      for (int i = 0; i < kPerThread; ++i) {
+        Outcome o;
+        o.kind = static_cast<Kind>((t + i) % kKinds);
+        o.id = StrCat("t", t, "-", i);
+        switch (o.kind) {
+          case kHit: o.spec = hit_spec; break;
+          case kMiss: o.spec = TinySpec(1 + t * kPerThread + i); break;
+          case kBad: o.spec = "relation (((("; break;
+          case kTaken: o.id = "warm"; o.spec = hit_spec; break;
+          case kShared: o.id = "shared"; o.spec = hit_spec; break;
+          case kKinds: break;
+        }
+        o.status = svc.Submit(o.id, MakeJob(JobKind::kRcdp, o.spec));
+        outcomes[t].push_back(std::move(o));
+      }
+    });
+  }
+  for (std::thread& s : submitters) s.join();
+
+  std::map<std::string, std::string> direct;
+  size_t hits = 0;
+  size_t refused = 0;
+  size_t shared_admitted = 0;
+  for (const std::vector<Outcome>& per_thread : outcomes) {
+    for (const Outcome& o : per_thread) {
+      const bool admissible =
+          o.kind == kHit || o.kind == kShared || (o.kind == kMiss && !degraded);
+      if (o.kind == kShared) {
+        if (o.status.ok()) ++shared_admitted;
+      } else {
+        EXPECT_EQ(o.status.ok(), admissible)
+            << o.id << ": " << o.status.ToString();
+      }
+      if (!o.status.ok()) {
+        ++refused;
+        // A degraded service sheds everything it refuses (retryable);
+        // a healthy one refuses bad specs and taken ids as invalid.
+        EXPECT_EQ(o.status.code(), degraded ? StatusCode::kResourceExhausted
+                                            : StatusCode::kInvalidArgument)
+            << o.id << ": " << o.status.ToString();
+        continue;
+      }
+      if (o.kind == kHit || o.kind == kShared) ++hits;
+      if (direct.count(o.spec) == 0) {
+        direct[o.spec] = DirectRcdpEvidence(o.spec, 1);
+      }
+      auto result = svc.Wait(o.id);
+      ASSERT_TRUE(result.ok()) << o.id << ": " << result.status().ToString();
+      EXPECT_EQ(result->evidence, direct[o.spec]) << o.id;
+    }
+  }
+  done.store(true);
+  poller.join();
+  EXPECT_EQ(shared_admitted, 1u);
+  EXPECT_EQ(svc.verdicts_served_from_cache(), hits);
+  EXPECT_EQ(svc.jobs_shed() - shed_before, degraded ? refused : 0u);
+  EXPECT_EQ(svc.ephemeral_admissions(), degraded ? hits : 0u);
+}
+
+TEST(DecisionServiceConcurrencyTest, ParseOutsideTheLockKeepsAdmissionExact) {
+  ExpectExactAdmissionUnderRace(/*degraded=*/false);
+  ExpectExactAdmissionUnderRace(/*degraded=*/true);
 }
 
 }  // namespace

@@ -152,10 +152,17 @@ int RunRelcheck(const std::string& args) {
   return WIFEXITED(raw) ? WEXITSTATUS(raw) : -1;
 }
 
-JobSpec SlicedJob() {
+/// The grid with one extra master value per `variant`: a distinct
+/// instance, so no variant is a verdict-cache hit of another and each
+/// must run its own search.
+std::string VariantSpec(int variant) {
+  return StrCat(IncompleteSpec(), "master fact M(", 100 + variant, ")\n");
+}
+
+JobSpec SlicedJob(int variant) {
   JobSpec job;
   job.kind = JobKind::kRcdp;
-  job.spec_text = IncompleteSpec();
+  job.spec_text = VariantSpec(variant);
   job.slice_steps = 16;  // frequent persists: a kill always lands near one
   return job;
 }
@@ -177,7 +184,6 @@ TEST(FabricCliTest, ServesAndAuditsAcrossProcesses) {
 }
 
 TEST(FabricCliTest, SigkillOwnerMidAuditThenRestartIsBitForBit) {
-  const std::string expected = DirectRcdpEvidence(IncompleteSpec());
   const std::string root = FreshRoot("kill");
   pid_t m0 = SpawnMember(root, 2, 0);
   pid_t m1 = SpawnMember(root, 2, 1);
@@ -189,11 +195,13 @@ TEST(FabricCliTest, SigkillOwnerMidAuditThenRestartIsBitForBit) {
                                               MemberEndpoint(root, 1)};
   FabricClient client(endpoints);
   // Enough jobs that, whenever the kill lands, some are terminal, some
-  // are mid-search, and some still queued on the victim's shard.
+  // are mid-search, and some still queued on the victim's shard. Each
+  // audits its own instance, so each searches.
+  constexpr int kJobs = 6;
   std::vector<std::string> keys;
-  for (int i = 0; i < 6; ++i) {
+  for (int i = 0; i < kJobs; ++i) {
     keys.push_back(StrCat("job-kill-", i));
-    ASSERT_TRUE(client.Submit(keys.back(), SlicedJob()).ok());
+    ASSERT_TRUE(client.Submit(keys.back(), SlicedJob(i)).ok());
   }
   // SIGKILL the shard-0 owner wherever its work happens to stand: no
   // drain, no flush, the kernel just reaps it (and releases its
@@ -206,12 +214,13 @@ TEST(FabricCliTest, SigkillOwnerMidAuditThenRestartIsBitForBit) {
   // one ambiguous window (completed + forgotten before we read the
   // verdict): the resubmission is served from the journaled verdict
   // cache or honestly recomputed to the same bytes.
-  for (const std::string& key : keys) {
-    auto reply = client.SubmitAndAwait(key, SlicedJob(),
+  for (int i = 0; i < kJobs; ++i) {
+    const std::string& key = keys[i];
+    auto reply = client.SubmitAndAwait(key, SlicedJob(i),
                                        std::chrono::milliseconds(5),
                                        std::chrono::milliseconds(120000));
     ASSERT_TRUE(reply.ok()) << key << ": " << reply.status().ToString();
-    EXPECT_EQ(reply->evidence, expected) << key;
+    EXPECT_EQ(reply->evidence, DirectRcdpEvidence(VariantSpec(i))) << key;
   }
   DrainGracefully(pids[0]);
   DrainGracefully(pids[1]);

@@ -249,6 +249,39 @@ TEST(NetServiceTest, SameKeyDifferentSpecIsATypedCollision) {
   EXPECT_NE(collision.message().find("different job"), std::string::npos);
 }
 
+// A terminal job has released its spec text; the digest of its
+// serialized spec still anchors the dedup.
+TEST(NetServiceTest, TerminalJobResubmitWithSameSpecIsAbsorbed) {
+  TestServer ts = StartServer(FreshDir("tdedup"), FreshSocket("tdedup"));
+  ASSERT_NE(ts.server, nullptr);
+  NetClient client(ts.server->address());
+
+  const JobSpec job = MakeJob(IncompleteSpec());
+  ASSERT_TRUE(client.Submit("job-done", job).ok());
+  ASSERT_TRUE(client.AwaitTerminal("job-done").ok());
+  ASSERT_TRUE(client.Submit("job-done", job).ok());  // the late "retry"
+  EXPECT_EQ(ts.server->stats().submits_admitted, 1u);
+  EXPECT_EQ(ts.server->stats().submits_deduped, 1u);
+  auto reply = client.AwaitTerminal("job-done");
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  EXPECT_EQ(reply->evidence, DirectRcdpEvidence(IncompleteSpec()));
+  EXPECT_EQ(ts.service->completed_order().size(), 1u);
+}
+
+TEST(NetServiceTest, TerminalJobSameKeyDifferentSpecIsATypedCollision) {
+  TestServer ts = StartServer(FreshDir("tcollide"), FreshSocket("tcollide"));
+  ASSERT_NE(ts.server, nullptr);
+  NetClient client(ts.server->address());
+
+  ASSERT_TRUE(client.Submit("job-done", MakeJob(IncompleteSpec())).ok());
+  ASSERT_TRUE(client.AwaitTerminal("job-done").ok());
+  Status collision = client.Submit("job-done", MakeJob(IncompleteSpec(), 16));
+  ASSERT_FALSE(collision.ok());
+  EXPECT_EQ(collision.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(collision.message().find("different job"), std::string::npos);
+  EXPECT_EQ(ts.server->stats().submits_admitted, 1u);
+}
+
 // ---------------------------------------------------------------------------
 // Backpressure and typed failure paths.
 

@@ -1,12 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <optional>
+#include <random>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "completeness/rcdp.h"
 #include "constraints/constraint_check.h"
 #include "eval/query_eval.h"
 #include "query/parser.h"
 #include "spec/spec_parser.h"
+#include "util/str.h"
 
 namespace relcomp {
 namespace {
@@ -294,6 +300,134 @@ TEST(SpecParserHardeningTest, OffsetsPointIntoTheInput) {
   // "unexpected character '@' at offset 13"
   EXPECT_NE(parsed.status().message().find("offset 13"), std::string::npos)
       << parsed.status().ToString();
+}
+
+// ---------------------------------------------------------------------------
+// ParseGroundAtom against the rule parser facts used to go through: a
+// fact was read as the one-atom body of `f() :- <fact>.`. Over a
+// generated corpus both must accept the same strings and yield the
+// same tuples. The corpus stays within what ParseFact is given: spec
+// comments are stripped first, so `%` occurs only inside literals.
+
+/// The rule-parser route: a value iff `text` reads as a single relation
+/// atom whose arguments are all constants.
+std::optional<GroundAtom> ParseFactAsRuleBody(std::string_view text) {
+  auto rule = ParseConjunctiveQuery(StrCat("f() :- ", text, "."));
+  if (!rule.ok() || rule->body().size() != 1 ||
+      !rule->body()[0].is_relation()) {
+    return std::nullopt;
+  }
+  std::vector<Value> values;
+  for (const Term& t : rule->body()[0].args()) {
+    if (!t.is_constant()) return std::nullopt;
+    values.push_back(t.value());
+  }
+  return GroundAtom{rule->body()[0].relation(), Tuple(std::move(values))};
+}
+
+class FactGenerator {
+ public:
+  explicit FactGenerator(uint64_t seed) : rng_(seed) {}
+
+  std::string Next() {
+    std::string fact = Space() + Name() + Space() + "(" + Space();
+    // Now and then an argument list around the 4,096-term limit.
+    const bool long_list = Below(100) == 0;
+    const size_t n = long_list ? 4090 + Below(12) : Below(7);
+    for (size_t i = 0; i < n; ++i) {
+      if (i > 0) fact += Space() + "," + Space();
+      fact += long_list ? "7" : Arg();
+    }
+    fact += Space() + ")" + Space();
+    if (Below(8) == 0) fact += "," + Space();
+    if (Below(4) == 0) {
+      static const char kStray[] = {'.', '=', ','};
+      fact.insert(Below(fact.size() + 1), 1, kStray[Below(3)]);
+    }
+    if (Below(5) == 0) fact.resize(Below(fact.size() + 1));
+    return fact;
+  }
+
+ private:
+  size_t Below(size_t n) {
+    return std::uniform_int_distribution<size_t>(0, n - 1)(rng_);
+  }
+
+  std::string Space() {
+    static const char* kSpaces[] = {"", "", " ", "  ", "\t", " \r", "\v",
+                                    "\f ", "\n"};
+    return kSpaces[Below(std::size(kSpaces))];
+  }
+
+  std::string Ident() {
+    static const char kStart[] =
+        "abcxyzABCXYZ_";
+    static const char kRest[] = "abcxyzABCXYZ_$0123456789";
+    std::string out(1, kStart[Below(sizeof(kStart) - 1)]);
+    for (size_t i = Below(6); i > 0; --i) out += kRest[Below(sizeof(kRest) - 1)];
+    return out;
+  }
+
+  std::string Name() {
+    static const char* kNames[] = {"R", "Cust", "_", "exists", "a$b"};
+    return Below(2) == 0 ? kNames[Below(std::size(kNames))] : Ident();
+  }
+
+  std::string Arg() {
+    switch (Below(8)) {
+      case 0:
+      case 1:
+        return std::to_string(static_cast<int64_t>(rng_()) >>
+                              Below(64));  // negative half the time
+      case 2: {
+        static const char* kEdges[] = {
+            "9223372036854775807",  "-9223372036854775808",
+            "9223372036854775808",  "-9223372036854775809",
+            "99999999999999999999", "-0",
+            "007",                  "- 5",
+            "-"};
+        return kEdges[Below(std::size(kEdges))];
+      }
+      case 3:
+        return Ident();  // a variable
+      default: {
+        static const char kPayload[] = "ab Z09%#,)(.=\"'-_";
+        const char quote = Below(2) == 0 ? '"' : '\'';
+        std::string out(1, quote);
+        for (size_t i = Below(8); i > 0; --i) {
+          const char c = kPayload[Below(sizeof(kPayload) - 1)];
+          if (c != quote) out += c;
+        }
+        return out + quote;
+      }
+    }
+  }
+
+  std::mt19937_64 rng_;
+};
+
+TEST(SpecParserTest, GroundAtomParserAgreesWithTheRuleParser) {
+  FactGenerator gen(20091);
+  size_t accepted = 0;
+  size_t rejected = 0;
+  for (int k = 0; k < 12000; ++k) {
+    const std::string text = gen.Next();
+    const std::optional<GroundAtom> want = ParseFactAsRuleBody(text);
+    const Result<GroundAtom> got = ParseGroundAtom(text);
+    ASSERT_EQ(got.ok(), want.has_value())
+        << "input: [" << text << "] " << got.status().ToString();
+    if (!want.has_value()) {
+      EXPECT_EQ(got.status().code(), StatusCode::kInvalidArgument);
+      ++rejected;
+      continue;
+    }
+    ++accepted;
+    EXPECT_EQ(got->relation, want->relation) << text;
+    EXPECT_EQ(got->tuple, want->tuple) << text;
+  }
+  // Both sides of the boundary are well populated.
+  EXPECT_GT(accepted, 3000u);
+  EXPECT_GT(rejected, 3000u);
 }
 
 TEST(SpecParserTest, LoadsTheShippedExampleSpec) {
