@@ -30,11 +30,17 @@ CrmScenario SmallCrm() {
   return ValueOrDie(CrmScenario::Make(options), "crm");
 }
 
-/// One RCDP configuration over the Q1/φ0 workload.
-void RunRcdpConfig(benchmark::State& state, const RcdpOptions& options) {
+/// One RCDP configuration over Q1 under φ0 or, with `inds`, under the
+/// pure-IND set of the Tables I/II IND rows.
+void RunRcdpConfig(benchmark::State& state, const RcdpOptions& options,
+                   bool inds = false) {
   CrmScenario crm = SmallCrm();
   ConstraintSet v;
-  v.Add(ValueOrDie(crm.Phi0(), "phi0"));
+  if (inds) {
+    v = ValueOrDie(crm.IndConstraints(), "inds");
+  } else {
+    v.Add(ValueOrDie(crm.Phi0(), "phi0"));
+  }
   AnyQuery q1 = ValueOrDie(crm.Q1(), "q1");
   ValuationSearchStats stats;
   for (auto _ : state) {
@@ -45,8 +51,6 @@ void RunRcdpConfig(benchmark::State& state, const RcdpOptions& options) {
   }
   state.counters["search_steps"] = static_cast<double>(stats.bindings_tried);
   state.counters["index_probes"] = static_cast<double>(stats.index_probes);
-  state.counters["composite_probes"] =
-      static_cast<double>(stats.composite_probes);
   state.counters["relation_scans"] =
       static_cast<double>(stats.relation_scans);
   state.counters["overlay_hits"] = static_cast<double>(stats.overlay_hits);
@@ -57,6 +61,13 @@ void BM_RcdpDefault(benchmark::State& state) {
   RunRcdpConfig(state, RcdpOptions());
 }
 BENCHMARK(BM_RcdpDefault);
+
+void BM_RcdpNoPrune(benchmark::State& state) {
+  RcdpOptions options;
+  options.prune = false;
+  RunRcdpConfig(state, options);
+}
+BENCHMARK(BM_RcdpNoPrune);
 
 void BM_RcdpNoCollapse(benchmark::State& state) {
   RcdpOptions options;
@@ -79,23 +90,6 @@ void BM_RcdpNoIndexes(benchmark::State& state) {
 }
 BENCHMARK(BM_RcdpNoIndexes);
 
-void BM_RcdpNoOverlay(benchmark::State& state) {
-  RcdpOptions options;
-  options.use_overlay = false;
-  RunRcdpConfig(state, options);
-}
-BENCHMARK(BM_RcdpNoOverlay);
-
-/// Composite radix indexes off: multi-bound atoms fall back to the
-/// shortest per-column posting list plus residual re-checks (the PR 1
-/// index plane). Isolates the ART layer of the id-plane refactor.
-void BM_RcdpNoCompositeIndexes(benchmark::State& state) {
-  RcdpOptions options;
-  options.use_composite_indexes = false;
-  RunRcdpConfig(state, options);
-}
-BENCHMARK(BM_RcdpNoCompositeIndexes);
-
 /// Per-worker arenas off: the matcher heap-allocates its per-call
 /// scratch. Isolates the allocation layer of the id-plane refactor.
 void BM_RcdpNoArena(benchmark::State& state) {
@@ -105,28 +99,32 @@ void BM_RcdpNoArena(benchmark::State& state) {
 }
 BENCHMARK(BM_RcdpNoArena);
 
-/// Id-plane floor: composite indexes and arenas both off — what the
-/// id-plane join loop alone buys over the per-column indexed PR 1/2
-/// configuration (compare against BM_RcdpDefault for the full stack).
-void BM_RcdpIdPlaneOnly(benchmark::State& state) {
-  RcdpOptions options;
-  options.use_composite_indexes = false;
-  options.use_arena = false;
-  RunRcdpConfig(state, options);
+/// Corollary 3.4: under INDs alone, V is checked on μ(T_Q) instead of
+/// D ∪ μ(T_Q). The pair isolates that fast path (φ0 is no IND set, so
+/// it has no effect on the series above).
+void BM_RcdpIndsDefault(benchmark::State& state) {
+  RunRcdpConfig(state, RcdpOptions(), /*inds=*/true);
 }
-BENCHMARK(BM_RcdpIdPlaneOnly);
+BENCHMARK(BM_RcdpIndsDefault);
+
+void BM_RcdpIndsNoFastPath(benchmark::State& state) {
+  RcdpOptions options;
+  options.ind_fast_path = false;
+  RunRcdpConfig(state, options, /*inds=*/true);
+}
+BENCHMARK(BM_RcdpIndsNoFastPath);
 
 /// The literal paper algorithm: enumerate every valuation over the
 /// full Adom, then check (no pruning, no collapse, no incremental
-/// constraint checks, no symmetry breaking, no column indexes, and
-/// a full database copy per candidate instead of an overlay).
+/// constraint checks, no symmetry breaking, no column indexes). Each
+/// candidate D ∪ μ(T_Q) is staged on the overlay, which denotes the
+/// same database a per-candidate copy would.
 void BM_RcdpPaperLiteral(benchmark::State& state) {
   RcdpOptions options;
   options.prune = false;
   options.collapse_dont_care = false;
   options.delta_constraint_check = false;
   options.use_indexes = false;
-  options.use_overlay = false;
   RunRcdpConfig(state, options);
 }
 BENCHMARK(BM_RcdpPaperLiteral);

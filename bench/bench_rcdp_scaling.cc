@@ -9,6 +9,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <string_view>
 #include <thread>
 
 #include "bench_util.h"
@@ -23,15 +24,6 @@ namespace scaling {
 
 using bench::CheckOk;
 using bench::ValueOrDie;
-
-/// The configuration the growth seed effectively ran: no column
-/// indexes, no overlay — candidate checks copy the database (or scan).
-RcdpOptions SeedConfig() {
-  RcdpOptions options;
-  options.use_indexes = false;
-  options.use_overlay = false;
-  return options;
-}
 
 /// Data complexity: fixed Q1 and φ0, growing master data + database.
 void RunDataComplexity(benchmark::State& state, const RcdpOptions& options) {
@@ -53,8 +45,6 @@ void RunDataComplexity(benchmark::State& state, const RcdpOptions& options) {
   }
   state.counters["search_steps"] = static_cast<double>(stats.bindings_tried);
   state.counters["index_probes"] = static_cast<double>(stats.index_probes);
-  state.counters["composite_probes"] =
-      static_cast<double>(stats.composite_probes);
   state.counters["overlay_hits"] = static_cast<double>(stats.overlay_hits);
   state.counters["arena_bytes"] = static_cast<double>(stats.arena_bytes);
   state.SetComplexityN(state.range(0));
@@ -64,16 +54,6 @@ void BM_DataComplexity(benchmark::State& state) {
   RunDataComplexity(state, RcdpOptions());
 }
 BENCHMARK(BM_DataComplexity)
-    ->RangeMultiplier(2)
-    ->Range(2, 16)
-    ->Complexity(benchmark::oAuto);
-
-/// The same series under the seed configuration (indexes and overlay
-/// off) — the denominator of the BENCH_relcore.json speedup.
-void BM_DataComplexitySeedConfig(benchmark::State& state) {
-  RunDataComplexity(state, SeedConfig());
-}
-BENCHMARK(BM_DataComplexitySeedConfig)
     ->RangeMultiplier(2)
     ->Range(2, 16)
     ->Complexity(benchmark::oAuto);
@@ -200,8 +180,6 @@ void AppendConfigJson(std::string* json, const char* name,
                   ",\n");
   *json += StrCat("      \"prunes\": ", m.stats.prunes, ",\n");
   *json += StrCat("      \"index_probes\": ", m.stats.index_probes, ",\n");
-  *json += StrCat("      \"composite_probes\": ", m.stats.composite_probes,
-                  ",\n");
   *json += StrCat("      \"relation_scans\": ", m.stats.relation_scans,
                   ",\n");
   *json += StrCat("      \"overlay_hits\": ", m.stats.overlay_hits, ",\n");
@@ -213,29 +191,19 @@ void AppendConfigJson(std::string* json, const char* name,
 }
 
 /// Measures the largest BM_DataComplexity instance under the default
-/// (full id-plane stack), one ablation row per id-plane technique, and
-/// the seed configuration, then writes BENCH_relcore.json. Output path
+/// (id-plane joins over per-column indexes, with worker arenas) and
+/// with the arenas off, then writes BENCH_relcore.json. Output path
 /// overridable via RELCOMP_BENCH_JSON.
 void WriteRelcoreJson() {
   const size_t n = 16;  // largest instance of the BM_DataComplexity range
   const double min_seconds = 1.0;
-  // Full stack: id-plane joins + composite radix indexes + arenas.
   MeasuredConfig optimized =
       MeasureDataComplexity(n, RcdpOptions(), min_seconds);
-  // Id-plane joins alone over per-column posting lists, heap scratch.
-  RcdpOptions id_plane_options;
-  id_plane_options.use_composite_indexes = false;
-  id_plane_options.use_arena = false;
-  MeasuredConfig id_plane =
-      MeasureDataComplexity(n, id_plane_options, min_seconds);
-  // + adaptive radix (composite) indexes, still heap scratch.
-  RcdpOptions art_options;
-  art_options.use_arena = false;
-  MeasuredConfig id_plane_art =
-      MeasureDataComplexity(n, art_options, min_seconds);
-  MeasuredConfig seed = MeasureDataComplexity(n, SeedConfig(), min_seconds);
-  const double speedup =
-      optimized.ns_per_op > 0 ? seed.ns_per_op / optimized.ns_per_op : 0;
+  // Heap-allocated matcher scratch instead of per-worker arenas.
+  RcdpOptions no_arena_options;
+  no_arena_options.use_arena = false;
+  MeasuredConfig no_arena =
+      MeasureDataComplexity(n, no_arena_options, min_seconds);
 
   std::string json = "{\n";
   json += "  \"benchmark\": \"rcdp_data_complexity\",\n";
@@ -246,15 +214,8 @@ void WriteRelcoreJson() {
   json += "  \"configs\": {\n";
   AppendConfigJson(&json, "optimized", optimized);
   json += ",\n";
-  AppendConfigJson(&json, "ablation_id_plane", id_plane);
-  json += ",\n";
-  AppendConfigJson(&json, "ablation_id_plane_art", id_plane_art);
-  json += ",\n";
-  AppendConfigJson(&json, "seed", seed);
-  json += "\n  },\n";
-  char speedup_buf[32];
-  std::snprintf(speedup_buf, sizeof(speedup_buf), "%.2f", speedup);
-  json += StrCat("  \"speedup_optimized_vs_seed\": ", speedup_buf, "\n");
+  AppendConfigJson(&json, "no_arena", no_arena);
+  json += "\n  }\n";
   json += "}\n";
 
   const char* path = std::getenv("RELCOMP_BENCH_JSON");
@@ -266,8 +227,9 @@ void WriteRelcoreJson() {
   }
   std::fwrite(json.data(), 1, json.size(), f);
   std::fclose(f);
-  std::printf("wrote %s (speedup optimized vs seed at n=%zu: %sx)\n", path, n,
-              speedup_buf);
+  std::printf("wrote %s (ns/op at n=%zu: optimized %zu, no_arena %zu)\n",
+              path, n, static_cast<size_t>(optimized.ns_per_op),
+              static_cast<size_t>(no_arena.ns_per_op));
 }
 
 /// Thread sweep over the same largest data-complexity instance: the
@@ -393,10 +355,21 @@ void WriteRobustnessJson() {
 }  // namespace relcomp
 
 int main(int argc, char** argv) {
+  // Listing the benchmarks only prints their names; the JSON writers
+  // below would otherwise overwrite the committed BENCH files.
+  bool list_only = false;
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    const std::string_view flag = "--benchmark_list_tests";
+    if (arg.substr(0, flag.size()) != flag) continue;
+    const std::string_view value = arg.substr(flag.size());
+    list_only = value != "=false" && value != "=0";
+  }
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
+  if (list_only) return 0;
   relcomp::scaling::WriteRelcoreJson();
   relcomp::scaling::WriteParallelJson();
   relcomp::scaling::WriteRobustnessJson();

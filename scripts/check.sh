@@ -62,10 +62,9 @@ run ctest --test-dir build-asan -L storagefault --output-on-failure
 run ctest --test-dir build-asan -L incremental --output-on-failure
 
 # Id-plane core stage: the relational/eval substrate suites (ctest
-# label "core") — arena allocator, adaptive radix index, composite
-# lazy-build races, byte-cap exhaustion, and the matcher equivalence
-# fuzzers — once more on the default build as a fast smoke of the
-# ablation toggles' shared plumbing.
+# label "core") — arena allocator, byte-cap exhaustion, and the matcher
+# equivalence fuzzers — once more on the default build as a fast smoke
+# of the ablation toggles' shared plumbing.
 run ctest --test-dir build -L core --output-on-failure
 
 # Benchmark known-answer stage: the smallest instance of each perfbench

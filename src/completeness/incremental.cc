@@ -542,7 +542,6 @@ Result<InstanceFps> ComputeFps(const AnyQuery& query, const UnionQuery& ucq,
   fps.adom = FingerprintAdomBase(ucq, db, master, constraints);
   ConjunctiveEvalOptions eval;
   eval.use_indexes = options.use_indexes;
-  eval.use_composite_indexes = options.use_composite_indexes;
   RELCOMP_ASSIGN_OR_RETURN(Relation answer, EvalUnion(ucq, db, eval));
   fps.answer = FingerprintAnswer(answer);
   fps.options = FingerprintRcdpOptions(options);
@@ -637,7 +636,6 @@ Result<RcdpCertified> RecertifyRcdp(const AnyQuery& query, const Database& db,
     fps.adom = FingerprintAdomBase(ucq, db, master, constraints);
     ConjunctiveEvalOptions eval;
     eval.use_indexes = options.use_indexes;
-    eval.use_composite_indexes = options.use_composite_indexes;
     RELCOMP_ASSIGN_OR_RETURN(Relation answer, EvalUnion(ucq, db, eval));
     fps.answer = FingerprintAnswer(answer);
 

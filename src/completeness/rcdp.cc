@@ -13,7 +13,6 @@
 namespace relcomp {
 
 size_t EffectiveThreads(const RcdpOptions& options) {
-  if (!options.use_overlay) return 1;
   if (options.num_threads == 0) {
     return std::max<size_t>(1, std::thread::hardware_concurrency());
   }
@@ -429,7 +428,6 @@ class DisjunctSearch {
     result->stats += outcome.stats;
     for (const Worker& w : workers) {
       result->stats.index_probes += w.counters.index_probes;
-      result->stats.composite_probes += w.counters.composite_probes;
       result->stats.relation_scans += w.counters.relation_scans;
       result->stats.overlay_hits += w.counters.overlay_hits;
       if (w.arena.has_value()) {
@@ -488,36 +486,34 @@ class DisjunctSearch {
       }
     }
     w->eval_options.use_indexes = options_.use_indexes;
-    w->eval_options.use_composite_indexes = options_.use_composite_indexes;
     w->eval_options.arena = w->arena.has_value() ? &*w->arena : nullptr;
     w->eval_options.counters = &w->counters;
     w->eval_options.budget = options_.budget;
     if (delta_checker_ != nullptr) {
-      w->session.emplace(delta_checker_->NewSession(
-          db_, master_, options_.use_overlay, w->eval_options));
-    } else if (options_.use_overlay) {
-      // No delta session: candidates are staged on a scratch overlay —
-      // over ∅ for the Corollary 3.4 IND fast path (only μ(T) is
-      // checked), over D otherwise. Either way the base relations'
-      // column indexes survive across candidates.
-      if (options_.ind_fast_path && constraints_.IsIndsOnly()) {
-        // Share the family interner so candidate rows staged over ∅
-        // resolve to the same ids the search and base relations use.
-        w->empty_db.emplace(db_.schema_ptr(), db_.interner());
-        w->scratch.emplace(&*w->empty_db);
-      } else {
-        w->scratch.emplace(&db_);
-      }
-      if (options_.budget != nullptr) {
-        w->scratch->set_memory_tracker(options_.budget);
-      }
+      w->session.emplace(
+          delta_checker_->NewSession(db_, master_, w->eval_options));
+      return;
+    }
+    // No delta session: candidates are staged on a scratch overlay —
+    // over ∅ for the Corollary 3.4 IND fast path (only μ(T) is
+    // checked), over D otherwise. Either way the base relations'
+    // column indexes survive across candidates.
+    if (options_.ind_fast_path && constraints_.IsIndsOnly()) {
+      // Share the family interner so candidate rows staged over ∅
+      // resolve to the same ids the search and base relations use.
+      w->empty_db.emplace(db_.schema_ptr(), db_.interner());
+      w->scratch.emplace(&*w->empty_db);
+    } else {
+      w->scratch.emplace(&db_);
+    }
+    if (options_.budget != nullptr) {
+      w->scratch->set_memory_tracker(options_.budget);
     }
   }
   /// Checks V on the extension given by `tuples`: (D ∪ tuples, Dm) on
   /// the general path, (tuples, Dm) alone on the IND fast path
   /// (Corollary 3.4 — callers pass μ(T) there). Dispatches to the
-  /// delta session, the scratch overlay + compiled check, or — with
-  /// use_overlay off — the legacy copy-per-candidate path.
+  /// delta session or to the scratch overlay + compiled check.
   Result<bool> ExtensionSatisfiesV(
       Worker* w, const std::vector<std::pair<std::string, Tuple>>& tuples) {
     // The matcher's per-call scratch from the previous candidate is
@@ -527,29 +523,14 @@ class DisjunctSearch {
     if (w->session.has_value()) {
       return w->session->Check(tuples);
     }
-    const bool ind = options_.ind_fast_path && constraints_.IsIndsOnly();
-    if (w->scratch.has_value()) {
-      w->scratch->Clear();
-      for (const auto& [relation, tuple] : tuples) {
-        w->scratch->Add(relation, tuple);
-      }
-      if (compiled_ != nullptr) {
-        return compiled_->Satisfied(*w->scratch, w->eval_options);
-      }
-      return Satisfies(constraints_, *w->scratch, master_);
-    }
-    if (ind) {
-      Database mu_t(db_.schema_ptr());
-      for (const auto& [relation, tuple] : tuples) {
-        mu_t.InsertUnchecked(relation, tuple);
-      }
-      return Satisfies(constraints_, mu_t, master_);
-    }
-    Database extended = db_;
+    w->scratch->Clear();
     for (const auto& [relation, tuple] : tuples) {
-      extended.InsertUnchecked(relation, tuple);
+      w->scratch->Add(relation, tuple);
     }
-    return Satisfies(constraints_, extended, master_);
+    if (compiled_ != nullptr) {
+      return compiled_->Satisfied(*w->scratch, w->eval_options);
+    }
+    return Satisfies(constraints_, *w->scratch, master_);
   }
 
   Result<bool> IsCounterexample(Worker* w, const Bindings& valuation,
@@ -668,7 +649,6 @@ Result<RcdpResult> DecideRcdp(const AnyQuery& query, const Database& db,
   EvalCounters main_counters;
   ConjunctiveEvalOptions main_eval;
   main_eval.use_indexes = options.use_indexes;
-  main_eval.use_composite_indexes = options.use_composite_indexes;
   main_eval.counters = &main_counters;
   RELCOMP_ASSIGN_OR_RETURN(Relation current_answer,
                            EvalUnion(ucq, db, main_eval));
@@ -692,7 +672,7 @@ Result<RcdpResult> DecideRcdp(const AnyQuery& query, const Database& db,
   // If compilation fails — an ∃FO+ constraint whose unfolding blows
   // the cap — candidates fall back to uncompiled overlay checks.
   std::optional<CompiledConstraintCheck> compiled;
-  if (options.use_overlay && !delta_checker.has_value()) {
+  if (!delta_checker.has_value()) {
     Result<CompiledConstraintCheck> c = CompiledConstraintCheck::Make(
         constraints, master, options.max_union_disjuncts);
     if (c.ok()) {
@@ -822,7 +802,6 @@ Result<RcdpResult> DecideRcdp(const AnyQuery& query, const Database& db,
         result.complete ? Verdict::kComplete : Verdict::kIncomplete;
   }
   result.stats.index_probes += main_counters.index_probes;
-  result.stats.composite_probes += main_counters.composite_probes;
   result.stats.relation_scans += main_counters.relation_scans;
   result.stats.overlay_hits += main_counters.overlay_hits;
   return result;

@@ -76,30 +76,18 @@ struct RcdpOptions {
   /// positions during constraint checks and query evaluation. Disable
   /// to scan every atom, as the pre-index matcher did (bench_ablation).
   bool use_indexes = true;
-  /// Probe lazily built composite radix indexes when an atom has two or
-  /// more bound positions (one tree descent instead of N per-column
-  /// probes plus residual re-checks). Disable to fall back to the
-  /// shortest per-column posting list (bench_ablation's `composite`
-  /// toggle). No effect when use_indexes is off.
-  bool use_composite_indexes = true;
   /// Give every search worker a bump arena for the matcher's per-call
   /// scratch (binding slots, staged id rows, step frames), reset
   /// between candidate checks; block growth is charged to the budget.
   /// Disable to heap-allocate per call (bench_ablation's `arena`
   /// toggle).
   bool use_arena = true;
-  /// Stage candidate extensions on a copy-on-write DatabaseOverlay over
-  /// D instead of copying D per valuation. Disable for the legacy
-  /// copy-per-candidate paths (bench_ablation).
-  bool use_overlay = true;
   /// Worker threads for the valuation search. 0 = hardware_concurrency;
   /// 1 = today's serial path, bit-for-bit. Values > 1 partition the
   /// candidate lists of the first one-or-two enumeration variables into
   /// work units on a std::jthread pool over the frozen relational core;
   /// the verdict, counterexample_delta and new_answer are identical for
-  /// every thread count (lowest-work-unit-wins resolution). Requires
-  /// use_overlay — the legacy copy-per-candidate paths intern into the
-  /// shared ValueInterner and are forced serial.
+  /// every thread count (lowest-work-unit-wins resolution).
   size_t num_threads = 0;
   /// Cap on the ∃FO+ → UCQ unfolding.
   size_t max_union_disjuncts = 4096;
@@ -136,10 +124,8 @@ struct RcdpOptions {
 };
 
 /// Worker threads the valuation searches run for `options` (the one
-/// resolver of RcdpOptions::num_threads): 0 = hardware_concurrency, and
-/// the legacy copy-per-candidate paths (use_overlay off) are forced
-/// serial because they intern candidate tuples into the shared
-/// ValueInterner. Never 0.
+/// resolver of RcdpOptions::num_threads): 0 = hardware_concurrency.
+/// Never 0.
 size_t EffectiveThreads(const RcdpOptions& options);
 
 /// The decision, plus the evidence the paper's characterizations yield.

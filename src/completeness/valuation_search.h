@@ -31,8 +31,8 @@ struct ValuationSearchStats {
   size_t prunes = 0;
   /// Column-index probes issued against base relations.
   size_t index_probes = 0;
-  /// Composite (multi-column radix) probes issued against base
-  /// relations.
+  /// Retired: always 0. The multi-column radix index it counted is
+  /// gone; the field stays because perfbench reports it.
   size_t composite_probes = 0;
   /// Full relation scans (no bound position, or indexes disabled).
   size_t relation_scans = 0;
@@ -52,7 +52,6 @@ struct ValuationSearchStats {
     totals_delivered += other.totals_delivered;
     prunes += other.prunes;
     index_probes += other.index_probes;
-    composite_probes += other.composite_probes;
     relation_scans += other.relation_scans;
     overlay_hits += other.overlay_hits;
     arena_bytes += other.arena_bytes;
@@ -273,7 +272,9 @@ struct ParallelSearchOutcome {
 /// Number of work units used whenever a run is budget-controlled
 /// (budget or resume). Independent of num_threads so the unit
 /// partition — and with it the set of counted decision points and the
-/// rank checkpoints — is identical at every thread count.
+/// ranks a checkpoint can name — is identical at every thread count.
+/// Which of those ranks a tripped cap leaves as the checkpoint depends
+/// on the schedule at more than one thread.
 inline constexpr size_t kControlledUnits = 16;
 
 /// Runs the valuation search over `tableau` split into contiguous

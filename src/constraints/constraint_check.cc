@@ -199,14 +199,16 @@ Result<DeltaConstraintChecker> DeltaConstraintChecker::Make(
     size_t max_union_disjuncts) {
   DeltaConstraintChecker checker;
   checker.base_schema_ = db_schema;
-  auto extended = std::make_shared<Schema>();
   for (const std::string& name : db_schema->relation_names()) {
-    RELCOMP_RETURN_NOT_OK(extended->AddRelation(*db_schema->FindRelation(name)));
-    RELCOMP_RETURN_NOT_OK(extended->AddRelation(
-        StrCat(name, kCcDeltaSuffix), db_schema->FindRelation(name)->arity()));
-    checker.delta_names_[name] = StrCat(name, kCcDeltaSuffix);
+    std::string delta_name = StrCat(name, kCcDeltaSuffix);
+    // The alias is virtual on the overlay; a real relation of that name
+    // would be shadowed by it, so such a schema is refused.
+    if (db_schema->HasRelation(delta_name)) {
+      return Status::InvalidArgument(
+          StrCat("duplicate relation schema: ", delta_name));
+    }
+    checker.delta_names_[name] = std::move(delta_name);
   }
-  checker.extended_schema_ = extended;
   for (const ContainmentConstraint& cc : set.constraints()) {
     RELCOMP_ASSIGN_OR_RETURN(UnionQuery ucq,
                              cc.query().ToUnion(max_union_disjuncts));
@@ -241,24 +243,14 @@ Result<DeltaConstraintChecker> DeltaConstraintChecker::Make(
 
 DeltaConstraintChecker::Session::Session(
     const DeltaConstraintChecker* checker, const Database& base,
-    const Database& master, bool use_overlay,
-    const ConjunctiveEvalOptions& eval_options)
+    const Database& master, const ConjunctiveEvalOptions& eval_options)
     : checker_(checker), master_(&master), eval_options_(eval_options),
-      use_overlay_(use_overlay),
-      targets_(checker->constraints_.size()) {
-  if (use_overlay_) {
-    // The view stages candidate rows under both the real relation name
-    // and its $ccdelta alias; the base — with its column indexes — is
-    // never copied.
-    view_.emplace(&base);
-    if (eval_options_.budget != nullptr) {
-      view_->set_memory_tracker(eval_options_.budget);
-    }
-  } else {
-    work_.emplace(checker->extended_schema_);
-    for (const std::string& name : checker->base_schema_->relation_names()) {
-      for (const Tuple& t : base.Get(name)) work_->InsertUnchecked(name, t);
-    }
+      view_(&base), targets_(checker->constraints_.size()) {
+  // The view stages candidate rows under both the real relation name
+  // and its $ccdelta alias; the base — with its column indexes — is
+  // never copied.
+  if (eval_options_.budget != nullptr) {
+    view_.set_memory_tracker(eval_options_.budget);
   }
 }
 
@@ -278,90 +270,35 @@ Result<bool> DeltaConstraintChecker::Session::Check(
   if (eval_options_.budget != nullptr) {
     RELCOMP_RETURN_NOT_OK(eval_options_.budget->OnDecisionPoint());
   }
-  if (use_overlay_) {
-    view_->Clear();
-    for (const auto& [relation, tuple] : delta) {
-      // Add() filters tuples already in the base (and duplicates within
-      // the delta); only genuinely new tuples reach the $ccdelta alias,
-      // which is virtual — absent from the base schema — so it is
-      // served purely from the staged rows.
-      if (view_->Add(relation, tuple)) {
-        view_->Add(checker_->delta_names_.at(relation), tuple);
-      }
-    }
-    if (!view_->HasPending()) return true;  // base already satisfies V
-    for (size_t c = 0; c < checker_->constraints_.size(); ++c) {
-      const CcVariants& cc = checker_->constraints_[c];
-      for (size_t v = 0; v < cc.variants.size(); ++v) {
-        if (view_->Pending(cc.variant_delta_relations[v]).empty()) continue;
-        const Relation* target =
-            cc.empty_target ? nullptr : &TargetFor(c);
-        Result<bool> violated = DisjunctViolates(cc.compiled[v], *view_,
-                                                 target, eval_options_);
-        if (!violated.ok()) {
-          view_->Clear();
-          return violated.status();
-        }
-        if (*violated) {
-          view_->Clear();
-          return false;
-        }
-      }
-    }
-    view_->Clear();
-    return true;
-  }
-
-  // Legacy copy mode: apply the delta in place; remember exactly what
-  // to roll back.
-  std::vector<std::pair<std::string, const Tuple*>> applied;
-  std::vector<std::pair<std::string, const Tuple*>> applied_delta;
-  applied.reserve(delta.size());
-  applied_delta.reserve(delta.size());
+  view_.Clear();
   for (const auto& [relation, tuple] : delta) {
-    if (work_->InsertUnchecked(relation, tuple)) {
-      applied.emplace_back(relation, &tuple);
-      const std::string& delta_name = checker_->delta_names_.at(relation);
-      if (work_->InsertUnchecked(delta_name, tuple)) {
-        applied_delta.emplace_back(delta_name, &tuple);
-      }
+    // Add() filters tuples already in the base (and duplicates within
+    // the delta); only genuinely new tuples reach the $ccdelta alias,
+    // which is virtual — absent from the base schema — so it is served
+    // purely from the staged rows.
+    if (view_.Add(relation, tuple)) {
+      view_.Add(checker_->delta_names_.at(relation), tuple);
     }
   }
-  auto rollback = [&]() {
-    for (const auto& [relation, tuple] : applied) {
-      work_->Erase(relation, *tuple);
-    }
-    for (const auto& [relation, tuple] : applied_delta) {
-      work_->Erase(relation, *tuple);
-    }
-  };
-  if (applied.empty()) {
-    rollback();
-    return true;  // nothing new: base already satisfies V
-  }
+  if (!view_.HasPending()) return true;  // base already satisfies V
   for (size_t c = 0; c < checker_->constraints_.size(); ++c) {
     const CcVariants& cc = checker_->constraints_[c];
     for (size_t v = 0; v < cc.variants.size(); ++v) {
-      if (work_->Get(cc.variant_delta_relations[v]).empty()) continue;
-      const ConjunctiveQuery& variant = cc.variants[v];
-      Result<Relation> answers = EvalConjunctive(variant, *work_,
-                                                 eval_options_);
-      if (!answers.ok()) {
-        rollback();
-        return answers.status();
+      if (view_.Pending(cc.variant_delta_relations[v]).empty()) continue;
+      const Relation* target = cc.empty_target ? nullptr : &TargetFor(c);
+      Result<bool> violated =
+          DisjunctViolates(cc.compiled[v], view_, target, eval_options_);
+      if (!violated.ok()) {
+        view_.Clear();
+        return violated.status();
       }
-      if (answers->empty()) continue;
-      if (cc.empty_target) {
-        rollback();
-        return false;
-      }
-      if (!answers->IsSubsetOf(TargetFor(c))) {
-        rollback();
+      if (*violated) {
+        view_.Clear();
         return false;
       }
     }
   }
-  rollback();
+  view_.Clear();
   return true;
 }
 

@@ -114,17 +114,13 @@ class DeltaConstraintChecker {
   Result<bool> Check(const Database& extended, const Database& delta,
                      const Database& master) const;
 
-  /// A reusable checking session over a fixed base database. In
-  /// overlay mode (the default) candidate deltas are staged on a
-  /// DatabaseOverlay over the base — zero-copy, and the base
-  /// relations' column indexes stay valid across checks. In legacy
-  /// copy mode (use_overlay = false, kept for bench_ablation) the base
-  /// is copied in once and deltas are applied and rolled back in
-  /// place, as the pre-overlay implementation did.
+  /// A reusable checking session over a fixed base database: candidate
+  /// deltas are staged on a DatabaseOverlay over the base — zero-copy,
+  /// and the base relations' column indexes stay valid across checks.
   class Session {
    public:
     Session(const DeltaConstraintChecker* checker, const Database& base,
-            const Database& master, bool use_overlay = true,
+            const Database& master,
             const ConjunctiveEvalOptions& eval_options =
                 ConjunctiveEvalOptions());
 
@@ -141,22 +137,17 @@ class DeltaConstraintChecker {
     const DeltaConstraintChecker* checker_;
     const Database* master_;
     ConjunctiveEvalOptions eval_options_;
-    bool use_overlay_;
-    /// Overlay mode: the zero-copy view over the caller's base.
-    std::optional<DatabaseOverlay> view_;
-    /// Legacy mode: a mutable copy of the base over the extended
-    /// schema.
-    std::optional<Database> work_;
+    /// The zero-copy view over the caller's base.
+    DatabaseOverlay view_;
     std::vector<std::optional<Relation>> targets_;
   };
 
   /// Creates a session; `base` is the decider's D, already known to
   /// satisfy V together with `master`.
   Session NewSession(const Database& base, const Database& master,
-                     bool use_overlay = true,
                      const ConjunctiveEvalOptions& eval_options =
                          ConjunctiveEvalOptions()) const {
-    return Session(this, base, master, use_overlay, eval_options);
+    return Session(this, base, master, eval_options);
   }
 
  private:
@@ -179,7 +170,6 @@ class DeltaConstraintChecker {
   };
 
   std::shared_ptr<const Schema> base_schema_;
-  std::shared_ptr<Schema> extended_schema_;
   std::vector<CcVariants> constraints_;
   /// Precomputed R -> R$ccdelta alias names; Session::Check used to
   /// build the alias string per staged tuple per check.

@@ -251,11 +251,10 @@ class Run {
   }
 
   /// Matches one candidate id row against the atom, binding unbound
-  /// slots, then recurses. `guaranteed` marks positions a composite
-  /// probe already matched. Returns false iff the search was stopped.
+  /// slots, then recurses. Returns false iff the search was stopped.
   bool TryRow(size_t depth, size_t pick, const ValueId* row_ids,
-              ValueId* bound, int32_t* newly, uint32_t guaranteed,
-              const CompiledAtom& ca, bool* matched) {
+              ValueId* bound, int32_t* newly, const CompiledAtom& ca,
+              bool* matched) {
     const int32_t* refs = c_.refs.data() + ca.ref_offset;
     int nnew = 0;
     bool ok = true;
@@ -263,9 +262,7 @@ class Run {
       ValueId rid = row_ids[i];
       ValueId b = bound[i];
       if (b != kInvalidValueId) {
-        if (guaranteed == 0 || ((guaranteed >> i) & 1u) == 0) {
-          ok = rid == b;
-        }
+        ok = rid == b;
       } else {
         // Unbound at atom entry: a variable, possibly repeated and
         // bound at an earlier position of this same row.
@@ -358,26 +355,7 @@ class Run {
       const std::vector<uint32_t>* rows = nullptr;
       bool possible = true;
       bool scan = false;
-      uint32_t guaranteed = 0;
-      if (opt_.use_indexes && opt_.use_composite_indexes && ncols >= 2 &&
-          rel.arity() <= 32) {
-        // One composite probe over the exact bound-column set replaces
-        // per-column probes and pre-matches every bound position.
-        size_t take = std::min(ncols, RadixIndex::kMaxColumns);
-        ValueId key[RadixIndex::kMaxColumns];
-        for (size_t j = 0; j < take; ++j) key[j] = bound[cols[j]];
-        size_t built = 0;
-        rows = rel.CompositeProbe(cols, take, key, &built);
-        if (opt_.counters != nullptr) {
-          ++opt_.counters->composite_probes;
-          opt_.counters->composite_index_bytes += built;
-        }
-        if (built != 0 && opt_.budget != nullptr) {
-          opt_.budget->TrackBytes(built);
-        }
-        for (size_t j = 0; j < take; ++j) guaranteed |= 1u << cols[j];
-        if (rows == nullptr) possible = false;
-      } else if (opt_.use_indexes && ncols >= 1) {
+      if (opt_.use_indexes && ncols >= 1) {
         for (size_t j = 0; j < ncols; ++j) {
           const std::vector<uint32_t>* r =
               rel.ProbeId(cols[j], bound[cols[j]]);
@@ -400,8 +378,8 @@ class Run {
             if (opt_.counters != nullptr) {
               ++opt_.counters->base_rows_considered;
             }
-            if (!TryRow(depth, pick, rel.RowIds(row), bound, newly,
-                        guaranteed, ca, &matched)) {
+            if (!TryRow(depth, pick, rel.RowIds(row), bound, newly, ca,
+                        &matched)) {
               return false;
             }
           }
@@ -410,8 +388,8 @@ class Run {
             if (opt_.counters != nullptr) {
               ++opt_.counters->base_rows_considered;
             }
-            if (!TryRow(depth, pick, rel.RowIds(row), bound, newly,
-                        guaranteed, ca, &matched)) {
+            if (!TryRow(depth, pick, rel.RowIds(row), bound, newly, ca,
+                        &matched)) {
               return false;
             }
           }
@@ -424,8 +402,8 @@ class Run {
     for (size_t k = 0; k < staged_count_[pick]; ++k) {
       if (opt_.counters != nullptr) ++opt_.counters->overlay_rows_considered;
       bool matched = false;
-      bool keep = TryRow(depth, pick, staged + k * ca.nargs, bound, newly, 0,
-                         ca, &matched);
+      bool keep =
+          TryRow(depth, pick, staged + k * ca.nargs, bound, newly, ca, &matched);
       if (matched && opt_.counters != nullptr) ++opt_.counters->overlay_hits;
       if (!keep) return false;
     }

@@ -22,12 +22,6 @@ namespace relcomp {
 struct EvalCounters {
   /// Column-index probes issued against base relations.
   size_t index_probes = 0;
-  /// Composite (multi-column radix) probes issued against base
-  /// relations.
-  size_t composite_probes = 0;
-  /// Bytes of composite radix indexes built lazily on behalf of this
-  /// evaluation (also charged to the budget when one is attached).
-  size_t composite_index_bytes = 0;
   /// Full scans of a base relation (no bound position, or indexes
   /// disabled).
   size_t relation_scans = 0;
@@ -40,8 +34,6 @@ struct EvalCounters {
 
   EvalCounters& operator+=(const EvalCounters& o) {
     index_probes += o.index_probes;
-    composite_probes += o.composite_probes;
-    composite_index_bytes += o.composite_index_bytes;
     relation_scans += o.relation_scans;
     base_rows_considered += o.base_rows_considered;
     overlay_rows_considered += o.overlay_rows_considered;
@@ -57,19 +49,13 @@ struct ConjunctiveEvalOptions {
   /// atoms are matched in textual order — the "naive" baseline measured
   /// in bench_ablation.
   bool reorder_atoms = true;
-  /// If true, atoms with at least one bound position probe the
-  /// relation's lazily built column index instead of scanning. If
-  /// false, every atom scans — combined with reorder_atoms = false this
-  /// is the literal textual-order paper algorithm.
+  /// If true, an atom with at least one bound position probes the
+  /// relation's lazily built column index on every bound position and
+  /// walks the shortest posting list, re-checking the other bound
+  /// positions per row. If false, every atom scans — combined with
+  /// reorder_atoms = false this is the literal textual-order paper
+  /// algorithm.
   bool use_indexes = true;
-  /// If true (and use_indexes), an atom with two or more bound
-  /// positions probes a lazily built composite radix index keyed on
-  /// exactly that bound-column set, replacing N per-column probes and
-  /// the residual bound-position re-checks with one tree descent. If
-  /// false, multi-bound atoms fall back to the shortest per-column
-  /// posting list (the PR 1 behavior) — the `composite` ablation
-  /// toggle.
-  bool use_composite_indexes = true;
   /// Optional per-search arena (not owned; may be null). When set, all
   /// per-call matcher scratch — binding slots, staged id rows, step
   /// frames — is bump-allocated here instead of the heap; the caller

@@ -362,8 +362,6 @@ Status FabricMember::HandoffShard(size_t shard, const std::string& successor) {
     client_options.max_retries = 2;
     client_options.auth_key = options_.server_options.auth_key;
     client_options.auth_key2 = options_.server_options.auth_key2;
-    client_options.compress_threshold =
-        options_.server_options.compress_threshold;
     NetClient client(successor, client_options);
     adopt = client.Adopt(shard);
   }
@@ -459,8 +457,6 @@ void FabricMember::ProbeAndEvict() {
     probe_options.max_retries = 1;
     probe_options.auth_key = options_.server_options.auth_key;
     probe_options.auth_key2 = options_.server_options.auth_key2;
-    probe_options.compress_threshold =
-        options_.server_options.compress_threshold;
     std::string successor;
     for (const std::string& candidate : candidates) {
       NetClient peer(candidate, probe_options);

@@ -147,9 +147,8 @@ Status NetClient::SendAll(std::string_view data) {
 Result<std::string> NetClient::ReadFrame() {
   const Clock::time_point deadline = Clock::now() + options_.io_timeout;
   FrameDecoder decoder;
-  // Replies may arrive v2 (the server mirrors our format, or has
-  // compression/auth of its own); with a key set, every reply must
-  // prove itself.
+  // Replies may arrive v2 (a keyed server tags them); with a key set,
+  // every reply must prove itself.
   decoder.set_accept_v2(true);
   if (!options_.auth_key.empty()) {
     decoder.set_auth_key(options_.auth_key);
@@ -185,7 +184,6 @@ Result<WireReply> NetClient::RoundTripOnce(const WireRequest& request) {
   if (!conn.ok()) return conn;
   FrameCodecOptions codec;
   codec.auth_key = options_.auth_key;
-  codec.compress_threshold = options_.compress_threshold;
   Status sent = SendAll(codec.v2()
                             ? EncodeFrameV2(request.Serialize(), codec)
                             : EncodeFrame(request.Serialize()));

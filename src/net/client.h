@@ -50,9 +50,6 @@ struct NetClientOptions {
   /// either key verify; requests are always tagged with the primary.
   /// Ignored when auth_key is empty.
   std::string auth_key2 = {};
-  /// Compress request payloads of at least this many bytes (0 =
-  /// never). Either knob switches the client to relcomp-net/2 frames.
-  size_t compress_threshold = 0;
 };
 
 /// Observability counters; monotonic for the client's lifetime.

@@ -694,16 +694,11 @@ WireReply NetServer::HandleStatus() {
 
 bool NetServer::SendReply(Conn* conn, const WireReply& reply,
                           bool force_v1) {
-  // Per-connection format negotiation: auth implies v2 on both sides;
-  // otherwise v2 (and hence reply compression) engages only once the
-  // peer has sent a v2 frame itself.
+  // Auth implies v2 on both sides; a keyless server replies in v1.
   std::string frame;
-  if (!force_v1 && (!options_.auth_key.empty() ||
-                    (options_.compress_threshold > 0 &&
-                     conn->decoder.saw_v2()))) {
+  if (!force_v1 && !options_.auth_key.empty()) {
     FrameCodecOptions codec;
     codec.auth_key = options_.auth_key;
-    codec.compress_threshold = options_.compress_threshold;
     frame = EncodeFrameV2(reply.Serialize(), codec);
   } else {
     frame = EncodeFrame(reply.Serialize());

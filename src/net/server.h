@@ -82,9 +82,6 @@ struct NetServerOptions {
   /// accepted under either key, outbound replies are always tagged
   /// with the primary. Ignored when auth_key is empty.
   std::string auth_key2;
-  /// Compress replies of at least this many bytes (0 = never) toward
-  /// peers that have spoken relcomp-net/2 on this connection.
-  size_t compress_threshold = 0;
 };
 
 /// Observability counters; all monotonic since Start.

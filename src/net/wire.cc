@@ -2,7 +2,6 @@
 
 #include <cstring>
 
-#include "net/compress.h"
 #include "service/checkpoint_store.h"
 #include "util/blake2s.h"
 #include "util/str.h"
@@ -143,27 +142,17 @@ std::string EncodeFrame(std::string_view payload) {
 
 std::string EncodeFrameV2(std::string_view payload,
                           const FrameCodecOptions& options) {
-  uint8_t flags = 0;
-  std::string compressed;
-  std::string_view body = payload;
-  if (options.compress_threshold > 0 &&
-      payload.size() >= options.compress_threshold) {
-    compressed = CompressBlock(payload);
-    if (compressed.size() < payload.size()) {
-      flags |= kFrameFlagCompressed;
-      body = compressed;
-    }
-  }
-  if (!options.auth_key.empty()) flags |= kFrameFlagAuthenticated;
+  const uint8_t flags =
+      options.auth_key.empty() ? 0 : kFrameFlagAuthenticated;
   std::string out;
-  out.reserve(kFrameHeaderSizeV2 + body.size() + kFrameTrailerSize +
+  out.reserve(kFrameHeaderSizeV2 + payload.size() + kFrameTrailerSize +
               kBlake2sTagLength);
   out.append(kFrameMagicV2, sizeof(kFrameMagicV2));
   out.push_back(static_cast<char>(flags));
   PutU32Le(static_cast<uint32_t>(payload.size()), &out);
-  PutU32Le(static_cast<uint32_t>(body.size()), &out);
-  out.append(body);
-  PutU32Le(Crc32(body), &out);
+  PutU32Le(static_cast<uint32_t>(payload.size()), &out);
+  out.append(payload);
+  PutU32Le(Crc32(payload), &out);
   if (flags & kFrameFlagAuthenticated) {
     // The tag covers everything sent so far — header, body, and CRC —
     // so a forger cannot splice authenticated bodies under altered
@@ -222,7 +211,7 @@ Result<bool> FrameDecoder::Next(std::string* payload) {
 Result<bool> FrameDecoder::NextV2(std::string* payload) {
   if (buffer_.size() < kFrameHeaderSizeV2) return false;
   const uint8_t flags = static_cast<uint8_t>(buffer_[4]);
-  if ((flags & ~(kFrameFlagCompressed | kFrameFlagAuthenticated)) != 0) {
+  if ((flags & ~kFrameFlagAuthenticated) != 0) {
     poisoned_ = true;
     return Status::InvalidArgument(
         StrCat("unknown relcomp-net/2 frame flags ",
@@ -231,21 +220,18 @@ Result<bool> FrameDecoder::NextV2(std::string* payload) {
   const uint32_t raw_len = GetU32Le(buffer_.data() + 5);
   const uint32_t body_len = GetU32Le(buffer_.data() + 9);
   // Both lengths are attacker-controlled: cap them BEFORE sizing any
-  // buffer off them. A lying compressed length dies here or in the
-  // strictly-bounded decompressor, never in a huge allocation.
+  // buffer off them, so a lying length never becomes a huge allocation.
   if (raw_len > max_payload_ || body_len > max_payload_) {
     poisoned_ = true;
     return Status::InvalidArgument(
         StrCat("frame lengths raw=", raw_len, " body=", body_len,
                " exceed the cap ", max_payload_));
   }
-  const bool compressed = (flags & kFrameFlagCompressed) != 0;
-  const bool authenticated = (flags & kFrameFlagAuthenticated) != 0;
-  if (!compressed && raw_len != body_len) {
+  if (raw_len != body_len) {
     poisoned_ = true;
-    return Status::InvalidArgument(
-        "uncompressed frame with disagreeing raw/body lengths");
+    return Status::InvalidArgument("frame with disagreeing raw/body lengths");
   }
+  const bool authenticated = (flags & kFrameFlagAuthenticated) != 0;
   const size_t tag_len = authenticated ? kBlake2sTagLength : 0;
   const size_t total = kFrameHeaderSizeV2 + static_cast<size_t>(body_len) +
                        kFrameTrailerSize + tag_len;
@@ -284,16 +270,7 @@ Result<bool> FrameDecoder::NextV2(std::string* payload) {
     return Status::InvalidArgument(
         "frame crc mismatch (torn, truncated, or bit-flipped payload)");
   }
-  if (compressed) {
-    Status expanded = DecompressBlock(body, raw_len, payload);
-    if (!expanded.ok()) {
-      poisoned_ = true;
-      return expanded;
-    }
-  } else {
-    payload->assign(body);
-  }
-  saw_v2_ = true;
+  payload->assign(body);
   buffer_.erase(0, total);
   return true;
 }

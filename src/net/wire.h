@@ -40,24 +40,23 @@ inline constexpr size_t kDefaultMaxFramePayload = 1u << 20;
 
 // --- relcomp-net/2 frame extension -----------------------------------
 //
-// The v2 frame carries optional per-frame compression and a keyed
-// authentication tag:
+// The v2 frame carries a keyed authentication tag:
 //
 //   bytes 0..3    magic "RNF2"
-//   byte  4       flags (bit0 = compressed, bit1 = authenticated)
-//   bytes 5..8    raw payload length (after decompression), u32 LE
-//   bytes 9..12   body length (bytes on the wire), u32 LE
-//   bytes 13..    body (raw payload, or an LZ4-style block)
+//   byte  4       flags (bit1 = authenticated; every other bit is refused)
+//   bytes 5..8    raw payload length, u32 LE
+//   bytes 9..12   body length (bytes on the wire), u32 LE; must equal
+//                 the raw length
+//   bytes 13..    body (the payload)
 //   next 4        CRC32 of the body, u32 LE
 //   last 16       keyed BLAKE2s tag over ALL preceding frame bytes
 //                 (authenticated frames only)
 //
 // Both declared lengths are checked against the receiver's cap before
-// any allocation, and a compressed body must expand to exactly the
-// declared raw length — a lying length is a typed error. v2 acceptance
-// is OPT-IN on the decoder: a default decoder stays relcomp-net/1-only
-// (an unknown magic remains "version skew"), and each side sends v2
-// only when authentication or compression is actually engaged, so
+// any allocation, and disagreeing lengths are a typed error. v2
+// acceptance is OPT-IN on the decoder: a default decoder stays
+// relcomp-net/1-only (an unknown magic remains "version skew"), and
+// each side sends v2 only when authentication is engaged, so
 // mixed-version fleets interoperate on v1 frames. When a decoder holds
 // an auth key, EVERY inbound frame must carry a valid tag; violations
 // surface as kPermissionDenied (terminal), distinct from the
@@ -65,7 +64,6 @@ inline constexpr size_t kDefaultMaxFramePayload = 1u << 20;
 
 inline constexpr char kFrameMagicV2[4] = {'R', 'N', 'F', '2'};
 inline constexpr size_t kFrameHeaderSizeV2 = 13;  // magic + flags + 2 lengths
-inline constexpr uint8_t kFrameFlagCompressed = 1u << 0;
 inline constexpr uint8_t kFrameFlagAuthenticated = 1u << 1;
 
 /// Encode-side knobs shared by client and server (the decoder takes
@@ -74,20 +72,15 @@ struct FrameCodecOptions {
   /// Shared fabric secret; non-empty = every sent frame carries a tag
   /// and every received frame must verify against it.
   std::string auth_key;
-  /// Compress payloads of at least this many bytes (0 = never). Only
-  /// engaged toward peers that already spoke v2 (or when auth is on,
-  /// which implies v2 on both sides).
-  size_t compress_threshold = 0;
 
-  bool v2() const { return !auth_key.empty() || compress_threshold > 0; }
+  bool v2() const { return !auth_key.empty(); }
 };
 
 /// Wraps `payload` in a relcomp-net/1 frame.
 std::string EncodeFrame(std::string_view payload);
 
-/// Wraps `payload` in a relcomp-net/2 frame, compressing and tagging
-/// it per `options`. If compression does not shrink the payload the
-/// raw bytes are sent (still v2-framed).
+/// Wraps `payload` in a relcomp-net/2 frame, tagged when
+/// `options.auth_key` is set (an empty key yields an untagged v2 frame).
 std::string EncodeFrameV2(std::string_view payload,
                           const FrameCodecOptions& options);
 
@@ -128,11 +121,6 @@ class FrameDecoder {
   /// with zero kPermissionDenied. Meaningless without a primary key.
   void set_auth_key2(std::string key) { auth_key2_ = std::move(key); }
 
-  /// True once any v2 frame decoded on this stream — the server's
-  /// signal that the peer understands v2 replies (compression
-  /// negotiation).
-  bool saw_v2() const { return saw_v2_; }
-
   /// Bytes buffered but not yet consumed (a non-empty value that stays
   /// non-empty is a partial frame — the server's slowloris deadline
   /// watches this).
@@ -146,7 +134,6 @@ class FrameDecoder {
   std::string buffer_;
   bool poisoned_ = false;
   bool accept_v2_ = false;
-  bool saw_v2_ = false;
   std::string auth_key_;
   std::string auth_key2_;
 };

@@ -36,8 +36,7 @@ struct DeltaBatch {
 
 /// A lazy index the batch dirtied: any effective mutation of a relation
 /// invalidates all of its materialized per-column hash indexes
-/// (singleton column sets) and composite radix indexes (multi-column
-/// sets), which rebuild on the next probe.
+/// (singleton column sets), which rebuild on the next probe.
 struct DirtiedIndex {
   /// "db" or "master".
   std::string side;

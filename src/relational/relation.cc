@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <numeric>
 
-#include "relational/radix_index.h"
-
 namespace relcomp {
 
 Relation::~Relation() = default;
@@ -174,22 +172,12 @@ std::vector<std::vector<size_t>> Relation::BuiltIndexColumnSets() const {
   for (size_t col = 0; col < col_index_built_.size(); ++col) {
     if (col_index_built_[col]) out.push_back({col});
   }
-  std::lock_guard<std::mutex> lock(composite_mu_);
-  for (const auto& [mask, index] : composite_) {
-    std::vector<size_t> cols;
-    for (size_t col = 0; col < 32; ++col) {
-      if (mask & (1u << col)) cols.push_back(col);
-    }
-    out.push_back(std::move(cols));
-  }
   return out;
 }
 
 void Relation::InvalidateIndexes() const {
   col_index_.clear();
   col_index_built_.clear();
-  std::lock_guard<std::mutex> lock(composite_mu_);
-  composite_.clear();
 }
 
 void Relation::EnsureColumnIndex(size_t col) const {
@@ -234,49 +222,6 @@ const std::vector<uint32_t>* Relation::ProbeId(size_t col, ValueId id) const {
   auto it = col_index_[col].find(id);
   if (it == col_index_[col].end()) return nullptr;
   return &it->second;
-}
-
-const std::vector<uint32_t>* Relation::CompositeProbe(
-    const size_t* cols, size_t n, const ValueId* ids,
-    size_t* bytes_built) const {
-  if (bytes_built != nullptr) *bytes_built = 0;
-  if (tuples_.empty()) return nullptr;
-  assert(n >= 1 && n <= RadixIndex::kMaxColumns);
-  uint32_t mask = 0;
-  for (size_t i = 0; i < n; ++i) {
-    assert(cols[i] < arity_ && cols[i] < 32 &&
-           (i == 0 || cols[i] > cols[i - 1]));
-    mask |= 1u << cols[i];
-  }
-  // Sort outside the lock: EnsureSorted invalidates indexes, which
-  // itself takes composite_mu_. In concurrent use the relation is
-  // already prepared (sorted), so this is a plain flag read.
-  EnsureSorted();
-  const RadixIndex* index = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(composite_mu_);
-    std::unique_ptr<RadixIndex>& slot = composite_[mask];
-    if (slot == nullptr) {
-      auto built = std::make_unique<RadixIndex>(n * sizeof(ValueId));
-      uint8_t key[RadixIndex::kMaxKeyBytes];
-      ValueId row_key[RadixIndex::kMaxColumns];
-      for (uint32_t row = 0; row < tuples_.size(); ++row) {
-        const ValueId* row_ids =
-            ids_.data() + static_cast<size_t>(row) * arity_;
-        for (size_t i = 0; i < n; ++i) row_key[i] = row_ids[cols[i]];
-        RadixIndex::PackKey(row_key, n, key);
-        built->Insert(key, row);
-      }
-      if (bytes_built != nullptr) {
-        *bytes_built = sizeof(RadixIndex) + built->ApproxBytes();
-      }
-      slot = std::move(built);
-    }
-    index = slot.get();
-  }
-  uint8_t key[RadixIndex::kMaxKeyBytes];
-  RadixIndex::PackKey(ids, n, key);
-  return index->Probe(key);
 }
 
 bool Relation::IsSubsetOf(const Relation& other) const {

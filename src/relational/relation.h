@@ -1,15 +1,14 @@
 #ifndef RELCOMP_RELATIONAL_RELATION_H_
 #define RELCOMP_RELATIONAL_RELATION_H_
 
+#include <algorithm>
 #include <cassert>
-#include <map>
 #include <memory>
-#include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
-#include "relational/radix_index.h"
 #include "relational/tuple.h"
 #include "relational/value_interner.h"
 #include "util/status.h"
@@ -43,9 +42,8 @@ class Relation {
       : arity_(arity), interner_(std::move(interner)) {}
   ~Relation();
 
-  // Copies and moves carry the data plane; the lazily built composite
-  // indexes stay behind (they rebuild on demand) so the mutex member
-  // never needs to transfer.
+  // Copies and moves carry the data plane; the lazily built per-column
+  // indexes stay behind and rebuild on demand.
   Relation(const Relation& other);
   Relation& operator=(const Relation& other);
   Relation(Relation&& other) noexcept;
@@ -120,21 +118,6 @@ class Relation {
   /// meaningless here).
   const std::vector<uint32_t>* ProbeId(size_t col, ValueId id) const;
 
-  /// Rows whose columns `cols[0..n)` (strictly ascending, n >= 1, every
-  /// col < min(arity, 32)) equal `ids[0..n)`, via a lazily built
-  /// adaptive radix index keyed on the packed big-endian id bytes of
-  /// exactly that column set; nullptr when no row matches. The first
-  /// call per column set scans the relation once to build the tree;
-  /// `*bytes_built` (may be null) receives the heap bytes that build
-  /// allocated (0 for every later call) so callers can charge an
-  /// ExecutionBudget. Build is serialized behind a mutex, so lazy
-  /// first probes are safe from concurrent readers of a prepared
-  /// relation; at most 8 columns are indexed (extra columns must be
-  /// re-checked by the caller).
-  const std::vector<uint32_t>* CompositeProbe(const size_t* cols, size_t n,
-                                              const ValueId* ids,
-                                              size_t* bytes_built) const;
-
   /// Containment on the id plane: true iff some row's ids equal
   /// `row_ids[0..arity)`. Ids must be from this relation's interner
   /// family; pure read (the dedup map is maintained eagerly), so it is
@@ -180,12 +163,11 @@ class Relation {
   const std::shared_ptr<ValueInterner>& interner() const { return interner_; }
 
   /// Column sets of the currently materialized lazy indexes: one
-  /// singleton set per built per-column hash index, then one ascending
-  /// multi-column set per built composite radix index. Every mutation
+  /// singleton set per built per-column hash index. Every mutation
   /// (Insert/Erase/UnionWith) drops all of them, so the delta-apply
   /// layer snapshots this before a batch to report exactly which
-  /// (relation, column-set) indexes the batch dirtied. Deterministic
-  /// order (per-column ascending, then composite by bitmask).
+  /// (relation, column-set) indexes the batch dirtied. Ascending
+  /// column order.
   std::vector<std::vector<size_t>> BuiltIndexColumnSets() const;
 
   /// Eagerly materializes every lazily built read structure: the
@@ -232,11 +214,6 @@ class Relation {
   mutable std::vector<std::unordered_map<ValueId, std::vector<uint32_t>>>
       col_index_;
   mutable std::vector<char> col_index_built_;
-  /// Lazily built composite indexes, keyed by column bitmask. Guarded
-  /// by composite_mu_ so the lazy build under ParallelValuationSearchIds
-  /// is race free; a built tree is immutable and probed lock free.
-  mutable std::map<uint32_t, std::unique_ptr<RadixIndex>> composite_;
-  mutable std::mutex composite_mu_;
 };
 
 }  // namespace relcomp

@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
 #include "completeness/brute_force.h"
+#include "completeness/rcdp.h"
 #include "constraints/constraint_check.h"
 #include "constraints/integrity_constraints.h"
 #include "query/parser.h"
+#include "spec/spec_parser.h"
 #include "workload/generators.h"
 
 namespace relcomp {
@@ -102,6 +104,39 @@ TEST_F(DeltaCheckerTest, RefusesUndecidableConstraintLanguages) {
   v.Add(*fo_cc);
   auto checker = DeltaConstraintChecker::Make(v, db_schema_);
   EXPECT_FALSE(checker.ok());
+}
+
+TEST(DeltaCheckerAliasTest, RefusesARelationNamedLikeTheDeltaAlias) {
+  // Identifiers may contain '$', so a schema can declare R$ccdelta
+  // beside R. The checker stages R's new tuples under that name as a
+  // virtual relation of the overlay, which would shadow the real one;
+  // both the checker and the decider refuse such a schema instead.
+  constexpr char kSpec[] = R"(
+relation Supt(eid, dept, cid)
+relation Supt$ccdelta(eid, dept, cid)
+master relation DCust(cid)
+master fact DCust("c0")
+fact Supt("e0", "d0", "c0")
+constraint q0(c) :- Supt(e, d, c), Supt$ccdelta(e, d, c) |= DCust[0]
+query cq Q(c) :- Supt(e, d, c)
+)";
+  auto spec = ParseCompletenessSpec(kSpec);
+  ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+  ASSERT_FALSE(spec->constraints.IsIndsOnly());
+
+  auto checker = DeltaConstraintChecker::Make(spec->constraints,
+                                              spec->db.schema_ptr());
+  ASSERT_FALSE(checker.ok());
+  EXPECT_EQ(checker.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(checker.status().message(),
+            "duplicate relation schema: Supt$ccdelta");
+
+  auto decided = DecideRcdp(spec->queries[0], spec->db, spec->master,
+                            spec->constraints);
+  ASSERT_FALSE(decided.ok());
+  EXPECT_EQ(decided.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(decided.status().message(),
+            "duplicate relation schema: Supt$ccdelta");
 }
 
 TEST_F(DeltaCheckerTest, RandomAgreementSweep) {

@@ -65,18 +65,18 @@ void RunEquivalenceRounds(const Config& config, uint64_t seed,
 
     Relation oracle = OracleEval(q, db);
 
-    ConjunctiveEvalOptions indexed;  // defaults: reorder + composite
+    ConjunctiveEvalOptions indexed;  // defaults: reorder + indexes
     Result<Relation> fast = EvalConjunctive(q, db, indexed);
     ASSERT_TRUE(fast.ok()) << fast.status().ToString();
 
-    // The PR 1 per-column path: posting-list intersection, no radix
-    // descents.
-    ConjunctiveEvalOptions per_column = indexed;
-    per_column.use_composite_indexes = false;
-    Result<Relation> cols = EvalConjunctive(q, db, per_column);
+    // Indexed probes in textual atom order: the same posting lists,
+    // reached with a different set of positions bound.
+    ConjunctiveEvalOptions textual = indexed;
+    textual.reorder_atoms = false;
+    Result<Relation> cols = EvalConjunctive(q, db, textual);
     ASSERT_TRUE(cols.ok()) << cols.status().ToString();
 
-    // Arena-backed run of the composite config: all per-call matcher
+    // Arena-backed run of the default config: all per-call matcher
     // scratch lives in the bump arena.
     Arena arena;
     ConjunctiveEvalOptions with_arena = indexed;
@@ -91,10 +91,10 @@ void RunEquivalenceRounds(const Config& config, uint64_t seed,
     ASSERT_TRUE(slow.ok()) << slow.status().ToString();
 
     EXPECT_EQ(*fast, oracle)
-        << "composite matcher diverges from oracle at round " << round
+        << "indexed matcher diverges from oracle at round " << round
         << "\nquery: " << q.ToString() << "\ndb:\n" << db.ToString();
     EXPECT_EQ(*cols, oracle)
-        << "per-column matcher diverges from oracle at round " << round
+        << "textual-order matcher diverges from oracle at round " << round
         << "\nquery: " << q.ToString() << "\ndb:\n" << db.ToString();
     EXPECT_EQ(*arena_run, oracle)
         << "arena-backed matcher diverges from oracle at round " << round
@@ -152,13 +152,13 @@ void RunEquivalenceRounds(const Config& config, uint64_t seed,
     Result<Relation> fresh_fast = EvalConjunctive(q, fresh_view, indexed);
     ASSERT_TRUE(fresh_fast.ok()) << fresh_fast.status().ToString();
     EXPECT_EQ(*fresh_fast, fresh_oracle)
-        << "composite matcher diverges on fresh overlay rows at round "
+        << "indexed matcher diverges on fresh overlay rows at round "
         << round << "\nquery: " << q.ToString() << "\ndb:\n"
         << with_fresh.ToString();
-    Result<Relation> fresh_cols = EvalConjunctive(q, fresh_view, per_column);
+    Result<Relation> fresh_cols = EvalConjunctive(q, fresh_view, textual);
     ASSERT_TRUE(fresh_cols.ok()) << fresh_cols.status().ToString();
     EXPECT_EQ(*fresh_cols, fresh_oracle)
-        << "per-column matcher diverges on fresh overlay rows at round "
+        << "textual-order matcher diverges on fresh overlay rows at round "
         << round << "\nquery: " << q.ToString() << "\ndb:\n"
         << with_fresh.ToString();
   }
@@ -204,7 +204,7 @@ TEST(EvalEquivalenceTest, DisequalityHeavyQueries) {
 
 TEST(EvalEquivalenceTest, EmptyRelationsAndEmptyPrefixProbes) {
   // One relation is emptied per round, so atoms over it hit the
-  // zero-row paths (no index, no radix root); and the query's constant
+  // zero-row paths (no index); and the query's constant
   // pool is wider than the instance's, so some constants are unknown to
   // the interner — their probes must resolve to the empty prefix on
   // every configuration.
@@ -231,13 +231,13 @@ TEST(EvalEquivalenceTest, EmptyRelationsAndEmptyPrefixProbes) {
     Relation oracle = OracleEval(q, db);
 
     ConjunctiveEvalOptions indexed;
-    ConjunctiveEvalOptions per_column;
-    per_column.use_composite_indexes = false;
+    ConjunctiveEvalOptions textual;
+    textual.reorder_atoms = false;
     ConjunctiveEvalOptions naive;
     naive.reorder_atoms = false;
     naive.use_indexes = false;
     for (const ConjunctiveEvalOptions* options :
-         {&indexed, &per_column, &naive}) {
+         {&indexed, &textual, &naive}) {
       Result<Relation> got = EvalConjunctive(q, db, *options);
       ASSERT_TRUE(got.ok()) << got.status().ToString();
       EXPECT_EQ(*got, oracle)

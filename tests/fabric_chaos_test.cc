@@ -7,7 +7,7 @@
 // torn frames during handoff traffic, the handoff/adopt race resolved
 // highest-epoch-wins, the rebalance planner end to end, authenticated
 // frames (shared-secret HMAC) accepting keyed peers and refusing
-// everyone else with typed errors, and compressed fabric traffic.
+// everyone else with typed errors.
 
 #include <gtest/gtest.h>
 #include <sys/socket.h>
@@ -760,31 +760,6 @@ TEST(FabricAuthTest, HostileBytesAtAnAuthenticatedServerNeverCrashIt) {
   EXPECT_TRUE(keyed.ServerStatus().ok())
       << "server stopped serving after hostile bytes";
   EXPECT_GT(fabric.members[0]->server()->stats().protocol_errors, 0u);
-}
-
-// --- Compressed fabric traffic ---------------------------------------
-
-TEST(FabricCompressionTest, CompressedAndAuthenticatedTrafficDecidesSame) {
-  const std::string expected = DirectRcdpEvidence(IncompleteSpec(), 1);
-  const std::string secret = "compress-and-tag";
-  Fabric fabric = StartFabric("zip", 2,
-                              [&](size_t, FabricMemberOptions& o) {
-                                o.server_options.auth_key = secret;
-                                o.server_options.compress_threshold = 128;
-                              });
-  FabricClientOptions options;
-  options.endpoint_options.auth_key = secret;
-  options.endpoint_options.compress_threshold = 128;
-  FabricClient client(fabric.endpoints, options);
-  // The spec payload is far over the threshold, so the submit rides
-  // compressed (and tagged); the verdict must be byte-identical.
-  const std::string key =
-      KeyForShard(FabricRing::Make(fabric.endpoints), 1, "zip");
-  auto reply = client.SubmitAndAwait(key, MakeJob(IncompleteSpec(), 1, 40));
-  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
-  EXPECT_EQ(reply->evidence, expected);
-  EXPECT_EQ(TimesCompleted(fabric, key), 1u);
-  ExpectNoCorruption(fabric);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
-// Exhaustion coverage for the id-plane hot path's memory charges: lazy
-// composite-index builds and per-worker arena blocks flow through
-// ExecutionBudget::TrackBytes, trip the byte cap as kResourceExhausted,
-// and the decider's checkpoint/resume contract holds across a trip.
+// Exhaustion coverage for the id-plane hot path's memory charges:
+// per-worker arena blocks flow through ExecutionBudget::TrackBytes, trip
+// the byte cap as kResourceExhausted, and the decider's
+// checkpoint/resume contract holds across a trip.
 // (Suite names carry "Exhaustion" so the tsan preset's filter runs
 // them under the race detector.)
 
@@ -11,46 +11,12 @@
 
 #include "completeness/rcdp.h"
 #include "constraints/integrity_constraints.h"
-#include "eval/conjunctive_eval.h"
 #include "query/parser.h"
 #include "relational/database.h"
 #include "util/execution_control.h"
 
 namespace relcomp {
 namespace {
-
-TEST(CompositeIndexExhaustionTest, LazyBuildChargesBudgetAndTripsCap) {
-  auto schema = std::make_shared<Schema>();
-  ASSERT_TRUE(schema->AddRelation("R", 3).ok());
-  Database db(schema);
-  for (int64_t i = 0; i < 64; ++i) {
-    db.InsertUnchecked(
-        "R", Tuple({Value::Int(i % 8), Value::Int(i % 4), Value::Int(i)}));
-  }
-  // Two bound constants on one atom force a composite (0, 1) build.
-  auto q = ParseConjunctiveQuery("Q(z) :- R(3, 2, z).");
-  ASSERT_TRUE(q.ok()) << q.status().ToString();
-
-  ExecutionBudget budget;
-  budget.set_max_tracked_bytes(16);  // far below any radix tree
-  EvalCounters counters;
-  ConjunctiveEvalOptions options;
-  options.counters = &counters;
-  options.budget = &budget;
-  Result<Relation> answers = EvalConjunctive(*q, db, options);
-  ASSERT_TRUE(answers.ok()) << answers.status().ToString();
-
-  // The build was charged...
-  EXPECT_GT(counters.composite_probes, 0u);
-  EXPECT_GT(counters.composite_index_bytes, 0u);
-  EXPECT_GE(budget.tracked_bytes(), counters.composite_index_bytes);
-  // ...and the cap fires as kResourceExhausted at the next decision
-  // point (evaluation itself claims none; the deciders do).
-  Status tripped = budget.OnDecisionPoint();
-  EXPECT_EQ(tripped.code(), StatusCode::kResourceExhausted)
-      << tripped.ToString();
-  EXPECT_EQ(budget.exhausted_kind(), BudgetKind::kMemory);
-}
 
 TEST(ArenaBytesExhaustionTest, DeciderChargesArenasAndResumeRoundTrips) {
   auto db_schema = std::make_shared<Schema>();

@@ -209,7 +209,6 @@ TEST(FingerprintTest, OptionsFingerprintExcludesRepresentationToggles) {
   EXPECT_EQ(fp, FingerprintRcdpOptions(threads));
   RcdpOptions no_indexes = base;
   no_indexes.use_indexes = false;
-  no_indexes.use_composite_indexes = false;
   no_indexes.use_arena = false;
   EXPECT_EQ(fp, FingerprintRcdpOptions(no_indexes));
 
@@ -578,12 +577,56 @@ TEST(IncrementalRcdpTest, BudgetedRecertifyNumbersLikePlainResume) {
   // Decision-point numbering contract under budgets: re-certifying an
   // interrupted certificate claims exactly the points a plain
   // DecideRcdp resume from its checkpoint claims, so the two stop at
-  // the identical frontier.
+  // the identical frontier. The frontier is schedule-free only at one
+  // thread: at more, which units exhaust before a shared step cap trips
+  // depends on the schedule, so the serial pass pins the ranks and the
+  // parallel pass asserts only what holds at every thread count.
   CompletenessSpec spec = MustParse(kTwoRelationSpec);
   const AnyQuery& q = spec.queries[0];
+  auto uninterrupted =
+      CertifyRcdp(q, spec.db, spec.master, spec.constraints);
+  ASSERT_TRUE(uninterrupted.ok());
+  ASSERT_NE(uninterrupted->result.verdict, Verdict::kUnknown);
+
+  // A budgeted step either stops with a checkpoint to resume from, or
+  // lands on the uninterrupted verdict and evidence.
+  auto expect_sound_step = [&](const RcdpCertified& step) {
+    if (step.result.verdict == Verdict::kUnknown) {
+      EXPECT_TRUE(step.result.checkpoint.has_value());
+      EXPECT_TRUE(step.certificate.checkpoint.has_value());
+    } else {
+      EXPECT_EQ(step.result.verdict, uninterrupted->result.verdict);
+      EXPECT_EQ(Evidence(step.result), Evidence(uninterrupted->result));
+    }
+  };
+  // Chained to exhaustion-free completion, the anytime incremental run
+  // lands bit-for-bit on the unbudgeted from-scratch verdict.
+  auto expect_chain_converges = [&](RcdpCertified step, size_t threads) {
+    for (int round = 0; step.result.verdict == Verdict::kUnknown; ++round) {
+      ASSERT_LT(round, 64) << "budgeted chain failed to converge";
+      ExecutionBudget slice;
+      // Checkpoints are rank-granular: a slice below one rank unit's
+      // cost records no durable progress, so widen the slice each round
+      // (the same stall-widening the DecisionService applies).
+      slice.set_max_steps(3 + static_cast<size_t>(round));
+      RcdpOptions opt;
+      opt.num_threads = threads;
+      opt.budget = &slice;
+      auto next = RecertifyRcdp(q, spec.db, spec.master, spec.constraints,
+                                step.certificate, DeltaApplyReport(), opt);
+      ASSERT_TRUE(next.ok()) << next.status().ToString();
+      expect_sound_step(*next);
+      step = std::move(*next);
+    }
+    EXPECT_EQ(step.result.verdict, uninterrupted->result.verdict);
+    EXPECT_EQ(Evidence(step.result), Evidence(uninterrupted->result));
+  };
+
+  // Serial: all three runs claim points in rank order.
   ExecutionBudget first;
   first.set_max_steps(2);
   RcdpOptions opt1;
+  opt1.num_threads = 1;
   opt1.budget = &first;
   auto partial = CertifyRcdp(q, spec.db, spec.master, spec.constraints,
                              opt1);
@@ -594,6 +637,7 @@ TEST(IncrementalRcdpTest, BudgetedRecertifyNumbersLikePlainResume) {
   ExecutionBudget second;
   second.set_max_steps(3);
   RcdpOptions opt2;
+  opt2.num_threads = 1;
   opt2.budget = &second;
   auto inc = RecertifyRcdp(q, spec.db, spec.master, spec.constraints,
                            partial->certificate, DeltaApplyReport(), opt2);
@@ -602,6 +646,7 @@ TEST(IncrementalRcdpTest, BudgetedRecertifyNumbersLikePlainResume) {
   ExecutionBudget reference;
   reference.set_max_steps(3);
   RcdpOptions opt3;
+  opt3.num_threads = 1;
   opt3.budget = &reference;
   opt3.resume = &*partial->certificate.checkpoint;
   auto plain = DecideRcdp(q, spec.db, spec.master, spec.constraints, opt3);
@@ -616,31 +661,21 @@ TEST(IncrementalRcdpTest, BudgetedRecertifyNumbersLikePlainResume) {
               plain->checkpoint->disjunct);
     EXPECT_EQ(inc->result.checkpoint->rank, plain->checkpoint->rank);
   }
+  expect_sound_step(*inc);
+  expect_chain_converges(std::move(*inc), 1);
 
-  // Chained to exhaustion-free completion, the anytime incremental run
-  // lands bit-for-bit on the unbudgeted from-scratch verdict.
-  RcdpCertificate cert = inc->certificate;
-  RcdpResult final_result = inc->result;
-  for (int round = 0; final_result.verdict == Verdict::kUnknown; ++round) {
-    ASSERT_LT(round, 64) << "budgeted chain failed to converge";
-    ExecutionBudget slice;
-    // Checkpoints are rank-granular: a slice below one rank unit's cost
-    // records no durable progress, so widen the slice each round (the
-    // same stall-widening the DecisionService applies).
-    slice.set_max_steps(3 + static_cast<size_t>(round));
-    RcdpOptions opt;
-    opt.budget = &slice;
-    auto next = RecertifyRcdp(q, spec.db, spec.master, spec.constraints,
-                              cert, DeltaApplyReport(), opt);
-    ASSERT_TRUE(next.ok()) << next.status().ToString();
-    cert = next->certificate;
-    final_result = next->result;
-  }
-  auto uninterrupted =
-      CertifyRcdp(q, spec.db, spec.master, spec.constraints);
-  ASSERT_TRUE(uninterrupted.ok());
-  EXPECT_EQ(final_result.verdict, uninterrupted->result.verdict);
-  EXPECT_EQ(Evidence(final_result), Evidence(uninterrupted->result));
+  // Four threads: every step is sound and the chain converges, but the
+  // ranks it mints may differ from run to run.
+  ExecutionBudget parallel_first;
+  parallel_first.set_max_steps(2);
+  RcdpOptions parallel;
+  parallel.num_threads = 4;
+  parallel.budget = &parallel_first;
+  auto parallel_partial = CertifyRcdp(q, spec.db, spec.master,
+                                      spec.constraints, parallel);
+  ASSERT_TRUE(parallel_partial.ok());
+  expect_sound_step(*parallel_partial);
+  expect_chain_converges(std::move(*parallel_partial), 4);
 }
 
 TEST(IncrementalRcdpTest, StaleOptionsOrWidthFallBackToFullCertify) {

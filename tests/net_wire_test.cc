@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <string>
 
-#include "net/compress.h"
 #include "util/blake2s.h"
 #include "util/str.h"
 
@@ -325,7 +324,7 @@ TEST(NetWireHostileTest, EmptyAndGarbageInputsAreRejected) {
 }
 
 // ---------------------------------------------------------------------------
-// relcomp-net/2 frames: compression and authentication.
+// relcomp-net/2 frames: authentication.
 
 /// A v2-speaking decoder (accepts both formats, like a live server or
 /// client connection).
@@ -366,71 +365,68 @@ TEST(NetWireV2Test, Blake2sMatchesKnownVectors) {
   EXPECT_FALSE(ConstantTimeEqual("short", "longer than it"));
 }
 
-TEST(NetWireV2Test, CompressionCodecRoundTrips) {
-  for (const std::string input :
-       {std::string(""), std::string("short"),
-        std::string(5000, 'a'),
-        StrCat(std::string(800, 'x'), "middle", std::string(800, 'x')),
-        std::string("binary\x00\xff\x01 stream", 16)}) {
-    const std::string block = CompressBlock(input);
-    std::string out;
-    Status decompressed = DecompressBlock(block, input.size(), &out);
-    ASSERT_TRUE(decompressed.ok()) << decompressed.ToString();
-    EXPECT_EQ(out, input);
-  }
-  // Repetitive payloads actually shrink.
-  EXPECT_LT(CompressBlock(std::string(5000, 'a')).size(), 100u);
-}
-
-TEST(NetWireV2Test, RoundTripsPlainCompressedAndAuthenticated) {
-  const std::string small = "below the threshold";
+TEST(NetWireV2Test, RoundTripsPlainAndAuthenticated) {
+  const std::string small = "a short payload";
   const std::string big(4096, 'r');
   for (const std::string& key : {std::string(""), std::string("sekrit")}) {
     FrameCodecOptions codec;
     codec.auth_key = key;
-    codec.compress_threshold = 1024;
-    if (!codec.v2()) continue;  // keyless + thresholdless = v1 only
     for (const std::string& payload : {small, big}) {
       const std::string frame = EncodeFrameV2(payload, codec);
       ASSERT_GE(frame.size(), kFrameHeaderSizeV2);
       EXPECT_TRUE(std::equal(kFrameMagicV2, kFrameMagicV2 + 4,
                              frame.begin()));
+      // The body rides verbatim: header, payload, CRC, and a tag only
+      // when keyed.
+      EXPECT_EQ(frame.size(), kFrameHeaderSizeV2 + payload.size() +
+                                  kFrameTrailerSize +
+                                  (key.empty() ? 0 : kBlake2sTagLength));
       std::string out;
       auto next = DecodeV2(frame, &out, key);
       ASSERT_TRUE(next.ok()) << next.status().ToString();
       ASSERT_TRUE(*next);
       EXPECT_EQ(out, payload);
     }
-    // The repetitive payload rode compressed: frame beats payload size.
-    EXPECT_LT(EncodeFrameV2(big, codec).size(), big.size());
   }
 }
 
-TEST(NetWireV2Test, V2DecoderStillAcceptsV1AndFlagsSawV2) {
+TEST(NetWireV2Test, KeyedAndV1FrameBytesArePinned) {
+  // Golden bytes: a frame format change must be deliberate, never a
+  // side effect of a codec refactor.
+  const std::string payload = "relcomp-net/1 req status 0:0:";
+  FrameCodecOptions keyed;
+  keyed.auth_key = "golden fabric key";
+  EXPECT_EQ(HexString(EncodeFrameV2(payload, keyed)),
+            "524e4632021d0000001d000000"
+            "72656c636f6d702d6e65742f31207265712073746174757320303a303a"
+            "423e74f3"
+            "b8b247cf472d33bb863cf69ee663ee70");
+  EXPECT_EQ(HexString(EncodeFrame(payload)),
+            "524e46311d000000"
+            "72656c636f6d702d6e65742f31207265712073746174757320303a303a"
+            "423e74f3");
+}
+
+TEST(NetWireV2Test, V2DecoderStillAcceptsV1) {
   FrameDecoder decoder;
   decoder.set_accept_v2(true);
-  FrameCodecOptions codec;
-  codec.compress_threshold = 1;
   decoder.Feed(EncodeFrame("v1 leg"));
   std::string payload;
   auto next = decoder.Next(&payload);
   ASSERT_TRUE(next.ok() && *next);
   EXPECT_EQ(payload, "v1 leg");
-  EXPECT_FALSE(decoder.saw_v2());
-  decoder.Feed(EncodeFrameV2("v2 leg upgraded", codec));
+  decoder.Feed(EncodeFrameV2("v2 leg upgraded", FrameCodecOptions{}));
   next = decoder.Next(&payload);
   ASSERT_TRUE(next.ok() && *next) << next.status().ToString();
   EXPECT_EQ(payload, "v2 leg upgraded");
-  EXPECT_TRUE(decoder.saw_v2());
 }
 
 TEST(NetWireV2Test, DefaultDecoderStillRejectsV2Magic) {
   // The opt-in matters: a peer that never negotiated v2 treats the new
   // magic exactly like any other version skew.
-  FrameCodecOptions codec;
-  codec.compress_threshold = 1;
   std::string payload;
-  auto next = DecodeOnce(EncodeFrameV2("not negotiated", codec), &payload);
+  auto next = DecodeOnce(EncodeFrameV2("not negotiated", FrameCodecOptions{}),
+                         &payload);
   ASSERT_FALSE(next.ok());
   EXPECT_NE(next.status().message().find("magic"), std::string::npos);
 }
@@ -438,7 +434,6 @@ TEST(NetWireV2Test, DefaultDecoderStillRejectsV2Magic) {
 TEST(NetWireHostileTest, V2TruncationAtEveryByteNeverYieldsAFrame) {
   FrameCodecOptions codec;
   codec.auth_key = "trunc-key";
-  codec.compress_threshold = 64;
   const std::string frame =
       EncodeFrameV2(std::string(300, 'q') + "tail", codec);
   for (size_t cut = 0; cut < frame.size(); ++cut) {
@@ -453,7 +448,6 @@ TEST(NetWireHostileTest, V2TruncationAtEveryByteNeverYieldsAFrame) {
 TEST(NetWireHostileTest, V2BitFlipAtEveryPositionNeverDecodesValid) {
   FrameCodecOptions codec;
   codec.auth_key = "flip-key";
-  codec.compress_threshold = 64;
   const std::string frame =
       EncodeFrameV2(std::string(128, 'f') + "unique tail", codec);
   for (size_t byte = 0; byte < frame.size(); ++byte) {
@@ -504,9 +498,8 @@ TEST(NetWireHostileTest, ForgedStrippedAndWrongKeyFramesAreDenied) {
   EXPECT_EQ(next.status().code(), StatusCode::kPermissionDenied);
 
   // And an unauthenticated v2 frame at a keyed decoder.
-  FrameCodecOptions plain;
-  plain.compress_threshold = 1;
-  next = DecodeV2(EncodeFrameV2(payload, plain), &out, "the real key");
+  next = DecodeV2(EncodeFrameV2(payload, FrameCodecOptions{}), &out,
+                  "the real key");
   ASSERT_FALSE(next.ok());
   EXPECT_EQ(next.status().code(), StatusCode::kPermissionDenied);
 
@@ -561,43 +554,58 @@ TEST(NetWireV2Test, RotationWindowDecoderAcceptsEitherKeyOnly) {
   EXPECT_EQ(next.status().code(), StatusCode::kPermissionDenied);
 }
 
-TEST(NetWireHostileTest, LyingCompressedLengthsAreBounded) {
-  FrameCodecOptions codec;
-  codec.compress_threshold = 16;
-  const std::string frame = EncodeFrameV2(std::string(2000, 'z'), codec);
-  ASSERT_TRUE(frame[4] & kFrameFlagCompressed);
+TEST(NetWireHostileTest, LyingLengthsAndRetiredFlagsAreRefused) {
+  for (const std::string& key : {std::string(""), std::string("len-key")}) {
+    FrameCodecOptions codec;
+    codec.auth_key = key;
+    const std::string frame = EncodeFrameV2(std::string(2000, 'z'), codec);
+    // A refusal is a typed framing error, and it is sticky: a valid
+    // frame fed after it is refused too.
+    auto expect_sticky_refusal = [&](const std::string& bytes,
+                                     const char* why) {
+      FrameDecoder decoder;
+      decoder.set_accept_v2(true);
+      if (!key.empty()) decoder.set_auth_key(key);
+      decoder.Feed(bytes);
+      std::string out;
+      auto next = decoder.Next(&out);
+      ASSERT_FALSE(next.ok()) << why;
+      EXPECT_EQ(next.status().code(), StatusCode::kInvalidArgument) << why;
+      decoder.Feed(EncodeFrameV2("after the defect", codec));
+      next = decoder.Next(&out);
+      ASSERT_FALSE(next.ok()) << why;
+      EXPECT_EQ(next.status().code(), StatusCode::kInvalidArgument) << why;
+    };
 
-  // raw_len inflated to 4 GiB: rejected against the receiver cap
-  // BEFORE any allocation happens.
-  std::string lying = frame;
-  lying[5] = lying[6] = lying[7] = lying[8] = static_cast<char>(0xff);
-  std::string out;
-  auto next = DecodeV2(lying, &out);
-  ASSERT_FALSE(next.ok());
-  EXPECT_NE(next.status().message().find("exceed"), std::string::npos);
+    // raw_len inflated to 4 GiB: rejected against the receiver cap
+    // BEFORE any allocation happens.
+    std::string lying = frame;
+    lying[5] = lying[6] = lying[7] = lying[8] = static_cast<char>(0xff);
+    std::string out;
+    auto next = DecodeV2(lying, &out, key);
+    ASSERT_FALSE(next.ok());
+    EXPECT_NE(next.status().message().find("exceed"), std::string::npos);
+    expect_sticky_refusal(lying, "4 GiB raw_len");
 
-  // raw_len understated: the decompressor's strict output bound trips
-  // (the block wants to write more than declared).
-  std::string small = frame;
-  small[5] = 10;
-  small[6] = small[7] = small[8] = 0;
-  next = DecodeV2(small, &out);
-  ASSERT_FALSE(next.ok());
-  EXPECT_EQ(next.status().code(), StatusCode::kInvalidArgument);
+    // raw_len that disagrees with body_len.
+    std::string small = frame;
+    small[5] = 10;
+    small[6] = small[7] = small[8] = 0;
+    expect_sticky_refusal(small, "raw_len != body_len");
 
-  // A tight receiver cap rejects a truthful-but-large raw_len too —
-  // the compressed body must never be a pre-allocation amplifier.
-  next = DecodeV2(frame, &out, "", /*max_payload=*/256);
-  ASSERT_FALSE(next.ok());
+    // Flag bit 0 (the retired compression bit) is an unknown flag,
+    // refused before the tag is even looked at.
+    std::string flagged = frame;
+    flagged[4] = static_cast<char>(flagged[4] | 0x01);
+    next = DecodeV2(flagged, &out, key);
+    ASSERT_FALSE(next.ok());
+    EXPECT_NE(next.status().message().find("flags"), std::string::npos);
+    expect_sticky_refusal(flagged, "flag bit 0");
 
-  // Direct codec probe: a hostile block cannot overrun the declared
-  // raw length no matter what its sequences claim.
-  const std::string block = CompressBlock(std::string(2000, 'z'));
-  std::string decoded;
-  EXPECT_FALSE(DecompressBlock(block, 10, &decoded).ok());
-  EXPECT_FALSE(DecompressBlock(block.substr(0, block.size() / 2), 2000,
-                               &decoded)
-                   .ok());
+    // A tight receiver cap rejects a truthful-but-large length too.
+    next = DecodeV2(frame, &out, key, /*max_payload=*/256);
+    ASSERT_FALSE(next.ok());
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <optional>
+#include <vector>
+
 #include "completeness/brute_force.h"
 #include "completeness/rcdp.h"
 #include "constraints/integrity_constraints.h"
 #include "eval/query_eval.h"
 #include "query/parser.h"
+#include "util/str.h"
 #include "workload/crm_scenario.h"
 #include "workload/generators.h"
 
@@ -309,8 +314,133 @@ TEST_F(SmallRcdpTest, CounterexampleIsGenuine) {
 }
 
 // ---------------------------------------------------------------------------
+// Ablation configurations: every configuration bench_ablation times must
+// reach the default's verdict, with genuine evidence.
+
+struct NamedOptions {
+  const char* name;
+  RcdpOptions options;
+};
+
+/// The default, each decider toggle off alone, and the paper-literal
+/// algorithm (prune, collapse, delta check and indexes all off).
+std::vector<NamedOptions> AblationConfigs(size_t num_threads) {
+  std::vector<NamedOptions> configs;
+  auto add = [&](const char* name, std::vector<bool RcdpOptions::*> off) {
+    RcdpOptions options;
+    options.num_threads = num_threads;
+    for (bool RcdpOptions::*toggle : off) options.*toggle = false;
+    configs.push_back({name, options});
+  };
+  add("default", {});
+  add("no_prune", {&RcdpOptions::prune});
+  add("no_collapse", {&RcdpOptions::collapse_dont_care});
+  add("no_delta_check", {&RcdpOptions::delta_constraint_check});
+  add("no_ind_fast_path", {&RcdpOptions::ind_fast_path});
+  add("no_indexes", {&RcdpOptions::use_indexes});
+  add("no_arena", {&RcdpOptions::use_arena});
+  add("paper_literal",
+      {&RcdpOptions::prune, &RcdpOptions::collapse_dont_care,
+       &RcdpOptions::delta_constraint_check, &RcdpOptions::use_indexes});
+  return configs;
+}
+
+/// A kIncomplete verdict's evidence is genuine: Δ is new, (D ∪ Δ, Dm)
+/// satisfies V, and the new answer is in Q(D ∪ Δ) but not in Q(D).
+void ExpectGenuineEvidence(const AnyQuery& q, const Database& db,
+                           const Database& master, const ConstraintSet& v,
+                           const RcdpResult& result) {
+  if (result.verdict != Verdict::kIncomplete) return;
+  ASSERT_TRUE(result.counterexample_delta.has_value());
+  ASSERT_TRUE(result.new_answer.has_value());
+  Database extended = db;
+  for (const std::string& name : db.schema().relation_names()) {
+    for (const Tuple& t : result.counterexample_delta->Get(name)) {
+      EXPECT_FALSE(db.Contains(name, t)) << name << t.ToString();
+      extended.InsertUnchecked(name, t);
+    }
+  }
+  auto closed = Satisfies(v, extended, master);
+  ASSERT_TRUE(closed.ok()) << closed.status().ToString();
+  EXPECT_TRUE(*closed) << "Δ breaks V";
+  auto before = Evaluate(q, db);
+  auto after = Evaluate(q, extended);
+  ASSERT_TRUE(before.ok() && after.ok());
+  EXPECT_TRUE(after->Contains(*result.new_answer));
+  EXPECT_FALSE(before->Contains(*result.new_answer));
+}
+
+/// Every ablation configuration agrees with the default on one instance
+/// and returns genuine evidence; `check` (may be null) sees each result.
+/// Returns the default's verdict.
+Verdict ExpectConfigsAgree(
+    const AnyQuery& q, const Database& db, const Database& master,
+    const ConstraintSet& v, size_t num_threads,
+    const std::function<void(const RcdpResult&)>& check = nullptr) {
+  std::optional<Verdict> expected;
+  for (const NamedOptions& config : AblationConfigs(num_threads)) {
+    SCOPED_TRACE(StrCat(config.name, " at num_threads=", num_threads));
+    auto decided = DecideRcdp(q, db, master, v, config.options);
+    EXPECT_TRUE(decided.ok()) << decided.status().ToString();
+    if (!decided.ok()) continue;
+    EXPECT_NE(decided->verdict, Verdict::kUnknown);
+    if (!expected.has_value()) expected = decided->verdict;
+    EXPECT_EQ(decided->verdict, *expected);
+    ExpectGenuineEvidence(q, db, master, v, *decided);
+    if (check) check(*decided);
+  }
+  return expected.value_or(Verdict::kUnknown);
+}
+
+// Named "Parallel…" so the tsan preset's filter runs it: every
+// configuration, paper-literal included, runs the parallel search.
+class ParallelAblationTest : public ::testing::TestWithParam<size_t> {
+ protected:
+  void SetUp() override {
+    // The instance bench_ablation times.
+    CrmOptions options;
+    options.num_domestic = 2;
+    options.num_international = 0;
+    options.num_employees = 1;
+    options.support_per_employee = 1;
+    options.manage_chain = 2;
+    auto scenario = CrmScenario::Make(options);
+    ASSERT_TRUE(scenario.ok()) << scenario.status().ToString();
+    crm_ = std::make_unique<CrmScenario>(std::move(*scenario));
+  }
+  std::unique_ptr<CrmScenario> crm_;
+};
+
+TEST_P(ParallelAblationTest, Q1UnderPhi0AgreesAcrossConfigs) {
+  // φ0 is a CQ constraint: the delta session and the collapse both run.
+  auto q1 = crm_->Q1();
+  auto phi0 = crm_->Phi0();
+  ASSERT_TRUE(q1.ok() && phi0.ok());
+  ConstraintSet v;
+  v.Add(*phi0);
+  EXPECT_EQ(ExpectConfigsAgree(*q1, crm_->db(), crm_->master(), v,
+                               GetParam()),
+            Verdict::kIncomplete);
+}
+
+TEST_P(ParallelAblationTest, Q2UnderPhi1AgreesAcrossConfigs) {
+  auto q2 = crm_->Q2();
+  auto phi1 = crm_->Phi1(2);
+  ASSERT_TRUE(q2.ok() && phi1.ok());
+  ConstraintSet v;
+  v.Add(*phi1);
+  EXPECT_EQ(ExpectConfigsAgree(*q2, crm_->db(), crm_->master(), v,
+                               GetParam()),
+            Verdict::kIncomplete);
+}
+
+INSTANTIATE_TEST_SUITE_P(Threads, ParallelAblationTest,
+                         ::testing::Values(size_t{1}, size_t{4}));
+
+// ---------------------------------------------------------------------------
 // Property sweep: the decider agrees with the definition-chasing brute
-// force on random small instances with random IND constraints.
+// force on random small instances with random IND constraints, under
+// every ablation configuration.
 
 /// True when the decider's counterexample is small enough that the
 /// bounded brute force must find one too (same tuple budget; fresh
@@ -359,27 +489,26 @@ TEST_P(RcdpPropertyTest, AgreesWithBruteForce) {
     ASSERT_TRUE(closed.ok());
     if (!*closed) continue;
 
-    auto decided = DecideRcdp(q, db, master, *constraints);
-    ASSERT_TRUE(decided.ok()) << decided.status().ToString();
-
     BruteForceOptions bf;
     bf.extra_fresh = 2;
     bf.max_delta_tuples = 2;
     auto brute = BruteForceRcdp(q, db, master, *constraints, bf);
     ASSERT_TRUE(brute.ok()) << brute.status().ToString();
 
-    // Brute force is bounded: "incomplete" verdicts are always sound,
-    // so decider-complete ⇒ brute-complete. The decider is exact, so
-    // brute-incomplete ⇒ decider-incomplete (same check), and
-    // decider-incomplete ⇒ its Δ is genuine (within the brute bound the
-    // two must then agree whenever Δ fits the bound).
-    if (decided->complete) {
-      EXPECT_TRUE(brute->complete)
-          << cq.ToString() << "\n" << db.ToString();
-    } else if (result_fits_bound(*decided, bf)) {
-      EXPECT_FALSE(brute->complete)
-          << cq.ToString() << "\n" << db.ToString();
-    }
+    SCOPED_TRACE(cq.ToString() + "\n" + db.ToString());
+    ExpectConfigsAgree(q, db, master, *constraints, /*num_threads=*/0,
+                       [&](const RcdpResult& decided) {
+      // Brute force is bounded: "incomplete" verdicts are always sound,
+      // so decider-complete ⇒ brute-complete. The decider is exact, so
+      // brute-incomplete ⇒ decider-incomplete (same check), and
+      // decider-incomplete ⇒ its Δ is genuine (within the brute bound
+      // the two must then agree whenever Δ fits the bound).
+      if (decided.complete) {
+        EXPECT_TRUE(brute->complete);
+      } else if (result_fits_bound(decided, bf)) {
+        EXPECT_FALSE(brute->complete);
+      }
+    });
     ++checked;
   }
   EXPECT_GT(checked, 0);
