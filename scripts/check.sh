@@ -61,6 +61,13 @@ run ctest --test-dir build-asan -L storagefault --output-on-failure
 # must be clean, not just green.
 run ctest --test-dir build-asan -L incremental --output-on-failure
 
+# Codec stage: the hostile-input suite of util/codec.h (ctest label
+# "codec") once more under the asan build — the cursor and every text
+# format read from outside the process, swept with a truncation at
+# every byte and a bit flip at every position, must be clean, not just
+# green.
+run ctest --test-dir build-asan -L codec --output-on-failure
+
 # Id-plane core stage: the relational/eval substrate suites (ctest
 # label "core") — arena allocator, byte-cap exhaustion, and the matcher
 # equivalence fuzzers — once more on the default build as a fast smoke

@@ -6,41 +6,21 @@
 #include "constraints/constraint_check.h"
 #include "eval/conjunctive_eval.h"
 #include "query/union_query.h"
+#include "util/codec.h"
 #include "util/str.h"
 
 namespace relcomp {
 namespace {
 
-// FNV-1a, folded byte-wise with explicit tags so that ints, strings,
-// and field boundaries never alias (i:1 vs s"1", ("ab","c") vs
-// ("a","bc")).
-constexpr uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr uint64_t kFnvPrime = 1099511628211ull;
-
-uint64_t FnvBytes(uint64_t h, const void* data, size_t n) {
-  const unsigned char* p = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= kFnvPrime;
-  }
-  return h;
-}
-
-uint64_t FnvU64(uint64_t h, uint64_t v) {
-  unsigned char bytes[8];
-  for (size_t i = 0; i < 8; ++i) bytes[i] = (v >> (8 * i)) & 0xff;
-  return FnvBytes(h, bytes, 8);
-}
-
+// FNV-1a (util/codec.h), folded byte-wise with explicit tags so that
+// ints, strings, and field boundaries never alias (i:1 vs s"1",
+// ("ab","c") vs ("a","bc")).
 uint64_t FnvValue(uint64_t h, const Value& v) {
   if (v.is_int()) {
-    h = FnvBytes(h, "i", 1);
-    return FnvU64(h, static_cast<uint64_t>(v.AsInt()));
+    return Fnv1aU64(Fnv1a(h, "i"), static_cast<uint64_t>(v.AsInt()));
   }
-  h = FnvBytes(h, "s", 1);
   const std::string& s = v.AsString();
-  h = FnvU64(h, s.size());
-  return FnvBytes(h, s.data(), s.size());
+  return Fnv1a(Fnv1aU64(Fnv1a(h, "s"), s.size()), s);
 }
 
 /// XOR-fold of per-tuple fingerprints over one relation's content.
@@ -73,9 +53,7 @@ uint64_t FingerprintAdomBase(const UnionQuery& ucq, const Database& db,
     std::set<Value> cc_consts = cc.query().Constants();
     base.insert(cc_consts.begin(), cc_consts.end());
   }
-  uint64_t h = kFnvOffset;
-  h = FnvBytes(h, "rcdp-adom/1", 11);
-  h = FnvU64(h, base.size());
+  uint64_t h = Fnv1aU64(Fnv1a(kFingerprintBasis, "rcdp-adom/1"), base.size());
   for (const Value& v : base) h = FnvValue(h, v);
   return h;
 }
@@ -112,17 +90,14 @@ bool Intersects(const std::vector<std::string>& sorted_names,
 
 /// --- relcomp-cert/1 text codec --------------------------------------
 
-void PutStr(std::string* out, std::string_view s) {
-  out->append(StrCat(s.size(), ":"));
-  out->append(s.data(), s.size());
-}
+constexpr char kCertMagic[] = "relcomp-cert/1";
 
 void PutValue(std::string* out, const Value& v) {
   if (v.is_int()) {
     out->append(StrCat("i", v.AsInt()));
   } else {
     out->push_back('s');
-    PutStr(out, v.AsString());
+    AppendSized(v.AsString(), out);
   }
 }
 
@@ -134,110 +109,44 @@ void PutTuple(std::string* out, const Tuple& t) {
   }
 }
 
-/// Cursor over untrusted certificate text: every read is bounds- and
-/// format-checked, so a corrupted or adversarial store entry yields
-/// kInvalidArgument instead of UB.
-class CertReader {
- public:
-  explicit CertReader(std::string_view text) : text_(text) {}
-
-  Status Expect(char c) {
-    if (pos_ >= text_.size() || text_[pos_] != c) {
-      return Malformed(StrCat("expected '", std::string(1, c), "' at byte ",
-                              pos_));
-    }
-    ++pos_;
-    return Status::OK();
+Result<int64_t> ReadI64(CodecReader* r) {
+  const bool neg = r->Accept("-");
+  RELCOMP_ASSIGN_OR_RETURN(const uint64_t mag, r->U64());
+  if (neg) {
+    if (mag > 9223372036854775808ull) return r->Malformed("int underflows");
+    return static_cast<int64_t>(0ull - mag);
   }
-
-  Result<uint64_t> ReadU64() {
-    if (pos_ >= text_.size() || text_[pos_] < '0' || text_[pos_] > '9') {
-      return Malformed(StrCat("expected a number at byte ", pos_));
-    }
-    uint64_t v = 0;
-    size_t digits = 0;
-    while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
-      if (++digits > 20) return Malformed("number too long");
-      uint64_t d = static_cast<uint64_t>(text_[pos_] - '0');
-      if (v > (UINT64_MAX - d) / 10) return Malformed("number overflows");
-      v = v * 10 + d;
-      ++pos_;
-    }
-    return v;
+  if (mag > static_cast<uint64_t>(INT64_MAX)) {
+    return r->Malformed("int overflows");
   }
+  return static_cast<int64_t>(mag);
+}
 
-  Result<int64_t> ReadI64() {
-    bool neg = pos_ < text_.size() && text_[pos_] == '-';
-    if (neg) ++pos_;
-    RELCOMP_ASSIGN_OR_RETURN(uint64_t mag, ReadU64());
-    if (neg) {
-      if (mag > 9223372036854775808ull) return Malformed("int underflows");
-      return static_cast<int64_t>(0ull - mag);
-    }
-    if (mag > static_cast<uint64_t>(INT64_MAX)) {
-      return Malformed("int overflows");
-    }
-    return static_cast<int64_t>(mag);
+Result<Value> ReadValue(CodecReader* r) {
+  RELCOMP_ASSIGN_OR_RETURN(const char tag, r->Char());
+  if (tag == 'i') {
+    RELCOMP_ASSIGN_OR_RETURN(const int64_t v, ReadI64(r));
+    return Value::Int(v);
   }
-
-  Result<std::string_view> ReadStr() {
-    RELCOMP_ASSIGN_OR_RETURN(uint64_t len, ReadU64());
-    RELCOMP_RETURN_NOT_OK(Expect(':'));
-    if (len > text_.size() - pos_) {
-      return Malformed(StrCat("string length ", len, " runs past the end"));
-    }
-    std::string_view s = text_.substr(pos_, len);
-    pos_ += len;
-    return s;
+  if (tag == 's') {
+    RELCOMP_ASSIGN_OR_RETURN(const std::string_view s, r->Sized());
+    return Value::Str(s);
   }
+  return r->Malformed("unknown value tag");
+}
 
-  Result<Value> ReadValue() {
-    if (pos_ >= text_.size()) return Malformed("truncated value");
-    char tag = text_[pos_++];
-    if (tag == 'i') {
-      RELCOMP_ASSIGN_OR_RETURN(int64_t v, ReadI64());
-      return Value::Int(v);
-    }
-    if (tag == 's') {
-      RELCOMP_ASSIGN_OR_RETURN(std::string_view s, ReadStr());
-      return Value::Str(s);
-    }
-    return Malformed(StrCat("unknown value tag at byte ", pos_ - 1));
+Result<Tuple> ReadTuple(CodecReader* r) {
+  RELCOMP_ASSIGN_OR_RETURN(const uint64_t arity, r->U64());
+  if (arity > 4096) return r->Malformed("tuple arity implausibly large");
+  std::vector<Value> vals;
+  vals.reserve(arity);
+  for (uint64_t i = 0; i < arity; ++i) {
+    RELCOMP_RETURN_NOT_OK(r->Expect(" "));
+    RELCOMP_ASSIGN_OR_RETURN(Value v, ReadValue(r));
+    vals.push_back(std::move(v));
   }
-
-  Result<Tuple> ReadTuple() {
-    RELCOMP_ASSIGN_OR_RETURN(uint64_t arity, ReadU64());
-    if (arity > 4096) return Malformed("tuple arity implausibly large");
-    std::vector<Value> vals;
-    vals.reserve(arity);
-    for (uint64_t i = 0; i < arity; ++i) {
-      RELCOMP_RETURN_NOT_OK(Expect(' '));
-      RELCOMP_ASSIGN_OR_RETURN(Value v, ReadValue());
-      vals.push_back(std::move(v));
-    }
-    return Tuple(std::move(vals));
-  }
-
-  Result<char> ReadChar() {
-    if (pos_ >= text_.size()) return Malformed("truncated");
-    return text_[pos_++];
-  }
-
-  Status ExpectEnd() {
-    if (pos_ != text_.size()) {
-      return Malformed(StrCat("trailing bytes at ", pos_));
-    }
-    return Status::OK();
-  }
-
-  static Status Malformed(std::string_view why) {
-    return Status::InvalidArgument(StrCat("malformed certificate: ", why));
-  }
-
- private:
-  std::string_view text_;
-  size_t pos_ = 0;
-};
+  return Tuple(std::move(vals));
+}
 
 char VerdictCode(Verdict v) {
   switch (v) {
@@ -325,10 +234,9 @@ Result<RcdpResult> ServeIncomplete(const RcdpCertificate& cert,
 /// --- Fingerprints ---------------------------------------------------
 
 uint64_t FingerprintTuple(std::string_view relation, const Tuple& tuple) {
-  uint64_t h = kFnvOffset;
-  h = FnvU64(h, relation.size());
-  h = FnvBytes(h, relation.data(), relation.size());
-  h = FnvU64(h, tuple.arity());
+  uint64_t h = Fnv1aU64(
+      Fnv1a(Fnv1aU64(kFingerprintBasis, relation.size()), relation),
+      tuple.arity());
   for (size_t i = 0; i < tuple.arity(); ++i) h = FnvValue(h, tuple[i]);
   return h;
 }
@@ -421,7 +329,7 @@ std::string RcdpDependencyGraph::ToString() const {
 /// --- Certificates ---------------------------------------------------
 
 std::string RcdpCertificate::Serialize() const {
-  std::string out = StrCat("relcomp-cert/1 ", instance_fp, " ", adom_fp, " ",
+  std::string out = StrCat(kCertMagic, " ", instance_fp, " ", adom_fp, " ",
                            answer_fp, " ", options_fp, " ", num_disjuncts,
                            " ", std::string(1, VerdictCode(verdict)));
   if (verdict == Verdict::kIncomplete) {
@@ -436,90 +344,76 @@ std::string RcdpCertificate::Serialize() const {
     out += StrCat(" ", cex_delta.size());
     for (const auto& [relation, tuple] : cex_delta) {
       out.push_back(' ');
-      PutStr(&out, relation);
+      AppendSized(relation, &out);
       out.push_back(' ');
       PutTuple(&out, tuple);
     }
   } else if (verdict == Verdict::kUnknown && checkpoint.has_value()) {
     out.push_back(' ');
-    PutStr(&out, checkpoint->Serialize());
+    AppendSized(checkpoint->Serialize(), &out);
   }
   return out;
 }
 
 Result<RcdpCertificate> RcdpCertificate::Deserialize(std::string_view text) {
-  constexpr std::string_view kMagic = "relcomp-cert/1 ";
-  if (text.substr(0, kMagic.size()) != kMagic) {
-    return CertReader::Malformed("bad magic");
-  }
-  CertReader r(text.substr(kMagic.size()));
+  CodecReader r(kCertMagic, text);
   RcdpCertificate cert;
-  RELCOMP_ASSIGN_OR_RETURN(cert.instance_fp, r.ReadU64());
-  RELCOMP_RETURN_NOT_OK(r.Expect(' '));
-  RELCOMP_ASSIGN_OR_RETURN(cert.adom_fp, r.ReadU64());
-  RELCOMP_RETURN_NOT_OK(r.Expect(' '));
-  RELCOMP_ASSIGN_OR_RETURN(cert.answer_fp, r.ReadU64());
-  RELCOMP_RETURN_NOT_OK(r.Expect(' '));
-  RELCOMP_ASSIGN_OR_RETURN(cert.options_fp, r.ReadU64());
-  RELCOMP_RETURN_NOT_OK(r.Expect(' '));
-  RELCOMP_ASSIGN_OR_RETURN(uint64_t n, r.ReadU64());
-  if (n > 1u << 20) return CertReader::Malformed("disjunct count too large");
+  RELCOMP_RETURN_NOT_OK(r.Magic(kCertMagic));
+  for (uint64_t* fp : {&cert.instance_fp, &cert.adom_fp, &cert.answer_fp,
+                       &cert.options_fp}) {
+    RELCOMP_ASSIGN_OR_RETURN(*fp, r.U64());
+    RELCOMP_RETURN_NOT_OK(r.Expect(" "));
+  }
+  RELCOMP_ASSIGN_OR_RETURN(const uint64_t n, r.U64());
+  if (n > 1u << 20) return r.Malformed("disjunct count too large");
   cert.num_disjuncts = n;
-  RELCOMP_RETURN_NOT_OK(r.Expect(' '));
-  RELCOMP_ASSIGN_OR_RETURN(char code, r.ReadChar());
+  RELCOMP_RETURN_NOT_OK(r.Expect(" "));
+  RELCOMP_ASSIGN_OR_RETURN(const char code, r.Char());
   switch (code) {
     case 'C': {
       cert.verdict = Verdict::kComplete;
-      RELCOMP_RETURN_NOT_OK(r.ExpectEnd());
+      RELCOMP_RETURN_NOT_OK(r.End());
       return cert;
     }
     case 'I': {
       cert.verdict = Verdict::kIncomplete;
-      RELCOMP_RETURN_NOT_OK(r.Expect(' '));
-      RELCOMP_ASSIGN_OR_RETURN(uint64_t cex, r.ReadU64());
-      if (cex >= n) {
-        return CertReader::Malformed(
-            "counterexample disjunct out of range");
-      }
+      RELCOMP_RETURN_NOT_OK(r.Expect(" "));
+      RELCOMP_ASSIGN_OR_RETURN(const uint64_t cex, r.U64());
+      if (cex >= n) return r.Malformed("counterexample disjunct out of range");
       cert.cex_disjunct = cex;
-      RELCOMP_RETURN_NOT_OK(r.Expect(' '));
-      RELCOMP_ASSIGN_OR_RETURN(char answer_tag, r.ReadChar());
-      if (answer_tag == 'A') {
-        RELCOMP_RETURN_NOT_OK(r.Expect(' '));
-        RELCOMP_ASSIGN_OR_RETURN(Tuple answer, r.ReadTuple());
+      RELCOMP_RETURN_NOT_OK(r.Expect(" "));
+      if (r.Accept("A ")) {
+        RELCOMP_ASSIGN_OR_RETURN(Tuple answer, ReadTuple(&r));
         cert.cex_answer = std::move(answer);
-      } else if (answer_tag != '-') {
-        return CertReader::Malformed("bad answer tag");
+      } else if (!r.Accept("-")) {
+        return r.Malformed("bad answer tag");
       }
-      RELCOMP_RETURN_NOT_OK(r.Expect(' '));
-      RELCOMP_ASSIGN_OR_RETURN(uint64_t count, r.ReadU64());
-      if (count > 1u << 20) {
-        return CertReader::Malformed("delta size implausibly large");
-      }
+      RELCOMP_RETURN_NOT_OK(r.Expect(" "));
+      RELCOMP_ASSIGN_OR_RETURN(const uint64_t count, r.U64());
+      if (count > 1u << 20) return r.Malformed("delta size implausibly large");
       cert.cex_delta.reserve(count);
       for (uint64_t i = 0; i < count; ++i) {
-        RELCOMP_RETURN_NOT_OK(r.Expect(' '));
-        RELCOMP_ASSIGN_OR_RETURN(std::string_view relation, r.ReadStr());
-        RELCOMP_RETURN_NOT_OK(r.Expect(' '));
-        RELCOMP_ASSIGN_OR_RETURN(Tuple tuple, r.ReadTuple());
-        cert.cex_delta.emplace_back(std::string(relation),
-                                    std::move(tuple));
+        RELCOMP_RETURN_NOT_OK(r.Expect(" "));
+        RELCOMP_ASSIGN_OR_RETURN(const std::string_view relation, r.Sized());
+        RELCOMP_RETURN_NOT_OK(r.Expect(" "));
+        RELCOMP_ASSIGN_OR_RETURN(Tuple tuple, ReadTuple(&r));
+        cert.cex_delta.emplace_back(std::string(relation), std::move(tuple));
       }
-      RELCOMP_RETURN_NOT_OK(r.ExpectEnd());
+      RELCOMP_RETURN_NOT_OK(r.End());
       return cert;
     }
     case 'U': {
       cert.verdict = Verdict::kUnknown;
-      RELCOMP_RETURN_NOT_OK(r.Expect(' '));
-      RELCOMP_ASSIGN_OR_RETURN(std::string_view serialized, r.ReadStr());
+      RELCOMP_RETURN_NOT_OK(r.Expect(" "));
+      RELCOMP_ASSIGN_OR_RETURN(const std::string_view serialized, r.Sized());
       RELCOMP_ASSIGN_OR_RETURN(SearchCheckpoint ckpt,
                                SearchCheckpoint::Deserialize(serialized));
       cert.checkpoint = std::move(ckpt);
-      RELCOMP_RETURN_NOT_OK(r.ExpectEnd());
+      RELCOMP_RETURN_NOT_OK(r.End());
       return cert;
     }
     default:
-      return CertReader::Malformed("unknown verdict code");
+      return r.Malformed("unknown verdict code");
   }
 }
 

@@ -1,7 +1,6 @@
 #include "completeness/rcqp.h"
 
 #include <algorithm>
-#include <charconv>
 #include <functional>
 #include <map>
 #include <set>
@@ -11,6 +10,7 @@
 #include "completeness/valuation_search.h"
 #include "constraints/constraint_check.h"
 #include "tableau/tableau.h"
+#include "util/codec.h"
 #include "util/str.h"
 
 namespace relcomp {
@@ -545,21 +545,11 @@ Result<RcqpResult> DecideRcqp(const AnyQuery& query,
         return Status::InvalidArgument(
             "rcqp-ind checkpoint tableau index out of range");
       }
-      std::string_view payload = resume->payload;
-      while (!payload.empty()) {
-        const size_t comma = payload.find(',');
-        const std::string_view field = payload.substr(0, comma);
-        size_t idx = 0;
-        auto [ptr, ec] =
-            std::from_chars(field.data(), field.data() + field.size(), idx);
-        if (ec != std::errc() || ptr != field.data() + field.size()) {
-          return Status::InvalidArgument(
-              "malformed rcqp-ind checkpoint payload");
-        }
+      CodecReader payload("rcqp-ind checkpoint payload", resume->payload);
+      while (!payload.at_end()) {
+        RELCOMP_ASSIGN_OR_RETURN(const uint64_t idx, payload.U64());
         realized.insert(idx);
-        payload = comma == std::string_view::npos
-                      ? std::string_view()
-                      : payload.substr(comma + 1);
+        if (!payload.at_end()) RELCOMP_RETURN_NOT_OK(payload.Expect(","));
       }
     }
     bool all_ok = true;

@@ -2,66 +2,16 @@
 
 #include <algorithm>
 
+#include "util/codec.h"
 #include "util/str.h"
 
 namespace relcomp {
 namespace {
-
 constexpr char kRingMagic[] = "relcomp-fabric/1";
-
-/// Splits the next space-delimited field off `*text`.
-bool TakeField(std::string_view* text, std::string_view* field) {
-  size_t sp = text->find(' ');
-  if (sp == std::string_view::npos) return false;
-  *field = text->substr(0, sp);
-  text->remove_prefix(sp + 1);
-  return true;
-}
-
-bool ParseU64(std::string_view field, uint64_t* out) {
-  if (field.empty() || field.size() > 20) return false;
-  uint64_t v = 0;
-  for (char c : field) {
-    if (c < '0' || c > '9') return false;
-    if (v > (UINT64_MAX - static_cast<uint64_t>(c - '0')) / 10) return false;
-    v = v * 10 + static_cast<uint64_t>(c - '0');
-  }
-  *out = v;
-  return true;
-}
-
-/// Consumes a "<len>:<bytes>" segment; the declared length is checked
-/// against what is actually present.
-bool TakeSized(std::string_view* text, std::string_view* out) {
-  size_t colon = text->find(':');
-  if (colon == std::string_view::npos) return false;
-  uint64_t len = 0;
-  if (!ParseU64(text->substr(0, colon), &len)) return false;
-  if (len > FabricRing::kMaxEndpointLength) return false;
-  text->remove_prefix(colon + 1);
-  if (text->size() < len) return false;
-  *out = text->substr(0, static_cast<size_t>(len));
-  text->remove_prefix(static_cast<size_t>(len));
-  return true;
-}
-
-Status Malformed(std::string_view why) {
-  return Status::InvalidArgument(
-      StrCat("malformed relcomp-fabric/1 ring (", why, ")"));
-}
-
 }  // namespace
 
 uint64_t FabricRing::Hash(uint64_t seed, std::string_view data) {
-  uint64_t h = 0xcbf29ce484222325ull;
-  for (int shift = 0; shift < 64; shift += 8) {
-    h ^= (seed >> shift) & 0xFF;
-    h *= 0x100000001b3ull;
-  }
-  for (unsigned char c : data) {
-    h ^= c;
-    h *= 0x100000001b3ull;
-  }
+  uint64_t h = Fnv1a(Fnv1aU64(kFnvOffsetBasis, seed), data);
   // FNV-1a alone avalanches poorly into the high bits, and the ring
   // partitions by exactly those bits — structured keys ("relcheck-
   // <fp>-q<i>") would clump onto a few arcs. A murmur3-style finalizer
@@ -131,46 +81,38 @@ std::string FabricRing::Serialize() const {
   std::string out =
       StrCat(kRingMagic, " epoch ", epoch, " seed ", seed, " vnodes ",
              vnodes, " shards ", endpoints.size(), " ");
-  for (const std::string& endpoint : endpoints) {
-    out += StrCat(endpoint.size(), ":", endpoint);
-  }
+  for (const std::string& endpoint : endpoints) AppendSized(endpoint, &out);
   return out;
 }
 
 Result<FabricRing> FabricRing::Deserialize(std::string_view text) {
-  std::string_view magic, label, field;
-  if (!TakeField(&text, &magic) || magic != kRingMagic) {
-    return Malformed("bad magic");
-  }
+  CodecReader r(kRingMagic, text);
   FabricRing ring;
-  if (!TakeField(&text, &label) || label != "epoch" ||
-      !TakeField(&text, &field) || !ParseU64(field, &ring.epoch)) {
-    return Malformed("bad epoch");
-  }
-  if (!TakeField(&text, &label) || label != "seed" ||
-      !TakeField(&text, &field) || !ParseU64(field, &ring.seed)) {
-    return Malformed("bad seed");
-  }
   uint64_t vnodes = 0;
-  if (!TakeField(&text, &label) || label != "vnodes" ||
-      !TakeField(&text, &field) || !ParseU64(field, &vnodes) ||
-      vnodes == 0 || vnodes > kMaxVnodes) {
-    return Malformed("bad vnodes");
+  uint64_t shards = 0;
+  RELCOMP_RETURN_NOT_OK(r.Magic(kRingMagic));
+  const std::pair<const char*, uint64_t*> header[] = {
+      {"epoch ", &ring.epoch},
+      {"seed ", &ring.seed},
+      {"vnodes ", &vnodes},
+      {"shards ", &shards}};
+  for (const auto& [label, value] : header) {
+    RELCOMP_RETURN_NOT_OK(r.Expect(label));
+    RELCOMP_ASSIGN_OR_RETURN(*value, r.U64());
+    RELCOMP_RETURN_NOT_OK(r.Expect(" "));
+  }
+  if (vnodes == 0 || vnodes > kMaxVnodes) return r.Malformed("bad vnodes");
+  if (shards == 0 || shards > kMaxShards) {
+    return r.Malformed("bad shard count");
   }
   ring.vnodes = static_cast<uint32_t>(vnodes);
-  uint64_t shards = 0;
-  if (!TakeField(&text, &label) || label != "shards" ||
-      !TakeField(&text, &field) || !ParseU64(field, &shards) ||
-      shards == 0 || shards > kMaxShards) {
-    return Malformed("bad shard count");
-  }
   ring.endpoints.reserve(static_cast<size_t>(shards));
   for (uint64_t s = 0; s < shards; ++s) {
-    std::string_view endpoint;
-    if (!TakeSized(&text, &endpoint)) return Malformed("bad endpoint segment");
+    RELCOMP_ASSIGN_OR_RETURN(const std::string_view endpoint,
+                             r.Sized(kMaxEndpointLength));
     ring.endpoints.emplace_back(endpoint);
   }
-  if (!text.empty()) return Malformed("trailing bytes");
+  RELCOMP_RETURN_NOT_OK(r.End());
   return ring;
 }
 

@@ -67,50 +67,31 @@ void NetClient::RotateEndpoint() {
 Status NetClient::EnsureConnected() {
   if (fd_ >= 0) return Status::OK();
   const std::string& address = endpoints_[active_];
-  int fd = -1;
-  if (address.rfind("unix:", 0) == 0) {
-    std::string path = address.substr(5);
-    if (path.empty() || path.size() >= sizeof(sockaddr_un{}.sun_path)) {
-      return Status::InvalidArgument(StrCat("bad unix address: ", address));
-    }
-    fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (fd < 0) return Transport("socket(unix)");
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-    if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-      Status st = Transport(StrCat("connect ", address));
-      ::close(fd);
-      return st;
-    }
-  } else if (address.rfind("tcp:", 0) == 0) {
-    std::string rest = address.substr(4);
-    size_t colon = rest.rfind(':');
-    if (colon == std::string::npos) {
-      return Status::InvalidArgument(StrCat("bad tcp address: ", address));
-    }
-    std::string ip = rest.substr(0, colon);
-    int port = std::atoi(rest.c_str() + colon + 1);
-    if (port <= 0 || port > 65535) {
-      return Status::InvalidArgument(StrCat("bad tcp port in: ", address));
-    }
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(static_cast<uint16_t>(port));
-    if (::inet_pton(AF_INET, ip.c_str(), &addr.sin_addr) != 1) {
-      return Status::InvalidArgument(
-          StrCat("tcp host must be an IPv4 literal: ", ip));
-    }
-    fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0) return Transport("socket(tcp)");
-    if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-      Status st = Transport(StrCat("connect ", address));
-      ::close(fd);
-      return st;
-    }
+  RELCOMP_ASSIGN_OR_RETURN(const NetAddress parsed, ParseNetAddress(address));
+  sockaddr_storage addr{};
+  socklen_t addr_len;
+  if (parsed.is_unix) {
+    auto* un = reinterpret_cast<sockaddr_un*>(&addr);
+    un->sun_family = AF_UNIX;
+    std::memcpy(un->sun_path, parsed.path.c_str(), parsed.path.size() + 1);
+    addr_len = sizeof(sockaddr_un);
   } else {
-    return Status::InvalidArgument(
-        StrCat("address must start with unix: or tcp:, got ", address));
+    if (parsed.port == 0) {
+      return Status::InvalidArgument(
+          StrCat("tcp port 0 names no listener: ", address));
+    }
+    auto* in = reinterpret_cast<sockaddr_in*>(&addr);
+    in->sin_family = AF_INET;
+    in->sin_port = htons(parsed.port);
+    ::inet_pton(AF_INET, parsed.ip.c_str(), &in->sin_addr);
+    addr_len = sizeof(sockaddr_in);
+  }
+  const int fd = ::socket(addr.ss_family, SOCK_STREAM, 0);
+  if (fd < 0) return Transport("socket");
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), addr_len) != 0) {
+    Status st = Transport(StrCat("connect ", address));
+    ::close(fd);
+    return st;
   }
   fd_ = fd;
   ++stats_.connects;
@@ -147,9 +128,7 @@ Status NetClient::SendAll(std::string_view data) {
 Result<std::string> NetClient::ReadFrame() {
   const Clock::time_point deadline = Clock::now() + options_.io_timeout;
   FrameDecoder decoder;
-  // Replies may arrive v2 (a keyed server tags them); with a key set,
-  // every reply must prove itself.
-  decoder.set_accept_v2(true);
+  // With a key set, every reply must prove itself.
   if (!options_.auth_key.empty()) {
     decoder.set_auth_key(options_.auth_key);
     decoder.set_auth_key2(options_.auth_key2);

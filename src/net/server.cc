@@ -13,6 +13,7 @@
 #include <cstring>
 
 #include "fabric/ring.h"
+#include "util/codec.h"
 #include "util/str.h"
 
 namespace relcomp {
@@ -30,60 +31,6 @@ Status SetNonBlocking(int fd) {
     return ErrnoStatus("fcntl O_NONBLOCK");
   }
   return Status::OK();
-}
-
-/// "unix:<path>" or "tcp:<ipv4>:<port>".
-struct ParsedAddress {
-  bool is_unix = false;
-  std::string path;
-  std::string ip;
-  uint16_t port = 0;
-};
-
-Result<ParsedAddress> ParseAddress(const std::string& address) {
-  ParsedAddress out;
-  if (address.rfind("unix:", 0) == 0) {
-    out.is_unix = true;
-    out.path = address.substr(5);
-    if (out.path.empty()) {
-      return Status::InvalidArgument("unix address has an empty path");
-    }
-    if (out.path.size() >= sizeof(sockaddr_un{}.sun_path)) {
-      return Status::InvalidArgument(
-          StrCat("unix socket path too long (", out.path.size(), " bytes): ",
-                 out.path));
-    }
-    return out;
-  }
-  if (address.rfind("tcp:", 0) == 0) {
-    std::string rest = address.substr(4);
-    size_t colon = rest.rfind(':');
-    if (colon == std::string::npos) {
-      return Status::InvalidArgument(
-          StrCat("tcp address needs <ipv4>:<port>: ", address));
-    }
-    out.ip = rest.substr(0, colon);
-    std::string port = rest.substr(colon + 1);
-    unsigned long value = 0;
-    for (char c : port) {
-      if (c < '0' || c > '9' || value > 65535) {
-        return Status::InvalidArgument(StrCat("bad tcp port: ", port));
-      }
-      value = value * 10 + static_cast<unsigned long>(c - '0');
-    }
-    if (value > 65535 || port.empty()) {
-      return Status::InvalidArgument(StrCat("bad tcp port: ", port));
-    }
-    out.port = static_cast<uint16_t>(value);
-    struct in_addr probe;
-    if (::inet_pton(AF_INET, out.ip.c_str(), &probe) != 1) {
-      return Status::InvalidArgument(
-          StrCat("tcp host must be an IPv4 literal: ", out.ip));
-    }
-    return out;
-  }
-  return Status::InvalidArgument(
-      StrCat("address must start with unix: or tcp:, got ", address));
 }
 
 }  // namespace
@@ -108,11 +55,8 @@ struct NetServer::Conn {
   Conn(size_t max_payload, const std::string& auth_key,
        const std::string& auth_key2)
       : decoder(max_payload) {
-    // Servers always understand v2 frames; what the DEFAULT decoder
-    // rejects as version skew, a live endpoint negotiates. The auth
-    // key (when set) makes every inbound frame prove itself; the
-    // secondary key widens acceptance during a rotation window.
-    decoder.set_accept_v2(true);
+    // The auth key (when set) makes every inbound frame prove itself;
+    // the secondary key widens acceptance during a rotation window.
     if (!auth_key.empty()) {
       decoder.set_auth_key(auth_key);
       decoder.set_auth_key2(auth_key2);
@@ -131,7 +75,7 @@ Result<std::unique_ptr<NetServer>> NetServer::Start(
   if (service == nullptr) {
     return Status::InvalidArgument("NetServer needs a DecisionService");
   }
-  RELCOMP_ASSIGN_OR_RETURN(ParsedAddress parsed, ParseAddress(address));
+  RELCOMP_ASSIGN_OR_RETURN(NetAddress parsed, ParseNetAddress(address));
 
   std::unique_ptr<NetServer> server(new NetServer(service, options));
   int fd = -1;
@@ -533,32 +477,24 @@ WireReply NetServer::HandleFabricOp(const WireRequest& request) {
     return reply;
   }
   // The key carries the shard number in decimal.
-  size_t shard = 0;
-  bool valid = !request.key.empty() && request.key.size() <= 6;
-  for (char c : request.key) {
-    if (c < '0' || c > '9') {
-      valid = false;
-      break;
-    }
-    shard = shard * 10 + static_cast<size_t>(c - '0');
-  }
-  if (!valid) {
-    reply.code = StatusCode::kInvalidArgument;
-    reply.message =
-        StrCat("fabric op wants a decimal shard number, got \"",
-               request.key, "\"");
+  CodecReader key("fabric op shard number", request.key);
+  Result<uint64_t> shard = key.U64();
+  Status valid = shard.ok() ? key.End() : shard.status();
+  if (!valid.ok()) {
+    reply.code = valid.code();
+    reply.message = valid.message();
     return reply;
   }
   // Deliberately synchronous on the loop thread: store replay (adopt)
   // or quiesce-flush-journal (handoff) pauses this member's serving,
   // but fabric operations are rare, operator-paced, and bounded by the
   // caller's deadline.
-  Status done = is_adopt ? options_.adopt(shard)
-                         : options_.handoff(shard, request.job);
+  Status done = is_adopt ? options_.adopt(*shard)
+                         : options_.handoff(*shard, request.job);
   reply.code = done.code();
   reply.message = done.ok()
                       ? StrCat(WireOpToString(request.op), " of shard ",
-                               shard, " complete")
+                               *shard, " complete")
                       : done.message();
   if (reply.code == StatusCode::kUnavailable) {
     reply.retry_after_ms = options_.retry_after_ms;

@@ -1,130 +1,31 @@
 #include "net/wire.h"
 
+#include <arpa/inet.h>
+#include <sys/un.h>
+
+#include <algorithm>
 #include <cstring>
 
-#include "service/checkpoint_store.h"
 #include "util/blake2s.h"
+#include "util/codec.h"
 #include "util/str.h"
 
 namespace relcomp {
 namespace {
 
-uint32_t Crc32(std::string_view data) { return CheckpointStore::Crc32(data); }
-
-void PutU32Le(uint32_t v, std::string* out) {
-  out->push_back(static_cast<char>(v & 0xFF));
-  out->push_back(static_cast<char>((v >> 8) & 0xFF));
-  out->push_back(static_cast<char>((v >> 16) & 0xFF));
-  out->push_back(static_cast<char>((v >> 24) & 0xFF));
-}
-
-uint32_t GetU32Le(const char* p) {
-  return static_cast<uint32_t>(static_cast<unsigned char>(p[0])) |
-         static_cast<uint32_t>(static_cast<unsigned char>(p[1])) << 8 |
-         static_cast<uint32_t>(static_cast<unsigned char>(p[2])) << 16 |
-         static_cast<uint32_t>(static_cast<unsigned char>(p[3])) << 24;
-}
-
-/// Splits the next space-delimited field off `*text`.
-bool TakeField(std::string_view* text, std::string_view* field) {
-  size_t sp = text->find(' ');
-  if (sp == std::string_view::npos) return false;
-  *field = text->substr(0, sp);
-  text->remove_prefix(sp + 1);
-  return true;
-}
-
-bool ParseU64(std::string_view field, uint64_t* out) {
-  if (field.empty() || field.size() > 20) return false;
-  uint64_t v = 0;
-  for (char c : field) {
-    if (c < '0' || c > '9') return false;
-    if (v > (UINT64_MAX - static_cast<uint64_t>(c - '0')) / 10) return false;
-    v = v * 10 + static_cast<uint64_t>(c - '0');
-  }
-  *out = v;
-  return true;
-}
-
-/// Consumes a "<len>:<bytes>" segment from `*text`. The declared
-/// length is checked against what is actually present, so a lying
-/// prefix (oversized or undersized) is a typed error, never a read
-/// past the buffer.
-bool TakeSized(std::string_view* text, std::string_view* out) {
-  size_t colon = text->find(':');
-  if (colon == std::string_view::npos) return false;
-  uint64_t len = 0;
-  if (!ParseU64(text->substr(0, colon), &len)) return false;
-  text->remove_prefix(colon + 1);
-  if (text->size() < len) return false;
-  *out = text->substr(0, static_cast<size_t>(len));
-  text->remove_prefix(static_cast<size_t>(len));
-  return true;
-}
-
-Status Malformed(std::string_view what, std::string_view why) {
-  return Status::InvalidArgument(
-      StrCat("malformed ", what, " (", why, ")"));
-}
-
-/// Wire-stable status-code tokens. Distinct from StatusCodeToString so
-/// a rename of the human-readable form can never skew the protocol.
-struct CodeToken {
-  StatusCode code;
-  const char* token;
-};
-constexpr CodeToken kCodeTokens[] = {
-    {StatusCode::kOk, "ok"},
-    {StatusCode::kInvalidArgument, "invalid_argument"},
-    {StatusCode::kNotFound, "not_found"},
-    {StatusCode::kResourceExhausted, "resource_exhausted"},
-    {StatusCode::kUnsupported, "unsupported"},
-    {StatusCode::kCancelled, "cancelled"},
-    {StatusCode::kFailedPrecondition, "failed_precondition"},
-    {StatusCode::kInternal, "internal"},
-    {StatusCode::kUnavailable, "unavailable"},
-    {StatusCode::kDeadlineExceeded, "deadline_exceeded"},
-    {StatusCode::kPermissionDenied, "permission_denied"},
-};
-
-const char* CodeToToken(StatusCode code) {
-  for (const CodeToken& entry : kCodeTokens) {
-    if (entry.code == code) return entry.token;
-  }
-  return "internal";
-}
-
-bool TokenToCode(std::string_view token, StatusCode* out) {
-  for (const CodeToken& entry : kCodeTokens) {
-    if (token == entry.token) {
-      *out = entry.code;
-      return true;
-    }
-  }
-  return false;
-}
-
+/// Wire-stable tokens, indexed by enum value. The status-code tokens
+/// are distinct from StatusCodeToString so a rename of the
+/// human-readable form can never skew the protocol.
+constexpr const char* kOpTokens[] = {"submit", "poll",  "cancel",  "status",
+                                     "ring",   "adopt", "handoff", "health"};
+constexpr const char* kCodeTokens[] = {
+    "ok",        "invalid_argument",    "not_found", "resource_exhausted",
+    "unsupported", "cancelled",         "failed_precondition",
+    "internal",  "unavailable",         "deadline_exceeded",
+    "permission_denied"};
 constexpr const char* kVerdictTokens[] = {"complete", "incomplete",
                                           "unknown"};
-
-bool TokenToVerdict(std::string_view token, Verdict* out) {
-  if (token == "complete") *out = Verdict::kComplete;
-  else if (token == "incomplete") *out = Verdict::kIncomplete;
-  else if (token == "unknown") *out = Verdict::kUnknown;
-  else return false;
-  return true;
-}
-
 constexpr const char* kStateTokens[] = {"none", "queued", "running", "done"};
-
-bool TokenToState(std::string_view token, WireJobState* out) {
-  if (token == "none") *out = WireJobState::kNone;
-  else if (token == "queued") *out = WireJobState::kQueued;
-  else if (token == "running") *out = WireJobState::kRunning;
-  else if (token == "done") *out = WireJobState::kDone;
-  else return false;
-  return true;
-}
 
 }  // namespace
 
@@ -163,87 +64,69 @@ std::string EncodeFrameV2(std::string_view payload,
 }
 
 Result<bool> FrameDecoder::Next(std::string* payload) {
+  auto poison = [this](Status status) -> Result<bool> {
+    poisoned_ = true;
+    return status;
+  };
   if (poisoned_) {
     return Status::InvalidArgument(
         "frame stream is poisoned by an earlier defect; close the "
         "connection");
   }
   if (buffer_.size() < kFrameHeaderSize) return false;
+  // Header: a v1 frame declares one length; a v2 frame declares its raw
+  // and body lengths separately, and they must agree.
+  size_t header = kFrameHeaderSize;
+  uint32_t raw_len = GetU32Le(buffer_.data() + sizeof(kFrameMagic));
+  uint32_t body_len = raw_len;
+  bool authenticated = false;
   if (std::memcmp(buffer_.data(), kFrameMagic, sizeof(kFrameMagic)) == 0) {
     if (!auth_key_.empty()) {
       // This endpoint requires authentication; a v1 frame can never
       // carry a tag. Typed refusal, not a framing error.
-      poisoned_ = true;
-      return Status::PermissionDenied(
+      return poison(Status::PermissionDenied(
           "unauthenticated relcomp-net/1 frame at an endpoint that "
-          "requires frame authentication");
+          "requires frame authentication"));
     }
-    const uint32_t len = GetU32Le(buffer_.data() + sizeof(kFrameMagic));
-    if (len > max_payload_) {
-      poisoned_ = true;
-      return Status::InvalidArgument(
-          StrCat("frame payload length ", len, " exceeds the cap ",
-                 max_payload_));
+  } else if (std::memcmp(buffer_.data(), kFrameMagicV2,
+                         sizeof(kFrameMagicV2)) == 0) {
+    if (buffer_.size() < kFrameHeaderSizeV2) return false;
+    const uint8_t flags = static_cast<uint8_t>(buffer_[4]);
+    if ((flags & ~kFrameFlagAuthenticated) != 0) {
+      return poison(Status::InvalidArgument(
+          StrCat("unknown relcomp-net/2 frame flags ",
+                 static_cast<unsigned>(flags))));
     }
-    const size_t total = kFrameOverhead + static_cast<size_t>(len);
-    if (buffer_.size() < total) return false;
-    std::string_view body(buffer_.data() + kFrameHeaderSize, len);
-    const uint32_t want = GetU32Le(buffer_.data() + kFrameHeaderSize + len);
-    if (Crc32(body) != want) {
-      poisoned_ = true;
-      return Status::InvalidArgument(
-          "frame crc mismatch (torn, truncated, or bit-flipped payload)");
-    }
-    payload->assign(body);
-    buffer_.erase(0, total);
-    return true;
+    header = kFrameHeaderSizeV2;
+    raw_len = GetU32Le(buffer_.data() + 5);
+    body_len = GetU32Le(buffer_.data() + 9);
+    authenticated = (flags & kFrameFlagAuthenticated) != 0;
+  } else {
+    return poison(Status::InvalidArgument(
+        "bad frame magic (stream desynchronized or version skew)"));
   }
-  if (accept_v2_ &&
-      std::memcmp(buffer_.data(), kFrameMagicV2, sizeof(kFrameMagicV2)) ==
-          0) {
-    return NextV2(payload);
-  }
-  poisoned_ = true;
-  return Status::InvalidArgument(
-      "bad frame magic (stream desynchronized or version skew)");
-}
-
-Result<bool> FrameDecoder::NextV2(std::string* payload) {
-  if (buffer_.size() < kFrameHeaderSizeV2) return false;
-  const uint8_t flags = static_cast<uint8_t>(buffer_[4]);
-  if ((flags & ~kFrameFlagAuthenticated) != 0) {
-    poisoned_ = true;
-    return Status::InvalidArgument(
-        StrCat("unknown relcomp-net/2 frame flags ",
-               static_cast<unsigned>(flags)));
-  }
-  const uint32_t raw_len = GetU32Le(buffer_.data() + 5);
-  const uint32_t body_len = GetU32Le(buffer_.data() + 9);
-  // Both lengths are attacker-controlled: cap them BEFORE sizing any
-  // buffer off them, so a lying length never becomes a huge allocation.
-  if (raw_len > max_payload_ || body_len > max_payload_) {
-    poisoned_ = true;
-    return Status::InvalidArgument(
-        StrCat("frame lengths raw=", raw_len, " body=", body_len,
-               " exceed the cap ", max_payload_));
+  // Every declared length is attacker-controlled: cap it BEFORE sizing
+  // any buffer off it, so a lying length never becomes an allocation.
+  if (std::max(raw_len, body_len) > max_payload_) {
+    return poison(Status::InvalidArgument(
+        StrCat("frame payload length ", std::max(raw_len, body_len),
+               " exceeds the cap ", max_payload_)));
   }
   if (raw_len != body_len) {
-    poisoned_ = true;
-    return Status::InvalidArgument("frame with disagreeing raw/body lengths");
+    return poison(
+        Status::InvalidArgument("frame with disagreeing raw/body lengths"));
   }
-  const bool authenticated = (flags & kFrameFlagAuthenticated) != 0;
   const size_t tag_len = authenticated ? kBlake2sTagLength : 0;
-  const size_t total = kFrameHeaderSizeV2 + static_cast<size_t>(body_len) +
-                       kFrameTrailerSize + tag_len;
+  const size_t total = header + body_len + kFrameTrailerSize + tag_len;
   if (buffer_.size() < total) return false;
-  if (authenticated != !auth_key_.empty()) {
-    poisoned_ = true;
-    return authenticated
-               ? Status::PermissionDenied(
-                     "authenticated frame at an endpoint with no auth key")
-               : Status::PermissionDenied(
-                     "unauthenticated relcomp-net/2 frame at an endpoint "
-                     "that requires frame authentication");
+  if (header == kFrameHeaderSizeV2 && authenticated == auth_key_.empty()) {
+    return poison(
+        authenticated
+            ? Status::PermissionDenied(
+                  "authenticated frame at an endpoint with no auth key")
+            : Status::PermissionDenied(
+                  "unauthenticated relcomp-net/2 frame at an endpoint "
+                  "that requires frame authentication"));
   }
   if (authenticated) {
     const std::string_view covered(buffer_.data(), total - tag_len);
@@ -257,18 +140,14 @@ Result<bool> FrameDecoder::NextV2(std::string* payload) {
         !auth_key2_.empty() &&
         ConstantTimeEqual(Blake2sMac(auth_key2_, covered), got);
     if (!primary_ok && !secondary_ok) {
-      poisoned_ = true;
-      return Status::PermissionDenied(
-          "frame authentication tag mismatch (wrong key or forged frame)");
+      return poison(Status::PermissionDenied(
+          "frame authentication tag mismatch (wrong key or forged frame)"));
     }
   }
-  const std::string_view body(buffer_.data() + kFrameHeaderSizeV2, body_len);
-  const uint32_t want =
-      GetU32Le(buffer_.data() + kFrameHeaderSizeV2 + body_len);
-  if (Crc32(body) != want) {
-    poisoned_ = true;
-    return Status::InvalidArgument(
-        "frame crc mismatch (torn, truncated, or bit-flipped payload)");
+  const std::string_view body(buffer_.data() + header, body_len);
+  if (Crc32(body) != GetU32Le(buffer_.data() + header + body_len)) {
+    return poison(Status::InvalidArgument(
+        "frame crc mismatch (torn, truncated, or bit-flipped payload)"));
   }
   payload->assign(body);
   buffer_.erase(0, total);
@@ -290,17 +169,7 @@ std::string_view HealthReportState(std::string_view report) {
 // --- Message layer ---------------------------------------------------
 
 const char* WireOpToString(WireOp op) {
-  switch (op) {
-    case WireOp::kSubmit: return "submit";
-    case WireOp::kPoll: return "poll";
-    case WireOp::kCancel: return "cancel";
-    case WireOp::kStatus: return "status";
-    case WireOp::kRing: return "ring";
-    case WireOp::kAdopt: return "adopt";
-    case WireOp::kHandoff: return "handoff";
-    case WireOp::kHealth: return "health";
-  }
-  return "?";
+  return kOpTokens[static_cast<size_t>(op)];
 }
 
 const char* WireJobStateToString(WireJobState state) {
@@ -308,44 +177,35 @@ const char* WireJobStateToString(WireJobState state) {
 }
 
 std::string WireRequest::Serialize() const {
-  return StrCat(kMessageMagic, " req ", WireOpToString(op), " ", key.size(),
-                ":", key, job.size(), ":", job);
+  std::string out = StrCat(kMessageMagic, " req ", WireOpToString(op), " ");
+  AppendSized(key, &out);
+  AppendSized(job, &out);
+  return out;
 }
 
 Result<WireRequest> WireRequest::Deserialize(std::string_view text) {
-  auto fail = [](std::string_view why) { return Malformed("request", why); };
-  std::string_view magic, role, op_field;
-  if (!TakeField(&text, &magic) || magic != kMessageMagic) {
-    return fail("bad message magic");
-  }
-  if (!TakeField(&text, &role) || role != "req") return fail("not a request");
-  if (!TakeField(&text, &op_field)) return fail("no op");
+  CodecReader r("relcomp-net/1 request", text);
   WireRequest req;
-  if (op_field == "submit") req.op = WireOp::kSubmit;
-  else if (op_field == "poll") req.op = WireOp::kPoll;
-  else if (op_field == "cancel") req.op = WireOp::kCancel;
-  else if (op_field == "status") req.op = WireOp::kStatus;
-  else if (op_field == "ring") req.op = WireOp::kRing;
-  else if (op_field == "adopt") req.op = WireOp::kAdopt;
-  else if (op_field == "handoff") req.op = WireOp::kHandoff;
-  else if (op_field == "health") req.op = WireOp::kHealth;
-  else return fail("unknown op");
-  std::string_view key, job;
-  if (!TakeSized(&text, &key)) return fail("bad key segment");
-  if (!TakeSized(&text, &job)) return fail("bad job segment");
-  if (!text.empty()) return fail("trailing bytes");
+  RELCOMP_RETURN_NOT_OK(r.Magic(kMessageMagic));
+  RELCOMP_ASSIGN_OR_RETURN(const std::string_view role, r.Field());
+  if (role != "req") return r.Malformed("not a request");
+  RELCOMP_ASSIGN_OR_RETURN(const size_t op, r.Token(kOpTokens));
+  req.op = static_cast<WireOp>(op);
+  RELCOMP_ASSIGN_OR_RETURN(const std::string_view key, r.Sized());
+  RELCOMP_ASSIGN_OR_RETURN(const std::string_view job, r.Sized());
+  RELCOMP_RETURN_NOT_OK(r.End());
   if (req.op == WireOp::kStatus || req.op == WireOp::kRing ||
       req.op == WireOp::kHealth) {
-    if (!key.empty()) return fail("status/ring/health take no key");
+    if (!key.empty()) return r.Malformed("status/ring/health take no key");
   } else if (key.empty()) {
-    return fail("missing idempotency key");
+    return r.Malformed("missing idempotency key");
   }
   if (req.op != WireOp::kSubmit && req.op != WireOp::kHandoff &&
       !job.empty()) {
-    return fail("job payload on a non-submit op");
+    return r.Malformed("job payload on a non-submit op");
   }
   if (req.op == WireOp::kHandoff && job.empty()) {
-    return fail("handoff without a successor endpoint");
+    return r.Malformed("handoff without a successor endpoint");
   }
   req.key = std::string(key);
   req.job = std::string(job);
@@ -353,55 +213,84 @@ Result<WireRequest> WireRequest::Deserialize(std::string_view text) {
 }
 
 std::string WireReply::Serialize() const {
-  return StrCat(kMessageMagic, " rep ", CodeToToken(code), " ",
-                retry_after_ms, " ", WireJobStateToString(state), " ",
-                kVerdictTokens[static_cast<size_t>(verdict)], " ", attempts,
-                " ", persisted, " ", message.size(), ":", message,
-                evidence.size(), ":", evidence, exhaustion.size(), ":",
-                exhaustion);
+  std::string out = StrCat(
+      kMessageMagic, " rep ", kCodeTokens[static_cast<size_t>(code)], " ",
+      retry_after_ms, " ", WireJobStateToString(state), " ",
+      kVerdictTokens[static_cast<size_t>(verdict)], " ", attempts, " ",
+      persisted, " ");
+  AppendSized(message, &out);
+  AppendSized(evidence, &out);
+  AppendSized(exhaustion, &out);
+  return out;
 }
 
 Result<WireReply> WireReply::Deserialize(std::string_view text) {
-  auto fail = [](std::string_view why) { return Malformed("reply", why); };
-  std::string_view magic, role, code_field, retry_field, state_field,
-      verdict_field, attempts_field, persisted_field;
-  if (!TakeField(&text, &magic) || magic != kMessageMagic) {
-    return fail("bad message magic");
-  }
-  if (!TakeField(&text, &role) || role != "rep") return fail("not a reply");
+  CodecReader r("relcomp-net/1 reply", text);
   WireReply rep;
-  if (!TakeField(&text, &code_field) || !TokenToCode(code_field, &rep.code)) {
-    return fail("bad status code");
-  }
-  if (!TakeField(&text, &retry_field) ||
-      !ParseU64(retry_field, &rep.retry_after_ms)) {
-    return fail("bad retry-after");
-  }
-  if (!TakeField(&text, &state_field) ||
-      !TokenToState(state_field, &rep.state)) {
-    return fail("bad job state");
-  }
-  if (!TakeField(&text, &verdict_field) ||
-      !TokenToVerdict(verdict_field, &rep.verdict)) {
-    return fail("bad verdict");
-  }
-  if (!TakeField(&text, &attempts_field) ||
-      !ParseU64(attempts_field, &rep.attempts)) {
-    return fail("bad attempts");
-  }
-  if (!TakeField(&text, &persisted_field) ||
-      !ParseU64(persisted_field, &rep.persisted)) {
-    return fail("bad persisted count");
-  }
-  std::string_view message, evidence, exhaustion;
-  if (!TakeSized(&text, &message)) return fail("bad message segment");
-  if (!TakeSized(&text, &evidence)) return fail("bad evidence segment");
-  if (!TakeSized(&text, &exhaustion)) return fail("bad exhaustion segment");
-  if (!text.empty()) return fail("trailing bytes");
+  RELCOMP_RETURN_NOT_OK(r.Magic(kMessageMagic));
+  RELCOMP_ASSIGN_OR_RETURN(const std::string_view role, r.Field());
+  if (role != "rep") return r.Malformed("not a reply");
+  RELCOMP_ASSIGN_OR_RETURN(const size_t code, r.Token(kCodeTokens));
+  rep.code = static_cast<StatusCode>(code);
+  RELCOMP_ASSIGN_OR_RETURN(rep.retry_after_ms, r.U64());
+  RELCOMP_RETURN_NOT_OK(r.Expect(" "));
+  RELCOMP_ASSIGN_OR_RETURN(const size_t state, r.Token(kStateTokens));
+  rep.state = static_cast<WireJobState>(state);
+  RELCOMP_ASSIGN_OR_RETURN(const size_t verdict, r.Token(kVerdictTokens));
+  rep.verdict = static_cast<Verdict>(verdict);
+  RELCOMP_ASSIGN_OR_RETURN(rep.attempts, r.U64());
+  RELCOMP_RETURN_NOT_OK(r.Expect(" "));
+  RELCOMP_ASSIGN_OR_RETURN(rep.persisted, r.U64());
+  RELCOMP_RETURN_NOT_OK(r.Expect(" "));
+  RELCOMP_ASSIGN_OR_RETURN(const std::string_view message, r.Sized());
+  RELCOMP_ASSIGN_OR_RETURN(const std::string_view evidence, r.Sized());
+  RELCOMP_ASSIGN_OR_RETURN(const std::string_view exhaustion, r.Sized());
+  RELCOMP_RETURN_NOT_OK(r.End());
   rep.message = std::string(message);
   rep.evidence = std::string(evidence);
   rep.exhaustion = std::string(exhaustion);
   return rep;
+}
+
+// --- Endpoint addresses ----------------------------------------------
+
+Result<NetAddress> ParseNetAddress(std::string_view address) {
+  NetAddress out;
+  if (address.substr(0, 5) == "unix:") {
+    out.is_unix = true;
+    out.path = std::string(address.substr(5));
+    if (out.path.empty()) {
+      return Status::InvalidArgument("unix address has an empty path");
+    }
+    if (out.path.size() >= sizeof(sockaddr_un{}.sun_path)) {
+      return Status::InvalidArgument(
+          StrCat("unix socket path too long (", out.path.size(), " bytes): ",
+                 out.path));
+    }
+    return out;
+  }
+  if (address.substr(0, 4) == "tcp:") {
+    const std::string_view rest = address.substr(4);
+    const size_t colon = rest.rfind(':');
+    if (colon == std::string_view::npos) {
+      return Status::InvalidArgument(
+          StrCat("tcp address needs <ipv4>:<port>: ", address));
+    }
+    out.ip = std::string(rest.substr(0, colon));
+    CodecReader port("tcp port", rest.substr(colon + 1));
+    RELCOMP_ASSIGN_OR_RETURN(const uint64_t value, port.U64());
+    RELCOMP_RETURN_NOT_OK(port.End());
+    if (value > 65535) return port.Malformed("port above 65535");
+    out.port = static_cast<uint16_t>(value);
+    in_addr probe;
+    if (::inet_pton(AF_INET, out.ip.c_str(), &probe) != 1) {
+      return Status::InvalidArgument(
+          StrCat("tcp host must be an IPv4 literal: ", out.ip));
+    }
+    return out;
+  }
+  return Status::InvalidArgument(
+      StrCat("address must start with unix: or tcp:, got ", address));
 }
 
 }  // namespace relcomp

@@ -53,9 +53,8 @@ inline constexpr size_t kDefaultMaxFramePayload = 1u << 20;
 //                 (authenticated frames only)
 //
 // Both declared lengths are checked against the receiver's cap before
-// any allocation, and disagreeing lengths are a typed error. v2
-// acceptance is OPT-IN on the decoder: a default decoder stays
-// relcomp-net/1-only (an unknown magic remains "version skew"), and
+// any allocation, and disagreeing lengths are a typed error. Every
+// decoder reads both versions (any other magic is "version skew"), and
 // each side sends v2 only when authentication is engaged, so
 // mixed-version fleets interoperate on v1 frames. When a decoder holds
 // an auth key, EVERY inbound frame must carry a valid tag; violations
@@ -84,11 +83,11 @@ std::string EncodeFrame(std::string_view payload);
 std::string EncodeFrameV2(std::string_view payload,
                           const FrameCodecOptions& options);
 
-/// Incremental frame decoder for one connection's byte stream. Feed()
-/// arbitrary chunks (as the socket delivers them); Next() yields
-/// complete payloads in order. Any defect — bad magic, oversized
-/// length, CRC mismatch, bad auth tag — is sticky: the stream is
-/// desynchronized and the connection must be closed.
+/// Incremental frame decoder for one connection's byte stream, v1 and
+/// v2 frames alike. Feed() arbitrary chunks (as the socket delivers
+/// them); Next() yields complete payloads in order. Any defect — bad
+/// magic, oversized length, CRC mismatch, bad auth tag — is sticky: the
+/// stream is desynchronized and the connection must be closed.
 class FrameDecoder {
  public:
   explicit FrameDecoder(size_t max_payload = kDefaultMaxFramePayload)
@@ -102,16 +101,9 @@ class FrameDecoder {
   /// defects, kPermissionDenied for authentication violations.
   Result<bool> Next(std::string* payload);
 
-  /// Opts in to relcomp-net/2 frames. Off by default: a v2 magic at a
-  /// v1-only decoder stays a version-skew error.
-  void set_accept_v2(bool accept) { accept_v2_ = accept; }
-
-  /// Requires every inbound frame to carry a valid keyed tag (implies
-  /// v2 acceptance; a v1 frame is then an authentication violation).
-  void set_auth_key(std::string key) {
-    auth_key_ = std::move(key);
-    if (!auth_key_.empty()) accept_v2_ = true;
-  }
+  /// Requires every inbound frame to carry a valid keyed tag (a v1
+  /// frame is then an authentication violation).
+  void set_auth_key(std::string key) { auth_key_ = std::move(key); }
 
   /// Optional secondary key for rotation windows: an inbound tag that
   /// fails the primary is re-checked against this key before the frame
@@ -127,13 +119,9 @@ class FrameDecoder {
   size_t buffered() const { return buffer_.size(); }
 
  private:
-  /// Decodes one v2 frame; the caller already matched the magic.
-  Result<bool> NextV2(std::string* payload);
-
   size_t max_payload_;
   std::string buffer_;
   bool poisoned_ = false;
-  bool accept_v2_ = false;
   std::string auth_key_;
   std::string auth_key2_;
 };
@@ -258,6 +246,22 @@ struct WireReply {
     return code == StatusCode::kOk ? Status::OK() : Status(code, message);
   }
 };
+
+// --- Endpoint addresses ----------------------------------------------
+
+/// A parsed "unix:<path>" or "tcp:<ipv4>:<port>" endpoint: the one
+/// grammar the server listens on and the client connects to.
+struct NetAddress {
+  bool is_unix = false;
+  std::string path;  // unix only
+  std::string ip;    // tcp only: an IPv4 literal
+  uint16_t port = 0;
+};
+
+/// kInvalidArgument for anything else: no scheme, an empty or overlong
+/// unix path, a port that is not 0-65535 in plain decimal, a non-IPv4
+/// host.
+Result<NetAddress> ParseNetAddress(std::string_view address);
 
 // --- Socket-level fault injection ------------------------------------
 

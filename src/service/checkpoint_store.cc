@@ -7,12 +7,10 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <array>
 #include <cerrno>
-#include <charconv>
-#include <cstdio>
 #include <cstring>
 
+#include "util/codec.h"
 #include "util/str.h"
 
 namespace relcomp {
@@ -115,76 +113,54 @@ Result<std::string> ReadWholeFile(FsEnv* env, const std::string& path) {
   return out;
 }
 
-bool ParseU64(std::string_view field, uint64_t* out) {
-  if (field.empty()) return false;
-  auto [ptr, ec] =
-      std::from_chars(field.data(), field.data() + field.size(), *out);
-  return ec == std::errc() && ptr == field.data() + field.size();
+/// The header and payload of a record body whose CRC already checked
+/// out. The identity checks catch a record renamed (or journal-mapped)
+/// to the wrong request, kind or generation.
+Result<std::string_view> ParseRecordBody(std::string_view body,
+                                         std::string_view kind,
+                                         std::string_view request_id,
+                                         uint64_t generation) {
+  CodecReader r(kRecordMagic, body);
+  RELCOMP_RETURN_NOT_OK(r.Magic(kRecordMagic));
+  RELCOMP_ASSIGN_OR_RETURN(const std::string_view got_kind, r.Field());
+  if (got_kind != kind) {
+    return r.Malformed(StrCat("record kind \"", got_kind, "\" is not ", kind));
+  }
+  RELCOMP_ASSIGN_OR_RETURN(const std::string_view got_id, r.Field());
+  if (got_id != request_id) return r.Malformed("request id mismatch");
+  RELCOMP_ASSIGN_OR_RETURN(const uint64_t got_generation, r.U64());
+  if (got_generation != generation) return r.Malformed("generation mismatch");
+  RELCOMP_RETURN_NOT_OK(r.Expect(" "));
+  RELCOMP_ASSIGN_OR_RETURN(const std::string_view payload, r.Sized());
+  RELCOMP_RETURN_NOT_OK(r.End());
+  return payload;
 }
 
-bool ParseHex32(std::string_view field, uint32_t* out) {
-  if (field.size() != 8) return false;
-  auto [ptr, ec] =
-      std::from_chars(field.data(), field.data() + field.size(), *out, 16);
-  return ec == std::errc() && ptr == field.data() + field.size();
-}
+struct JournalLine {
+  std::string_view op;
+  std::string_view request_id;
+  uint64_t generation = 0;
+};
 
-std::string Hex32(uint32_t v) {
-  char buf[9];
-  std::snprintf(buf, sizeof(buf), "%08x", v);
-  return buf;
-}
-
-/// Splits the next space-delimited field off `*text`.
-bool TakeField(std::string_view* text, std::string_view* field) {
-  size_t sp = text->find(' ');
-  if (sp == std::string_view::npos) return false;
-  *field = text->substr(0, sp);
-  text->remove_prefix(sp + 1);
-  return true;
+/// "J1 <op> <id> <gen> <8-hex crc>", the CRC covering "<op> <id> <gen>".
+Result<JournalLine> ParseJournalLine(std::string_view text) {
+  CodecReader r("J1 journal line", text);
+  JournalLine line;
+  RELCOMP_RETURN_NOT_OK(r.Magic(kJournalMagic));
+  RELCOMP_ASSIGN_OR_RETURN(line.op, r.Field());
+  RELCOMP_ASSIGN_OR_RETURN(line.request_id, r.Field());
+  RELCOMP_ASSIGN_OR_RETURN(line.generation, r.U64());
+  RELCOMP_RETURN_NOT_OK(r.Expect(" "));
+  RELCOMP_ASSIGN_OR_RETURN(const uint64_t crc, r.Hex(8));
+  RELCOMP_RETURN_NOT_OK(r.End());
+  if (Crc32(StrCat(line.op, " ", line.request_id, " ", line.generation)) !=
+      crc) {
+    return r.Malformed("crc mismatch");
+  }
+  return line;
 }
 
 }  // namespace
-
-uint32_t CheckpointStore::Crc32(std::string_view data) {
-  // Slicing-by-8: t[k][b] is the CRC of byte b followed by k zero
-  // bytes, so eight input bytes fold in through eight independent
-  // lookups instead of a chain of eight dependent ones.
-  static const auto t = [] {
-    std::array<std::array<uint32_t, 256>, 8> tables{};
-    for (uint32_t i = 0; i < 256; ++i) {
-      uint32_t c = i;
-      for (int k = 0; k < 8; ++k) {
-        c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-      }
-      tables[0][i] = c;
-    }
-    for (size_t k = 1; k < 8; ++k) {
-      for (uint32_t i = 0; i < 256; ++i) {
-        const uint32_t prev = tables[k - 1][i];
-        tables[k][i] = (prev >> 8) ^ tables[0][prev & 0xFF];
-      }
-    }
-    return tables;
-  }();
-  auto le32 = [](const unsigned char* p) {
-    return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
-           static_cast<uint32_t>(p[2]) << 16 |
-           static_cast<uint32_t>(p[3]) << 24;
-  };
-  const auto* p = reinterpret_cast<const unsigned char*>(data.data());
-  size_t n = data.size();
-  uint32_t crc = 0xFFFFFFFFu;
-  for (; n >= 8; p += 8, n -= 8) {
-    const uint32_t lo = crc ^ le32(p);
-    const uint32_t hi = le32(p + 4);
-    crc = t[7][lo & 0xFF] ^ t[6][(lo >> 8) & 0xFF] ^ t[5][(lo >> 16) & 0xFF] ^
-          t[4][lo >> 24] ^ t[3][hi & 0xFF] ^ t[2][(hi >> 8) & 0xFF] ^
-          t[1][(hi >> 16) & 0xFF] ^ t[0][hi >> 24];
-  }
-  for (; n > 0; ++p, --n) crc = t[0][(crc ^ *p) & 0xFF] ^ (crc >> 8);
-  return crc ^ 0xFFFFFFFFu;
-}
 
 Result<std::unique_ptr<CheckpointStore>> CheckpointStore::Open(
     const std::string& directory, const CheckpointStoreOptions& options) {
@@ -369,9 +345,9 @@ Status CheckpointStore::WriteRecord(const std::string& path,
                                     uint64_t generation,
                                     std::string_view payload) {
   std::string body =
-      StrCat(kRecordMagic, " ", kind, " ", request_id, " ", generation, " ",
-             payload.size(), ":", payload);
-  body += StrCat(kCrcSeparator, Hex32(Crc32(body)));
+      StrCat(kRecordMagic, " ", kind, " ", request_id, " ", generation, " ");
+  AppendSized(payload, &body);
+  body += StrCat(kCrcSeparator, Hex(Crc32(body), 8));
 
   const std::string site = StrCat("record.", kind);
   const std::string tmp = StrCat(path, ".tmp.", ::getpid());
@@ -445,49 +421,22 @@ Result<std::string> CheckpointStore::ReadRecord(
   // separator bytes.
   size_t sep = content.rfind(kCrcSeparator);
   if (sep == std::string::npos) return corrupt("missing integrity footer");
-  std::string_view footer(content.data() + sep + std::strlen(kCrcSeparator),
-                          content.size() - sep - std::strlen(kCrcSeparator));
-  uint32_t want_crc = 0;
-  if (!ParseHex32(footer, &want_crc)) {
+  CodecReader footer(
+      "integrity footer",
+      std::string_view(content).substr(sep + std::strlen(kCrcSeparator)));
+  Result<uint64_t> want_crc = footer.Hex(8);
+  if (!want_crc.ok() || !footer.End().ok()) {
     return corrupt("malformed integrity footer");
   }
   std::string_view body(content.data(), sep);
-  if (Crc32(body) != want_crc) {
-    return corrupt(StrCat("crc mismatch: file says ", std::string(footer),
-                          ", content hashes to ", Hex32(Crc32(body))));
+  if (Crc32(body) != *want_crc) {
+    return corrupt(StrCat("crc mismatch: file says ", Hex(*want_crc, 8),
+                          ", content hashes to ", Hex(Crc32(body), 8)));
   }
-  // Header. The CRC already vouches for byte integrity; these checks
-  // catch a record renamed (or journal-mapped) to the wrong identity.
-  std::string_view rest = body;
-  std::string_view magic, kind, id, gen_field;
-  if (!TakeField(&rest, &magic) || magic != kRecordMagic) {
-    return corrupt("bad magic");
-  }
-  if (!TakeField(&rest, &kind) || kind != expect_kind) {
-    return corrupt(StrCat("record kind mismatch: got ",
-                          std::string(kind.empty() ? "<none>" : kind),
-                          ", want ", std::string(expect_kind)));
-  }
-  if (!TakeField(&rest, &id) || id != expect_request_id) {
-    return corrupt("request id mismatch");
-  }
-  uint64_t generation = 0;
-  if (!TakeField(&rest, &gen_field) || !ParseU64(gen_field, &generation) ||
-      generation != expect_generation) {
-    return corrupt("generation mismatch");
-  }
-  size_t colon = rest.find(':');
-  if (colon == std::string_view::npos) return corrupt("no payload length");
-  uint64_t payload_len = 0;
-  if (!ParseU64(rest.substr(0, colon), &payload_len)) {
-    return corrupt("bad payload length");
-  }
-  rest.remove_prefix(colon + 1);
-  if (rest.size() != payload_len) {
-    return corrupt(StrCat("payload length mismatch: header says ",
-                          payload_len, ", file holds ", rest.size()));
-  }
-  return std::string(rest);
+  Result<std::string_view> payload =
+      ParseRecordBody(body, expect_kind, expect_request_id, expect_generation);
+  if (!payload.ok()) return corrupt(payload.status().message());
+  return std::string(*payload);
 }
 
 // --- Journal ---------------------------------------------------------
@@ -508,7 +457,7 @@ Status CheckpointStore::AppendJournal(std::string_view op,
   const std::string fields =
       StrCat(op, " ", request_id, " ", generation);
   std::string line =
-      StrCat(kJournalMagic, " ", fields, " ", Hex32(Crc32(fields)), "\n");
+      StrCat(kJournalMagic, " ", fields, " ", Hex(Crc32(fields), 8), "\n");
   // A previous append failed after possibly landing a prefix without
   // its newline. Start this line with one so that torn fragment stays
   // its own (CRC-failing, skipped-and-counted) line — appending
@@ -563,7 +512,7 @@ Status CheckpointStore::MaybeCompactJournalLocked() {
   auto emit = [&](std::string_view op, const std::string& id, uint64_t gen) {
     const std::string fields = StrCat(op, " ", id, " ", gen);
     content += StrCat(kJournalMagic, " ", fields, " ",
-                      Hex32(Crc32(fields)), "\n");
+                      Hex(Crc32(fields), 8), "\n");
     ++lines;
   };
   for (const auto& [id, gen] : last_generation_) emit("ckpt", id, gen);
@@ -672,21 +621,15 @@ Status CheckpointStore::ReplayJournal() {
                                         : rest.substr(nl + 1);
     if (line.empty()) continue;
     ++journal_entries_;  // torn lines occupy journal space too
-    // Parse "J1 <op> <id> <gen> <crc>"; skip (count) anything torn.
-    std::string_view magic, op, id, gen_field;
-    std::string_view cursor = line;
-    uint64_t generation = 0;
-    uint32_t want_crc = 0;
-    if (!TakeField(&cursor, &magic) || magic != kJournalMagic ||
-        !TakeField(&cursor, &op) || !TakeField(&cursor, &id) ||
-        !TakeField(&cursor, &gen_field) ||
-        !ParseU64(gen_field, &generation) ||
-        !ParseHex32(cursor, &want_crc) ||
-        Crc32(StrCat(op, " ", id, " ", generation)) != want_crc) {
+    // Skip (count) anything torn.
+    Result<JournalLine> entry = ParseJournalLine(line);
+    if (!entry.ok()) {
       ++journal_lines_skipped_;
       continue;
     }
-    const std::string request_id(id);
+    const std::string_view op = entry->op;
+    const uint64_t generation = entry->generation;
+    const std::string request_id(entry->request_id);
     if (op == "ckpt") {
       uint64_t& g = last_generation_[request_id];
       g = std::max(g, generation);
@@ -740,11 +683,12 @@ Status CheckpointStore::ScanDirectory() {
       std::string_view stem = name.substr(0, name.size() - 5);
       size_t dot_g = stem.rfind(".g");
       if (dot_g == std::string_view::npos) continue;
-      uint64_t generation = 0;
-      if (!ParseU64(stem.substr(dot_g + 2), &generation)) continue;
+      CodecReader number("checkpoint file name", stem.substr(dot_g + 2));
+      Result<uint64_t> generation = number.U64();
+      if (!generation.ok() || !number.End().ok()) continue;
       const std::string request_id(stem.substr(0, dot_g));
       uint64_t& g = last_generation_[request_id];
-      g = std::max(g, generation);
+      g = std::max(g, *generation);
     }
     // .tmp.* leftovers from a crash mid-write are ignored (and
     // overwritten by the next writer with the same pid, or left as

@@ -250,10 +250,6 @@ class CheckpointStore {
   /// by the DecisionService crash harness; a real crash needs no call.
   void SimulateCrash();
 
-  /// CRC32 (IEEE, reflected 0xEDB88320) over `data` — exposed for the
-  /// tests that hand-corrupt files.
-  static uint32_t Crc32(std::string_view data);
-
  private:
   CheckpointStore(std::string dir, CheckpointStoreOptions options)
       : dir_(std::move(dir)),

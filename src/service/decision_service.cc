@@ -1,32 +1,35 @@
 #include "service/decision_service.h"
 
 #include <algorithm>
-#include <charconv>
 #include <limits>
 
 #include "completeness/incremental.h"
 #include "completeness/rcqp.h"
 #include "spec/spec_parser.h"
+#include "util/codec.h"
 #include "util/str.h"
 
 namespace relcomp {
 namespace {
 
 constexpr char kJobMagic[] = "relcomp-job/1";
+constexpr const char* kKindTokens[] = {"rcdp", "rcqp", "chase"};
 
-Result<JobKind> JobKindFromString(std::string_view s) {
-  if (s == "rcdp") return JobKind::kRcdp;
-  if (s == "rcqp") return JobKind::kRcqp;
-  if (s == "chase") return JobKind::kChase;
-  return Status::InvalidArgument(
-      StrCat("unknown job kind: ", std::string(s)));
-}
-
-bool ParseSize(std::string_view field, size_t* out) {
-  if (field.empty()) return false;
-  auto [ptr, ec] =
-      std::from_chars(field.data(), field.data() + field.size(), *out);
-  return ec == std::errc() && ptr == field.data() + field.size();
+/// The bounds every admitted job is held to, whether it arrives over
+/// the wire, through an in-process Submit or from a recovered record.
+Status CheckJobBounds(const JobSpec& spec) {
+  if (spec.num_threads > kMaxJobThreads) {
+    return Status::InvalidArgument(
+        StrCat("job asks for ", spec.num_threads,
+               " search threads; the cap is ", kMaxJobThreads));
+  }
+  if (spec.deadline.has_value() &&
+      (spec.deadline->count() < 0 || *spec.deadline > kMaxJobDeadline)) {
+    return Status::InvalidArgument(
+        StrCat("job deadline of ", spec.deadline->count(),
+               " ms is outside [0, ", kMaxJobDeadline.count(), "] ms"));
+  }
+  return Status::OK();
 }
 
 /// Canonical evidence strings — the bit-for-bit comparison keys of the
@@ -54,9 +57,10 @@ std::string ChaseEvidence(const ChaseResult& r) {
                 r.db.ToString());
 }
 
-/// Parses a job's spec and checks its query index: the one parse a job
-/// gets, at admission (or at recovery).
+/// Checks a job's bounds, parses its spec and checks its query index:
+/// the one parse a job gets, at admission (or at recovery).
 Result<CompletenessSpec> ParseJob(const JobSpec& spec) {
+  RELCOMP_RETURN_NOT_OK(CheckJobBounds(spec));
   RELCOMP_ASSIGN_OR_RETURN(CompletenessSpec parsed,
                            ParseCompletenessSpec(spec.spec_text));
   if (spec.query_index >= parsed.queries.size()) {
@@ -70,12 +74,7 @@ Result<CompletenessSpec> ParseJob(const JobSpec& spec) {
 }  // namespace
 
 const char* JobKindToString(JobKind kind) {
-  switch (kind) {
-    case JobKind::kRcdp: return "rcdp";
-    case JobKind::kRcqp: return "rcqp";
-    case JobKind::kChase: return "chase";
-  }
-  return "unknown";
+  return kKindTokens[static_cast<size_t>(kind)];
 }
 
 // --- JobSpec wire form ----------------------------------------------
@@ -84,65 +83,40 @@ const char* JobKindToString(JobKind kind) {
 //   <chase_rounds> <len>:<spec text>
 
 std::string JobSpec::Serialize() const {
-  return StrCat(kJobMagic, " ", JobKindToString(kind), " ", query_index,
-                " ", num_threads, " ", slice_steps, " ",
-                deadline.has_value() ? StrCat(deadline->count())
-                                     : std::string("-"),
-                " ", max_chase_rounds, " ", spec_text.size(), ":",
-                spec_text);
+  std::string out = StrCat(
+      kJobMagic, " ", JobKindToString(kind), " ", query_index, " ",
+      num_threads, " ", slice_steps, " ",
+      deadline.has_value() ? StrCat(deadline->count()) : std::string("-"),
+      " ", max_chase_rounds, " ");
+  AppendSized(spec_text, &out);
+  return out;
 }
 
 Result<JobSpec> JobSpec::Deserialize(std::string_view text) {
-  auto fail = [&](std::string_view why) {
-    return Status::InvalidArgument(
-        StrCat("malformed job record (", std::string(why), "): ",
-               std::string(text.substr(0, 64))));
-  };
-  auto take = [&]() -> std::optional<std::string_view> {
-    size_t sp = text.find(' ');
-    if (sp == std::string_view::npos) return std::nullopt;
-    std::string_view field = text.substr(0, sp);
-    text.remove_prefix(sp + 1);
-    return field;
-  };
-  auto magic = take();
-  if (!magic.has_value() || *magic != kJobMagic) return fail("bad magic");
-  auto kind_field = take();
-  if (!kind_field.has_value()) return fail("no kind");
+  CodecReader r(kJobMagic, text);
   JobSpec spec;
-  RELCOMP_ASSIGN_OR_RETURN(spec.kind, JobKindFromString(*kind_field));
-  auto query = take();
-  if (!query.has_value() || !ParseSize(*query, &spec.query_index)) {
-    return fail("bad query index");
+  RELCOMP_RETURN_NOT_OK(r.Magic(kJobMagic));
+  RELCOMP_ASSIGN_OR_RETURN(const size_t kind, r.Token(kKindTokens));
+  spec.kind = static_cast<JobKind>(kind);
+  RELCOMP_ASSIGN_OR_RETURN(spec.query_index, r.U64());
+  RELCOMP_RETURN_NOT_OK(r.Expect(" "));
+  RELCOMP_ASSIGN_OR_RETURN(spec.num_threads, r.U64());
+  RELCOMP_RETURN_NOT_OK(r.Expect(" "));
+  RELCOMP_ASSIGN_OR_RETURN(spec.slice_steps, r.U64());
+  RELCOMP_RETURN_NOT_OK(r.Expect(" "));
+  if (!r.Accept("-")) {
+    // A count above INT64_MAX wraps negative here and is refused by
+    // CheckJobBounds with every other out-of-range deadline.
+    RELCOMP_ASSIGN_OR_RETURN(const uint64_t ms, r.U64());
+    spec.deadline = std::chrono::milliseconds(static_cast<int64_t>(ms));
   }
-  auto threads = take();
-  if (!threads.has_value() || !ParseSize(*threads, &spec.num_threads)) {
-    return fail("bad thread count");
-  }
-  auto slice = take();
-  if (!slice.has_value() || !ParseSize(*slice, &spec.slice_steps)) {
-    return fail("bad slice steps");
-  }
-  auto deadline = take();
-  if (!deadline.has_value()) return fail("no deadline");
-  if (*deadline != "-") {
-    size_t ms = 0;
-    if (!ParseSize(*deadline, &ms)) return fail("bad deadline");
-    spec.deadline = std::chrono::milliseconds(ms);
-  }
-  auto rounds = take();
-  if (!rounds.has_value() || !ParseSize(*rounds, &spec.max_chase_rounds)) {
-    return fail("bad chase rounds");
-  }
-  size_t colon = text.find(':');
-  if (colon == std::string_view::npos) return fail("no spec length");
-  size_t spec_len = 0;
-  if (!ParseSize(text.substr(0, colon), &spec_len)) {
-    return fail("bad spec length");
-  }
-  text.remove_prefix(colon + 1);
-  if (text.size() != spec_len) return fail("spec length mismatch");
-  spec.spec_text = std::string(text);
+  RELCOMP_RETURN_NOT_OK(r.Expect(" "));
+  RELCOMP_ASSIGN_OR_RETURN(spec.max_chase_rounds, r.U64());
+  RELCOMP_RETURN_NOT_OK(r.Expect(" "));
+  RELCOMP_ASSIGN_OR_RETURN(const std::string_view spec_text, r.Sized());
+  RELCOMP_RETURN_NOT_OK(r.End());
+  RELCOMP_RETURN_NOT_OK(CheckJobBounds(spec));
+  spec.spec_text = std::string(spec_text);
   return spec;
 }
 

@@ -26,6 +26,14 @@ enum class JobKind : uint8_t { kRcdp, kRcqp, kChase };
 
 const char* JobKindToString(JobKind kind);
 
+/// The most search threads a job may ask for, and its longest relative
+/// deadline (365 days, far below the ~292 years at which steady_clock
+/// arithmetic overflows). A job beyond either is refused with
+/// kInvalidArgument at decode, admission and recovery alike.
+inline constexpr size_t kMaxJobThreads = 64;
+inline constexpr std::chrono::milliseconds kMaxJobDeadline{365LL * 24 *
+                                                           3600 * 1000};
+
 /// One completeness-audit job: the problem instance travels as spec
 /// text (the relcheck .rcspec format) so the job can be re-created —
 /// and its checkpoint resumed — by a process that shares nothing with

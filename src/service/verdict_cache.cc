@@ -1,72 +1,47 @@
 #include "service/verdict_cache.h"
 
-#include <charconv>
-#include <cstdio>
-
+#include "util/codec.h"
 #include "util/str.h"
 
 namespace relcomp {
 namespace {
 
-// Payload format: relcomp-verdict/1 <fp hex16> <C|I> <len>:<evidence>
-constexpr std::string_view kMagic = "relcomp-verdict/1 ";
-
-std::string Hex64(uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
-
-std::string EncodePayload(uint64_t fingerprint, Verdict verdict,
-                          const std::string& evidence) {
-  const char code = verdict == Verdict::kComplete ? 'C' : 'I';
-  return StrCat(kMagic, Hex64(fingerprint), " ", std::string(1, code), " ",
-                evidence.size(), ":", evidence);
-}
-
-/// Parses a store payload; returns false on any malformation or when
-/// the embedded fingerprint disagrees with `expect_fp`.
-bool DecodePayload(std::string_view payload, uint64_t expect_fp,
-                   CachedVerdict* out) {
-  if (payload.substr(0, kMagic.size()) != kMagic) return false;
-  payload.remove_prefix(kMagic.size());
-  if (payload.size() < 16) return false;
-  uint64_t fp = 0;
-  auto [ptr, ec] = std::from_chars(payload.data(), payload.data() + 16, fp,
-                                   16);
-  if (ec != std::errc() || ptr != payload.data() + 16) return false;
-  if (fp != expect_fp) return false;
-  payload.remove_prefix(16);
-  if (payload.size() < 3 || payload[0] != ' ' || payload[2] != ' ') {
-    return false;
-  }
-  if (payload[1] == 'C') {
-    out->verdict = Verdict::kComplete;
-  } else if (payload[1] == 'I') {
-    out->verdict = Verdict::kIncomplete;
-  } else {
-    return false;
-  }
-  payload.remove_prefix(3);
-  size_t colon = payload.find(':');
-  if (colon == std::string_view::npos) return false;
-  uint64_t len = 0;
-  auto [lptr, lec] =
-      std::from_chars(payload.data(), payload.data() + colon, len);
-  if (lec != std::errc() || lptr != payload.data() + colon) return false;
-  payload.remove_prefix(colon + 1);
-  if (payload.size() != len) return false;
-  out->evidence = std::string(payload);
-  return true;
-}
+constexpr char kMagic[] = "relcomp-verdict/1";
+constexpr const char* kVerdictCodes[] = {"C", "I"};  // by Verdict value
 
 }  // namespace
+
+// Record format: relcomp-verdict/1 <fp hex16> <C|I> <len>:<evidence>
+
+std::string VerdictCache::EncodeRecord(uint64_t fingerprint,
+                                       const CachedVerdict& cached) {
+  std::string out =
+      StrCat(kMagic, " ", Hex(fingerprint, 16), " ",
+             kVerdictCodes[cached.verdict == Verdict::kComplete ? 0 : 1], " ");
+  AppendSized(cached.evidence, &out);
+  return out;
+}
+
+Result<CachedVerdict> VerdictCache::DecodeRecord(std::string_view record,
+                                                 uint64_t fingerprint) {
+  CodecReader r(kMagic, record);
+  CachedVerdict cached;
+  RELCOMP_RETURN_NOT_OK(r.Magic(kMagic));
+  RELCOMP_ASSIGN_OR_RETURN(const uint64_t fp, r.Hex(16));
+  if (fp != fingerprint) return r.Malformed("fingerprint is not the key's");
+  RELCOMP_RETURN_NOT_OK(r.Expect(" "));
+  RELCOMP_ASSIGN_OR_RETURN(const size_t code, r.Token(kVerdictCodes));
+  cached.verdict = static_cast<Verdict>(code);
+  RELCOMP_ASSIGN_OR_RETURN(const std::string_view evidence, r.Sized());
+  RELCOMP_RETURN_NOT_OK(r.End());
+  cached.evidence = std::string(evidence);
+  return cached;
+}
 
 VerdictCache::VerdictCache(CheckpointStore* store) : store_(store) {}
 
 std::string VerdictCache::KeyFor(uint64_t fingerprint) {
-  return StrCat("v", Hex64(fingerprint));
+  return StrCat("v", Hex(fingerprint, 16));
 }
 
 std::optional<CachedVerdict> VerdictCache::Lookup(uint64_t fingerprint) {
@@ -79,11 +54,11 @@ std::optional<CachedVerdict> VerdictCache::Lookup(uint64_t fingerprint) {
   if (store_ != nullptr) {
     Result<std::string> payload = store_->LoadVerdict(KeyFor(fingerprint));
     if (payload.ok()) {
-      CachedVerdict cached;
-      if (DecodePayload(*payload, fingerprint, &cached)) {
-        entries_[fingerprint] = cached;
+      Result<CachedVerdict> cached = DecodeRecord(*payload, fingerprint);
+      if (cached.ok()) {
+        entries_[fingerprint] = *cached;
         ++stats_.hits;
-        return cached;
+        return *std::move(cached);
       }
       // A record that fails to parse, or whose embedded fingerprint
       // disagrees with the key it was stored under, is never served.
@@ -104,7 +79,8 @@ Status VerdictCache::Insert(uint64_t fingerprint, Verdict verdict,
   std::lock_guard<std::mutex> lock(mu_);
   if (store_ != nullptr) {
     RELCOMP_RETURN_NOT_OK(store_->PersistVerdict(
-        KeyFor(fingerprint), EncodePayload(fingerprint, verdict, evidence)));
+        KeyFor(fingerprint),
+        EncodeRecord(fingerprint, CachedVerdict{verdict, evidence})));
   }
   entries_[fingerprint] = CachedVerdict{verdict, evidence};
   ++stats_.insertions;

@@ -59,6 +59,14 @@ class VerdictCache {
   /// The store key for a fingerprint: "v" + 16 hex digits.
   static std::string KeyFor(uint64_t fingerprint);
 
+  /// The relcomp-verdict/1 store record, and its decoder: anything else,
+  /// or a record whose embedded fingerprint is not `fingerprint`, is
+  /// refused with kInvalidArgument and never served.
+  static std::string EncodeRecord(uint64_t fingerprint,
+                                  const CachedVerdict& cached);
+  static Result<CachedVerdict> DecodeRecord(std::string_view record,
+                                            uint64_t fingerprint);
+
   /// Serves the cached verdict for the fingerprint, consulting the
   /// in-memory map first and the backing store second. std::nullopt on
   /// miss (or on a rejected store entry).

@@ -1,8 +1,6 @@
 #include "util/execution_control.h"
 
-#include <charconv>
-#include <cstdio>
-
+#include "util/codec.h"
 #include "util/str.h"
 
 namespace relcomp {
@@ -115,71 +113,29 @@ constexpr char kCheckpointMagic[] = "relcomp-ckpt/1";
 }  // namespace
 
 std::string SearchCheckpoint::Serialize() const {
-  char fp[17];
-  std::snprintf(fp, sizeof(fp), "%016llx",
-                static_cast<unsigned long long>(fingerprint));
-  return StrCat(kCheckpointMagic, " ", decider, " ", disjunct, " ", rank,
-                " ", fp, " ", payload.size(), ":", payload);
+  std::string out = StrCat(kCheckpointMagic, " ", decider, " ", disjunct, " ",
+                           rank, " ", Hex(fingerprint, 16), " ");
+  AppendSized(payload, &out);
+  return out;
 }
 
 Result<SearchCheckpoint> SearchCheckpoint::Deserialize(
     std::string_view text) {
-  const std::string_view full = text;
-  // Every rejection names the defect and the byte offset where parsing
-  // stopped, so a corrupted store file is diagnosable from the error
-  // alone.
-  auto fail = [&](std::string_view why) {
-    return Status::InvalidArgument(
-        StrCat("malformed checkpoint (", std::string(why), " at byte ",
-               full.size() - text.size(), " of ", full.size(), "): ",
-               std::string(full.substr(0, 64))));
-  };
-  auto take_field = [&]() -> std::optional<std::string_view> {
-    size_t sp = text.find(' ');
-    if (sp == std::string_view::npos) return std::nullopt;
-    std::string_view field = text.substr(0, sp);
-    text.remove_prefix(sp + 1);
-    return field;
-  };
-  auto magic = take_field();
-  if (!magic.has_value() || *magic != kCheckpointMagic) {
-    return fail("bad magic");
-  }
-  auto decider = take_field();
-  if (!decider.has_value() || decider->empty()) return fail("no decider");
+  CodecReader r(kCheckpointMagic, text);
   SearchCheckpoint ckpt;
-  ckpt.decider = std::string(*decider);
-  auto parse_sz = [&](std::string_view field, size_t* out) {
-    auto [ptr, ec] =
-        std::from_chars(field.data(), field.data() + field.size(), *out);
-    return ec == std::errc() && ptr == field.data() + field.size();
-  };
-  auto disjunct = take_field();
-  if (!disjunct.has_value() || !parse_sz(*disjunct, &ckpt.disjunct)) {
-    return fail("bad disjunct");
-  }
-  auto rank = take_field();
-  if (!rank.has_value() || !parse_sz(*rank, &ckpt.rank)) {
-    return fail("bad rank");
-  }
-  auto fp = take_field();
-  if (!fp.has_value() || fp->size() != 16) return fail("bad fingerprint");
-  {
-    auto [ptr, ec] = std::from_chars(fp->data(), fp->data() + fp->size(),
-                                     ckpt.fingerprint, 16);
-    if (ec != std::errc() || ptr != fp->data() + fp->size()) {
-      return fail("bad fingerprint");
-    }
-  }
-  size_t colon = text.find(':');
-  if (colon == std::string_view::npos) return fail("no payload length");
-  size_t payload_len = 0;
-  if (!parse_sz(text.substr(0, colon), &payload_len)) {
-    return fail("bad payload length");
-  }
-  text.remove_prefix(colon + 1);
-  if (text.size() != payload_len) return fail("payload length mismatch");
-  ckpt.payload = std::string(text);
+  RELCOMP_RETURN_NOT_OK(r.Magic(kCheckpointMagic));
+  RELCOMP_ASSIGN_OR_RETURN(const std::string_view decider, r.Field());
+  if (decider.empty()) return r.Malformed("no decider");
+  ckpt.decider = std::string(decider);
+  RELCOMP_ASSIGN_OR_RETURN(ckpt.disjunct, r.U64());
+  RELCOMP_RETURN_NOT_OK(r.Expect(" "));
+  RELCOMP_ASSIGN_OR_RETURN(ckpt.rank, r.U64());
+  RELCOMP_RETURN_NOT_OK(r.Expect(" "));
+  RELCOMP_ASSIGN_OR_RETURN(ckpt.fingerprint, r.Hex(16));
+  RELCOMP_RETURN_NOT_OK(r.Expect(" "));
+  RELCOMP_ASSIGN_OR_RETURN(const std::string_view payload, r.Sized());
+  RELCOMP_RETURN_NOT_OK(r.End());
+  ckpt.payload = std::string(payload);
   return ckpt;
 }
 
@@ -209,22 +165,12 @@ ExhaustionInfo ExhaustionFromStatus(const Status& status,
 }
 
 uint64_t FingerprintString(std::string_view s) {
-  uint64_t h = 1469598103934665603ull;  // FNV offset basis
-  for (char c : s) {
-    h ^= static_cast<uint8_t>(c);
-    h *= 1099511628211ull;  // FNV prime
-  }
-  return h;
+  return Fnv1a(kFingerprintBasis, s);
 }
 
 uint64_t CheckpointFingerprint(std::initializer_list<uint64_t> parts) {
-  uint64_t h = 1469598103934665603ull;
-  for (uint64_t part : parts) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (part >> (i * 8)) & 0xff;
-      h *= 1099511628211ull;
-    }
-  }
+  uint64_t h = kFingerprintBasis;
+  for (uint64_t part : parts) h = Fnv1aU64(h, part);
   return h;
 }
 

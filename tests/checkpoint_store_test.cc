@@ -48,45 +48,6 @@ void WriteFile(const std::string& path, const std::string& content) {
 // ---------------------------------------------------------------------------
 // Round trips and generations.
 
-TEST(CheckpointStoreTest, Crc32MatchesTheStandardCheckValue) {
-  // The universal CRC-32/ISO-HDLC check vector.
-  EXPECT_EQ(CheckpointStore::Crc32("123456789"), 0xCBF43926u);
-  EXPECT_EQ(CheckpointStore::Crc32(""), 0u);
-}
-
-/// One table lookup per byte: the definition the sliced CRC must match.
-uint32_t BytewiseCrc32(std::string_view data) {
-  uint32_t crc = 0xFFFFFFFFu;
-  for (unsigned char byte : data) {
-    crc ^= byte;
-    for (int k = 0; k < 8; ++k) {
-      crc = (crc & 1) ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
-    }
-  }
-  return crc ^ 0xFFFFFFFFu;
-}
-
-TEST(CheckpointStoreTest, Crc32MatchesABytewiseReference) {
-  // Every length around the 8-byte stride, at every alignment, then a
-  // spec-sized buffer.
-  std::string buffer(85 * 1024 + 8, '\0');
-  uint64_t x = 0x9e3779b97f4a7c15ull;
-  for (char& c : buffer) {
-    x = x * 6364136223846793005ull + 1442695040888963407ull;
-    c = static_cast<char>(x >> 56);
-  }
-  const std::string_view all(buffer);
-  for (size_t offset = 0; offset < 8; ++offset) {
-    for (size_t length = 0; length <= 64; ++length) {
-      const std::string_view slice = all.substr(offset, length);
-      ASSERT_EQ(CheckpointStore::Crc32(slice), BytewiseCrc32(slice))
-          << "offset=" << offset << " length=" << length;
-    }
-  }
-  const std::string_view large = all.substr(3, 85 * 1024);
-  EXPECT_EQ(CheckpointStore::Crc32(large), BytewiseCrc32(large));
-}
-
 TEST(CheckpointStoreTest, PersistLoadRoundTripsAndGenerationsIncrement) {
   const std::string dir = FreshDir("roundtrip");
   auto store = CheckpointStore::Open(dir);

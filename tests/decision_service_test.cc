@@ -328,6 +328,30 @@ TEST(DecisionServiceTest, JobSpecWireFormRoundTrips) {
   EXPECT_FALSE(JobSpec::Deserialize("").ok());
 }
 
+TEST(DecisionServiceTest, SubmitRefusesJobsBeyondTheThreadAndDeadlineCaps) {
+  // A thread count past kMaxJobThreads would size a worker pool, and a
+  // deadline past kMaxJobDeadline (10^13 ms among them) would overflow
+  // steady_clock arithmetic at admission. Both are refused up front;
+  // nothing is admitted, so no such job ever runs.
+  auto service = DecisionService::Start(FreshDir("bounds"));
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+  JobSpec threads = MakeJob(JobKind::kRcdp, kChaseableSpec, kMaxJobThreads + 1);
+  JobSpec late = MakeJob(JobKind::kRcdp, kChaseableSpec);
+  late.deadline = kMaxJobDeadline + std::chrono::milliseconds(1);
+  JobSpec overflowing = MakeJob(JobKind::kRcdp, kChaseableSpec);
+  overflowing.deadline = std::chrono::milliseconds(10000000000000);
+  JobSpec negative = MakeJob(JobKind::kRcdp, kChaseableSpec);
+  negative.deadline = std::chrono::milliseconds(-1);
+  for (const JobSpec& job : {threads, late, overflowing, negative}) {
+    const Status admitted = (*service)->Submit("over-cap", job);
+    EXPECT_EQ(admitted.code(), StatusCode::kInvalidArgument)
+        << admitted.ToString();
+  }
+  EXPECT_TRUE((*service)->store().PendingRequests().empty());
+  EXPECT_EQ((*service)->Poll("over-cap").status().code(),
+            StatusCode::kNotFound);
+}
+
 // ---------------------------------------------------------------------------
 // Crash/recovery sweeps. The contract under test: for EVERY
 // interruption position, kill + restart + resume produces a verdict

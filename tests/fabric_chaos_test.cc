@@ -56,6 +56,26 @@ const std::string& IncompleteSpec() {
   return spec;
 }
 
+/// A larger, distinct instance per variant for work that must still be
+/// running when a handoff flushes: both columns of S are bound to the
+/// master, so the only counterexample is the missing far corner and the
+/// search walks about 500 decision points to reach it.
+std::string LargeSpec(int variant) {
+  const int n = 20 + variant;
+  std::string s = "relation S(a, b)\nmaster relation M(m)\n";
+  for (int x = 0; x < n; ++x) {
+    for (int y = 0; y < n; ++y) {
+      if (x == n - 1 && y == n - 1) continue;
+      s += StrCat("fact S(", x, ", ", y, ")\n");
+    }
+  }
+  for (int m = 0; m < n; ++m) s += StrCat("master fact M(", m, ")\n");
+  s += "constraint c0(x) :- S(x, y) |= M[0]\n";
+  s += "constraint c1(y) :- S(x, y) |= M[0]\n";
+  s += "query cq Q(x, y) :- S(x, y)\n";
+  return s;
+}
+
 std::string FreshDir(const char* tag) {
   static int counter = 0;
   return StrCat(::testing::TempDir(), "/relcomp_chaos_", ::getpid(), "_", tag,
@@ -196,21 +216,28 @@ class FabricChaosSweepTest
 // served exactly once, and once the ring re-publish lands the client
 // sees ZERO further kUnavailable (measured as failover advances).
 TEST_P(FabricChaosSweepTest, CleanHandoffUnderLiveTrafficIsInvisible) {
-  const std::string expected = DirectRcdpEvidence(IncompleteSpec(), threads());
   Fabric fabric = StartFabric("clean", members());
   const FabricRing placement = FabricRing::Make(fabric.endpoints);
   FabricClient client(fabric.endpoints);
 
-  // Live traffic on every shard, with the handed-off shard's jobs
-  // sliced so the flush has running work to checkpoint.
-  std::vector<std::string> keys;
+  // Live traffic on every shard. The handed-off shard gets distinct,
+  // larger instances, sliced, so the flush has running work to
+  // checkpoint; the other shards get the small one.
+  struct Audit {
+    std::string key;
+    std::string spec;
+    std::string expected;
+  };
+  std::vector<Audit> audits;
   for (size_t shard = 0; shard < members(); ++shard) {
     for (int j = 0; j < 2; ++j) {
-      keys.push_back(
-          KeyForShard(placement, shard, StrCat("clean", shard, "x", j).c_str()));
+      const std::string spec = shard == 0 ? LargeSpec(j) : IncompleteSpec();
+      audits.push_back(
+          {KeyForShard(placement, shard, StrCat("clean", shard, "x", j).c_str()),
+           spec, DirectRcdpEvidence(spec, threads())});
       ASSERT_TRUE(client
-                      .Submit(keys.back(),
-                              MakeJob(IncompleteSpec(), threads(), 40))
+                      .Submit(audits.back().key,
+                              MakeJob(spec, threads(), 40))
                       .ok());
     }
   }
@@ -223,18 +250,23 @@ TEST_P(FabricChaosSweepTest, CleanHandoffUnderLiveTrafficIsInvisible) {
   EXPECT_EQ(SoleOwnerOf(fabric, 0), 1u);
   EXPECT_EQ(fabric.members[0]->shard_service(0), nullptr);
   EXPECT_GE(fabric.members[1]->ring().epoch, placement.epoch + 2);
+  // The flush really had work in flight: the successor recovered at
+  // least one of shard 0's jobs from the store it adopted.
+  EXPECT_FALSE(fabric.members[1]->shard_service(0)->RecoveredJobs().empty())
+      << "every shard-0 job finished before the flush";
 
   // The switch window is closed: from here on, zero kUnavailable — no
   // failover advance, no extra ring refresh — for any keyed op.
   ASSERT_TRUE(client.RefreshRing().ok());
   const size_t failovers_before = client.stats().failovers;
   const size_t refreshes_before = client.stats().ring_refreshes;
-  for (const std::string& key : keys) {
+  for (const Audit& audit : audits) {
     auto reply = client.SubmitAndAwait(
-        key, MakeJob(IncompleteSpec(), threads(), 40));
-    ASSERT_TRUE(reply.ok()) << key << ": " << reply.status().ToString();
-    EXPECT_EQ(reply->evidence, expected) << key;
-    EXPECT_EQ(TimesCompleted(fabric, key), 1u) << key << " served twice";
+        audit.key, MakeJob(audit.spec, threads(), 40));
+    ASSERT_TRUE(reply.ok()) << audit.key << ": " << reply.status().ToString();
+    EXPECT_EQ(reply->evidence, audit.expected) << audit.key;
+    EXPECT_EQ(TimesCompleted(fabric, audit.key), 1u)
+        << audit.key << " served twice";
   }
   EXPECT_EQ(client.stats().failovers, failovers_before)
       << "kUnavailable outside the switch window";

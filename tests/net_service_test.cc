@@ -200,6 +200,80 @@ TEST(NetServiceTest, SubmitAndAwaitOverTcpEphemeralPort) {
   EXPECT_EQ(reply->evidence, DirectRcdpEvidence(IncompleteSpec()));
 }
 
+TEST(NetServiceTest, SubmitBeyondTheJobCapsIsATypedRefusal) {
+  // The wire decodes every JobSpec through the same bounds check as an
+  // in-process Submit: neither cap + 1 ever reaches the service.
+  TestServer ts = StartServer(FreshDir("caps"), FreshSocket("caps"));
+  ASSERT_NE(ts.server, nullptr);
+  NetClient client(ts.server->address());
+  JobSpec threads = MakeJob(IncompleteSpec());
+  threads.num_threads = kMaxJobThreads + 1;
+  JobSpec late = MakeJob(IncompleteSpec());
+  late.deadline = kMaxJobDeadline + std::chrono::milliseconds(1);
+  for (const JobSpec& job : {threads, late}) {
+    const Status submitted = client.Submit("over-cap", job);
+    EXPECT_EQ(submitted.code(), StatusCode::kInvalidArgument)
+        << submitted.ToString();
+  }
+  EXPECT_TRUE(ts.service->store().PendingRequests().empty());
+}
+
+TEST(NetAddressTest, ServerAndClientParseEveryAddressAlike) {
+  // One parser serves both ends: an address the server refuses to
+  // listen on, the client refuses to dial, with the same typed error.
+  auto service = DecisionService::Start(FreshDir("addr"));
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+  const std::string long_path = StrCat("unix:/", std::string(200, 'p'));
+  for (const std::string& bad :
+       {std::string("tcp:127.0.0.1:80junk"), std::string("tcp:127.0.0.1:+80"),
+        std::string("tcp:127.0.0.1: 80"), std::string("tcp:127.0.0.1:"),
+        std::string("tcp:127.0.0.1:-1"), std::string("tcp:127.0.0.1:65536"),
+        std::string("tcp:127.0.0.1:99999999999999999999999"),
+        std::string("tcp:localhost:80"), std::string("tcp:127.0.0.1"),
+        std::string("unix:"), long_path, std::string("udp:127.0.0.1:80"),
+        std::string("")}) {
+    EXPECT_EQ(ParseNetAddress(bad).status().code(),
+              StatusCode::kInvalidArgument)
+        << bad;
+    EXPECT_EQ(NetServer::Start(service->get(), bad).status().code(),
+              StatusCode::kInvalidArgument)
+        << bad;
+    NetClient client(bad);
+    EXPECT_EQ(client.ServerStatus().status().code(),
+              StatusCode::kInvalidArgument)
+        << bad;
+    EXPECT_EQ(client.stats().connects, 0u) << bad;
+  }
+  struct Good {
+    const char* address;
+    bool is_unix;
+    const char* where;  // path or ip
+    uint16_t port;
+  };
+  for (const Good& good :
+       {Good{"tcp:127.0.0.1:80", false, "127.0.0.1", 80},
+        Good{"tcp:10.1.2.3:65535", false, "10.1.2.3", 65535},
+        Good{"tcp:127.0.0.1:00080", false, "127.0.0.1", 80},
+        Good{"tcp:127.0.0.1:0", false, "127.0.0.1", 0},
+        Good{"unix:/tmp/a b:c.sock", true, "/tmp/a b:c.sock", 0}}) {
+    Result<NetAddress> parsed = ParseNetAddress(good.address);
+    ASSERT_TRUE(parsed.ok()) << good.address << ": "
+                             << parsed.status().ToString();
+    EXPECT_EQ(parsed->is_unix, good.is_unix) << good.address;
+    EXPECT_EQ(good.is_unix ? parsed->path : parsed->ip, good.where);
+    EXPECT_EQ(parsed->port, good.port) << good.address;
+  }
+  // And the good forms meet end to end: each side's address is the
+  // other's.
+  for (const std::string& listen :
+       {std::string("tcp:127.0.0.1:0"), FreshSocket("addr")}) {
+    auto server = NetServer::Start(service->get(), listen);
+    ASSERT_TRUE(server.ok()) << listen << ": " << server.status().ToString();
+    NetClient client((*server)->address());
+    EXPECT_TRUE(client.ServerStatus().ok()) << (*server)->address();
+  }
+}
+
 TEST(NetServiceTest, ServerStatusReportsCounters) {
   TestServer ts = StartServer(FreshDir("status"), FreshSocket("status"));
   ASSERT_NE(ts.server, nullptr);

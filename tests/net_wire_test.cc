@@ -146,7 +146,7 @@ TEST(NetWireHostileTest, OversizedLengthPrefixIsRejectedBeforeAllocation) {
 
 TEST(NetWireHostileTest, VersionSkewInTheMagicIsRejected) {
   std::string frame = EncodeFrame("future payload");
-  frame[3] = '2';  // RNF2: a future frame format
+  frame[3] = '9';  // RNF9: a future frame format
   std::string payload;
   auto next = DecodeOnce(frame, &payload);
   ASSERT_FALSE(next.ok());
@@ -332,7 +332,6 @@ Result<bool> DecodeV2(std::string_view data, std::string* payload,
                       const std::string& auth_key = "",
                       size_t max_payload = kDefaultMaxFramePayload) {
   FrameDecoder decoder(max_payload);
-  decoder.set_accept_v2(true);
   if (!auth_key.empty()) decoder.set_auth_key(auth_key);
   decoder.Feed(data);
   return decoder.Next(payload);
@@ -409,7 +408,6 @@ TEST(NetWireV2Test, KeyedAndV1FrameBytesArePinned) {
 
 TEST(NetWireV2Test, V2DecoderStillAcceptsV1) {
   FrameDecoder decoder;
-  decoder.set_accept_v2(true);
   decoder.Feed(EncodeFrame("v1 leg"));
   std::string payload;
   auto next = decoder.Next(&payload);
@@ -419,16 +417,6 @@ TEST(NetWireV2Test, V2DecoderStillAcceptsV1) {
   next = decoder.Next(&payload);
   ASSERT_TRUE(next.ok() && *next) << next.status().ToString();
   EXPECT_EQ(payload, "v2 leg upgraded");
-}
-
-TEST(NetWireV2Test, DefaultDecoderStillRejectsV2Magic) {
-  // The opt-in matters: a peer that never negotiated v2 treats the new
-  // magic exactly like any other version skew.
-  std::string payload;
-  auto next = DecodeOnce(EncodeFrameV2("not negotiated", FrameCodecOptions{}),
-                         &payload);
-  ASSERT_FALSE(next.ok());
-  EXPECT_NE(next.status().message().find("magic"), std::string::npos);
 }
 
 TEST(NetWireHostileTest, V2TruncationAtEveryByteNeverYieldsAFrame) {
@@ -523,7 +511,6 @@ TEST(NetWireV2Test, RotationWindowDecoderAcceptsEitherKeyOnly) {
 
   auto decode = [&](const std::string& frame, std::string* out) {
     FrameDecoder decoder;
-    decoder.set_accept_v2(true);
     decoder.set_auth_key("new fabric key");
     decoder.set_auth_key2("old fabric key");
     decoder.Feed(frame);
@@ -546,7 +533,6 @@ TEST(NetWireV2Test, RotationWindowDecoderAcceptsEitherKeyOnly) {
   // Dropping the secondary closes the window: the old key stops
   // verifying the moment the rotation completes.
   FrameDecoder single;
-  single.set_accept_v2(true);
   single.set_auth_key("new fabric key");
   single.Feed(EncodeFrameV2(payload, old_codec));
   next = single.Next(&out);
@@ -564,7 +550,6 @@ TEST(NetWireHostileTest, LyingLengthsAndRetiredFlagsAreRefused) {
     auto expect_sticky_refusal = [&](const std::string& bytes,
                                      const char* why) {
       FrameDecoder decoder;
-      decoder.set_accept_v2(true);
       if (!key.empty()) decoder.set_auth_key(key);
       decoder.Feed(bytes);
       std::string out;
