@@ -3,10 +3,11 @@
 # asan preset (Debug, ASan+UBSan, recover disabled), then the tsan
 # preset (ThreadSanitizer over the concurrency-sensitive suites — the
 # parallel-search determinism sweep, the budget-exhaustion matrix, the
-# fault-injection sweep, the eval equivalence tests, the network
-# front end's wire/socket suites and the concurrent verdict-cache
-# hammer; the tsan test preset carries the filter), then the
-# standalone ubsan preset (pure UBSan over the full suite). Later
+# fault-injection sweep, the eval equivalence tests, the decision
+# service's kill sweeps (rolling persists run on search threads), the
+# network front end's wire/socket suites and the concurrent
+# verdict-cache hammer; the tsan test preset carries the filter), then
+# the standalone ubsan preset (pure UBSan over the full suite). Later
 # stages re-run labelled suites under a sanitizer and finish with the
 # benchmark's known-answer selftest. Run from anywhere.
 set -euo pipefail

@@ -183,10 +183,14 @@ class DisjunctSearch {
   /// `resume_rank` skips the ranks a prior interrupted run already
   /// searched; on budget exhaustion *ex is filled and false returned
   /// (no counterexample surfaced, not an error).
+  /// `on_progress`, when set, receives the search's rolling low
+  /// watermark (ParallelSearchOptions::on_progress).
   Result<bool> Run(RcdpResult* result,
                    const std::map<std::string, std::vector<Value>>*
                        candidate_overrides,
-                   size_t resume_rank, Exhaustion* ex) {
+                   size_t resume_rank,
+                   std::function<void(size_t rank)> on_progress,
+                   Exhaustion* ex) {
     const size_t threads = EffectiveThreads(options_);
     std::vector<Worker> workers(threads);
     for (Worker& w : workers) InitWorker(&w);
@@ -407,6 +411,7 @@ class DisjunctSearch {
     ParallelSearchOptions parallel_options;
     parallel_options.num_threads = threads;
     parallel_options.resume_rank = resume_rank;
+    parallel_options.on_progress = std::move(on_progress);
     ParallelSearchOutcome outcome;
     std::optional<FreezeScope> freeze;
     if (threads > 1) {
@@ -712,8 +717,17 @@ Result<RcdpResult> DecideRcdp(const AnyQuery& query, const Database& db,
     start_disjunct = options.resume->disjunct;
     start_rank = options.resume->rank;
   }
+  auto checkpoint_at = [fingerprint](size_t disjunct, size_t rank) {
+    SearchCheckpoint ckpt;
+    ckpt.decider = "rcdp";
+    ckpt.disjunct = disjunct;
+    ckpt.rank = rank;
+    ckpt.fingerprint = fingerprint;
+    return ckpt;
+  };
 
   bool exhausted = false;
+  bool searched_any = false;
   std::set<Value> query_constants = ucq.Constants();
   const std::vector<ConjunctiveQuery>& disjuncts = ucq.disjuncts();
   for (size_t i = start_disjunct; i < disjuncts.size(); ++i) {
@@ -772,10 +786,21 @@ Result<RcdpResult> DecideRcdp(const AnyQuery& query, const Database& db,
       disjunct_start_rank =
           std::max(disjunct_start_rank, options.plan->resume_rank);
     }
+    std::function<void(size_t)> on_rank;
+    if (options.progress != nullptr) {
+      // Every disjunct before this one is done: that is progress too.
+      if (searched_any) {
+        options.progress(checkpoint_at(i, disjunct_start_rank));
+      }
+      on_rank = [&options, &checkpoint_at, i](size_t rank) {
+        options.progress(checkpoint_at(i, rank));
+      };
+    }
+    searched_any = true;
     RELCOMP_ASSIGN_OR_RETURN(
         bool found,
         search.Run(&result, overrides.empty() ? nullptr : &overrides,
-                   disjunct_start_rank, &ex));
+                   disjunct_start_rank, std::move(on_rank), &ex));
     if (ex.exhausted) {
       // Graceful degradation: the verdict is unknown, the exhaustion
       // reason and a resume checkpoint travel with the result, and the
@@ -784,12 +809,7 @@ Result<RcdpResult> DecideRcdp(const AnyQuery& query, const Database& db,
       result.verdict = Verdict::kUnknown;
       result.complete = false;
       result.exhaustion = ExhaustionFromStatus(ex.status, options.budget);
-      SearchCheckpoint ckpt;
-      ckpt.decider = "rcdp";
-      ckpt.disjunct = i;
-      ckpt.rank = ex.next_rank;
-      ckpt.fingerprint = fingerprint;
-      result.checkpoint = std::move(ckpt);
+      result.checkpoint = checkpoint_at(i, ex.next_rank);
       break;
     }
     if (found) {
@@ -866,8 +886,11 @@ Result<ChaseResult> ChaseToCompleteness(const AnyQuery& query,
   RcdpOptions round_options = options;
   // A certificate plan (or closure waiver) speaks about one fixed
   // instance; the chase mutates D every round, so neither transfers.
+  // Nor does a progress sink: a round's "rcdp" checkpoint does not
+  // resume a chase.
   round_options.plan = nullptr;
   round_options.assume_partially_closed = false;
+  round_options.progress = nullptr;
   for (size_t round = start_round; round < max_rounds; ++round) {
     if (options.budget != nullptr) {
       // One counted decision point per chase round.

@@ -1,6 +1,7 @@
 #ifndef RELCOMP_COMPLETENESS_RCDP_H_
 #define RELCOMP_COMPLETENESS_RCDP_H_
 
+#include <functional>
 #include <optional>
 #include <string>
 
@@ -44,6 +45,9 @@ struct RcdpDisjunctPlan {
   size_t resume_rank_disjunct = static_cast<size_t>(-1);
   size_t resume_rank = 0;
 };
+
+/// Receives rolling checkpoints (see RcdpOptions::progress).
+using ProgressSink = std::function<void(const SearchCheckpoint&)>;
 
 /// Options for the RCDP decider.
 struct RcdpOptions {
@@ -121,6 +125,17 @@ struct RcdpOptions {
   /// certificate against the instance content before building it; no
   /// fingerprint check happens here.
   const RcdpDisjunctPlan* plan = nullptr;
+  /// Rolling checkpoints (may be empty): each time the lowest
+  /// unsearched position advances — a work unit of the valuation
+  /// search runs to exhaustion with every unit below it exhausted, or
+  /// a later disjunct starts — the sink receives the checkpoint this
+  /// call would have returned had its budget tripped right then. Calls
+  /// are serialized, may come from search worker threads, and strictly
+  /// increase in (disjunct, rank). A sink makes the search controlled
+  /// (the fixed kControlledUnits partition) even without a budget.
+  /// DecideRcqp wraps it per phase; nested decider calls (RCQP's
+  /// per-candidate RCDP checks, the chase's rounds) never receive it.
+  ProgressSink progress;
 };
 
 /// Worker threads the valuation searches run for `options` (the one

@@ -133,13 +133,15 @@ struct ProbeOutcome {
 /// one (lowest work unit wins). With a budget the driver switches to
 /// its fixed thread-count-independent unit partition, so exhaustion
 /// and next_rank are deterministic at any num_threads. `interner` is
-/// the family interner the active domain was built on.
+/// the family interner the active domain was built on; `on_progress`
+/// (may be empty) receives the probe's rolling low watermark.
 Result<ProbeOutcome> FindRealizableValuation(
     const TableauQuery& tableau, const Database& master,
     const ConstraintSet& constraints, const CompiledConstraintCheck* compiled,
     const std::shared_ptr<const Schema>& db_schema, const ActiveDomain& adom,
     const ValueInterner* interner, size_t num_threads,
-    ExecutionBudget* budget, size_t resume_rank) {
+    ExecutionBudget* budget, size_t resume_rank,
+    std::function<void(size_t rank)> on_progress) {
   struct Worker {
     std::optional<Database> empty_db;
     std::optional<DatabaseOverlay> scratch;
@@ -159,6 +161,7 @@ Result<ProbeOutcome> FindRealizableValuation(
   ParallelSearchOptions parallel_options;
   parallel_options.num_threads = threads;
   parallel_options.resume_rank = resume_rank;
+  parallel_options.on_progress = std::move(on_progress);
   auto on_total = [&](size_t wi, const IdValuation& v) {
     Worker& w = workers[wi];
     Result<bool> sat = ValuationRealizable(tableau, v.ToBindings(), master,
@@ -265,6 +268,17 @@ Status AccumulateIndWitness(const TableauQuery& tableau,
   }
   RELCOMP_RETURN_NOT_OK(enumerated);
   return inner;
+}
+
+/// The rcqp-ind checkpoint payload: the probed tableau indexes whose
+/// probe found a realizable valuation, comma-separated.
+std::string RealizedPayload(const std::set<size_t>& realized) {
+  std::string payload;
+  for (size_t idx : realized) {
+    if (!payload.empty()) payload += ',';
+    payload += std::to_string(idx);
+  }
+  return payload;
 }
 
 /// All per-disjunct tableaux of a query convertible to UCQ.
@@ -424,11 +438,16 @@ Result<RcqpResult> DecideRcqp(const AnyQuery& query,
   RcqpResult result;
 
   ExecutionBudget* budget = options.rcdp.budget;
+  // Rolling checkpoints: rcdp.progress receives this call's phase
+  // checkpoints ("rcqp-ind", "rcqp-empty", "rcqp-pool").
+  const ProgressSink& sink = options.rcdp.progress;
   // Inner RCDP options: the caller's rcdp.resume (if any) is an RCDP
   // checkpoint, not an RCQP one — never forward it; RCQP resume state
-  // travels in options.resume and its payload.
+  // travels in options.resume and its payload. Nor is the sink
+  // forwarded: an inner "rcdp" checkpoint does not resume RCQP.
   RcdpOptions inner_rcdp = options.rcdp;
   inner_rcdp.resume = nullptr;
+  inner_rcdp.progress = nullptr;
   const uint64_t fingerprint = CheckpointFingerprint(
       {FingerprintString("rcqp"), FingerprintString(query.ToString()),
        constraints.constraints().size(), master.TotalTuples()});
@@ -553,6 +572,7 @@ Result<RcqpResult> DecideRcqp(const AnyQuery& query,
       }
     }
     bool all_ok = true;
+    bool probed_any = false;
     for (size_t ti = 0; ti < tableaux.size(); ++ti) {
       const TableauQuery& tableau = tableaux[ti];
       std::vector<VariableBoundedness> analysis =
@@ -565,12 +585,26 @@ Result<RcqpResult> DecideRcqp(const AnyQuery& query,
       if (ti < start_tableau) {
         realizable_found = realized.count(ti) > 0;
       } else {
+        const size_t probe_start = ti == start_tableau ? start_rank : 0;
+        std::function<void(size_t)> on_rank;
+        if (sink != nullptr) {
+          std::string payload = RealizedPayload(realized);
+          // Every tableau before this one is probed: progress too.
+          if (probed_any) {
+            sink(make_checkpoint("rcqp-ind", ti, probe_start, payload));
+          }
+          on_rank = [&sink, &make_checkpoint, ti,
+                     payload = std::move(payload)](size_t rank) {
+            sink(make_checkpoint("rcqp-ind", ti, rank, payload));
+          };
+        }
+        probed_any = true;
         RELCOMP_ASSIGN_OR_RETURN(
             ProbeOutcome probe,
             FindRealizableValuation(tableau, master, constraints, compiled_ptr,
                                     db_schema, adom, empty_db.interner().get(),
                                     EffectiveThreads(options.rcdp), budget,
-                                    ti == start_tableau ? start_rank : 0));
+                                    probe_start, std::move(on_rank)));
         if (probe.exhausted) {
           result.verdict = Verdict::kUnknown;
           result.exists = false;
@@ -579,13 +613,8 @@ Result<RcqpResult> DecideRcqp(const AnyQuery& query,
           result.method = "ind-syntactic";
           result.exhaustion =
               ExhaustionFromStatus(probe.exhaustion_status, budget);
-          std::string payload;
-          for (size_t idx : realized) {
-            if (!payload.empty()) payload += ',';
-            payload += std::to_string(idx);
-          }
           result.checkpoint = make_checkpoint("rcqp-ind", ti, probe.next_rank,
-                                              std::move(payload));
+                                              RealizedPayload(realized));
           return result;
         }
         realizable_found = probe.realizable;
@@ -676,6 +705,12 @@ Result<RcqpResult> DecideRcqp(const AnyQuery& query,
                                SearchCheckpoint::Deserialize(resume->payload));
       empty_inner = std::move(inner);
       empty_options.resume = &*empty_inner;
+    }
+    if (sink != nullptr) {
+      empty_options.progress = [&sink,
+                                &make_checkpoint](const SearchCheckpoint& in) {
+        sink(make_checkpoint("rcqp-empty", 0, 0, in.Serialize()));
+      };
     }
     RELCOMP_ASSIGN_OR_RETURN(
         RcdpResult empty_rcdp,
@@ -784,20 +819,28 @@ Result<RcqpResult> DecideRcqp(const AnyQuery& query,
       }
       RELCOMP_ASSIGN_OR_RETURN(bool closed,
                                Satisfies(constraints, candidate, master));
-      if (!closed) return true;
-      Result<RcdpResult> rcdp =
-          DecideRcdp(query, candidate, master, constraints, inner_rcdp);
-      RELCOMP_RETURN_NOT_OK(rcdp.status());
-      if (rcdp->verdict == Verdict::kUnknown) {
-        // Only the shared budget leaves an inner RCDP undecided. This
-        // leaf was not fully judged; a resumed call re-judges it from
-        // scratch (the inner RCDP is deterministic).
-        budget_exhausted = true;
-        exhausted_status = budget->exhaustion_status();
-        exhausted_rank = my_leaf;
-        return true;
+      if (closed) {
+        Result<RcdpResult> rcdp =
+            DecideRcdp(query, candidate, master, constraints, inner_rcdp);
+        RELCOMP_RETURN_NOT_OK(rcdp.status());
+        if (rcdp->verdict == Verdict::kUnknown) {
+          // Only the shared budget leaves an inner RCDP undecided. This
+          // leaf was not fully judged; a resumed call re-judges it from
+          // scratch (the inner RCDP is deterministic).
+          budget_exhausted = true;
+          exhausted_status = budget->exhaustion_status();
+          exhausted_rank = my_leaf;
+          return true;
+        }
+        if (rcdp->complete) {
+          found = std::move(candidate);
+          return true;
+        }
       }
-      if (rcdp->complete) found = std::move(candidate);
+      // Judged and not a witness: a resumed call may skip it.
+      if (sink != nullptr) {
+        sink(make_checkpoint("rcqp-pool", 0, my_leaf + 1, std::string()));
+      }
       return true;
     }
     for (size_t i = start; i + remaining <= pool.size() + 1 && i < pool.size();

@@ -33,6 +33,12 @@ struct RcqpOptions {
   /// whole RCQP call rides here (rcdp.budget): the IND realizability
   /// probes, the chase rounds, the pool-candidate judgments, and every
   /// inner RCDP search all claim decision points on that one budget.
+  /// So does this call's rolling-checkpoint sink (rcdp.progress): it
+  /// receives "rcqp-ind" checkpoints as the realizability probes
+  /// advance, "rcqp-empty" ones around the empty database's RCDP
+  /// checkpoint, and an "rcqp-pool" one after each judged candidate
+  /// that is not a witness. The inner checks and the chase run without
+  /// it.
   RcdpOptions rcdp;
   /// Resume point from a prior kUnknown RcqpResult (not owned; may be
   /// null). The checkpoint's decider names the phase it was minted in

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cstdint>
 #include <map>
+#include <mutex>
 #include <set>
 #include <thread>
 
@@ -347,12 +348,15 @@ void ParallelValuationSearchIds(
 
   const size_t threads = std::max<size_t>(1, parallel_options.num_threads);
   ExecutionBudget* budget = enum_options.budget;
-  // Controlled runs (budget or resume) always go through the unit
-  // partition — with a thread-count-independent unit target — so the
-  // counted decision points and rank checkpoints are identical in
-  // serial and parallel mode.
-  const bool controlled =
-      budget != nullptr || parallel_options.resume_rank > 0;
+  const std::function<void(size_t)>& on_progress =
+      parallel_options.on_progress;
+  // Controlled runs (budget, resume or progress reports) always go
+  // through the unit partition — with a thread-count-independent unit
+  // target — so the counted decision points and rank checkpoints are
+  // identical in serial and parallel mode.
+  const bool controlled = budget != nullptr ||
+                          parallel_options.resume_rank > 0 ||
+                          on_progress != nullptr;
 
   // Plan the partition on a probe enumerator (order and candidate
   // lists are shard-independent, so the probe sees exactly what every
@@ -417,6 +421,23 @@ void ParallelValuationSearchIds(
   std::atomic<size_t> best_unit{SIZE_MAX};
   std::vector<ValuationSearchStats> worker_stats(num_workers);
 
+  // Rolling checkpoints: the low watermark is the lowest unit not yet
+  // run to exhaustion. Exhausting it advances the watermark past every
+  // exhausted unit above it, and the new watermark's begin rank is
+  // reported under the lock, so reports are serialized and increasing.
+  std::mutex progress_mu;
+  std::vector<char> unit_exhausted(num_units, 0);  // guarded by progress_mu
+  size_t low_unit = 0;                             // guarded by progress_mu
+  auto note_exhausted = [&](size_t u) {
+    std::lock_guard<std::mutex> lock(progress_mu);
+    unit_exhausted[u] = 1;
+    const size_t before = low_unit;
+    while (low_unit < num_units && unit_exhausted[low_unit] != 0) ++low_unit;
+    if (low_unit != before && low_unit < num_units) {
+      on_progress(units[low_unit].begin);
+    }
+  };
+
   auto worker_fn = [&](size_t w) {
     const IdCallback prune = ForWorker(should_prune, w);
     const IdCallback deliver = ForWorker(on_total, w);
@@ -478,6 +499,7 @@ void ParallelValuationSearchIds(
         units[u].status = st;
       } else {
         units[u].state = UnitState::kExhausted;
+        if (on_progress != nullptr) note_exhausted(u);
         continue;
       }
       // Hit or abort: publish u as the winner bound; enumerations of

@@ -242,6 +242,14 @@ struct ParallelSearchOptions {
   /// in the flattened prefix space, which is identical across thread
   /// counts in budget-controlled runs (see kControlledUnits).
   size_t resume_rank = 0;
+  /// Rolling checkpoints: called with the new lowest unfinished rank
+  /// each time the unit holding it runs to exhaustion with every unit
+  /// below it exhausted too — the next_rank a budget exhaustion right
+  /// then would have returned. Calls are serialized (on whichever
+  /// worker finished the unit), ranks strictly increase, and the end
+  /// of the rank space is never reported. Setting it makes the run
+  /// controlled.
+  std::function<void(size_t rank)> on_progress;
 };
 
 /// Aggregated outcome of a parallel search.
@@ -270,7 +278,7 @@ struct ParallelSearchOutcome {
 };
 
 /// Number of work units used whenever a run is budget-controlled
-/// (budget or resume). Independent of num_threads so the unit
+/// (budget, resume or progress reports). Independent of num_threads so the unit
 /// partition — and with it the set of counted decision points and the
 /// ranks a checkpoint can name — is identical at every thread count.
 /// Which of those ranks a tripped cap leaves as the checkpoint depends

@@ -765,29 +765,6 @@ Result<PersistedCheckpoint> CheckpointStore::LoadLatestCheckpoint(
              " (newest generations failed integrity)"));
 }
 
-Result<PersistedCheckpoint> CheckpointStore::LoadCheckpoint(
-    const std::string& request_id, uint64_t generation) const {
-  if (!ValidRequestId(request_id)) {
-    return Status::InvalidArgument(
-        StrCat("invalid request id for store: \"", request_id, "\""));
-  }
-  if (generation == 0) {
-    return Status::InvalidArgument("checkpoint generations start at 1");
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  RELCOMP_RETURN_NOT_OK(CheckAlive());
-  const std::string path = CkptPath(dir_, request_id, generation);
-  RELCOMP_ASSIGN_OR_RETURN(std::string payload,
-                           ReadRecord(path, "ckpt", request_id, generation));
-  RELCOMP_ASSIGN_OR_RETURN(SearchCheckpoint parsed,
-                           SearchCheckpoint::Deserialize(payload));
-  PersistedCheckpoint out;
-  out.checkpoint = std::move(parsed);
-  out.generation = generation;
-  out.path = path;
-  return out;
-}
-
 Status CheckpointStore::PersistJob(const std::string& request_id,
                                    const std::string& payload) {
   if (!ValidRequestId(request_id)) {

@@ -149,14 +149,6 @@ class CheckpointStore {
   Result<PersistedCheckpoint> LoadLatestCheckpoint(
       const std::string& request_id) const;
 
-  /// Loads one specific retained generation (the store keeps the
-  /// latest two). kNotFound if that generation is gone; kInvalidArgument
-  /// if the file fails integrity. The DecisionService compares the two
-  /// newest generations at resume time to detect a stalled slice (see
-  /// DecisionServiceOptions::default_slice_steps).
-  Result<PersistedCheckpoint> LoadCheckpoint(const std::string& request_id,
-                                             uint64_t generation) const;
-
   /// Durably writes an opaque job record (the DecisionService persists
   /// the serialized JobSpec here at submit time, so a restarted
   /// process can re-create and resume every in-flight job).

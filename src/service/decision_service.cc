@@ -1,7 +1,6 @@
 #include "service/decision_service.h"
 
 #include <algorithm>
-#include <limits>
 
 #include "completeness/incremental.h"
 #include "completeness/rcqp.h"
@@ -704,31 +703,14 @@ void DecisionService::RunJob(Job* job,
 
   ExecutionBudget budget;
   if (spec.deadline.has_value()) budget.set_deadline(job->deadline);
-  const size_t base_slice = spec.slice_steps > 0
-                                ? spec.slice_steps
-                                : options_.default_slice_steps;
   budget.set_cancel_token(job->cancel.token());
   if (options_.fault_injector != nullptr) {
     budget.set_fault_injector(options_.fault_injector);
   }
 
-  // Stall-escalation state. Checkpoint granularity is the search's
-  // rank space, so a slice smaller than one rank unit's cost produces
-  // a new generation identical to the last — zero durable progress,
-  // and a fixed slice would retry (or a crash chain would re-die)
-  // forever. When the newest generation's serialized form equals its
-  // predecessor's, the next attempt widens its slice to
-  // base << min(generation, 20). The generation number is durable and
-  // monotonic, so the exponent keeps growing across kills until a
-  // rank unit fits; once progress resumes the slice drops back to the
-  // configured base.
-  std::string last_durable_form;
-  uint64_t last_generation = 0;
-  bool stalled = false;
-
   // Resume state. rcdp/rcqp checkpoints are self-contained, so the
-  // newest valid stored generation seeds the first attempt (this is
-  // the crash-recovery path). A chase checkpoint is only meaningful
+  // newest valid stored generation seeds the run (this is the
+  // crash-recovery path). A chase checkpoint is only meaningful
   // together with the partially chased database, which does not
   // survive the process — a recovered chase restarts from round 0.
   std::optional<SearchCheckpoint> resume;
@@ -736,197 +718,145 @@ void DecisionService::RunJob(Job* job,
     Result<PersistedCheckpoint> persisted =
         store_->LoadLatestCheckpoint(job->id);
     if (persisted.ok()) {
-      last_durable_form = persisted->checkpoint.Serialize();
-      last_generation = persisted->generation;
-      if (persisted->generation >= 2) {
-        Result<PersistedCheckpoint> prev =
-            store_->LoadCheckpoint(job->id, persisted->generation - 1);
-        stalled = prev.ok() &&
-                  prev->checkpoint.Serialize() == last_durable_form;
-      }
       resume = std::move(persisted->checkpoint);
       job->result.checkpoint_path = persisted->path;
     }
   }
-  Database chase_db = problem.db;  // chase: carried across retries
 
-  for (;;) {
-    ++job->result.attempts;
-    if (base_slice > 0) {
-      size_t effective = base_slice;
-      if (stalled) {
-        const size_t shift =
-            static_cast<size_t>(std::min<uint64_t>(last_generation, 20));
-        effective =
-            base_slice > (std::numeric_limits<size_t>::max() >> shift)
-                ? std::numeric_limits<size_t>::max()
-                : base_slice << shift;
-      }
-      budget.set_max_steps(effective);
-    }
-    Verdict verdict = Verdict::kUnknown;
-    std::string evidence;
-    std::optional<SearchCheckpoint> checkpoint;
-    ExhaustionInfo exhaustion;
-    Status decide_status = Status::OK();
+  RcdpOptions rcdp_options;
+  rcdp_options.num_threads = std::max<size_t>(1, spec.num_threads);
+  rcdp_options.budget = &budget;
+  rcdp_options.resume = resume.has_value() ? &*resume : nullptr;
 
-    RcdpOptions rcdp_options;
-    rcdp_options.num_threads = std::max<size_t>(1, spec.num_threads);
-    rcdp_options.budget = &budget;
-    rcdp_options.resume = resume.has_value() ? &*resume : nullptr;
-
-    switch (spec.kind) {
-      case JobKind::kRcdp: {
-        Result<RcdpResult> r = DecideRcdp(query, problem.db, problem.master,
-                                          problem.constraints, rcdp_options);
-        if (!r.ok()) { decide_status = r.status(); break; }
-        verdict = r->verdict;
-        evidence = RcdpEvidence(*r);
-        checkpoint = std::move(r->checkpoint);
-        exhaustion = r->exhaustion;
-        break;
-      }
-      case JobKind::kRcqp: {
-        RcqpOptions options;
-        options.rcdp = rcdp_options;
-        options.rcdp.resume = nullptr;  // travels inside the checkpoint
-        options.resume = rcdp_options.resume;
-        Result<RcqpResult> r =
-            DecideRcqp(query, problem.db_schema, problem.master,
-                       problem.constraints, options);
-        if (!r.ok()) { decide_status = r.status(); break; }
-        verdict = r->verdict;
-        evidence = RcqpEvidence(*r);
-        checkpoint = std::move(r->checkpoint);
-        exhaustion = r->exhaustion;
-        break;
-      }
-      case JobKind::kChase: {
-        Result<ChaseResult> r = ChaseToCompleteness(
-            query, chase_db, problem.master, problem.constraints,
-            spec.max_chase_rounds, rcdp_options);
-        if (!r.ok()) { decide_status = r.status(); break; }
-        verdict = r->verdict;
-        evidence = ChaseEvidence(*r);
-        checkpoint = std::move(r->checkpoint);
-        exhaustion = r->exhaustion;
-        chase_db = std::move(r->db);  // never discard completed rounds
-        break;
-      }
-    }
-
-    // Populate the cache before re-taking the service lock (the cache
-    // write fsyncs; don't stall the other workers on it). Best-effort:
-    // a failed cache write must not fail the job.
-    if (verdict_cache_ != nullptr && spec.kind == JobKind::kRcdp &&
-        decide_status.ok() && verdict != Verdict::kUnknown) {
-      Status cache_st = verdict_cache_->Insert(instance_fp, verdict, evidence);
-      (void)cache_st;
-    }
-
-    lock.lock();
-    if (crashed_) return;  // another job crashed the service mid-decide
-
-    if (!decide_status.ok()) {
-      if (!job->ephemeral) store_->Forget(job->id);
-      finish(std::move(decide_status));
-      return;
-    }
-
-    const bool budget_saw_crash =
-        budget.exhausted_kind() == BudgetKind::kCrash;
-    if (verdict != Verdict::kUnknown) {
-      job->result.verdict = verdict;
-      job->result.evidence = std::move(evidence);
-      // Retry observability survives success: the budget's monotonic
-      // rearm count and sticky first-exhaustion record tell the
-      // operator how bumpy the road to the verdict was.
-      job->result.exhaustion.retry_count = budget.retry_count();
-      if (!job->ephemeral) store_->Forget(job->id);
-      finish(Status::OK());
-      return;
-    }
-
-    // kUnknown: persist the resume point first — crash simulation and
-    // real kills alike must find it durable. An ephemeral job never
-    // persists (it has no durable identity to attach a generation to);
-    // it keeps its resume point in memory like a degraded persist.
-    if (checkpoint.has_value()) {
-      uint64_t generation = 0;
+  // Rolling persists: the decider runs once, with no step cap, and
+  // reports each advance of its lowest unsearched position; once
+  // slice_steps decision points have passed since the last durable
+  // generation, the next report is persisted. The sink's calls are
+  // serialized, so `durable_at` needs no lock. A chase reports nothing
+  // (recovery restarts it at round 0 anyway), and an ephemeral job has
+  // no durable identity to persist under.
+  size_t durable_at = 0;
+  if (spec.slice_steps > 0 && !job->ephemeral &&
+      spec.kind != JobKind::kChase) {
+    rcdp_options.progress = [&](const SearchCheckpoint& ckpt) {
+      const size_t steps = budget.steps();
+      if (steps - durable_at < spec.slice_steps) return;
+      std::unique_lock<std::mutex> persist_lock(mu_);
+      if (crashed_) return;
       bool persisted = false;
-      if (!job->ephemeral &&
-          !PersistAndMaybeCrash(job, *checkpoint, budget_saw_crash,
-                                &generation, &persisted, lock)) {
-        return;  // simulated kill (or store failure after crash)
-      }
-      std::string form = checkpoint->Serialize();
-      stalled = form == last_durable_form;
-      last_durable_form = std::move(form);
-      if (persisted) {
-        last_generation = generation;
-      } else if (stalled) {
-        // No durable generation to drive the escalation exponent —
-        // grow it in memory so a too-small slice still widens.
-        ++last_generation;
-      }
-    } else if (budget_saw_crash) {
-      // Nothing to persist (exhaustion before the first checkpointable
-      // point) — the kill still happens; recovery restarts from the
-      // job record alone.
-      CrashLocked();
-      return;
-    } else {
-      // No resume point at all: a retry would re-run the identical
-      // search, so only a wider slice can help. Escalate as if a
-      // same-form generation had been persisted.
-      stalled = true;
-      ++last_generation;
-    }
-
-    // Classify. Step-slice and memory exhaustion are transient and
-    // resume from the checkpoint: a step slice is the service's own
-    // planned boundary, so it resumes at once; memory exhaustion backs
-    // off first (capped exponential in the budget's monotonic retry
-    // count). Deadline, cancel, and the chase round cap are terminal:
-    // retrying cannot help (the deadline stays expired, the cap stays
-    // reached), so the job ends kUnknown with its newest checkpoint
-    // retained in the store for a manual resume.
-    const BudgetKind kind = exhaustion.kind;
-    const bool transient =
-        kind == BudgetKind::kSteps || kind == BudgetKind::kMemory;
-    const bool retries_left =
-        options_.max_retries == 0 ||
-        budget.retry_count() < options_.max_retries;
-    if (!transient || !retries_left) {
-      job->result.verdict = Verdict::kUnknown;
-      job->result.evidence = StrCat("unknown|", BudgetKindToString(kind));
-      job->result.exhaustion = exhaustion;
-      // An explicit Cancel() abandons the job: drop its durable record
-      // and checkpoints (other terminal kUnknowns keep theirs for a
-      // manual resume).
-      if (job->cancel_requested && !job->ephemeral) store_->Forget(job->id);
-      finish(Status::OK());
-      return;
-    }
-
-    std::chrono::milliseconds delay{0};
-    if (kind == BudgetKind::kMemory) {
-      const size_t retry = budget.retry_count();
-      delay = retry >= 20 ? options_.backoff_cap
-                          : std::min(options_.backoff_cap,
-                                     options_.backoff_base * (1u << retry));
-    }
-    budget.Rearm();
-    resume = std::move(checkpoint);
-    lock.unlock();
-    if (delay.count() > 0) std::this_thread::sleep_for(delay);
+      PersistAndMaybeCrash(job, ckpt, /*budget_saw_crash=*/false, &persisted,
+                           persist_lock);
+      if (persisted) durable_at = steps;
+    };
   }
+
+  Verdict verdict = Verdict::kUnknown;
+  std::string evidence;
+  std::optional<SearchCheckpoint> checkpoint;
+  ExhaustionInfo exhaustion;
+  Status decide_status = Status::OK();
+  switch (spec.kind) {
+    case JobKind::kRcdp: {
+      Result<RcdpResult> r = DecideRcdp(query, problem.db, problem.master,
+                                        problem.constraints, rcdp_options);
+      if (!r.ok()) { decide_status = r.status(); break; }
+      verdict = r->verdict;
+      evidence = RcdpEvidence(*r);
+      checkpoint = std::move(r->checkpoint);
+      exhaustion = r->exhaustion;
+      break;
+    }
+    case JobKind::kRcqp: {
+      RcqpOptions options;
+      options.rcdp = rcdp_options;
+      options.rcdp.resume = nullptr;  // travels inside the checkpoint
+      options.resume = rcdp_options.resume;
+      Result<RcqpResult> r =
+          DecideRcqp(query, problem.db_schema, problem.master,
+                     problem.constraints, options);
+      if (!r.ok()) { decide_status = r.status(); break; }
+      verdict = r->verdict;
+      evidence = RcqpEvidence(*r);
+      checkpoint = std::move(r->checkpoint);
+      exhaustion = r->exhaustion;
+      break;
+    }
+    case JobKind::kChase: {
+      Result<ChaseResult> r = ChaseToCompleteness(
+          query, problem.db, problem.master, problem.constraints,
+          spec.max_chase_rounds, rcdp_options);
+      if (!r.ok()) { decide_status = r.status(); break; }
+      verdict = r->verdict;
+      evidence = ChaseEvidence(*r);
+      checkpoint = std::move(r->checkpoint);
+      exhaustion = r->exhaustion;
+      break;
+    }
+  }
+
+  // Populate the cache before re-taking the service lock (the cache
+  // write fsyncs; don't stall the other workers on it). Best-effort:
+  // a failed cache write must not fail the job.
+  if (verdict_cache_ != nullptr && spec.kind == JobKind::kRcdp &&
+      decide_status.ok() && verdict != Verdict::kUnknown) {
+    Status cache_st = verdict_cache_->Insert(instance_fp, verdict, evidence);
+    (void)cache_st;
+  }
+
+  lock.lock();
+  if (crashed_) return;  // a simulated kill landed mid-decide
+  job->result.attempts = 1;
+
+  if (!decide_status.ok()) {
+    if (!job->ephemeral) store_->Forget(job->id);
+    finish(std::move(decide_status));
+    return;
+  }
+
+  if (verdict != Verdict::kUnknown) {
+    job->result.verdict = verdict;
+    job->result.evidence = std::move(evidence);
+    if (!job->ephemeral) store_->Forget(job->id);
+    finish(Status::OK());
+    return;
+  }
+
+  // kUnknown. The service arms no step or memory cap, so only a
+  // deadline, a cancel (Cancel, Quiesce or another job's crash), the
+  // crash harness or the chase's round cap stops a job — none of which
+  // a retry would get past. Persist the resume point first: crash
+  // simulation and real kills alike must find it durable. An ephemeral
+  // job never persists (it has no durable identity to attach a
+  // generation to).
+  const bool budget_saw_crash =
+      budget.exhausted_kind() == BudgetKind::kCrash;
+  if (checkpoint.has_value()) {
+    bool persisted = false;
+    if (!job->ephemeral &&
+        !PersistAndMaybeCrash(job, *checkpoint, budget_saw_crash, &persisted,
+                              lock)) {
+      return;  // simulated kill (or store failure after crash)
+    }
+  } else if (budget_saw_crash) {
+    // Nothing to persist (exhaustion before the first checkpointable
+    // point) — the kill still happens; recovery restarts from the job
+    // record alone.
+    CrashLocked();
+    return;
+  }
+  // The job ends kUnknown with its newest checkpoint retained in the
+  // store for a manual resume — unless an explicit Cancel() abandoned
+  // it, which drops its durable record and checkpoints.
+  job->result.verdict = Verdict::kUnknown;
+  job->result.evidence = StrCat("unknown|", BudgetKindToString(exhaustion.kind));
+  job->result.exhaustion = exhaustion;
+  if (job->cancel_requested && !job->ephemeral) store_->Forget(job->id);
+  finish(Status::OK());
 }
 
 bool DecisionService::PersistAndMaybeCrash(
     Job* job, const SearchCheckpoint& ckpt, bool budget_saw_crash,
-    uint64_t* generation_out, bool* persisted_out,
-    std::unique_lock<std::mutex>& lock) {
+    bool* persisted_out, std::unique_lock<std::mutex>& lock) {
   *persisted_out = false;
   // Lock is held: the persist ordinal and the crash decision must be
   // one atomic step across workers.
@@ -939,7 +869,7 @@ bool DecisionService::PersistAndMaybeCrash(
       return false;
     }
     // A disk fault (EIO/ENOSPC/fsync-gate): degrade instead of dying.
-    // The slice's work survives in memory and the search continues;
+    // The search's work survives in memory and it continues;
     // only durability is suspended until a probe succeeds. A crash now
     // costs the unpersisted progress — exactly what a failed disk
     // write must cost — but an in-memory completion still answers.
@@ -956,7 +886,6 @@ bool DecisionService::PersistAndMaybeCrash(
   }
   ++persist_ordinal_;
   ++job->result.persisted;
-  *generation_out = *generation;
   *persisted_out = true;
   job->result.checkpoint_path =
       StrCat(store_->directory(), "/", job->id, ".g", *generation, ".ckpt");

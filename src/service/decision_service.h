@@ -46,10 +46,16 @@ struct JobSpec {
   size_t query_index = 0;
   /// Worker threads for the decider's valuation search (1 = serial).
   size_t num_threads = 1;
-  /// Decision points per execution slice (0 = inherit the service's
-  /// default_slice_steps). At each slice boundary the checkpoint is
-  /// persisted before the search continues — the knob that trades
-  /// persist overhead against recovery granularity.
+  /// Persist interval in decision points (0 = persist only when the
+  /// job unwinds). The job runs once, uncapped; once this many decision
+  /// points have passed since its last durable generation, the next
+  /// advance of the search's lowest unsearched position is persisted
+  /// while the search continues — the knob that trades persist
+  /// overhead against how much work a kill can cost. A persist lands
+  /// only at such an advance (RcdpOptions::progress), so an interval
+  /// shorter than the work between two advances persists once per
+  /// advance, never more. The field keeps its name and its place in
+  /// the relcomp-job/1 record.
   size_t slice_steps = 0;
   /// Relative deadline, inherited into the job's ExecutionBudget at
   /// the start of execution (nullopt = none). Scheduling is
@@ -80,9 +86,12 @@ struct JobResult {
   /// Last persisted checkpoint file ("" when none) — on a terminal
   /// kUnknown the store keeps it for a later manual resume.
   std::string checkpoint_path;
-  /// Execution attempts (1 = no retry).
+  /// 1 once the decider ran (a job runs once per process; a recovered
+  /// job counts anew), 0 when it was served from the verdict cache or
+  /// cancelled while queued.
   size_t attempts = 0;
-  /// Checkpoint generations persisted while running.
+  /// Checkpoint generations this process persisted for the job: the
+  /// rolling ones plus the one written when it unwound.
   size_t persisted = 0;
 };
 
@@ -93,24 +102,6 @@ struct DecisionServiceOptions {
   size_t max_queue_depth = 64;
   /// Worker threads draining the queue.
   size_t num_workers = 1;
-  /// Default decision points per slice for jobs that leave
-  /// JobSpec::slice_steps at 0. 0 = run each attempt to completion.
-  /// Liveness note: checkpoints are rank-granular, so a slice smaller
-  /// than one rank unit's cost cannot record durable progress. The
-  /// service detects this (the new generation serializes identically
-  /// to its predecessor — the comparison also runs at recovery, over
-  /// the two retained generations, so it survives kills) and widens
-  /// the stalled job's slice to base << min(generation, 20) until a
-  /// unit completes, then returns to the configured base.
-  size_t default_slice_steps = 0;
-  /// Cap on transient-exhaustion retries per job (0 = unlimited; the
-  /// deadline still bounds sliced jobs).
-  size_t max_retries = 0;
-  /// Capped exponential backoff before a retry after memory
-  /// exhaustion: delay = min(backoff_base << retry_count, backoff_cap).
-  /// A step-slice boundary is planned, so its retry resumes at once.
-  std::chrono::milliseconds backoff_base{1};
-  std::chrono::milliseconds backoff_cap{64};
   /// Start with the workers parked until Resume() — lets tests fill
   /// the queue deterministically (admission control, EDF order).
   bool start_paused = false;
@@ -153,16 +144,19 @@ struct DecisionServiceOptions {
 /// re-creates every in-flight job found there (RecoveredJobs()), and
 /// spawns the workers. Submit() durably records the job, then enqueues
 /// it — so a job accepted is a job that survives a kill. Workers drain
-/// the queue oldest-deadline-first, run each job's decider under a
-/// per-request ExecutionBudget (deadline inherited from the JobSpec),
-/// persist the checkpoint at every slice boundary, and retry transient
-/// exhaustion by resuming from the persisted checkpoint: at once after
-/// a step slice, after a capped exponential backoff after memory
-/// exhaustion. Deadline and cancel exhaustion are terminal: the job
-/// ends kUnknown with its latest checkpoint left in the store.
-/// Completed jobs are Forget()ten. Each job's spec is parsed once, by
-/// Submit before it takes the service lock; the worker decides on
-/// that parse.
+/// the queue oldest-deadline-first and run each job's decider once,
+/// under a per-request ExecutionBudget that carries the deadline, the
+/// job's cancel token and the crash harness but no step or memory cap.
+/// While it runs, the decider reports rolling checkpoints
+/// (RcdpOptions::progress) and the service persists one whenever the
+/// job's persist interval (JobSpec::slice_steps) has passed since the
+/// last durable generation — from whichever search thread reported
+/// it, without stopping the search. Deadline and cancel exhaustion are
+/// terminal: the search unwinds, its checkpoint is persisted, and the
+/// job ends kUnknown with that checkpoint left in the store. Completed
+/// jobs are Forget()ten. Each job's spec is parsed once, by Submit
+/// before it takes the service lock; the worker decides on that
+/// parse.
 ///
 /// Crash recovery: at Start(), a restarted service parses each pending job's
 /// spec and resumes from its newest valid checkpoint; the PR-3 resume
@@ -170,8 +164,8 @@ struct DecisionServiceOptions {
 /// an uninterrupted run at any thread count. Chase jobs are the one
 /// caveat: the partially chased database lives only in memory, so a
 /// cross-process recovery re-runs the (deterministic) chase from round
-/// 0 — same final result, repeated work. In-process retries of a chase
-/// do reuse the partial database.
+/// 0 — same final result, repeated work — so a chase job persists
+/// nothing while it runs, only the checkpoint it unwinds with.
 class DecisionService {
  public:
   static Result<std::unique_ptr<DecisionService>> Start(
@@ -231,7 +225,7 @@ class DecisionService {
   /// budget is tripped (kCancel at its next decision point) WITHOUT
   /// marking the job cancel_requested — so the unwound checkpoint is
   /// persisted and the durable job record is kept, exactly as a crash
-  /// would leave them, but with no torn tail and no lost slice. Queued
+  /// would leave them, but with no torn tail and no lost work. Queued
   /// jobs stay queued on disk untouched. Workers park permanently;
   /// Submit rejects with kFailedPrecondition from the first moment of
   /// the call (no late admission can slip past the flush). Returns
@@ -281,8 +275,8 @@ class DecisionService {
   /// kFailedPrecondition after a (simulated) crash.
   Status ProbeStoreNow();
 
-  /// Checkpoint persists skipped because the service was degraded —
-  /// slices that completed in memory only.
+  /// Checkpoint persists that failed on a sick store and left the
+  /// service degraded — progress held in memory only.
   size_t persists_skipped_degraded() const;
 
   /// Submissions shed specifically because the store was degraded
@@ -333,13 +327,13 @@ class DecisionService {
   /// held; drops it while deciding.
   void RunJob(Job* job, std::unique_lock<std::mutex>& lock);
   /// Persists `ckpt` for `job` and fires the crash harness if armed.
-  /// Returns false when the service crashed (simulated kill). On a
-  /// disk fault the service degrades instead of crashing: the persist
-  /// is skipped (*persisted_out = false) and the job continues in
-  /// memory. On success *generation_out is the durable generation.
+  /// Called with `lock` held, by the worker after the decider unwinds
+  /// or by the rolling-persist sink on a search thread. Returns false
+  /// when the service crashed (simulated kill). On a disk fault the
+  /// service degrades instead of crashing: the persist is skipped
+  /// (*persisted_out = false) and the job continues in memory.
   bool PersistAndMaybeCrash(Job* job, const SearchCheckpoint& ckpt,
-                            bool budget_saw_crash, uint64_t* generation_out,
-                            bool* persisted_out,
+                            bool budget_saw_crash, bool* persisted_out,
                             std::unique_lock<std::mutex>& lock);
   void CrashLocked();
 

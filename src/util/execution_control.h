@@ -204,10 +204,9 @@ class ExecutionBudget {
   Status exhaustion_status() const;
 
   /// How many times this budget has been rearmed for a resumed call.
-  /// Monotonic: Rearm() increments it and nothing resets it, so the
-  /// DecisionService's exponential-backoff decisions (delay doubles
-  /// with retry_count, capped) are observable in every ExhaustionInfo
-  /// minted from this budget.
+  /// Monotonic: Rearm() increments it and nothing resets it, so every
+  /// ExhaustionInfo minted from this budget says how many resumed
+  /// attempts preceded it.
   size_t retry_count() const {
     return retry_count_.load(std::memory_order_acquire);
   }
@@ -304,9 +303,10 @@ struct ExhaustionInfo {
   BudgetKind kind = BudgetKind::kNone;
   std::string detail;
   /// How many resumed attempts preceded this exhaustion (the budget's
-  /// monotonic Rearm() count). 0 on a first attempt; the
-  /// DecisionService uses it to pick the capped exponential backoff
-  /// before the next resume.
+  /// monotonic Rearm() count): 0 on a first attempt. Callers that
+  /// rearm one budget across resumed calls (a step-sliced loop) see it
+  /// grow; the DecisionService runs each job once and never rearms, so
+  /// its jobs always report 0.
   size_t retry_count = 0;
 
   bool exhausted() const { return kind != BudgetKind::kNone; }

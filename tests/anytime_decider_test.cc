@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "completeness/rcdp.h"
@@ -11,7 +14,9 @@
 #include "constraints/constraint_check.h"
 #include "constraints/integrity_constraints.h"
 #include "query/parser.h"
+#include "spec/spec_parser.h"
 #include "util/execution_control.h"
+#include "util/str.h"
 
 namespace relcomp {
 namespace {
@@ -499,6 +504,211 @@ TEST(ExhaustionDeterminismTest, CrossThreadCountResumeAgrees) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, ExhaustionMatrixTest,
+                         ::testing::Values(1, 2, 8));
+
+// ---------------------------------------------------------------------------
+// Rolling checkpoints (RcdpOptions::progress): every checkpoint a
+// decider reports must be one it could have returned on a tripped
+// budget — increasing, and resumable to the uninterrupted decision.
+// Named Parallel* so the tsan preset runs it: at more than one thread
+// the sink is called from search worker threads.
+
+class ParallelProgressTest : public ::testing::TestWithParam<int> {
+ protected:
+  size_t threads() const { return static_cast<size_t>(GetParam()); }
+};
+
+/// A sink appending to `out`. The decider serializes its calls.
+ProgressSink Collect(std::vector<SearchCheckpoint>* out) {
+  return [out](const SearchCheckpoint& c) { out->push_back(c); };
+}
+
+CompletenessSpec ParseOrDie(const std::string& text) {
+  auto spec = ParseCompletenessSpec(text);
+  EXPECT_TRUE(spec.ok()) << spec.status().ToString();
+  return std::move(*spec);
+}
+
+/// The far-corner grid (both columns bound to the master, only (5, 6)
+/// missing) audited by a two-disjunct UCQ: the first disjunct, pinned
+/// to x = 0, has no counterexample, so the search finishes it and
+/// moves on to the second.
+std::string GridUcqSpec() {
+  std::string s =
+      "relation S(a, b)\nmaster relation M(m)\nmaster relation N(n)\n";
+  for (int x = 0; x <= 5; ++x) {
+    for (int y = 0; y <= 6; ++y) {
+      if (x == 5 && y == 6) continue;
+      s += StrCat("fact S(", x, ", ", y, ")\n");
+    }
+  }
+  for (int m = 0; m <= 5; ++m) s += StrCat("master fact M(", m, ")\n");
+  for (int n = 0; n <= 6; ++n) s += StrCat("master fact N(", n, ")\n");
+  s += "constraint c0(x) :- S(x, y) |= M[0]\n";
+  s += "constraint c1(y) :- S(x, y) |= N[0]\n";
+  s += "query ucq Q(x, y) :- S(x, y), x = 0. Q(x, y) :- S(x, y)\n";
+  return s;
+}
+
+TEST_P(ParallelProgressTest, RcdpCheckpointsIncreaseAndResumeBitForBit) {
+  const CompletenessSpec spec = ParseOrDie(GridUcqSpec());
+  const AnyQuery& q = spec.queries[0];
+  RcdpOptions plain;
+  plain.num_threads = threads();
+  auto uninterrupted =
+      DecideRcdp(q, spec.db, spec.master, spec.constraints, plain);
+  ASSERT_TRUE(uninterrupted.ok()) << uninterrupted.status().ToString();
+  ASSERT_EQ(uninterrupted->verdict, Verdict::kIncomplete);
+
+  std::vector<SearchCheckpoint> seen;
+  RcdpOptions rolling = plain;
+  rolling.progress = Collect(&seen);
+  auto reported =
+      DecideRcdp(q, spec.db, spec.master, spec.constraints, rolling);
+  ASSERT_TRUE(reported.ok()) << reported.status().ToString();
+  EXPECT_EQ(RcdpKey(*uninterrupted), RcdpKey(*reported));
+  // Disjunct 0 has no counterexample, so disjunct 1 always starts, and
+  // its start is always reported. How many unit advances are reported
+  // depends on the schedule above one thread: advances that land
+  // together are reported once, and one landing at the end of the rank
+  // space is not reported at all.
+  EXPECT_EQ(std::count_if(seen.begin(), seen.end(),
+                          [](const SearchCheckpoint& c) {
+                            return c.disjunct == 1 && c.rank == 0;
+                          }),
+            1);
+  if (threads() == 1) {
+    EXPECT_GE(seen.size(), 3u);
+  }
+  for (size_t i = 0; i < seen.size(); ++i) {
+    SCOPED_TRACE(seen[i].Serialize());
+    EXPECT_EQ(seen[i].decider, "rcdp");
+    if (i > 0) {
+      EXPECT_LT(std::make_pair(seen[i - 1].disjunct, seen[i - 1].rank),
+                std::make_pair(seen[i].disjunct, seen[i].rank));
+    }
+    RcdpOptions resume = plain;
+    resume.resume = &seen[i];
+    auto resumed =
+        DecideRcdp(q, spec.db, spec.master, spec.constraints, resume);
+    ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+    EXPECT_EQ(RcdpKey(*uninterrupted), RcdpKey(*resumed));
+  }
+  if (threads() == 1) {
+    // Serial units finish in rank order: the sequence is deterministic.
+    std::vector<SearchCheckpoint> again;
+    rolling.progress = Collect(&again);
+    ASSERT_TRUE(
+        DecideRcdp(q, spec.db, spec.master, spec.constraints, rolling).ok());
+    EXPECT_EQ(again, seen);
+  }
+}
+
+std::string RcqpKey(const RcqpResult& r) {
+  return StrCat(VerdictToString(r.verdict), "|", r.exists, "|", r.method,
+                "|", r.unbounded_variables.size(), "|",
+                r.witness.has_value() ? r.witness->ToString()
+                                      : std::string("<none>"));
+}
+
+/// Runs DecideRcqp on `text` with a sink, checks that every report is
+/// a `phase` checkpoint and that `order` (a per-phase position) strictly
+/// increases, then resumes from each report and expects the
+/// uninterrupted decision. Returns the number of reports, which above
+/// one thread depends on the schedule.
+size_t CheckRcqpReports(
+    const std::string& text, RcqpOptions options, const std::string& phase,
+    const std::function<std::pair<size_t, size_t>(const SearchCheckpoint&)>&
+        order) {
+  const CompletenessSpec spec = ParseOrDie(text);
+  const AnyQuery& q = spec.queries[0];
+  auto uninterrupted =
+      DecideRcqp(q, spec.db_schema, spec.master, spec.constraints, options);
+  EXPECT_TRUE(uninterrupted.ok()) << uninterrupted.status().ToString();
+  if (!uninterrupted.ok()) return 0;
+
+  std::vector<SearchCheckpoint> seen;
+  RcqpOptions rolling = options;
+  rolling.rcdp.progress = Collect(&seen);
+  auto reported =
+      DecideRcqp(q, spec.db_schema, spec.master, spec.constraints, rolling);
+  EXPECT_TRUE(reported.ok()) << reported.status().ToString();
+  if (!reported.ok()) return 0;
+  EXPECT_EQ(RcqpKey(*uninterrupted), RcqpKey(*reported));
+  for (size_t i = 0; i < seen.size(); ++i) {
+    SCOPED_TRACE(seen[i].Serialize());
+    EXPECT_EQ(seen[i].decider, phase);
+    if (i > 0) {
+      EXPECT_LT(order(seen[i - 1]), order(seen[i]));
+    }
+    RcqpOptions resume = options;
+    resume.resume = &seen[i];
+    auto resumed =
+        DecideRcqp(q, spec.db_schema, spec.master, spec.constraints, resume);
+    EXPECT_TRUE(resumed.ok()) << resumed.status().ToString();
+    if (resumed.ok()) {
+      EXPECT_EQ(RcqpKey(*uninterrupted), RcqpKey(*resumed));
+    }
+  }
+  return seen.size();
+}
+
+TEST_P(ParallelProgressTest, RcqpPhaseCheckpointsResumeToTheSameDecision) {
+  RcqpOptions options;
+  options.rcdp.num_threads = threads();
+  auto by_rank = [](const SearchCheckpoint& c) {
+    return std::make_pair(c.disjunct, c.rank);
+  };
+  const size_t at_least = threads() == 1 ? 2 : 0;
+
+  // rcqp-ind: S's first column must lie in M and in N, which share no
+  // value, so the realizability probe walks its whole space.
+  std::string ind =
+      "relation S(a, b)\nmaster relation M(m)\nmaster relation N(n)\n";
+  for (int m = 0; m <= 9; ++m) ind += StrCat("master fact M(", m, ")\n");
+  for (int n = 10; n <= 19; ++n) ind += StrCat("master fact N(", n, ")\n");
+  ind += "constraint c0(x) :- S(x, w) |= M[0]\n";
+  ind += "constraint c1(x) :- S(x, w) |= N[0]\n";
+  ind += "query cq Q(x, w) :- S(x, w)\n";
+  EXPECT_GE(CheckRcqpReports(ind, options, "rcqp-ind", by_rank), at_least);
+
+  // rcqp-empty: a non-IND constraint no S tuple can satisfy (E is
+  // empty), so the empty database is complete and its RCDP search
+  // walks every unit; the inner checkpoint rides in the payload.
+  std::string empty =
+      "relation S(a, b)\nmaster relation E(e)\nmaster relation P(p)\n";
+  for (int p = 0; p < 20; ++p) empty += StrCat("master fact P(", p, ")\n");
+  empty += "constraint c0(x) :- S(x, y), S(x, z) |= E[0]\n";
+  empty += "query cq Q(x, y) :- S(x, y)\n";
+  EXPECT_GE(CheckRcqpReports(empty, options, "rcqp-empty",
+                             [](const SearchCheckpoint& c) {
+                               auto inner =
+                                   SearchCheckpoint::Deserialize(c.payload);
+                               EXPECT_TRUE(inner.ok());
+                               return inner.ok()
+                                          ? std::make_pair(inner->disjunct,
+                                                           inner->rank)
+                                          : std::make_pair(size_t{0},
+                                                           size_t{0});
+                             }),
+            at_least);
+
+  // rcqp-pool: no single tuple is a complete witness, the first pair
+  // covering both master values is; the chase is off so the pool
+  // search runs, and every judged non-witness leaf is reported.
+  const std::string pool =
+      "relation S(a, b)\nmaster relation M(m)\n"
+      "master fact M(0)\nmaster fact M(1)\n"
+      "constraint c0(x) :- S(x, y), S(x, z) |= M[0]\n"
+      "query cq Q(x) :- S(x, y)\n";
+  RcqpOptions pool_options = options;
+  pool_options.max_chase_rounds = 0;
+  pool_options.max_witness_tuples = 2;
+  // The pool search is serial: its reports do not depend on threads.
+  EXPECT_GE(CheckRcqpReports(pool, pool_options, "rcqp-pool", by_rank), 2u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Threads, ParallelProgressTest,
                          ::testing::Values(1, 2, 8));
 
 // ---------------------------------------------------------------------------

@@ -7,7 +7,10 @@
 #include <chrono>
 #include <map>
 #include <memory>
+#include <mutex>
+#include <set>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -24,14 +27,15 @@ namespace {
 
 /// An incomplete instance whose single counterexample sits in the far
 /// corner of the valuation space: S holds every pair over
-/// {0..5} x {0..6} except (5, 6), and S's first column is IND-bounded
-/// by M = {0..5}. The only new answer any complete extension can add
-/// is (5, 6), so the search must walk essentially the whole space
-/// (several dozen decision points, under either variable order) before
-/// the verdict — enough room to slice, checkpoint, and crash.
+/// {0..5} x {0..6} except (5, 6), and S's columns are IND-bounded by
+/// M = {0..5} and N = {0..6}. The only new answer any extension can
+/// add is (5, 6), so the search walks the whole space (76 decision
+/// points at any thread count, finishing work units on the way) before
+/// the verdict — enough room to persist, checkpoint, and crash.
 const std::string& IncompleteSpec() {
   static const std::string spec = [] {
-    std::string s = "relation S(a, b)\nmaster relation M(m)\n";
+    std::string s = "relation S(a, b)\nmaster relation M(m)\n"
+                    "master relation N(n)\n";
     for (int x = 0; x <= 5; ++x) {
       for (int y = 0; y <= 6; ++y) {
         if (x == 5 && y == 6) continue;
@@ -39,7 +43,9 @@ const std::string& IncompleteSpec() {
       }
     }
     for (int m = 0; m <= 5; ++m) s += StrCat("master fact M(", m, ")\n");
+    for (int n = 0; n <= 6; ++n) s += StrCat("master fact N(", n, ")\n");
     s += "constraint c0(x) :- S(x, y) |= M[0]\n";
+    s += "constraint c1(y) :- S(x, y) |= N[0]\n";
     s += "query cq Q(x, y) :- S(x, y)\n";
     return s;
   }();
@@ -95,6 +101,22 @@ std::string DirectRcdpEvidence(const std::string& spec_text, size_t threads) {
                                           : std::string("<none>"));
 }
 
+/// The evidence string of a direct RCQP decision, in the service's
+/// format.
+std::string DirectRcqpEvidence(const std::string& spec_text, size_t threads) {
+  auto spec = ParseCompletenessSpec(spec_text);
+  EXPECT_TRUE(spec.ok()) << spec.status().ToString();
+  RcqpOptions options;
+  options.rcdp.num_threads = threads;
+  auto r = DecideRcqp(spec->queries[0], spec->db_schema, spec->master,
+                      spec->constraints, options);
+  EXPECT_TRUE(r.ok()) << r.status().ToString();
+  return StrCat(VerdictToString(r->verdict), "|",
+                r->exists ? "exists" : "not-exists", "|", r->method, "|",
+                r->witness.has_value() ? r->witness->ToString()
+                                       : std::string("<none>"));
+}
+
 /// Decision points an uninterrupted run claims — the sweep range.
 size_t CountDecisionPoints(const std::string& spec_text, JobKind kind,
                            size_t threads) {
@@ -110,6 +132,12 @@ size_t CountDecisionPoints(const std::string& spec_text, JobKind kind,
                                  spec->constraints, /*max_rounds=*/32,
                                  options);
     EXPECT_TRUE(r.ok());
+  } else if (kind == JobKind::kRcqp) {
+    RcqpOptions rcqp;
+    rcqp.rcdp = options;
+    auto r = DecideRcqp(spec->queries[0], spec->db_schema, spec->master,
+                        spec->constraints, rcqp);
+    EXPECT_TRUE(r.ok());
   } else {
     auto r = DecideRcdp(spec->queries[0], spec->db, spec->master,
                         spec->constraints, options);
@@ -117,6 +145,87 @@ size_t CountDecisionPoints(const std::string& spec_text, JobKind kind,
   }
   return budget.steps();
 }
+
+/// An RCQP instance on the Prop 4.3 path whose realizability probe
+/// walks its whole valuation space: S's first column must lie in both
+/// M = {0..9} and N = {10..19}, which share no value, so no valuation
+/// of Q's tableau is realizable and the unbounded head variable w never
+/// blocks completeness. Every work unit of the probe runs to
+/// exhaustion, so a sliced job persists as the probe advances.
+const std::string& UnrealizableRcqpSpec() {
+  static const std::string spec = [] {
+    std::string s =
+        "relation S(a, b)\nmaster relation M(m)\nmaster relation N(n)\n";
+    for (int m = 0; m <= 9; ++m) s += StrCat("master fact M(", m, ")\n");
+    for (int n = 10; n <= 19; ++n) s += StrCat("master fact N(", n, ")\n");
+    s += "constraint c0(x) :- S(x, w) |= M[0]\n";
+    s += "constraint c1(x) :- S(x, w) |= N[0]\n";
+    s += "query cq Q(x, w) :- S(x, w)\n";
+    return s;
+  }();
+  return spec;
+}
+
+/// The master_design workload's RCQP shape: Q2 asks which customers
+/// e0 supports, and Supt[cid] ⊆ DCust[cid] bounds its only head
+/// variable, so Prop 4.3 decides "exists" at once and the decision
+/// points go to building the witness over 32 master customers.
+const std::string& MasterDesignSpec() {
+  static const std::string spec = [] {
+    std::string s =
+        "relation Cust(cid, name, cc, ac, phn)\n"
+        "relation Supt(eid, dept, cid)\n"
+        "master relation DCust(cid, name, ac, phn)\n";
+    for (int i = 0; i < 32; ++i) {
+      s += StrCat("master fact DCust(\"c", i, "\", \"n", i, "\", \"",
+                  i % 2 == 0 ? "908" : "201", "\", \"555-", 1000 + i,
+                  "\")\n");
+      s += StrCat("fact Cust(\"c", i, "\", \"n", i, "\", \"01\", \"",
+                  i % 2 == 0 ? "908" : "201", "\", \"555-", 1000 + i,
+                  "\")\n");
+    }
+    s += "fact Supt(\"e0\", \"d0\", \"c0\")\n";
+    s += "fact Supt(\"e0\", \"d0\", \"c1\")\n";
+    s += "fact Supt(\"e1\", \"d1\", \"c2\")\n";
+    s += "constraint qs(c) :- Supt(e, d, c) |= DCust[0]\n";
+    s += "query cq Q2(c) :- Supt(e, d, c), e = \"e0\"\n";
+    return s;
+  }();
+  return spec;
+}
+
+/// Records the checkpoint every checkpoint-record write carries, in
+/// write order — the persisted sequence of a run, which the store's
+/// garbage collection and a completed job's Forget() would erase.
+class CheckpointRecorder : public FsEnv {
+ public:
+  ssize_t Write(std::string_view site, int fd, const void* buf,
+                size_t count) override {
+    if (site == "record.ckpt") {
+      // The record is "... <len>:<checkpoint text>#crc32:<hex>" and
+      // goes out in one write.
+      const std::string_view body(static_cast<const char*>(buf), count);
+      const size_t at = body.find("relcomp-ckpt/1 ");
+      const size_t len_at = body.rfind(' ', at) + 1;
+      const size_t len = std::stoul(
+          std::string(body.substr(len_at, at - 1 - len_at)));
+      auto ckpt = SearchCheckpoint::Deserialize(body.substr(at, len));
+      EXPECT_TRUE(ckpt.ok()) << ckpt.status().ToString();
+      std::lock_guard<std::mutex> lock(mu_);
+      if (ckpt.ok()) written_.push_back(*ckpt);
+    }
+    return FsEnv::Write(site, fd, buf, count);
+  }
+
+  std::vector<SearchCheckpoint> written() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return written_;
+  }
+
+ private:
+  mutable std::mutex mu_;
+  std::vector<SearchCheckpoint> written_;
+};
 
 /// Runs `job` as "req" on a fresh un-faulted service; returns the
 /// terminal JobResult.
@@ -179,10 +288,10 @@ TEST(DecisionServiceTest, SlicedExecutionPersistsAndStillMatches) {
   JobResult r = RunToCompletion(
       dir, MakeJob(JobKind::kRcdp, IncompleteSpec(), 1, total / 4 + 1));
   EXPECT_EQ(r.evidence, DirectRcdpEvidence(IncompleteSpec(), 1));
-  EXPECT_GE(r.attempts, 2u) << "slice never exhausted";
-  EXPECT_GE(r.persisted, 1u);
-  EXPECT_GT(r.exhaustion.retry_count, 0u)
-      << "retry observability lost";
+  // One uncapped run that persisted as it went: no slice, no retry.
+  EXPECT_EQ(r.attempts, 1u);
+  EXPECT_EQ(r.exhaustion.retry_count, 0u);
+  EXPECT_GE(r.persisted, 1u) << "no rolling persist landed";
 
   // A completed job leaves nothing behind: the store is empty again.
   auto store = CheckpointStore::Open(dir);
@@ -192,23 +301,70 @@ TEST(DecisionServiceTest, SlicedExecutionPersistsAndStillMatches) {
             StatusCode::kNotFound);
 }
 
-TEST(DecisionServiceTest, StepSlicesResumeWithoutBackoff) {
-  // A step slice is the service's own planned boundary: its retry
-  // resumes at once. Were the backoff applied, this job would sleep at
-  // least 30 s before its second slice.
-  const size_t total = CountDecisionPoints(IncompleteSpec(), JobKind::kRcdp, 1);
+/// The checkpoints a sliced run of `job` persists, in order.
+std::vector<SearchCheckpoint> PersistedSequence(const JobSpec& job,
+                                                JobResult* result) {
+  CheckpointRecorder recorder;
   DecisionServiceOptions options;
-  options.backoff_base = std::chrono::seconds(30);
-  options.backoff_cap = std::chrono::seconds(30);
-  const auto start = std::chrono::steady_clock::now();
-  JobResult r = RunToCompletion(
-      FreshDir("nosleep"),
-      MakeJob(JobKind::kRcdp, IncompleteSpec(), 1, total / 4 + 1), options);
-  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(10));
-  EXPECT_EQ(r.evidence, DirectRcdpEvidence(IncompleteSpec(), 1));
-  EXPECT_GE(r.attempts, 2u) << "slice never exhausted";
-  EXPECT_EQ(r.exhaustion.retry_count, r.attempts - 1)
-      << "retry count is no longer monotonic";
+  options.store_options.fs_env = &recorder;
+  *result = RunToCompletion(FreshDir("rolling"), job, options);
+  return recorder.written();
+}
+
+TEST(DecisionServiceTest, RollingPersistsAdvanceAndRepeatAtOneThread) {
+  // Interval 1: every advance of the search's low watermark persists.
+  const JobSpec job = MakeJob(JobKind::kRcdp, IncompleteSpec(), 1, 1);
+  JobResult first;
+  const std::vector<SearchCheckpoint> persisted =
+      PersistedSequence(job, &first);
+  EXPECT_EQ(first.evidence, DirectRcdpEvidence(IncompleteSpec(), 1));
+  EXPECT_EQ(first.attempts, 1u);
+  EXPECT_EQ(first.exhaustion.retry_count, 0u);
+  ASSERT_GE(persisted.size(), 2u);
+  EXPECT_EQ(first.persisted, persisted.size());
+  for (size_t g = 0; g < persisted.size(); ++g) {
+    EXPECT_EQ(persisted[g].decider, "rcdp");
+    EXPECT_EQ(persisted[g].disjunct, 0u);
+    if (g > 0) {
+      EXPECT_LT(persisted[g - 1].rank, persisted[g].rank) << "generation " << g;
+    }
+  }
+  // At one thread the units finish in rank order, so the persisted
+  // sequence is a function of the job alone.
+  JobResult second;
+  EXPECT_EQ(PersistedSequence(job, &second), persisted);
+  EXPECT_EQ(second.evidence, first.evidence);
+
+  // At eight threads the sequence depends on the schedule, but it still
+  // only moves forward.
+  JobResult wide;
+  const std::vector<SearchCheckpoint> wide_persisted = PersistedSequence(
+      MakeJob(JobKind::kRcdp, IncompleteSpec(), 8, 1), &wide);
+  EXPECT_EQ(wide.evidence, DirectRcdpEvidence(IncompleteSpec(), 8));
+  for (size_t g = 1; g < wide_persisted.size(); ++g) {
+    EXPECT_LT(wide_persisted[g - 1].rank, wide_persisted[g].rank)
+        << "generation " << g;
+  }
+}
+
+TEST(DecisionServiceTest, SlicedRcqpJobKeepsItsIndWitness) {
+  // The step cap a slice used to arm tripped inside the Prop 4.3
+  // witness construction, which dropped the witness and kept the
+  // verdict. A persist interval caps nothing, so a sliced job's
+  // evidence — witness included — is the unsliced one.
+  const std::string& spec = MasterDesignSpec();
+  const std::string expected = DirectRcqpEvidence(spec, 1);
+  ASSERT_NE(expected.find("|exists|ind-syntactic|"), std::string::npos)
+      << expected;
+  ASSERT_EQ(expected.find("<none>"), std::string::npos) << expected;
+  const size_t total = CountDecisionPoints(spec, JobKind::kRcqp, 1);
+  ASSERT_GT(total, 8u);
+  for (size_t slice : {size_t{0}, total / 8 + 1, total / 2 + 1}) {
+    JobResult r = RunToCompletion(FreshDir("witness"),
+                                  MakeJob(JobKind::kRcqp, spec, 1, slice));
+    EXPECT_EQ(r.evidence, expected) << "slice=" << slice;
+    EXPECT_EQ(r.attempts, 1u);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -417,7 +573,7 @@ TEST_P(DecisionServiceSweepTest, CrashAfterEveryPersistSiteRecoversBitForBit) {
       CountDecisionPoints(IncompleteSpec(), JobKind::kRcdp, threads());
   const size_t slice = total / 6 + 1;
 
-  // Learn how many checkpoint writes the sliced run performs.
+  // Learn how many rolling persists the sliced run performs.
   DecisionServiceOptions sliced;
   JobResult uninterrupted = RunToCompletion(
       FreshDir("persistbase"),
@@ -439,11 +595,10 @@ TEST_P(DecisionServiceSweepTest, CrashAfterEveryPersistSiteRecoversBitForBit) {
                       .ok());
       auto result = (*service)->Wait("req");
       if (result.ok()) {
-        // The run finished in fewer than k persists: how far a slice
-        // advances under a shared step budget depends on which work
-        // units had completed when it blew, so a multi-worker schedule
-        // may cover the rank space in fewer slices than the baseline
-        // measured. The verdict must still be bit-for-bit.
+        // The run finished in fewer than k persists: which work units
+        // have finished when the interval passes depends on the
+        // schedule, so a multi-worker run may persist fewer times than
+        // the baseline measured. The verdict must still be bit-for-bit.
         EXPECT_EQ(result->evidence, expected) << "k=" << k;
         continue;
       }
@@ -452,6 +607,50 @@ TEST_P(DecisionServiceSweepTest, CrashAfterEveryPersistSiteRecoversBitForBit) {
     }
     auto restarted = DecisionService::Start(dir);
     ASSERT_TRUE(restarted.ok()) << restarted.status().ToString();
+    auto result = (*restarted)->Wait("req");
+    ASSERT_TRUE(result.ok())
+        << "k=" << k << ": " << result.status().ToString();
+    EXPECT_EQ(result->evidence, expected) << "k=" << k;
+    EXPECT_EQ((*restarted)->store().corrupt_files_skipped(), 0u);
+  }
+  EXPECT_GT(crashes, 0u) << "the sweep never actually crashed";
+}
+
+TEST_P(DecisionServiceSweepTest,
+       SlicedRcqpCrashAfterEveryPersistSiteRecoversBitForBit) {
+  const std::string& spec = UnrealizableRcqpSpec();
+  const std::string expected = DirectRcqpEvidence(spec, threads());
+  // Interval 1: every advance of the probe's low watermark persists.
+  const JobSpec job = MakeJob(JobKind::kRcqp, spec, threads(), 1);
+
+  JobResult uninterrupted = RunToCompletion(FreshDir("rcqpbase"), job);
+  ASSERT_EQ(uninterrupted.evidence, expected);
+  // Above one thread, advances that land together persist once.
+  ASSERT_GE(uninterrupted.persisted, threads() == 1 ? 2u : 1u);
+
+  size_t crashes = 0;
+  for (size_t k = 1; k <= uninterrupted.persisted; ++k) {
+    const std::string dir = FreshDir("rcqpsweep");
+    DecisionServiceOptions options;
+    options.crash_after_persist = k;
+    {
+      auto service = DecisionService::Start(dir, options);
+      ASSERT_TRUE(service.ok());
+      ASSERT_TRUE((*service)->Submit("req", job).ok());
+      auto result = (*service)->Wait("req");
+      if (result.ok()) {
+        // Fewer persists on this schedule (more than one thread).
+        EXPECT_EQ(result->evidence, expected) << "k=" << k;
+        continue;
+      }
+      ASSERT_TRUE((*service)->crashed());
+      ++crashes;
+    }
+    auto restarted = DecisionService::Start(dir);
+    ASSERT_TRUE(restarted.ok()) << restarted.status().ToString();
+    auto persisted = (*restarted)->store().LoadLatestCheckpoint("req");
+    ASSERT_TRUE(persisted.ok()) << "k=" << k;
+    EXPECT_EQ(persisted->checkpoint.decider, "rcqp-ind");
     auto result = (*restarted)->Wait("req");
     ASSERT_TRUE(result.ok())
         << "k=" << k << ": " << result.status().ToString();
@@ -472,8 +671,9 @@ TEST(DecisionServiceRecoveryTest, MultiCrashChainEventuallyCompletes) {
   const std::string dir = FreshDir("chain");
 
   // Every process generation dies right after its first durable
-  // checkpoint write; each life makes one slice of progress. The chain
-  // must converge because resume never loses persisted work.
+  // checkpoint write; each life persists only a strictly later rank
+  // than it resumed from. The chain must converge because resume never
+  // loses persisted work.
   bool submitted = false;
   for (size_t life = 0; life < 100; ++life) {
     DecisionServiceOptions options;
@@ -598,6 +798,100 @@ TEST(DecisionServiceConcurrencyTest, ConcurrentSubmittersAndWorkersAreClean) {
       auto result = (*service)->Wait(StrCat("job-", t, "-", i));
       ASSERT_TRUE(result.ok()) << result.status().ToString();
       EXPECT_EQ(result->evidence, expected);
+    }
+  }
+}
+
+/// An n x n grid minus its far corner, both columns bound to the
+/// master: the counterexample is the corner, and every work unit below
+/// it runs to exhaustion on the way.
+std::string SquareGridSpec(int n) {
+  std::string s = "relation S(a, b)\nmaster relation M(m)\n";
+  for (int x = 0; x < n; ++x) {
+    for (int y = 0; y < n; ++y) {
+      if (x == n - 1 && y == n - 1) continue;
+      s += StrCat("fact S(", x, ", ", y, ")\n");
+    }
+  }
+  for (int m = 0; m < n; ++m) s += StrCat("master fact M(", m, ")\n");
+  s += "constraint c0(x) :- S(x, y) |= M[0]\n";
+  s += "constraint c1(y) :- S(x, y) |= M[0]\n";
+  s += "query cq Q(x, y) :- S(x, y)\n";
+  return s;
+}
+
+TEST(DecisionServiceConcurrencyTest, PoolPersistsRaceCancelAndQuiesce) {
+  // Eight search threads per job persist rolling checkpoints from the
+  // pool (interval 1: at every advance) while one thread cancels every
+  // other job and another quiesces the service. Every job must end
+  // decided, cancelled, or durable — and a successor must finish each
+  // durable one with the uninterrupted evidence.
+  const std::string spec = SquareGridSpec(16);
+  const std::string expected = DirectRcdpEvidence(spec, 8);
+  const std::string dir = FreshDir("poolrace");
+  constexpr int kJobs = 6;
+  DecisionServiceOptions options;
+  options.num_workers = 2;
+  std::vector<bool> cancelled(kJobs, false);
+  std::map<std::string, std::string> decided;
+  {
+    auto service = DecisionService::Start(dir, options);
+    ASSERT_TRUE(service.ok()) << service.status().ToString();
+    DecisionService& svc = **service;
+    for (int j = 0; j < kJobs; ++j) {
+      ASSERT_TRUE(
+          svc.Submit(StrCat("job-", j), MakeJob(JobKind::kRcdp, spec, 8, 1))
+              .ok());
+    }
+    // Let the workers get into their searches before the race starts.
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    while (svc.checkpoints_persisted() < 2 &&
+           std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::yield();
+    }
+    std::thread canceller([&] {
+      for (int j = 0; j < kJobs; j += 2) {
+        EXPECT_TRUE(svc.Cancel(StrCat("job-", j)).ok());
+        cancelled[j] = true;
+      }
+    });
+    std::thread quiescer([&] { EXPECT_TRUE(svc.Quiesce().ok()); });
+    canceller.join();
+    quiescer.join();
+    EXPECT_FALSE(svc.crashed());
+    for (int j = 0; j < kJobs; ++j) {
+      const std::string id = StrCat("job-", j);
+      auto poll = svc.Poll(id);
+      ASSERT_TRUE(poll.ok()) << id << ": " << poll.status().ToString();
+      EXPECT_FALSE(poll->running) << id;
+      if (!poll->terminal) continue;  // still queued: left on disk
+      if (poll->result.verdict != Verdict::kUnknown) {
+        EXPECT_EQ(poll->result.evidence, expected) << id;
+        decided[id] = poll->result.evidence;
+      } else {
+        EXPECT_EQ(poll->result.evidence, "unknown|cancel") << id;
+      }
+    }
+  }
+  auto successor = DecisionService::Start(dir);
+  ASSERT_TRUE(successor.ok()) << successor.status().ToString();
+  std::set<std::string> recovered;
+  for (const std::string& id : (*successor)->RecoveredJobs()) {
+    recovered.insert(id);
+    auto result = (*successor)->Wait(id);
+    ASSERT_TRUE(result.ok()) << id << ": " << result.status().ToString();
+    EXPECT_EQ(result->evidence, expected) << id;
+  }
+  EXPECT_EQ((*successor)->store().corrupt_files_skipped(), 0u);
+  for (int j = 0; j < kJobs; ++j) {
+    const std::string id = StrCat("job-", j);
+    // A job left the store only by being decided or explicitly
+    // cancelled; a decided job's record is gone.
+    if (decided.count(id) > 0) {
+      EXPECT_EQ(recovered.count(id), 0u) << id;
+    } else if (!cancelled[j]) {
+      EXPECT_EQ(recovered.count(id), 1u) << id << " was lost";
     }
   }
 }

@@ -36,12 +36,14 @@
 namespace relcomp {
 namespace {
 
-/// The fabric tests' far-corner instance: the single counterexample
-/// (5, 6) forces the search across essentially the whole valuation
-/// space — room to slice, checkpoint, and hand off mid-flight.
+/// The fabric tests' far-corner instance: both columns are bound to
+/// the master, so the single counterexample (5, 6) forces the search
+/// across the whole valuation space — room to persist, checkpoint, and
+/// hand off mid-flight.
 const std::string& IncompleteSpec() {
   static const std::string spec = [] {
-    std::string s = "relation S(a, b)\nmaster relation M(m)\n";
+    std::string s = "relation S(a, b)\nmaster relation M(m)\n"
+                    "master relation N(n)\n";
     for (int x = 0; x <= 5; ++x) {
       for (int y = 0; y <= 6; ++y) {
         if (x == 5 && y == 6) continue;
@@ -49,7 +51,9 @@ const std::string& IncompleteSpec() {
       }
     }
     for (int m = 0; m <= 5; ++m) s += StrCat("master fact M(", m, ")\n");
+    for (int n = 0; n <= 6; ++n) s += StrCat("master fact N(", n, ")\n");
     s += "constraint c0(x) :- S(x, y) |= M[0]\n";
+    s += "constraint c1(y) :- S(x, y) |= N[0]\n";
     s += "query cq Q(x, y) :- S(x, y)\n";
     return s;
   }();
@@ -59,9 +63,11 @@ const std::string& IncompleteSpec() {
 /// A larger, distinct instance per variant for work that must still be
 /// running when a handoff flushes: both columns of S are bound to the
 /// master, so the only counterexample is the missing far corner and the
-/// search walks about 500 decision points to reach it.
+/// search walks about 4,000 decision points to reach it (a few
+/// milliseconds of search plus its rolling persists, at any thread
+/// count).
 std::string LargeSpec(int variant) {
-  const int n = 20 + variant;
+  const int n = 60 + variant;
   std::string s = "relation S(a, b)\nmaster relation M(m)\n";
   for (int x = 0; x < n; ++x) {
     for (int y = 0; y < n; ++y) {
@@ -221,15 +227,15 @@ TEST_P(FabricChaosSweepTest, CleanHandoffUnderLiveTrafficIsInvisible) {
   FabricClient client(fabric.endpoints);
 
   // Live traffic on every shard. The handed-off shard gets distinct,
-  // larger instances, sliced, so the flush has running work to
-  // checkpoint; the other shards get the small one.
+  // larger instances, sliced, and is submitted to last, so the flush
+  // has running work to checkpoint; the other shards get the small one.
   struct Audit {
     std::string key;
     std::string spec;
     std::string expected;
   };
   std::vector<Audit> audits;
-  for (size_t shard = 0; shard < members(); ++shard) {
+  for (size_t shard = members(); shard-- > 0;) {
     for (int j = 0; j < 2; ++j) {
       const std::string spec = shard == 0 ? LargeSpec(j) : IncompleteSpec();
       audits.push_back(

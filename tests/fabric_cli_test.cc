@@ -32,7 +32,8 @@ namespace {
 /// The far-corner incomplete grid the service suites audit.
 const std::string& IncompleteSpec() {
   static const std::string spec = [] {
-    std::string s = "relation S(a, b)\nmaster relation M(m)\n";
+    std::string s = "relation S(a, b)\nmaster relation M(m)\n"
+                    "master relation N(n)\n";
     for (int x = 0; x <= 5; ++x) {
       for (int y = 0; y <= 6; ++y) {
         if (x == 5 && y == 6) continue;
@@ -40,7 +41,9 @@ const std::string& IncompleteSpec() {
       }
     }
     for (int m = 0; m <= 5; ++m) s += StrCat("master fact M(", m, ")\n");
+    for (int n = 0; n <= 6; ++n) s += StrCat("master fact N(", n, ")\n");
     s += "constraint c0(x) :- S(x, y) |= M[0]\n";
+    s += "constraint c1(y) :- S(x, y) |= N[0]\n";
     s += "query cq Q(x, y) :- S(x, y)\n";
     return s;
   }();

@@ -33,12 +33,14 @@
 namespace relcomp {
 namespace {
 
-/// The service tests' far-corner instance: the single counterexample
-/// (5, 6) forces the search across essentially the whole valuation
-/// space — room to slice, checkpoint, and die.
+/// The service tests' far-corner instance: both columns are bound to
+/// the master, so the single counterexample (5, 6) forces the search
+/// across the whole valuation space — room to persist, checkpoint, and
+/// die.
 const std::string& IncompleteSpec() {
   static const std::string spec = [] {
-    std::string s = "relation S(a, b)\nmaster relation M(m)\n";
+    std::string s = "relation S(a, b)\nmaster relation M(m)\n"
+                    "master relation N(n)\n";
     for (int x = 0; x <= 5; ++x) {
       for (int y = 0; y <= 6; ++y) {
         if (x == 5 && y == 6) continue;
@@ -46,7 +48,9 @@ const std::string& IncompleteSpec() {
       }
     }
     for (int m = 0; m <= 5; ++m) s += StrCat("master fact M(", m, ")\n");
+    for (int n = 0; n <= 6; ++n) s += StrCat("master fact N(", n, ")\n");
     s += "constraint c0(x) :- S(x, y) |= M[0]\n";
+    s += "constraint c1(y) :- S(x, y) |= N[0]\n";
     s += "query cq Q(x, y) :- S(x, y)\n";
     return s;
   }();

@@ -27,11 +27,13 @@
 namespace relcomp {
 namespace {
 
-/// Same far-corner incomplete instance the service sweep uses: enough
-/// decision points to slice, checkpoint, and kill mid-search.
+/// Same far-corner incomplete instance the service sweep uses (both
+/// columns bound to the master): enough decision points to persist
+/// mid-search, checkpoint, and kill.
 const std::string& IncompleteSpec() {
   static const std::string spec = [] {
-    std::string s = "relation S(a, b)\nmaster relation M(m)\n";
+    std::string s = "relation S(a, b)\nmaster relation M(m)\n"
+                    "master relation N(n)\n";
     for (int x = 0; x <= 5; ++x) {
       for (int y = 0; y <= 6; ++y) {
         if (x == 5 && y == 6) continue;
@@ -39,7 +41,9 @@ const std::string& IncompleteSpec() {
       }
     }
     for (int m = 0; m <= 5; ++m) s += StrCat("master fact M(", m, ")\n");
+    for (int n = 0; n <= 6; ++n) s += StrCat("master fact N(", n, ")\n");
     s += "constraint c0(x) :- S(x, y) |= M[0]\n";
+    s += "constraint c1(y) :- S(x, y) |= N[0]\n";
     s += "query cq Q(x, y) :- S(x, y)\n";
     return s;
   }();
@@ -635,7 +639,7 @@ TEST(NetServiceRestartTest, ClientReattachesAcrossServerKillMidJob) {
   Result<WireReply> awaited = Status::Internal("never awaited");
   {
     NetClient submit_client(address);
-    // Slice small enough to persist (and crash) early.
+    // A persist interval small enough to persist (and crash) early.
     ASSERT_TRUE(
         submit_client.Submit(key, MakeJob(IncompleteSpec(), /*slice=*/6))
             .ok());
@@ -685,8 +689,9 @@ TEST(NetServiceRestartTest, ResubmitAfterRestartDedupsAgainstDurableRecord) {
   const std::string dir = FreshDir("redsub");
   const std::string address = FreshSocket("redsub");
   const std::string key = "resubmitted";
-  // Sliced so the crash harness fires mid-job, leaving the durable job
-  // record behind (a clean shutdown would drain the queue instead).
+  // Persisting as it runs, so the crash harness fires mid-job, leaving
+  // the durable job record behind (a clean shutdown would drain the
+  // queue instead).
   const JobSpec job = MakeJob(IncompleteSpec(), /*slice=*/6);
 
   {

@@ -59,11 +59,13 @@ std::string FreshSocket(const char* tag) {
 }
 
 /// The service tests' far-corner family, sized to order: S holds every
-/// pair over {0..max_x} x {0..max_y} except the corner, so the search
-/// walks essentially the whole valuation space before deciding — room
-/// to slice, checkpoint, and lose the disk.
+/// pair over {0..max_x} x {0..max_y} except the corner, and M and N
+/// bound its columns to those ranges, so the search walks the whole
+/// valuation space before deciding — room to persist mid-search,
+/// checkpoint, and lose the disk.
 std::string CornerSpec(int max_x, int max_y) {
-  std::string s = "relation S(a, b)\nmaster relation M(m)\n";
+  std::string s =
+      "relation S(a, b)\nmaster relation M(m)\nmaster relation N(n)\n";
   for (int x = 0; x <= max_x; ++x) {
     for (int y = 0; y <= max_y; ++y) {
       if (x == max_x && y == max_y) continue;
@@ -71,7 +73,9 @@ std::string CornerSpec(int max_x, int max_y) {
     }
   }
   for (int m = 0; m <= max_x; ++m) s += StrCat("master fact M(", m, ")\n");
+  for (int n = 0; n <= max_y; ++n) s += StrCat("master fact N(", n, ")\n");
   s += "constraint c0(x) :- S(x, y) |= M[0]\n";
+  s += "constraint c1(y) :- S(x, y) |= N[0]\n";
   s += "query cq Q(x, y) :- S(x, y)\n";
   return s;
 }
@@ -387,8 +391,8 @@ TEST(StorageFaultServiceTest, DegradedJobCompletesInMemoryBitForBit) {
   ASSERT_TRUE(
       (*service)->Submit("job", MakeJob(spec, /*threads=*/1, /*slice=*/1))
           .ok());
-  // The first checkpoint persist hits a dead disk; the slices keep
-  // completing in memory and the verdict is bit-for-bit the oracle's.
+  // The first checkpoint persist hits a dead disk; the search keeps
+  // going in memory and the verdict is bit-for-bit the oracle's.
   env.set_fault_plan(Plan(StorageFaultKind::kEio, 1, "record.ckpt"));
   (*service)->Resume();
   auto result = (*service)->Wait("job");
