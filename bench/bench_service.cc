@@ -2,8 +2,8 @@
 // sliced RCDP execution is run twice over the largest bench_rcdp_scaling
 // instance: once resuming purely in memory (the PR-3 anytime loop), and
 // once persisting every slice boundary to a CheckpointStore
-// (temp-file + fsync + rename + journal append, the DecisionService's
-// per-slice write). The difference is the price of surviving a kill;
+// (temp-file + fsync + rename + directory fsync, the store's write of
+// one checkpoint generation). The difference is the price of surviving a kill;
 // the target is <= 5% at the service's slice granularity.
 
 #include <benchmark/benchmark.h>

@@ -23,8 +23,8 @@
 // process runs exactly member I (one process per member, so a kill
 // test can SIGKILL a real server); without it, all N members run in
 // this process. A killed-and-restarted member recovers its shard's
-// in-flight jobs from the journal and rejoins under a bumped ring
-// epoch.
+// in-flight jobs from the job records in its store directory and
+// rejoins under a bumped ring epoch.
 //
 // --connect with one endpoint speaks to that server directly. With a
 // comma-separated list the client bootstraps the consistent-hash ring

@@ -25,8 +25,11 @@ for preset in default asan tsan ubsan; do
 done
 
 # Crash-recovery stage: the durable-store and decision-service suites
-# (ctest label "recovery") once more under the asan build — the
-# kill/restart sweeps must be clean not just green.
+# (ctest label "recovery": the store's corruption corpus, its fsync
+# count per operation, a directory written by the earlier journaled
+# store, and the kill/restart sweeps, RCQP witness construction
+# included) once more under the asan build — they must be clean, not
+# just green.
 run ctest --test-dir build-asan -L recovery --output-on-failure
 
 # Network stage: the wire-format hostile corpus and the live-socket
@@ -50,9 +53,11 @@ run ctest --test-dir build-asan -L chaos --output-on-failure
 
 # Storage-fault stage: the kill-the-disk harness (ctest label
 # "storagefault") once more under the asan build — every fault kind at
-# every store-op ordinal tears temp files, journals, and renames, so
-# recovery must be clean, not just green. (The tsan preset's name
-# filter covers the StorageFaultConcurrency suite.)
+# every store-op ordinal tears temp files, record writes, renames and
+# directory fsyncs, and the store recovers from its record files alone
+# (the directory is its own index), so recovery must be clean, not
+# just green. (The tsan preset's name filter covers the
+# StorageFaultConcurrency suite.)
 run ctest --test-dir build-asan -L storagefault --output-on-failure
 
 # Incremental stage: the delta/fingerprint/certificate suites and the

@@ -206,11 +206,11 @@ Result<ProbeOutcome> FindRealizableValuation(
 
 /// Builds the Prop 4.3 witness for one bounded, realizable disjunct:
 /// one instantiated tableau per achievable summary tuple. Rows are
-/// materialized into `witness` only for valuations that realize. The
-/// witness is best-effort under a budget: by the time it is built the
-/// Exists decision already stands, so exhaustion here clears
-/// *witness_complete instead of failing the call. `interner` is the
-/// family interner the active domain was built on.
+/// materialized into `witness` only for valuations that realize. A
+/// budget exhaustion here clears *witness_complete instead of failing
+/// the call; the caller answers kUnknown with a checkpoint that
+/// rebuilds the witness. `interner` is the family interner the active
+/// domain was built on.
 Status AccumulateIndWitness(const TableauQuery& tableau,
                             const Database& master,
                             const ConstraintSet& constraints,
@@ -635,8 +635,10 @@ Result<RcqpResult> DecideRcqp(const AnyQuery& query,
     result.method = "ind-syntactic";
     if (all_ok) {
       // Witness per the Prop 4.3 proof: for every achievable summary
-      // tuple of every disjunct, one instantiated tableau. Best-effort
-      // under a budget: the Exists decision above already stands.
+      // tuple of every disjunct, one instantiated tableau. A budget
+      // that trips while it is built leaves the answer kUnknown, never
+      // kComplete without its evidence: the checkpoint past the last
+      // tableau skips every probe on resume and rebuilds the witness.
       Database witness(db_schema);
       bool witness_complete = true;
       for (const TableauQuery& tableau : tableaux) {
@@ -645,12 +647,17 @@ Result<RcqpResult> DecideRcqp(const AnyQuery& query,
             empty_db.interner().get(), budget, &witness, &witness_complete));
         if (!witness_complete) break;
       }
-      if (witness_complete) {
-        result.witness = std::move(witness);
-      } else if (budget != nullptr) {
+      if (!witness_complete) {
+        result.verdict = Verdict::kUnknown;
+        result.exists = false;
+        result.exhaustive = false;
         result.exhaustion =
             ExhaustionFromStatus(budget->exhaustion_status(), budget);
+        result.checkpoint = make_checkpoint("rcqp-ind", tableaux.size(), 0,
+                                            RealizedPayload(realized));
+        return result;
       }
+      result.witness = std::move(witness);
     }
     return result;
   }
@@ -679,16 +686,24 @@ Result<RcqpResult> DecideRcqp(const AnyQuery& query,
     result.verdict = Verdict::kComplete;
     result.exists = true;
     result.method = "all-finite-domains";
-    // Best-effort witness: chase the empty database to completeness.
-    // The Exists decision stands regardless; a budget exhaustion here
-    // only costs the witness (noted in result.exhaustion).
+    // Witness: chase the empty database to completeness. A chase that
+    // does not converge within its rounds leaves the decision without
+    // a witness; a budget that trips mid-chase leaves it kUnknown, and
+    // the resumed call (any general-path phase lands here first)
+    // re-runs the deterministic chase.
     Result<ChaseResult> chased = ChaseToCompleteness(
         query, empty_db, master, constraints, /*max_rounds=*/256, inner_rcdp);
     if (chased.ok()) {
       if (chased->verdict == Verdict::kComplete) {
         result.witness = std::move(chased->db);
-      } else if (chased->exhaustion.exhausted()) {
+      } else if (chased->exhaustion.exhausted() &&
+                 chased->exhaustion.kind != BudgetKind::kRounds) {
+        result.verdict = Verdict::kUnknown;
+        result.exists = false;
+        result.exhaustive = false;
         result.exhaustion = chased->exhaustion;
+        result.checkpoint =
+            make_checkpoint("rcqp-chase", chased->rounds, 0, std::string());
       }
     }
     return result;

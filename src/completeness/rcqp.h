@@ -86,9 +86,9 @@ struct RcqpResult {
   /// "empty-witness", "chase-witness", "witness-search",
   /// "no-partially-closed-database", "unsatisfiable-query".
   std::string method;
-  /// kUnknown only: why the search stopped. Also set (with verdict
-  /// kComplete) when only the best-effort witness construction — not
-  /// the decision itself — ran out of budget; `witness` is then absent.
+  /// kUnknown only: why the search stopped. A budget that trips while
+  /// the witness of an Exists decision is being built makes the result
+  /// kUnknown with a checkpoint, never kComplete without its witness.
   ExhaustionInfo exhaustion;
   /// kUnknown with a budget exhaustion: where to pick the search up
   /// (pass as RcqpOptions::resume with a rearmed or fresh budget).

@@ -199,7 +199,7 @@ Status FabricMember::AdoptShard(size_t shard) {
       return Status::OK();  // already ours — adoption is idempotent
     }
   }
-  // Open outside the lock: Start replays the shard's journal and
+  // Open outside the lock: Start scans the shard's store directory and
   // resumes its jobs, which can take a while; routing for shards we
   // already own must not stall behind it. The flock inside Open is the
   // actual exclusion — if the old owner still lives, this fails

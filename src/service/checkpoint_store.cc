@@ -18,9 +18,7 @@ namespace {
 
 constexpr char kRecordMagic[] = "relcomp-store/1";
 constexpr char kCrcSeparator[] = "#crc32:";
-constexpr char kJournalMagic[] = "J1";
 constexpr char kLockFile[] = "LOCK";
-constexpr char kJournalFile[] = "journal";
 
 /// Request ids become file names; anything outside this set (or an
 /// empty / dot-leading / oversized id) is refused up front so a hostile
@@ -114,8 +112,8 @@ Result<std::string> ReadWholeFile(FsEnv* env, const std::string& path) {
 }
 
 /// The header and payload of a record body whose CRC already checked
-/// out. The identity checks catch a record renamed (or journal-mapped)
-/// to the wrong request, kind or generation.
+/// out. The identity checks catch a record renamed to the wrong
+/// request, kind or generation.
 Result<std::string_view> ParseRecordBody(std::string_view body,
                                          std::string_view kind,
                                          std::string_view request_id,
@@ -134,30 +132,6 @@ Result<std::string_view> ParseRecordBody(std::string_view body,
   RELCOMP_ASSIGN_OR_RETURN(const std::string_view payload, r.Sized());
   RELCOMP_RETURN_NOT_OK(r.End());
   return payload;
-}
-
-struct JournalLine {
-  std::string_view op;
-  std::string_view request_id;
-  uint64_t generation = 0;
-};
-
-/// "J1 <op> <id> <gen> <8-hex crc>", the CRC covering "<op> <id> <gen>".
-Result<JournalLine> ParseJournalLine(std::string_view text) {
-  CodecReader r("J1 journal line", text);
-  JournalLine line;
-  RELCOMP_RETURN_NOT_OK(r.Magic(kJournalMagic));
-  RELCOMP_ASSIGN_OR_RETURN(line.op, r.Field());
-  RELCOMP_ASSIGN_OR_RETURN(line.request_id, r.Field());
-  RELCOMP_ASSIGN_OR_RETURN(line.generation, r.U64());
-  RELCOMP_RETURN_NOT_OK(r.Expect(" "));
-  RELCOMP_ASSIGN_OR_RETURN(const uint64_t crc, r.Hex(8));
-  RELCOMP_RETURN_NOT_OK(r.End());
-  if (Crc32(StrCat(line.op, " ", line.request_id, " ", line.generation)) !=
-      crc) {
-    return r.Malformed("crc mismatch");
-  }
-  return line;
 }
 
 }  // namespace
@@ -182,7 +156,7 @@ Result<std::unique_ptr<CheckpointStore>> CheckpointStore::Open(
     return Status::InvalidArgument("store directory must not be empty");
   }
   std::unique_ptr<CheckpointStore> store(
-      new CheckpointStore(resolved, options));
+      new CheckpointStore(resolved, options.fs_env));
   RELCOMP_RETURN_NOT_OK(MakeDirs(store->env(), resolved));
 
   const std::string lock_path = StrCat(resolved, "/", kLockFile);
@@ -201,7 +175,6 @@ Result<std::unique_ptr<CheckpointStore>> CheckpointStore::Open(
   }
   store->lock_fd_ = fd;
 
-  RELCOMP_RETURN_NOT_OK(store->ReplayJournal());
   RELCOMP_RETURN_NOT_OK(store->ScanDirectory());
   return store;
 }
@@ -439,244 +412,21 @@ Result<std::string> CheckpointStore::ReadRecord(
   return std::string(*payload);
 }
 
-// --- Journal ---------------------------------------------------------
-//
-//   J1 <op> <request_id> <generation> <8-hex crc>\n
-//
-// ops: "ckpt" (a generation became durable), "job" (a job record
-// became durable), "done" (the request completed and its files were
-// removed), "vrd"/"vgone" (a verdict record appeared/vanished), "ctl"
-// (a control record — e.g. the fabric ring — became durable). The
-// per-line CRC covers "<op> <id> <gen>"; replay ignores
-// any line that fails it — a crash mid-append tears at most the final
-// line.
-
-Status CheckpointStore::AppendJournal(std::string_view op,
-                                      const std::string& request_id,
-                                      uint64_t generation) {
-  const std::string fields =
-      StrCat(op, " ", request_id, " ", generation);
-  std::string line =
-      StrCat(kJournalMagic, " ", fields, " ", Hex(Crc32(fields), 8), "\n");
-  // A previous append failed after possibly landing a prefix without
-  // its newline. Start this line with one so that torn fragment stays
-  // its own (CRC-failing, skipped-and-counted) line — appending
-  // directly would merge it with this entry and lose BOTH.
-  if (journal_tainted_) line.insert(line.begin(), '\n');
-  const std::string path = StrCat(dir_, "/", kJournalFile);
-  int fd = env_->Open("journal", path.c_str(),
-                      O_WRONLY | O_APPEND | O_CREAT, 0644);
-  if (fd < 0) {
-    NoteWriteFailureLocked(false);
-    return ErrnoStatus("open journal", path);
-  }
-  // One write() call per line: POSIX O_APPEND writes are atomic with
-  // respect to each other for this size, so concurrent appends from
-  // the submit path and the worker never interleave bytes.
-  ssize_t n = env_->Write("journal", fd, line.data(), line.size());
-  if (n < 0 || static_cast<size_t>(n) != line.size()) {
-    Status st = n < 0 ? ErrnoStatus("append journal", path)
-                      : ErrnoStatus("short journal append", path);
-    ::close(fd);
-    // Anything from zero to line.size()-1 bytes may now sit at the
-    // tail with no newline.
-    journal_tainted_ = true;
-    NoteWriteFailureLocked(false);
-    return st;
-  }
-  if (env_->Fsync("journal", fd) != 0) {
-    Status st = ErrnoStatus("fsync journal", path);
-    ::close(fd);
-    // The kernel may keep or drop any suffix of the unsynced line.
-    journal_tainted_ = true;
-    NoteWriteFailureLocked(true);
-    return st;
-  }
-  ::close(fd);
-  journal_tainted_ = false;
-  ++journal_entries_;
-  return MaybeCompactJournalLocked();
-}
-
-Status CheckpointStore::MaybeCompactJournalLocked() {
-  if (options_.journal_compaction_threshold == 0 ||
-      journal_entries_ <= options_.journal_compaction_threshold) {
-    return Status::OK();
-  }
-  // Rebuild the minimal journal from the in-memory state (which the
-  // journal exists to reconstruct): one "ckpt" line per request with a
-  // live generation, one "job" line per in-flight job record. "done"
-  // entries vanish — their whole purpose was to cancel earlier lines.
-  std::string content;
-  size_t lines = 0;
-  auto emit = [&](std::string_view op, const std::string& id, uint64_t gen) {
-    const std::string fields = StrCat(op, " ", id, " ", gen);
-    content += StrCat(kJournalMagic, " ", fields, " ",
-                      Hex(Crc32(fields), 8), "\n");
-    ++lines;
-  };
-  for (const auto& [id, gen] : last_generation_) emit("ckpt", id, gen);
-  for (const auto& [id, live] : has_job_) {
-    if (live) emit("job", id, 0);
-  }
-  for (const auto& [id, live] : has_verdict_) {
-    if (live) emit("vrd", id, 0);
-  }
-  for (const auto& [id, live] : has_control_) {
-    if (live) emit("ctl", id, 0);
-  }
-  // Same crash-atomicity dance as record files: a kill before the
-  // rename leaves the old journal plus tmp garbage (the directory scan
-  // ignores journal.tmp.*); a kill after it leaves the new journal.
-  // Either replays to the same state.
-  const std::string path = StrCat(dir_, "/", kJournalFile);
-  const std::string tmp = StrCat(path, ".tmp.", ::getpid());
-  int fd = env_->Open("compact", tmp.c_str(),
-                      O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) {
-    NoteWriteFailureLocked(false);
-    return ErrnoStatus("open", tmp);
-  }
-  size_t off = 0;
-  while (off < content.size()) {
-    errno = 0;
-    ssize_t n =
-        env_->Write("compact", fd, content.data() + off,
-                    content.size() - off);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      Status st = ErrnoStatus("write", tmp);
-      ::close(fd);
-      env_->Unlink("compact", tmp.c_str());
-      NoteWriteFailureLocked(false);
-      return st;
-    }
-    if (static_cast<size_t>(n) < content.size() - off &&
-        errno == ENOSPC) {
-      Status st = ErrnoStatus("short write", tmp);
-      ::close(fd);
-      env_->Unlink("compact", tmp.c_str());
-      NoteWriteFailureLocked(false);
-      return st;
-    }
-    off += static_cast<size_t>(n);
-  }
-  if (env_->Fsync("compact", fd) != 0) {
-    Status st = ErrnoStatus("fsync", tmp);
-    ::close(fd);
-    env_->Unlink("compact", tmp.c_str());
-    NoteWriteFailureLocked(true);
-    return st;
-  }
-  ::close(fd);
-  if (env_->Rename("compact", tmp.c_str(), path.c_str()) != 0) {
-    Status st = ErrnoStatus("rename", tmp);
-    env_->Unlink("compact", tmp.c_str());
-    NoteWriteFailureLocked(false);
-    return st;
-  }
-  Status synced = FsyncDirectory(env_, dir_);
-  if (!synced.ok()) {
-    NoteWriteFailureLocked(true);
-    return synced;
-  }
-  journal_entries_ = lines;
-  ++journal_compactions_;
-  // A fully rewritten journal ends in a newline by construction.
-  journal_tainted_ = false;
-  return Status::OK();
-}
-
-size_t CheckpointStore::journal_compactions() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return journal_compactions_;
-}
-
-size_t CheckpointStore::journal_entries() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return journal_entries_;
-}
-
-Status CheckpointStore::ReplayJournal() {
-  const std::string path = StrCat(dir_, "/", kJournalFile);
-  Result<std::string> content = ReadWholeFile(env_, path);
-  if (!content.ok()) {
-    if (content.status().code() == StatusCode::kNotFound) {
-      return Status::OK();  // fresh store
-    }
-    return content.status();
-  }
-  // A journal that does not end in a newline carries a torn tail from
-  // a crash (or lying disk) mid-append in a PREVIOUS process. The
-  // in-process taint flag died with that process, so re-arm it here:
-  // this store's first append then starts with a newline, keeping the
-  // fragment its own skipped line instead of merging with — and
-  // corrupting — the new entry.
-  if (!content->empty() && content->back() != '\n') journal_tainted_ = true;
-  std::string_view rest = *content;
-  while (!rest.empty()) {
-    size_t nl = rest.find('\n');
-    std::string_view line = rest.substr(0, nl);
-    rest = nl == std::string_view::npos ? std::string_view()
-                                        : rest.substr(nl + 1);
-    if (line.empty()) continue;
-    ++journal_entries_;  // torn lines occupy journal space too
-    // Skip (count) anything torn.
-    Result<JournalLine> entry = ParseJournalLine(line);
-    if (!entry.ok()) {
-      ++journal_lines_skipped_;
-      continue;
-    }
-    const std::string_view op = entry->op;
-    const uint64_t generation = entry->generation;
-    const std::string request_id(entry->request_id);
-    if (op == "ckpt") {
-      uint64_t& g = last_generation_[request_id];
-      g = std::max(g, generation);
-    } else if (op == "job") {
-      has_job_[request_id] = true;
-    } else if (op == "vrd") {
-      has_verdict_[request_id] = true;
-    } else if (op == "ctl") {
-      has_control_[request_id] = true;
-    } else if (op == "vgone") {
-      has_verdict_.erase(request_id);
-    } else if (op == "done") {
-      last_generation_.erase(request_id);
-      has_job_.erase(request_id);
-    } else {
-      ++journal_lines_skipped_;
-    }
-  }
-  return Status::OK();
-}
-
 Status CheckpointStore::ScanDirectory() {
-  // Catch files that became durable without a journal entry (crash
-  // between rename and append): checkpoint generations newer than the
-  // journal knows, and job records. A request whose final journal op
-  // was "done" has had its files unlinked before the journal entry —
-  // any survivor file simply re-enters the in-flight set, which is
-  // safe (re-running a completed, deterministic job reproduces its
-  // result).
+  // The record file names are the whole index: "<id>.job" marks a
+  // request in flight and "<id>.g<N>.ckpt" a durable generation. A
+  // request whose Forget() lost its unlinks to a power cut simply
+  // re-enters the in-flight set, which is safe (re-running a
+  // completed, deterministic job reproduces its result). Anything
+  // else — LOCK, .tmp.* leftovers from a crash mid-write, verdict and
+  // control records (loaded by key), a `journal` from older versions
+  // of the store — is not part of the index.
   DIR* d = env_->Opendir("scan", dir_.c_str());
   if (d == nullptr) return ErrnoStatus("opendir", dir_);
   while (struct dirent* entry = ::readdir(d)) {
     std::string_view name(entry->d_name);
-    if (name == "." || name == ".." || name == kLockFile ||
-        name == kJournalFile) {
-      continue;
-    }
     if (name.size() > 4 && name.substr(name.size() - 4) == ".job") {
-      has_job_[std::string(name.substr(0, name.size() - 4))] = true;
-      continue;
-    }
-    if (name.size() > 4 && name.substr(name.size() - 4) == ".vrd") {
-      has_verdict_[std::string(name.substr(0, name.size() - 4))] = true;
-      continue;
-    }
-    if (name.size() > 4 && name.substr(name.size() - 4) == ".ctl") {
-      has_control_[std::string(name.substr(0, name.size() - 4))] = true;
+      has_job_.insert(std::string(name.substr(0, name.size() - 4)));
       continue;
     }
     if (name.size() > 5 && name.substr(name.size() - 5) == ".ckpt") {
@@ -690,9 +440,6 @@ Status CheckpointStore::ScanDirectory() {
       uint64_t& g = last_generation_[request_id];
       g = std::max(g, *generation);
     }
-    // .tmp.* leftovers from a crash mid-write are ignored (and
-    // overwritten by the next writer with the same pid, or left as
-    // harmless garbage).
   }
   ::closedir(d);
   return Status::OK();
@@ -714,7 +461,6 @@ Result<uint64_t> CheckpointStore::PersistCheckpoint(
                                     "ckpt", request_id, generation,
                                     ckpt.Serialize()));
   last_generation_[request_id] = generation;
-  RELCOMP_RETURN_NOT_OK(AppendJournal("ckpt", request_id, generation));
   // Keep the latest two generations: the newest, plus one fallback in
   // case the newest file is damaged after the fact. Everything older
   // is garbage.
@@ -776,8 +522,8 @@ Status CheckpointStore::PersistJob(const std::string& request_id,
   RELCOMP_RETURN_NOT_OK(CheckWritableLocked());
   RELCOMP_RETURN_NOT_OK(WriteRecord(JobPath(dir_, request_id), "job",
                                     request_id, 0, payload));
-  has_job_[request_id] = true;
-  return AppendJournal("job", request_id, 0);
+  has_job_.insert(request_id);
+  return Status::OK();
 }
 
 Result<std::string> CheckpointStore::LoadJob(
@@ -799,12 +545,7 @@ Result<std::string> CheckpointStore::LoadJob(
 
 std::vector<std::string> CheckpointStore::PendingRequests() const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::string> out;
-  out.reserve(has_job_.size());
-  for (const auto& [id, live] : has_job_) {
-    if (live) out.push_back(id);
-  }
-  return out;
+  return std::vector<std::string>(has_job_.begin(), has_job_.end());
 }
 
 Status CheckpointStore::Forget(const std::string& request_id) {
@@ -823,7 +564,7 @@ Status CheckpointStore::Forget(const std::string& request_id) {
   env_->Unlink("gc", JobPath(dir_, request_id).c_str());
   last_generation_.erase(request_id);
   has_job_.erase(request_id);
-  return AppendJournal("done", request_id, 0);
+  return Status::OK();
 }
 
 Status CheckpointStore::PersistVerdict(const std::string& key,
@@ -835,10 +576,7 @@ Status CheckpointStore::PersistVerdict(const std::string& key,
   std::lock_guard<std::mutex> lock(mu_);
   RELCOMP_RETURN_NOT_OK(CheckAlive());
   RELCOMP_RETURN_NOT_OK(CheckWritableLocked());
-  RELCOMP_RETURN_NOT_OK(
-      WriteRecord(VrdPath(dir_, key), "vrd", key, 0, payload));
-  has_verdict_[key] = true;
-  return AppendJournal("vrd", key, 0);
+  return WriteRecord(VrdPath(dir_, key), "vrd", key, 0, payload);
 }
 
 Result<std::string> CheckpointStore::LoadVerdict(
@@ -858,29 +596,6 @@ Result<std::string> CheckpointStore::LoadVerdict(
   return payload;
 }
 
-Status CheckpointStore::ForgetVerdict(const std::string& key) {
-  if (!ValidRequestId(key)) {
-    return Status::InvalidArgument(
-        StrCat("invalid verdict key for store: \"", key, "\""));
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  RELCOMP_RETURN_NOT_OK(CheckAlive());
-  RELCOMP_RETURN_NOT_OK(CheckWritableLocked());
-  env_->Unlink("gc", VrdPath(dir_, key).c_str());
-  has_verdict_.erase(key);
-  return AppendJournal("vgone", key, 0);
-}
-
-std::vector<std::string> CheckpointStore::VerdictKeys() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::string> out;
-  out.reserve(has_verdict_.size());
-  for (const auto& [id, live] : has_verdict_) {
-    if (live) out.push_back(id);
-  }
-  return out;
-}
-
 Status CheckpointStore::PersistControl(const std::string& key,
                                        const std::string& payload) {
   if (!ValidRequestId(key)) {
@@ -890,10 +605,7 @@ Status CheckpointStore::PersistControl(const std::string& key,
   std::lock_guard<std::mutex> lock(mu_);
   RELCOMP_RETURN_NOT_OK(CheckAlive());
   RELCOMP_RETURN_NOT_OK(CheckWritableLocked());
-  RELCOMP_RETURN_NOT_OK(
-      WriteRecord(CtlPath(dir_, key), "ctl", key, 0, payload));
-  has_control_[key] = true;
-  return AppendJournal("ctl", key, 0);
+  return WriteRecord(CtlPath(dir_, key), "ctl", key, 0, payload);
 }
 
 Result<std::string> CheckpointStore::LoadControl(
@@ -911,16 +623,6 @@ Result<std::string> CheckpointStore::LoadControl(
     ++corrupt_files_skipped_;
   }
   return payload;
-}
-
-std::vector<std::string> CheckpointStore::ControlKeys() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::string> out;
-  out.reserve(has_control_.size());
-  for (const auto& [id, live] : has_control_) {
-    if (live) out.push_back(id);
-  }
-  return out;
 }
 
 }  // namespace relcomp

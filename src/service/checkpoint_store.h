@@ -5,6 +5,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -58,14 +59,6 @@ struct PersistedCheckpoint {
 
 /// Store tuning.
 struct CheckpointStoreOptions {
-  /// Journal compaction threshold: once the journal holds more than
-  /// this many lines, it is rewritten to the minimal set describing
-  /// the live state (one "ckpt" line per request with checkpoints, one
-  /// "job" line per in-flight job record) via the same crash-atomic
-  /// temp + fsync + rename + directory-fsync dance as record files —
-  /// a kill at any byte of the compaction leaves either the old
-  /// journal or the new one, never a mix. 0 disables compaction.
-  size_t journal_compaction_threshold = 1024;
   /// Fabric shard addressing. When `fabric_root` is non-empty the store
   /// opens the named shard directory `<fabric_root>/<shard_name>`
   /// instead of the `directory` argument to Open() (which must then be
@@ -89,15 +82,17 @@ struct CheckpointStoreOptions {
 ///
 /// One directory holds the crash-recovery state of one DecisionService
 /// (or one relcheck --resume-dir session): per request, a sequence of
-/// checkpoint generations plus an optional opaque job record, and an
-/// append-only recovery journal mapping request ids to their latest
-/// valid generation.
+/// checkpoint generations plus an optional opaque job record, and the
+/// verdict and control records that outlive jobs. The directory is its
+/// own index: Open() scans it, and the record file names alone say
+/// which requests are in flight and which generation is newest.
 ///
 /// Durability contract:
 ///  * Every record file is written to a temp name, fsync'd, then
 ///    renamed into place (atomic on POSIX), and the directory is
 ///    fsync'd after the rename — a reader never observes a
-///    half-renamed file.
+///    half-renamed file, and a persist that returned OK survives a
+///    power cut.
 ///  * Every record carries a versioned header and a CRC32 footer over
 ///    the header + payload. Torn, truncated, bit-flipped or otherwise
 ///    corrupted files fail the CRC (or the payload-length check) and
@@ -108,11 +103,11 @@ struct CheckpointStoreOptions {
 ///    SearchCheckpoint; corrupted newer generations are skipped (and
 ///    counted in corrupt_files_skipped()), so a crash mid-write costs
 ///    at most the interrupted generation, never prior progress.
-///  * The journal is append-only with a per-line CRC; torn tail lines
-///    (the crash-mid-append case) are ignored on replay. Files present
-///    in the directory but missing from the journal (crash between
-///    rename and journal append) are still found by the directory
-///    scan.
+///  * Forget() only unlinks. A power cut that loses the unlinks leaves
+///    the job record in place, and the restarted service re-runs that
+///    deterministic job to the same result. Temp files left by a crash
+///    mid-write (and a `journal` file from older versions of the
+///    store) match no record name and are ignored.
 ///
 /// Exclusion: Open() takes an exclusive flock on <dir>/LOCK. A second
 /// store on the same live directory — e.g. two DecisionService
@@ -136,11 +131,11 @@ class CheckpointStore {
   CheckpointStore(const CheckpointStore&) = delete;
   CheckpointStore& operator=(const CheckpointStore&) = delete;
 
-  /// Durably writes `ckpt` as the next generation for `request_id` and
-  /// journals it. Returns the generation written. Older generations of
-  /// the same request are garbage-collected (best-effort: a crash
-  /// between rename and unlink only leaves stale files that recovery
-  /// ignores in favor of the newest valid one).
+  /// Durably writes `ckpt` as the next generation for `request_id`.
+  /// Returns the generation written. Older generations of the same
+  /// request are garbage-collected (best-effort: a crash between rename
+  /// and unlink only leaves stale files that recovery ignores in favor
+  /// of the newest valid one).
   Result<uint64_t> PersistCheckpoint(const std::string& request_id,
                                      const SearchCheckpoint& ckpt);
 
@@ -164,14 +159,14 @@ class CheckpointStore {
   std::vector<std::string> PendingRequests() const;
 
   /// Removes every file of `request_id` (job record + all checkpoint
-  /// generations) and journals the completion. Idempotent. Verdict
+  /// generations). Unlinks only, no fsync. Idempotent. Verdict
   /// records are NOT touched — they live outside the job lifecycle.
   Status Forget(const std::string& request_id);
 
-  /// Durably writes an opaque verdict record under `key` and journals
-  /// it, overwriting any previous record for the key. The verdict
-  /// cache stores fingerprinted certificates here so cached verdicts
-  /// survive restarts; unlike checkpoints and job records, verdicts
+  /// Durably writes an opaque verdict record under `key`, overwriting
+  /// any previous record for the key. The verdict cache stores
+  /// fingerprinted certificates here so cached verdicts survive
+  /// restarts; unlike checkpoints and job records, verdicts
   /// have no generations and are untouched by Forget() — a completed
   /// job's verdict outlives the job.
   Status PersistVerdict(const std::string& key, const std::string& payload);
@@ -181,17 +176,10 @@ class CheckpointStore {
   /// fails integrity.
   Result<std::string> LoadVerdict(const std::string& key) const;
 
-  /// Removes the verdict record for `key` and journals the removal.
-  /// Idempotent.
-  Status ForgetVerdict(const std::string& key);
-
-  /// Keys with a live verdict record. Sorted.
-  std::vector<std::string> VerdictKeys() const;
-
-  /// Durably writes an opaque control record under `key` and journals
-  /// it, overwriting any previous record for the key. The fabric
-  /// journals its `relcomp-fabric/1` ring epoch here so every shard
-  /// carries the placement agreement across restarts and handoffs;
+  /// Durably writes an opaque control record under `key`, overwriting
+  /// any previous record for the key. The fabric records its
+  /// `relcomp-fabric/1` ring epoch here so every shard carries the
+  /// placement agreement across restarts and handoffs;
   /// like verdicts, control records have no generations and are
   /// untouched by Forget().
   Status PersistControl(const std::string& key, const std::string& payload);
@@ -201,9 +189,6 @@ class CheckpointStore {
   /// fails integrity.
   Result<std::string> LoadControl(const std::string& key) const;
 
-  /// Keys with a live control record. Sorted.
-  std::vector<std::string> ControlKeys() const;
-
   const std::string& directory() const { return dir_; }
 
   /// Files that failed integrity and were skipped by loads so far —
@@ -211,16 +196,9 @@ class CheckpointStore {
   /// sweep asserts on.
   size_t corrupt_files_skipped() const;
 
-  /// Journal lines that failed their CRC on replay at Open (torn
-  /// tail from a crash mid-append).
-  size_t journal_lines_skipped() const { return journal_lines_skipped_; }
-
-  /// Journal compactions performed by this store instance.
-  size_t journal_compactions() const;
-
-  /// Lines currently in the journal (replayed at Open + appended or
-  /// rewritten since) — what the compaction threshold is compared to.
-  size_t journal_entries() const;
+  /// Retired: the store keeps no journal, so there is nothing to
+  /// compact. Always 0; kept for callers that still report the count.
+  size_t journal_compactions() const { return 0; }
 
   /// Current health (see StoreHealth). Changes only on write-path
   /// failures and successful probes — never on a lucky write.
@@ -243,11 +221,9 @@ class CheckpointStore {
   void SimulateCrash();
 
  private:
-  CheckpointStore(std::string dir, CheckpointStoreOptions options)
+  CheckpointStore(std::string dir, FsEnv* env)
       : dir_(std::move(dir)),
-        options_(options),
-        env_(options.fs_env != nullptr ? options.fs_env
-                                       : FsEnv::Default()) {}
+        env_(env != nullptr ? env : FsEnv::Default()) {}
 
   Status WriteRecord(const std::string& path, std::string_view kind,
                      const std::string& request_id, uint64_t generation,
@@ -256,12 +232,7 @@ class CheckpointStore {
                                  std::string_view expect_kind,
                                  const std::string& expect_request_id,
                                  uint64_t expect_generation) const;
-  Status AppendJournal(std::string_view op, const std::string& request_id,
-                       uint64_t generation);
-  /// Rewrites the journal to the minimal live-state lines when it has
-  /// outgrown the threshold. Crash-atomic; requires mu_ held.
-  Status MaybeCompactJournalLocked();
-  Status ReplayJournal();
+  /// Rebuilds the in-memory index from the record file names.
   Status ScanDirectory();
   Status CheckAlive() const;
   /// kUnavailable when the fsync gate is closed; requires mu_ held.
@@ -272,26 +243,13 @@ class CheckpointStore {
   FsEnv* env() const { return env_; }
 
   std::string dir_;
-  CheckpointStoreOptions options_;
   FsEnv* env_ = nullptr;
   int lock_fd_ = -1;
   bool crashed_ = false;
-  /// Highest generation ever written per request (journal ∪ directory).
+  /// Highest generation on disk or written since Open, per request.
   std::map<std::string, uint64_t> last_generation_;
   /// Requests with a live job record.
-  std::map<std::string, bool> has_job_;
-  /// Keys with a live verdict record.
-  std::map<std::string, bool> has_verdict_;
-  /// Keys with a live control record.
-  std::map<std::string, bool> has_control_;
-  size_t journal_lines_skipped_ = 0;
-  size_t journal_entries_ = 0;
-  size_t journal_compactions_ = 0;
-  /// A failed or short journal append may have left a tail without
-  /// its newline; the next append starts with one so the torn
-  /// fragment becomes its own (CRC-failing, counted) line instead of
-  /// merging with — and corrupting — the new entry.
-  bool journal_tainted_ = false;
+  std::set<std::string> has_job_;
   StoreHealth health_ = StoreHealth::kHealthy;
   size_t write_failures_ = 0;
   size_t fsync_failures_ = 0;

@@ -108,7 +108,7 @@ struct DecisionServiceOptions {
   /// Serve and populate a fingerprint-keyed VerdictCache over the
   /// store: a kRcdp job whose instance content matches a cached
   /// decided verdict returns it without any search, and decided
-  /// verdicts are journaled as durable store records that survive
+  /// verdicts are persisted as durable store records that survive
   /// restarts. Off by default — a cache hit skips the decider
   /// entirely, which the crash/fault harnesses (which need the search
   /// to actually run) do not expect.

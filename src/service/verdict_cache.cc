@@ -87,16 +87,6 @@ Status VerdictCache::Insert(uint64_t fingerprint, Verdict verdict,
   return Status::OK();
 }
 
-Status VerdictCache::Invalidate(uint64_t fingerprint) {
-  std::lock_guard<std::mutex> lock(mu_);
-  entries_.erase(fingerprint);
-  if (store_ != nullptr) {
-    RELCOMP_RETURN_NOT_OK(store_->ForgetVerdict(KeyFor(fingerprint)));
-  }
-  ++stats_.invalidations;
-  return Status::OK();
-}
-
 VerdictCacheStats VerdictCache::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   return stats_;

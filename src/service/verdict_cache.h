@@ -26,7 +26,6 @@ struct VerdictCacheStats {
   size_t hits = 0;
   size_t misses = 0;
   size_t insertions = 0;
-  size_t invalidations = 0;
   /// Store entries whose embedded fingerprint disagreed with the
   /// requested key — a corrupted or mis-keyed record, refused and
   /// counted, never served.
@@ -42,10 +41,11 @@ struct VerdictCacheStats {
 /// verdicts (kComplete / kIncomplete) are cached; kUnknown depends on
 /// the budget that produced it, not the instance.
 ///
-/// Entries are journaled in the backing store as `<key>.vrd` records
-/// ("vrd"/"vgone" journal ops), so cached verdicts survive restarts
-/// and are re-served by a recovered DecisionService without any
-/// search. Every entry embeds its own fingerprint; a store record
+/// Entries are durable `<key>.vrd` records in the backing store, so
+/// cached verdicts survive restarts and are re-served by a recovered
+/// DecisionService without any search. Entries are never removed: a
+/// delta changes the instance's fingerprint, so the old entry goes
+/// unused rather than wrong. Every entry embeds its own fingerprint; a store record
 /// whose embedded fingerprint disagrees with the key it was loaded
 /// under is rejected (stats().rejections), never served.
 ///
@@ -77,10 +77,6 @@ class VerdictCache {
   /// persisted; a store write failure leaves the cache unchanged.
   Status Insert(uint64_t fingerprint, Verdict verdict,
                 const std::string& evidence);
-
-  /// Drops the entry for the fingerprint (e.g. after a delta changed
-  /// the instance it described). Idempotent.
-  Status Invalidate(uint64_t fingerprint);
 
   VerdictCacheStats stats() const;
 

@@ -12,9 +12,9 @@ namespace relcomp {
 
 // --- The one grammar of relcomp's text formats ------------------------
 //
-// relcomp-net/1, relcomp-job/1, relcomp-ckpt/1, relcomp-store/1 (records,
-// J1 journal lines and checkpoint file names), relcomp-verdict/1,
-// relcomp-fabric/1, relcomp-cert/1 and the rcqp-ind checkpoint payload
+// relcomp-net/1, relcomp-job/1, relcomp-ckpt/1, relcomp-store/1 (records
+// and checkpoint file names), relcomp-verdict/1, relcomp-fabric/1,
+// relcomp-cert/1 and the rcqp-ind checkpoint payload
 // are all built from the same four pieces: a versioned magic token,
 // space-terminated fields, decimal u64s (1 to 20 digits, overflow-
 // checked), fixed-width hex, and "<len>:<bytes>" segments. Each format
@@ -85,7 +85,7 @@ void PutU32Le(uint32_t value, std::string* out);
 uint32_t GetU32Le(const char* bytes);
 
 /// CRC-32 (IEEE 802.3, reflected; the zlib/PNG checksum) of `data`:
-/// the integrity check of frames, store records and journal lines.
+/// the integrity check of frames and store records.
 uint32_t Crc32(std::string_view data);
 
 /// The standard FNV-1a 64-bit offset basis.

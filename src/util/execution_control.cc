@@ -61,12 +61,6 @@ Status ExecutionBudget::Exhaust(BudgetKind kind, size_t at_point) {
   if (exhausted_kind_.compare_exchange_strong(
           expected, static_cast<uint8_t>(kind), std::memory_order_acq_rel)) {
     exhausted_at_.store(at_point, std::memory_order_release);
-    // The first exhaustion ever survives Rearm(): record it once.
-    uint8_t first = static_cast<uint8_t>(BudgetKind::kNone);
-    if (first_exhausted_kind_.compare_exchange_strong(
-            first, static_cast<uint8_t>(kind), std::memory_order_acq_rel)) {
-      first_exhausted_at_.store(at_point, std::memory_order_release);
-    }
     return StatusForKind(kind, at_point);
   }
   return exhaustion_status();
@@ -141,17 +135,13 @@ Result<SearchCheckpoint> SearchCheckpoint::Deserialize(
 
 std::string ExhaustionInfo::ToString() const {
   if (!exhausted()) return "none";
-  std::string out = detail.empty()
-                        ? std::string(BudgetKindToString(kind))
+  return detail.empty() ? std::string(BudgetKindToString(kind))
                         : StrCat(BudgetKindToString(kind), ": ", detail);
-  if (retry_count > 0) out += StrCat(" [retry ", retry_count, "]");
-  return out;
 }
 
 ExhaustionInfo ExhaustionFromStatus(const Status& status,
                                     const ExecutionBudget* budget) {
   ExhaustionInfo info;
-  if (budget != nullptr) info.retry_count = budget->retry_count();
   if (budget != nullptr && budget->exhausted()) {
     info.kind = budget->exhausted_kind();
     info.detail = budget->exhaustion_status().message();

@@ -203,35 +203,11 @@ class ExecutionBudget {
   /// been returning since exhaustion.
   Status exhaustion_status() const;
 
-  /// How many times this budget has been rearmed for a resumed call.
-  /// Monotonic: Rearm() increments it and nothing resets it, so every
-  /// ExhaustionInfo minted from this budget says how many resumed
-  /// attempts preceded it.
-  size_t retry_count() const {
-    return retry_count_.load(std::memory_order_acquire);
-  }
-  /// The first exhaustion this budget ever recorded. Unlike the
-  /// current record, it survives Rearm(): after any number of resumed
-  /// attempts the original trip (kind + decision point) stays
-  /// inspectable. kNone until the first trip.
-  BudgetKind first_exhausted_kind() const {
-    return static_cast<BudgetKind>(
-        first_exhausted_kind_.load(std::memory_order_acquire));
-  }
-  size_t first_exhausted_at() const {
-    return first_exhausted_at_.load(std::memory_order_acquire);
-  }
-
   /// Clears the sticky exhaustion record and the step counter so the
-  /// same budget instance can drive a resumed call, and increments the
-  /// monotonic retry counter. The first-exhaustion record is
-  /// preserved. Tracked bytes are kept (live allocations from the
-  /// interrupted call may persist); limits, token, and injector are
-  /// kept as configured.
+  /// same budget instance can drive a resumed call. Tracked bytes are
+  /// kept (live allocations from the interrupted call may persist);
+  /// limits, token, and injector are kept as configured.
   void Rearm() {
-    if (exhausted()) {
-      retry_count_.fetch_add(1, std::memory_order_acq_rel);
-    }
     exhausted_kind_.store(static_cast<uint8_t>(BudgetKind::kNone),
                           std::memory_order_release);
     exhausted_at_.store(0, std::memory_order_release);
@@ -255,11 +231,6 @@ class ExecutionBudget {
   /// live) and the decision point that tripped it.
   std::atomic<uint8_t> exhausted_kind_{0};
   std::atomic<size_t> exhausted_at_{0};
-  /// Preserved across Rearm(): the first exhaustion ever recorded and
-  /// the number of rearms since construction.
-  std::atomic<uint8_t> first_exhausted_kind_{0};
-  std::atomic<size_t> first_exhausted_at_{0};
-  std::atomic<size_t> retry_count_{0};
 };
 
 // --- Search checkpoints ---------------------------------------------
@@ -302,12 +273,6 @@ struct SearchCheckpoint {
 struct ExhaustionInfo {
   BudgetKind kind = BudgetKind::kNone;
   std::string detail;
-  /// How many resumed attempts preceded this exhaustion (the budget's
-  /// monotonic Rearm() count): 0 on a first attempt. Callers that
-  /// rearm one budget across resumed calls (a step-sliced loop) see it
-  /// grow; the DecisionService runs each job once and never rearms, so
-  /// its jobs always report 0.
-  size_t retry_count = 0;
 
   bool exhausted() const { return kind != BudgetKind::kNone; }
   std::string ToString() const;

@@ -15,7 +15,7 @@ namespace {
 /// kind-specific faults (short write, fsync-fail, lost-rename,
 /// lost-append) never match other ops — a plan naming one of them
 /// counts only the ops it could hit, so "at = 3" means "the 3rd
-/// journal write", not "the 3rd syscall that happened to be one".
+/// record write", not "the 3rd syscall that happened to be one".
 bool KindMatchesOp(StorageFaultKind kind, FsOp op) {
   switch (kind) {
     case StorageFaultKind::kNone:

@@ -68,10 +68,10 @@ struct StorageFaultPlan {
   /// Fire on every `every`-th matching op. 0 disables.
   uint64_t every = 0;
   /// Site-tag prefix filter; empty matches every site. Store sites:
-  /// "record.<kind>" (tmp write + rename of a record file), "journal"
-  /// (the O_APPEND journal), "compact" (journal compaction rewrite),
+  /// "record.<kind>" (tmp write + fsync + rename of a record file),
   /// "dirsync" (directory fsync), "read", "lock", "scan", "mkdir",
-  /// "gc" (generation garbage collection), "probe" (health probe).
+  /// "gc" (unlinks: generation garbage collection and Forget), "probe"
+  /// (health probe).
   std::string site;
   /// For kShortWrite: how many bytes actually land. When 0, half the
   /// requested count (rounded down) lands — always strictly short.
@@ -91,7 +91,7 @@ struct StorageFaultPlan {
 
 /// An injectable filesystem environment. CheckpointStore routes ALL
 /// its I/O through one of these, tagging each call with a site so a
-/// StorageFaultPlan can hit "the 3rd journal write" or "every record
+/// StorageFaultPlan can hit "the 3rd directory fsync" or "every record
 /// fsync" deterministically. The default environment is a pure
 /// passthrough to the real syscalls; tests (and the chaos harness)
 /// hand the store an env armed with a plan.

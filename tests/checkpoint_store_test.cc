@@ -3,13 +3,23 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <string_view>
+#include <utility>
+#include <vector>
 
+#include "completeness/rcdp.h"
+#include "service/decision_service.h"
+#include "spec/spec_parser.h"
+#include "util/codec.h"
 #include "util/execution_control.h"
+#include "util/fs_env.h"
 #include "util/str.h"
 
 namespace relcomp {
@@ -107,23 +117,176 @@ TEST(CheckpointStoreTest, StateSurvivesReopen) {
   EXPECT_TRUE(loaded->checkpoint == MakeCkpt(7));
 }
 
-TEST(CheckpointStoreTest, MissingJournalIsRecoveredByDirectoryScan) {
-  const std::string dir = FreshDir("noscan");
+// ---------------------------------------------------------------------------
+// Durability cost: what each operation asks of the disk.
+
+/// Counts fsyncs by site tag.
+class FsyncCounter : public FsEnv {
+ public:
+  int Fsync(std::string_view site, int fd) override {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      ++fsyncs_[std::string(site)];
+    }
+    return FsEnv::Fsync(site, fd);
+  }
+
+  /// The fsyncs issued since the last call, by site.
+  std::map<std::string, size_t> Take() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return std::exchange(fsyncs_, {});
+  }
+
+ private:
+  std::mutex mu_;
+  std::map<std::string, size_t> fsyncs_;
+};
+
+TEST(CheckpointStoreTest, EachPersistFsyncsItsRecordAndTheDirectoryOnce) {
+  using Fsyncs = std::map<std::string, size_t>;
+  FsyncCounter env;
+  CheckpointStoreOptions options;
+  options.fs_env = &env;
+  auto store = CheckpointStore::Open(FreshDir("fsyncs"), options);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  EXPECT_EQ(env.Take(), Fsyncs{});
+
+  ASSERT_TRUE((*store)->PersistJob("req", "the job").ok());
+  EXPECT_EQ(env.Take(), (Fsyncs{{"dirsync", 1}, {"record.job", 1}}));
+  // The third generation also garbage-collects the first.
+  for (size_t rank : {1, 2, 3}) {
+    ASSERT_TRUE((*store)->PersistCheckpoint("req", MakeCkpt(rank)).ok());
+    EXPECT_EQ(env.Take(), (Fsyncs{{"dirsync", 1}, {"record.ckpt", 1}}))
+        << "rank " << rank;
+  }
+  ASSERT_TRUE((*store)->PersistVerdict("vkey", "the verdict").ok());
+  EXPECT_EQ(env.Take(), (Fsyncs{{"dirsync", 1}, {"record.vrd", 1}}));
+  ASSERT_TRUE((*store)->PersistControl("ckey", "the ring").ok());
+  EXPECT_EQ(env.Take(), (Fsyncs{{"dirsync", 1}, {"record.ctl", 1}}));
+  // Forget only unlinks: a lost unlink re-runs a deterministic job.
+  ASSERT_TRUE((*store)->Forget("req").ok());
+  EXPECT_EQ(env.Take(), Fsyncs{});
+  EXPECT_TRUE((*store)->PendingRequests().empty());
+}
+
+// ---------------------------------------------------------------------------
+// A directory written by the earlier journaled store opens to what its
+// record files say.
+
+/// A 3 x 4 far-corner instance: S holds every pair over {0..2} x {0..3}
+/// but (2, 3), and M and N bound its columns, so the search walks the
+/// whole space before it finds the one new answer.
+std::string CornerSpec() {
+  std::string s =
+      "relation S(a, b)\nmaster relation M(m)\nmaster relation N(n)\n";
+  for (int x = 0; x <= 2; ++x) {
+    for (int y = 0; y <= 3; ++y) {
+      if (x == 2 && y == 3) continue;
+      s += StrCat("fact S(", x, ", ", y, ")\n");
+    }
+  }
+  for (int m = 0; m <= 2; ++m) s += StrCat("master fact M(", m, ")\n");
+  for (int n = 0; n <= 3; ++n) s += StrCat("master fact N(", n, ")\n");
+  s += "constraint c0(x) :- S(x, y) |= M[0]\n";
+  s += "constraint c1(y) :- S(x, y) |= N[0]\n";
+  s += "query cq Q(x, y) :- S(x, y)\n";
+  return s;
+}
+
+/// One line of the retired J1 journal: "J1 <op> <id> <gen> <crc>", the
+/// CRC-32 covering "<op> <id> <gen>".
+std::string J1Line(std::string_view op, std::string_view id,
+                   uint64_t generation) {
+  const std::string fields = StrCat(op, " ", id, " ", generation);
+  return StrCat("J1 ", fields, " ", Hex(Crc32(fields), 8), "\n");
+}
+
+TEST(CheckpointStoreTest, JournaledDirectoryOpensToItsRecordFiles) {
+  const std::string spec_text = CornerSpec();
+  auto spec = ParseCompletenessSpec(spec_text);
+  ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+  auto direct = DecideRcdp(spec->queries[0], spec->db, spec->master,
+                           spec->constraints, RcdpOptions());
+  ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+  ASSERT_EQ(direct->verdict, Verdict::kIncomplete);
+  // The service's evidence string of the direct decision.
+  const std::string expected =
+      StrCat(VerdictToString(direct->verdict), "|",
+             direct->counterexample_delta->ToString(), "|",
+             direct->new_answer->ToString());
+  // A real mid-search checkpoint of the instance, for the survivor.
+  ExecutionBudget budget;
+  budget.set_max_steps(8);
+  RcdpOptions capped;
+  capped.budget = &budget;
+  auto stopped = DecideRcdp(spec->queries[0], spec->db, spec->master,
+                            spec->constraints, capped);
+  ASSERT_TRUE(stopped.ok()) << stopped.status().ToString();
+  ASSERT_TRUE(stopped->checkpoint.has_value());
+  JobSpec job;
+  job.kind = JobKind::kRcdp;
+  job.spec_text = spec_text;
+
+  const std::string dir = FreshDir("journaled");
   {
     auto store = CheckpointStore::Open(dir);
-    ASSERT_TRUE(store.ok());
-    ASSERT_TRUE((*store)->PersistJob("req", "the job").ok());
-    ASSERT_TRUE((*store)->PersistCheckpoint("req", MakeCkpt(3)).ok());
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    ASSERT_TRUE((*store)->PersistJob("survivor", job.Serialize()).ok());
+    ASSERT_TRUE(
+        (*store)->PersistCheckpoint("survivor", *stopped->checkpoint).ok());
+    ASSERT_TRUE((*store)->PersistJob("finished", job.Serialize()).ok());
+    ASSERT_TRUE((*store)->PersistVerdict("vkey", "the verdict").ok());
+    ASSERT_TRUE((*store)->PersistControl("ckey", "the ring").ok());
   }
-  // Simulate a crash between rename and journal append: the journal
-  // vanishes entirely; the files must still be found.
-  ASSERT_EQ(::unlink(StrCat(dir, "/journal").c_str()), 0);
-  auto store = CheckpointStore::Open(dir);
-  ASSERT_TRUE(store.ok());
-  ASSERT_EQ((*store)->PendingRequests().size(), 1u);
-  auto loaded = (*store)->LoadLatestCheckpoint("req");
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->generation, 1u);
+  // The journal beside them is stale in four ways: "phantom"'s job
+  // line names a file that is gone, "finished"'s done line did not
+  // take its job file with it, "survivor"'s ckpt lines run past its
+  // newest file, and a compaction left its temp file behind.
+  const std::string journal =
+      StrCat(J1Line("job", "survivor", 0), J1Line("ckpt", "survivor", 1),
+             J1Line("ckpt", "survivor", 2), J1Line("ckpt", "survivor", 5),
+             J1Line("job", "phantom", 0), J1Line("ckpt", "phantom", 1),
+             J1Line("job", "finished", 0), J1Line("done", "finished", 0),
+             J1Line("vrd", "vkey", 0), J1Line("ctl", "ckey", 0));
+  WriteFile(StrCat(dir, "/journal"), journal);
+  WriteFile(StrCat(dir, "/journal.tmp.4242"),
+            journal.substr(0, journal.size() / 2));
+
+  {
+    auto store = CheckpointStore::Open(dir);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    EXPECT_EQ((*store)->PendingRequests(),
+              (std::vector<std::string>{"finished", "survivor"}));
+    auto loaded = (*store)->LoadLatestCheckpoint("survivor");
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    EXPECT_EQ(loaded->generation, 1u);
+    EXPECT_TRUE(loaded->checkpoint == *stopped->checkpoint);
+    EXPECT_EQ((*store)->LoadLatestCheckpoint("phantom").status().code(),
+              StatusCode::kNotFound);
+    EXPECT_EQ((*store)->LoadJob("phantom").status().code(),
+              StatusCode::kNotFound);
+    auto verdict = (*store)->LoadVerdict("vkey");
+    ASSERT_TRUE(verdict.ok()) << verdict.status().ToString();
+    EXPECT_EQ(*verdict, "the verdict");
+    auto control = (*store)->LoadControl("ckey");
+    ASSERT_TRUE(control.ok()) << control.status().ToString();
+    EXPECT_EQ(*control, "the ring");
+    EXPECT_EQ((*store)->corrupt_files_skipped(), 0u);
+  }
+
+  // A service started on the directory finishes both jobs with the
+  // direct evidence.
+  auto service = DecisionService::Start(dir);
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+  std::vector<std::string> recovered = (*service)->RecoveredJobs();
+  std::sort(recovered.begin(), recovered.end());
+  EXPECT_EQ(recovered, (std::vector<std::string>{"finished", "survivor"}));
+  for (const char* id : {"finished", "survivor"}) {
+    auto result = (*service)->Wait(id);
+    ASSERT_TRUE(result.ok()) << id << ": " << result.status().ToString();
+    EXPECT_EQ(result->evidence, expected) << id;
+  }
+  EXPECT_EQ((*service)->store().corrupt_files_skipped(), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -221,103 +384,6 @@ TEST(CheckpointStoreTest, CorruptJobRecordIsTypedInvalidArgument) {
   EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(loaded.status().message().find(path), std::string::npos)
       << loaded.status().ToString();
-}
-
-TEST(CheckpointStoreTest, TornJournalTailIsSkippedOnReplay) {
-  const std::string dir = FreshDir("tornjournal");
-  {
-    auto store = CheckpointStore::Open(dir);
-    ASSERT_TRUE(store.ok());
-    ASSERT_TRUE((*store)->PersistJob("req", "the job").ok());
-    ASSERT_TRUE((*store)->PersistCheckpoint("req", MakeCkpt(4)).ok());
-  }
-  // A crash mid-append tears the final line.
-  {
-    std::ofstream out(StrCat(dir, "/journal"),
-                      std::ios::binary | std::ios::app);
-    out << "J1 ckpt req 9 deadbe";  // no newline, bad crc
-  }
-  auto store = CheckpointStore::Open(dir);
-  ASSERT_TRUE(store.ok()) << store.status().ToString();
-  EXPECT_EQ((*store)->journal_lines_skipped(), 1u);
-  auto loaded = (*store)->LoadLatestCheckpoint("req");
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded->generation, 1u);
-}
-
-TEST(CheckpointStoreTest, JournalTruncationAtEveryByteRecoversEverything) {
-  const std::string dir = FreshDir("journaltrunc");
-  {
-    auto store = CheckpointStore::Open(dir);
-    ASSERT_TRUE(store.ok());
-    ASSERT_TRUE((*store)->PersistJob("req", "the job").ok());
-    ASSERT_TRUE((*store)->PersistCheckpoint("req", MakeCkpt(4)).ok());
-    ASSERT_TRUE((*store)->PersistCheckpoint("req", MakeCkpt(5)).ok());
-    ASSERT_TRUE((*store)->PersistVerdict("vkey", "the verdict").ok());
-  }
-  const std::string journal_path = StrCat(dir, "/journal");
-  const std::string intact = ReadFile(journal_path);
-  ASSERT_GT(intact.size(), 0u);
-  // A crash can stop the journal at ANY byte. Whatever the cut leaves,
-  // the store must open, load every durable record (the directory scan
-  // backstops lines the cut removed entirely), surface nothing corrupt,
-  // and charge at most the one torn line.
-  for (size_t len = 0; len < intact.size(); ++len) {
-    WriteFile(journal_path, intact.substr(0, len));
-    auto store = CheckpointStore::Open(dir);
-    ASSERT_TRUE(store.ok()) << "cut at byte " << len << ": "
-                            << store.status().ToString();
-    EXPECT_LE((*store)->journal_lines_skipped(), 1u) << "cut at " << len;
-    auto job = (*store)->LoadJob("req");
-    ASSERT_TRUE(job.ok()) << "cut at byte " << len << ": "
-                          << job.status().ToString();
-    EXPECT_EQ(*job, "the job");
-    auto ckpt = (*store)->LoadLatestCheckpoint("req");
-    ASSERT_TRUE(ckpt.ok()) << "cut at byte " << len << ": "
-                           << ckpt.status().ToString();
-    EXPECT_EQ(ckpt->checkpoint.rank, 5u) << "cut at " << len;
-    auto verdict = (*store)->LoadVerdict("vkey");
-    ASSERT_TRUE(verdict.ok()) << "cut at byte " << len << ": "
-                              << verdict.status().ToString();
-    EXPECT_EQ(*verdict, "the verdict");
-    EXPECT_EQ((*store)->corrupt_files_skipped(), 0u) << "cut at " << len;
-  }
-}
-
-TEST(CheckpointStoreTest, ReopenedStoreTerminatesTornTailBeforeAppending) {
-  const std::string dir = FreshDir("reopentaint");
-  {
-    auto store = CheckpointStore::Open(dir);
-    ASSERT_TRUE(store.ok());
-    ASSERT_TRUE((*store)->PersistJob("a", "job a").ok());
-  }
-  // Tear the journal mid-line — the crash-mid-append shape, but the
-  // process that knew about the torn tail is gone.
-  const std::string journal_path = StrCat(dir, "/journal");
-  const std::string intact = ReadFile(journal_path);
-  ASSERT_GT(intact.size(), 4u);
-  ASSERT_EQ(intact.back(), '\n');
-  WriteFile(journal_path, intact.substr(0, intact.size() - 4));
-  {
-    // The REOPENED store must re-arm the taint: its first append starts
-    // with a newline, so the torn fragment becomes its own (CRC-failing,
-    // skipped) line instead of merging with — and eating — the new entry.
-    auto store = CheckpointStore::Open(dir);
-    ASSERT_TRUE(store.ok()) << store.status().ToString();
-    ASSERT_TRUE((*store)->PersistJob("b", "job b").ok());
-  }
-  EXPECT_NE(ReadFile(journal_path).find("\nJ1 job b"), std::string::npos)
-      << ReadFile(journal_path);
-  auto store = CheckpointStore::Open(dir);
-  ASSERT_TRUE(store.ok()) << store.status().ToString();
-  EXPECT_EQ((*store)->journal_lines_skipped(), 1u);
-  auto a = (*store)->LoadJob("a");
-  ASSERT_TRUE(a.ok()) << a.status().ToString();
-  EXPECT_EQ(*a, "job a");
-  auto b = (*store)->LoadJob("b");
-  ASSERT_TRUE(b.ok()) << b.status().ToString();
-  EXPECT_EQ(*b, "job b");
-  EXPECT_EQ((*store)->corrupt_files_skipped(), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -450,149 +516,6 @@ TEST(CheckpointDeserializeHardeningTest, BitFlipsNeverCrashTheParser) {
       }
     }
   }
-}
-
-// ---------------------------------------------------------------------------
-// Journal compaction.
-
-TEST(JournalCompactionTest, CompactsPastThresholdAndShrinksTheJournal) {
-  const std::string dir = FreshDir("compact");
-  CheckpointStoreOptions options;
-  options.journal_compaction_threshold = 10;
-  auto store = CheckpointStore::Open(dir, options);
-  ASSERT_TRUE(store.ok());
-  // 30 persists for one request would append 30 "ckpt" lines; the
-  // compacted journal describes the same state in one.
-  for (size_t i = 0; i < 30; ++i) {
-    ASSERT_TRUE((*store)->PersistCheckpoint("req", MakeCkpt(i)).ok());
-  }
-  EXPECT_GT((*store)->journal_compactions(), 0u);
-  EXPECT_LE((*store)->journal_entries(), 11u);
-
-  auto loaded = (*store)->LoadLatestCheckpoint("req");
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded->generation, 30u);
-}
-
-TEST(JournalCompactionTest, CompactedStateMatchesUncompactedOnReopen) {
-  // Two directories, identical operation sequence, only the threshold
-  // differs. After reopening, every observable (pending set, latest
-  // generations, loaded checkpoints) must be identical.
-  const std::string dir_a = FreshDir("compact_a");
-  const std::string dir_b = FreshDir("compact_b");
-  CheckpointStoreOptions compacting;
-  compacting.journal_compaction_threshold = 5;
-  CheckpointStoreOptions never;
-  never.journal_compaction_threshold = 0;
-  {
-    auto a = CheckpointStore::Open(dir_a, compacting);
-    auto b = CheckpointStore::Open(dir_b, never);
-    ASSERT_TRUE(a.ok());
-    ASSERT_TRUE(b.ok());
-    for (auto* store : {a->get(), b->get()}) {
-      ASSERT_TRUE(store->PersistJob("alpha", "job A").ok());
-      ASSERT_TRUE(store->PersistJob("beta", "job B").ok());
-      for (size_t i = 0; i < 12; ++i) {
-        ASSERT_TRUE(store->PersistCheckpoint("alpha", MakeCkpt(i)).ok());
-      }
-      ASSERT_TRUE(store->PersistCheckpoint("beta", MakeCkpt(99)).ok());
-      ASSERT_TRUE(store->PersistJob("gone", "job C").ok());
-      ASSERT_TRUE(store->Forget("gone").ok());
-    }
-    EXPECT_GT((*a)->journal_compactions(), 0u);
-    EXPECT_EQ((*b)->journal_compactions(), 0u);
-  }
-  auto a = CheckpointStore::Open(dir_a);
-  auto b = CheckpointStore::Open(dir_b);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_EQ((*a)->PendingRequests(), (*b)->PendingRequests());
-  for (const char* id : {"alpha", "beta"}) {
-    auto la = (*a)->LoadLatestCheckpoint(id);
-    auto lb = (*b)->LoadLatestCheckpoint(id);
-    ASSERT_TRUE(la.ok());
-    ASSERT_TRUE(lb.ok());
-    EXPECT_EQ(la->generation, lb->generation);
-    EXPECT_TRUE(la->checkpoint == lb->checkpoint);
-  }
-  EXPECT_EQ((*a)->LoadJob("gone").status().code(), StatusCode::kNotFound);
-  EXPECT_EQ((*b)->LoadJob("gone").status().code(), StatusCode::kNotFound);
-}
-
-TEST(JournalCompactionTest, KillAtEveryCompactionStageRecoversTheSameState) {
-  // Compaction is temp + fsync + rename; a kill can land (a) mid-write
-  // of the temp file, (b) after the temp is complete but before the
-  // rename, (c) after the rename. Construct each mid-state by hand and
-  // assert all three replay to the same state as the uninterrupted
-  // journal.
-  const std::string dir = FreshDir("compact_kill");
-  {
-    auto store = CheckpointStore::Open(dir);
-    ASSERT_TRUE(store.ok());
-    ASSERT_TRUE((*store)->PersistJob("req", "the job").ok());
-    for (size_t i = 0; i < 6; ++i) {
-      ASSERT_TRUE((*store)->PersistCheckpoint("req", MakeCkpt(i)).ok());
-    }
-  }
-  const std::string journal = StrCat(dir, "/journal");
-  const std::string old_journal = ReadFile(journal);
-  // What a compaction would write: run one for real in a scratch copy
-  // of the state by opening with a tiny threshold and appending once.
-  std::string compacted;
-  {
-    const std::string scratch = FreshDir("compact_kill_scratch");
-    CheckpointStoreOptions options;
-    options.journal_compaction_threshold = 1;
-    auto store = CheckpointStore::Open(scratch, options);
-    ASSERT_TRUE(store.ok());
-    ASSERT_TRUE((*store)->PersistJob("req", "the job").ok());
-    for (size_t i = 0; i < 6; ++i) {
-      ASSERT_TRUE((*store)->PersistCheckpoint("req", MakeCkpt(i)).ok());
-    }
-    ASSERT_GT((*store)->journal_compactions(), 0u);
-    compacted = ReadFile(StrCat(scratch, "/journal"));
-  }
-
-  auto expect_recovered = [&](const char* stage) {
-    auto store = CheckpointStore::Open(dir);
-    ASSERT_TRUE(store.ok()) << stage << ": " << store.status().ToString();
-    auto pending = (*store)->PendingRequests();
-    ASSERT_EQ(pending.size(), 1u) << stage;
-    EXPECT_EQ(pending[0], "req") << stage;
-    auto loaded = (*store)->LoadLatestCheckpoint("req");
-    ASSERT_TRUE(loaded.ok()) << stage << ": " << loaded.status().ToString();
-    EXPECT_EQ(loaded->generation, 6u) << stage;
-    EXPECT_TRUE(loaded->checkpoint == MakeCkpt(5)) << stage;
-    EXPECT_EQ((*store)->corrupt_files_skipped(), 0u) << stage;
-  };
-
-  // (a) Kill mid-write: a torn temp file next to the intact journal.
-  WriteFile(StrCat(journal, ".tmp.12345"),
-            compacted.substr(0, compacted.size() / 2));
-  expect_recovered("torn temp");
-  // (b) Kill before rename: a complete temp file, journal unchanged.
-  WriteFile(StrCat(journal, ".tmp.12345"), compacted);
-  expect_recovered("complete temp");
-  ::unlink(StrCat(journal, ".tmp.12345").c_str());
-  // (c) Kill after rename: the compacted journal took over.
-  WriteFile(journal, compacted);
-  expect_recovered("after rename");
-  // Restore and confirm the uninterrupted journal agrees with (c).
-  WriteFile(journal, old_journal);
-  expect_recovered("uninterrupted");
-}
-
-TEST(JournalCompactionTest, ZeroThresholdDisablesCompaction) {
-  const std::string dir = FreshDir("compact_off");
-  CheckpointStoreOptions options;
-  options.journal_compaction_threshold = 0;
-  auto store = CheckpointStore::Open(dir, options);
-  ASSERT_TRUE(store.ok());
-  for (size_t i = 0; i < 50; ++i) {
-    ASSERT_TRUE((*store)->PersistCheckpoint("req", MakeCkpt(i)).ok());
-  }
-  EXPECT_EQ((*store)->journal_compactions(), 0u);
-  EXPECT_EQ((*store)->journal_entries(), 50u);
 }
 
 }  // namespace

@@ -406,42 +406,6 @@ TEST(CodecFormatTest, StoreRecord) {
             "0123456789abcdef I 23:INCOMPLETE|S = {(5, 6)}#crc32:dbf92366");
 }
 
-TEST(CodecFormatTest, StoreJournalLine) {
-  // A line that fails to decode is skipped and counted at replay; one
-  // that decodes restores exactly the golden's entry.
-  const std::string golden = "J1 job req-1 0 51239107\n";
-  {
-    const std::string dir = FreshDir("journal");
-    auto store = CheckpointStore::Open(dir);
-    ASSERT_TRUE(store.ok());
-    ASSERT_TRUE((*store)->PersistJob("req-1", "x").ok());
-    EXPECT_EQ(ReadFile(dir + "/journal"), golden);
-  }
-  auto replay = [&](const std::string& journal, const std::string& what) {
-    const std::string dir = FreshDir("replay");
-    ASSERT_EQ(::mkdir(dir.c_str(), 0755), 0);
-    WriteFile(dir + "/journal", journal);
-    auto store = CheckpointStore::Open(dir);
-    ASSERT_TRUE(store.ok()) << what << ": " << store.status().ToString();
-    const bool skipped = (*store)->journal_lines_skipped() > 0;
-    const bool restored =
-        (*store)->PendingRequests() == std::vector<std::string>{"req-1"};
-    EXPECT_NE(skipped, restored) << what;
-  };
-  replay(golden, "golden");
-  for (size_t cut = 1; cut < golden.size(); ++cut) {
-    replay(golden.substr(0, cut), StrCat("truncated at ", cut));
-  }
-  for (size_t byte = 0; byte + 1 < golden.size(); ++byte) {
-    for (int bit = 0; bit < 8; ++bit) {
-      std::string flipped = golden;
-      flipped[byte] = static_cast<char>(flipped[byte] ^ (1 << bit));
-      if (flipped.find('\n') != golden.size() - 1) continue;  // two lines
-      replay(flipped, StrCat("bit ", bit, " of byte ", byte));
-    }
-  }
-}
-
 TEST(CodecFormatTest, StoreCheckpointFileNames) {
   // Recovery learns a checkpoint generation from its file name alone;
   // a name whose generation is not a decimal u64 is ignored.
@@ -468,11 +432,10 @@ TEST(CodecFormatTest, StoreCheckpointFileNames) {
               StatusCode::kNotFound)
         << name;
   }
-  ASSERT_EQ(::unlink((dir + "/journal").c_str()), 0);
   auto store = CheckpointStore::Open(dir);
   ASSERT_TRUE(store.ok());
   EXPECT_TRUE((*store)->LoadLatestCheckpoint("r").ok())
-      << "r.g1.ckpt is learnt from its name with the journal gone";
+      << "r.g1.ckpt is learnt from its name";
 }
 
 TEST(CodecFormatTest, RcqpIndPayload) {

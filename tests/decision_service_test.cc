@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <map>
@@ -290,7 +291,6 @@ TEST(DecisionServiceTest, SlicedExecutionPersistsAndStillMatches) {
   EXPECT_EQ(r.evidence, DirectRcdpEvidence(IncompleteSpec(), 1));
   // One uncapped run that persisted as it went: no slice, no retry.
   EXPECT_EQ(r.attempts, 1u);
-  EXPECT_EQ(r.exhaustion.retry_count, 0u);
   EXPECT_GE(r.persisted, 1u) << "no rolling persist landed";
 
   // A completed job leaves nothing behind: the store is empty again.
@@ -319,7 +319,6 @@ TEST(DecisionServiceTest, RollingPersistsAdvanceAndRepeatAtOneThread) {
       PersistedSequence(job, &first);
   EXPECT_EQ(first.evidence, DirectRcdpEvidence(IncompleteSpec(), 1));
   EXPECT_EQ(first.attempts, 1u);
-  EXPECT_EQ(first.exhaustion.retry_count, 0u);
   ASSERT_GE(persisted.size(), 2u);
   EXPECT_EQ(first.persisted, persisted.size());
   for (size_t g = 0; g < persisted.size(); ++g) {
@@ -646,11 +645,17 @@ TEST_P(DecisionServiceSweepTest,
       ASSERT_TRUE((*service)->crashed());
       ++crashes;
     }
+    {
+      // Read the store before a successor owns it: its worker may
+      // finish and forget the job before a read through it lands.
+      auto store = CheckpointStore::Open(dir);
+      ASSERT_TRUE(store.ok()) << store.status().ToString();
+      auto persisted = (*store)->LoadLatestCheckpoint("req");
+      ASSERT_TRUE(persisted.ok()) << "k=" << k;
+      EXPECT_EQ(persisted->checkpoint.decider, "rcqp-ind");
+    }
     auto restarted = DecisionService::Start(dir);
     ASSERT_TRUE(restarted.ok()) << restarted.status().ToString();
-    auto persisted = (*restarted)->store().LoadLatestCheckpoint("req");
-    ASSERT_TRUE(persisted.ok()) << "k=" << k;
-    EXPECT_EQ(persisted->checkpoint.decider, "rcqp-ind");
     auto result = (*restarted)->Wait("req");
     ASSERT_TRUE(result.ok())
         << "k=" << k << ": " << result.status().ToString();
@@ -658,6 +663,70 @@ TEST_P(DecisionServiceSweepTest,
     EXPECT_EQ((*restarted)->store().corrupt_files_skipped(), 0u);
   }
   EXPECT_GT(crashes, 0u) << "the sweep never actually crashed";
+}
+
+TEST_P(DecisionServiceSweepTest, CrashInsideTheIndWitnessRecoversBitForBit) {
+  // Q2's only head variable is IND-bounded, so Prop 4.3 decides
+  // "exists" without a probe and the decision points build the
+  // witness. A kill at any of them must not finish the job without its
+  // witness: the decider answers kUnknown with an rcqp-ind checkpoint
+  // past the last tableau, the service persists it and dies, and the
+  // successor rebuilds the witness.
+  const std::string& spec = MasterDesignSpec();
+  const std::string expected = DirectRcqpEvidence(spec, threads());
+  ASSERT_EQ(expected.find("<none>"), std::string::npos) << expected;
+  const size_t total = CountDecisionPoints(spec, JobKind::kRcqp, threads());
+  const size_t stride = std::max<size_t>(1, total / 40);
+
+  size_t points = 0;
+  size_t in_witness = 0;
+  for (size_t point = 0; point < total; point += stride) {
+    ++points;
+    const std::string dir = FreshDir("witnesssweep");
+    FaultInjector inject(FaultInjector::Fault::kPersistAbort, point);
+    DecisionServiceOptions options;
+    options.fault_injector = &inject;
+    {
+      auto service = DecisionService::Start(dir, options);
+      ASSERT_TRUE(service.ok()) << service.status().ToString();
+      ASSERT_TRUE(
+          (*service)
+              ->Submit("req", MakeJob(JobKind::kRcqp, spec, threads()))
+              .ok());
+      auto result = (*service)->Wait("req");
+      if (result.ok()) {
+        // The job finished without meeting the fault: it must carry
+        // the whole evidence, witness included.
+        EXPECT_EQ(result->evidence, expected) << "point=" << point;
+        continue;
+      }
+      ASSERT_EQ(result.status().code(), StatusCode::kFailedPrecondition)
+          << result.status().ToString();
+      ASSERT_TRUE((*service)->crashed());
+    }
+    {
+      auto store = CheckpointStore::Open(dir);
+      ASSERT_TRUE(store.ok()) << store.status().ToString();
+      auto persisted = (*store)->LoadLatestCheckpoint("req");
+      ASSERT_TRUE(persisted.ok())
+          << "point=" << point << ": " << persisted.status().ToString();
+      EXPECT_EQ(persisted->checkpoint.decider, "rcqp-ind");
+      if (persisted->checkpoint.disjunct == 1) ++in_witness;
+    }
+    auto restarted = DecisionService::Start(dir);
+    ASSERT_TRUE(restarted.ok()) << restarted.status().ToString();
+    ASSERT_EQ((*restarted)->RecoveredJobs(), std::vector<std::string>{"req"})
+        << "point=" << point;
+    auto result = (*restarted)->Wait("req");
+    ASSERT_TRUE(result.ok())
+        << "point=" << point << ": " << result.status().ToString();
+    EXPECT_EQ(result->evidence, expected) << "point=" << point;
+    EXPECT_EQ((*restarted)->store().corrupt_files_skipped(), 0u)
+        << "a corrupted store file was read at point=" << point;
+  }
+  EXPECT_GE(points, 32u);
+  EXPECT_GE(2 * in_witness, points)
+      << in_witness << " of " << points << " kills landed in the witness";
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, DecisionServiceSweepTest,

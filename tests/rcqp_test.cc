@@ -5,6 +5,7 @@
 #include "completeness/rcqp.h"
 #include "constraints/integrity_constraints.h"
 #include "query/parser.h"
+#include "util/execution_control.h"
 #include "workload/crm_scenario.h"
 
 namespace relcomp {
@@ -79,6 +80,57 @@ TEST_F(RcqpTest, FiniteDomainHeadVariableExists) {
     auto verify = DecideRcdp(*q, *result->witness, master_, none);
     ASSERT_TRUE(verify.ok());
     EXPECT_TRUE(verify->complete);
+  }
+}
+
+TEST_F(RcqpTest, AllFiniteDomainsWitnessInterruptedIsUnknownAndResumes) {
+  // E1: the head variable ranges over the Boolean domain and the FD
+  // b → v is no IND, so the general path decides "exists" at once and
+  // chases the empty database for the witness. A budget that trips
+  // mid-chase must not answer kComplete without the witness: it
+  // answers kUnknown with a checkpoint whose resume rebuilds it.
+  FunctionalDependency fd("B", {0}, {1});
+  auto ccs = fd.ToContainmentConstraints(*db_schema_);
+  ASSERT_TRUE(ccs.ok()) << ccs.status().ToString();
+  ConstraintSet v;
+  for (auto& cc : *ccs) v.Add(std::move(cc));
+  ASSERT_FALSE(v.IsIndsOnly());
+  auto q = ParseQuery("Q(b) :- B(b, v).", QueryLanguage::kCq);
+  ASSERT_TRUE(q.ok());
+
+  // One search thread: the decision points a capped run claims are
+  // then those of the counted run, so every cap below lands mid-chase.
+  ExecutionBudget counter;
+  RcqpOptions counted;
+  counted.rcdp.num_threads = 1;
+  counted.rcdp.budget = &counter;
+  auto uninterrupted = DecideRcqp(*q, db_schema_, master_, v, counted);
+  ASSERT_TRUE(uninterrupted.ok()) << uninterrupted.status().ToString();
+  ASSERT_EQ(uninterrupted->verdict, Verdict::kComplete);
+  EXPECT_EQ(uninterrupted->method, "all-finite-domains");
+  ASSERT_TRUE(uninterrupted->witness.has_value());
+  const size_t total = counter.steps();
+  ASSERT_GT(total, 1u);
+
+  for (size_t cap = 1; cap < total; ++cap) {
+    ExecutionBudget budget;
+    budget.set_max_steps(cap);
+    RcqpOptions capped;
+    capped.rcdp.num_threads = 1;
+    capped.rcdp.budget = &budget;
+    auto stopped = DecideRcqp(*q, db_schema_, master_, v, capped);
+    ASSERT_TRUE(stopped.ok()) << stopped.status().ToString();
+    ASSERT_EQ(stopped->verdict, Verdict::kUnknown) << "cap " << cap;
+    EXPECT_FALSE(stopped->witness.has_value());
+    EXPECT_EQ(stopped->exhaustion.kind, BudgetKind::kSteps);
+    ASSERT_TRUE(stopped->checkpoint.has_value()) << "cap " << cap;
+    EXPECT_EQ(stopped->checkpoint->decider, "rcqp-chase");
+
+    RcqpOptions resumed_options;
+    resumed_options.resume = &*stopped->checkpoint;
+    auto resumed = DecideRcqp(*q, db_schema_, master_, v, resumed_options);
+    ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+    EXPECT_EQ(resumed->ToString(), uninterrupted->ToString()) << "cap " << cap;
   }
 }
 

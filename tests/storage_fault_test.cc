@@ -149,24 +149,24 @@ std::string ReadFile(const std::string& path) {
 TEST(StorageFaultEnvTest, OrdinalCountsOnlyKindAndSiteMatchingOps) {
   FsEnv env;
   env.set_fault_plan(Plan(StorageFaultKind::kFsyncFail, /*at=*/2,
-                          /*site=*/"journal"));
+                          /*site=*/"dirsync"));
   const std::string path = StrCat(::testing::TempDir(), "/relcomp_sf_env_",
                                   ::getpid(), "_ordinal");
-  int fd = env.Open("journal", path.c_str(), O_WRONLY | O_CREAT | O_TRUNC,
+  int fd = env.Open("dirsync", path.c_str(), O_WRONLY | O_CREAT | O_TRUNC,
                     0644);
   ASSERT_GE(fd, 0);
   // An open is never an fsync match; a record-site fsync fails the
-  // site filter; only journal fsyncs count toward `at`.
+  // site filter; only dirsync fsyncs count toward `at`.
   EXPECT_EQ(env.Fsync("record.ckpt", fd), 0);  // site mismatch: no count
-  EXPECT_EQ(env.Fsync("journal", fd), 0);      // match #1: below `at`
+  EXPECT_EQ(env.Fsync("dirsync", fd), 0);      // match #1: below `at`
   errno = 0;
-  EXPECT_EQ(env.Fsync("journal", fd), -1);     // match #2: fires
+  EXPECT_EQ(env.Fsync("dirsync", fd), -1);     // match #2: fires
   EXPECT_EQ(errno, EIO);
-  EXPECT_EQ(env.Fsync("journal", fd), 0);      // `at` is one-shot
+  EXPECT_EQ(env.Fsync("dirsync", fd), 0);      // `at` is one-shot
   ::close(fd);
   env.Unlink("gc", path.c_str());
   EXPECT_EQ(env.faults_injected(), 1u);
-  EXPECT_EQ(env.last_fault_site(), "journal");
+  EXPECT_EQ(env.last_fault_site(), "dirsync");
 }
 
 TEST(StorageFaultEnvTest, ShortWriteLandsExactlyThePrefix) {
@@ -307,7 +307,7 @@ TEST(StorageFaultStoreTest, LostRenameSurfacesAsMissingNotCorrupt) {
   EXPECT_EQ((*reopened)->corrupt_files_skipped(), 0u);
 }
 
-TEST(StorageFaultStoreTest, JournalLostAppendRecoveredByDirectoryScan) {
+TEST(StorageFaultStoreTest, RecordLostAppendIsRefusedAsCorrupt) {
   const std::string dir = FreshDir("lostappend");
   FsEnv env;
   CheckpointStoreOptions options;
@@ -315,17 +315,21 @@ TEST(StorageFaultStoreTest, JournalLostAppendRecoveredByDirectoryScan) {
   {
     auto store = CheckpointStore::Open(dir, options);
     ASSERT_TRUE(store.ok()) << store.status().ToString();
-    env.set_fault_plan(Plan(StorageFaultKind::kLostAppend, 1, "journal"));
+    env.set_fault_plan(Plan(StorageFaultKind::kLostAppend, 1, "record.job"));
+    // The lying disk acks the record's bytes and keeps none: the rename
+    // puts an empty file under the record's name.
     ASSERT_TRUE((*store)->PersistJob("a", "payload").ok());
+    EXPECT_EQ(env.faults_injected(), 1u);
   }
-  // The journal line evaporated in the disk's volatile cache, but the
-  // record file is durable — the directory scan still finds it.
+  // The name alone makes "a" pending, but its empty record fails
+  // integrity: refused typed, counted, never loaded.
   auto reopened = CheckpointStore::Open(dir);
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ((*reopened)->PendingRequests(), std::vector<std::string>{"a"});
   auto loaded = (*reopened)->LoadJob("a");
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(*loaded, "payload");
-  EXPECT_EQ((*reopened)->corrupt_files_skipped(), 0u);
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument)
+      << loaded.status().ToString();
+  EXPECT_EQ((*reopened)->corrupt_files_skipped(), 1u);
 }
 
 // ---------------------------------------------------------------------------

@@ -153,9 +153,10 @@ TEST(VerdictCacheTest, SurvivesStoreReopen) {
 }
 
 TEST(VerdictCacheTest, StaleEntryInvalidatedAfterDelta) {
-  // The lifecycle a delta drives: the pre-update fingerprint's entry
-  // is dropped, the post-update fingerprint misses (it is new content)
-  // and gets its own entry.
+  // Keys are content fingerprints, so a delta leaves the pre-update
+  // entry unused rather than wrong: the post-update content misses and
+  // gets its own entry, and the pre-update entry still serves exactly
+  // the pre-update content.
   auto spec = ParseCompletenessSpec(kIncompleteSpec);
   ASSERT_TRUE(spec.ok()) << spec.status().ToString();
   const uint64_t pre_fp = FingerprintRcdpInstance(
@@ -175,19 +176,26 @@ TEST(VerdictCacheTest, StaleEntryInvalidatedAfterDelta) {
   const uint64_t post_fp = FingerprintRcdpInstance(
       spec->queries[0], spec->db, spec->master, spec->constraints);
   ASSERT_NE(pre_fp, post_fp);
-  // The new content misses; the old entry is stale and gets dropped.
   EXPECT_FALSE(cache.Lookup(post_fp).has_value());
-  ASSERT_TRUE(cache.Invalidate(pre_fp).ok());
-  EXPECT_FALSE(cache.Lookup(pre_fp).has_value());
-  EXPECT_EQ(store->LoadVerdict(VerdictCache::KeyFor(pre_fp)).status().code(),
-            StatusCode::kNotFound);
-  EXPECT_EQ(cache.stats().invalidations, 1u);
-  // Idempotent.
-  ASSERT_TRUE(cache.Invalidate(pre_fp).ok());
+  ASSERT_TRUE(cache.Insert(post_fp, Verdict::kComplete, "post").ok());
+  auto post = cache.Lookup(post_fp);
+  ASSERT_TRUE(post.has_value());
+  EXPECT_EQ(post->verdict, Verdict::kComplete);
+  EXPECT_EQ(post->evidence, "post");
+  auto pre = cache.Lookup(pre_fp);
+  ASSERT_TRUE(pre.has_value());
+  EXPECT_EQ(pre->verdict, Verdict::kIncomplete);
+  EXPECT_EQ(pre->evidence, "pre");
 
-  // Even a fresh cache over the same store no longer sees the record.
+  // A fresh cache over the same store serves both from their records.
   VerdictCache fresh(store.get());
-  EXPECT_FALSE(fresh.Lookup(pre_fp).has_value());
+  auto reloaded_pre = fresh.Lookup(pre_fp);
+  ASSERT_TRUE(reloaded_pre.has_value());
+  EXPECT_EQ(reloaded_pre->evidence, "pre");
+  auto reloaded_post = fresh.Lookup(post_fp);
+  ASSERT_TRUE(reloaded_post.has_value());
+  EXPECT_EQ(reloaded_post->evidence, "post");
+  EXPECT_EQ(fresh.stats().rejections, 0u);
 }
 
 TEST(VerdictCacheTest, ServiceCacheHitEqualsRecomputeAcrossThreadCounts) {
@@ -225,7 +233,7 @@ TEST(VerdictCacheTest, ServiceCacheHitEqualsRecomputeAcrossThreadCounts) {
 }
 
 TEST(VerdictCacheTest, ServiceCacheSurvivesRestart) {
-  // The journaled verdict record outlives both the job (Forget leaves
+  // The durable verdict record outlives both the job (Forget leaves
   // it) and the process: a restarted service serves it without search.
   const std::string dir = FreshDir("svc_restart");
   DecisionServiceOptions options;
@@ -254,8 +262,8 @@ TEST(VerdictCacheTest, ServiceCacheSurvivesRestart) {
   EXPECT_EQ(r->evidence, evidence);
 }
 
-TEST(VerdictCacheConcurrency, ParallelLookupInsertInvalidate) {
-  // Hammer one cache from many threads mixing all three operations on
+TEST(VerdictCacheConcurrency, ParallelLookupAndInsert) {
+  // Hammer one cache from many threads mixing lookups and inserts on
   // a small fingerprint space; runs under tsan via the preset filter.
   // Invariant checked beyond "no race": a Lookup never returns torn
   // data — the evidence always matches the fingerprint it was inserted
@@ -274,26 +282,19 @@ TEST(VerdictCacheConcurrency, ParallelLookupInsertInvalidate) {
     workers.emplace_back([&cache, &lookups, t] {
       for (size_t i = 0; i < kIters; ++i) {
         const uint64_t fp = (t * 31 + i) % kSpace;
-        switch ((t + i) % 3) {
-          case 0: {
-            auto hit = cache.Lookup(fp);
-            ++lookups;
-            if (hit.has_value()) {
-              EXPECT_EQ(hit->evidence, StrCat("ev-", fp));
-            }
-            break;
+        if ((t + i) % 2 == 0) {
+          auto hit = cache.Lookup(fp);
+          ++lookups;
+          if (hit.has_value()) {
+            EXPECT_EQ(hit->evidence, StrCat("ev-", fp));
           }
-          case 1:
-            EXPECT_TRUE(cache
-                            .Insert(fp,
-                                    fp % 2 == 0 ? Verdict::kComplete
-                                                : Verdict::kIncomplete,
-                                    StrCat("ev-", fp))
-                            .ok());
-            break;
-          default:
-            EXPECT_TRUE(cache.Invalidate(fp).ok());
-            break;
+        } else {
+          EXPECT_TRUE(cache
+                          .Insert(fp,
+                                  fp % 2 == 0 ? Verdict::kComplete
+                                              : Verdict::kIncomplete,
+                                  StrCat("ev-", fp))
+                          .ok());
         }
       }
     });
