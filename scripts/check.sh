@@ -75,10 +75,14 @@ run ctest --test-dir build-asan -L incremental --output-on-failure
 run ctest --test-dir build-asan -L codec --output-on-failure
 
 # Id-plane core stage: the relational/eval substrate suites (ctest
-# label "core") — arena allocator, byte-cap exhaustion, and the matcher
-# equivalence fuzzers — once more on the default build as a fast smoke
-# of the ablation toggles' shared plumbing.
+# label "core") — arena allocator, byte-cap exhaustion, the matcher
+# equivalence fuzzers, id-row staging and the allocation-free check —
+# once more on the default build as a fast smoke of the ablation
+# toggles' shared plumbing, and under ASan, since the overlay owns the
+# staged id buffers and the synthetic-id table the matcher reads in
+# place.
 run ctest --test-dir build -L core --output-on-failure
+run ctest --test-dir build-asan -L core --output-on-failure
 
 # Benchmark known-answer stage: the smallest instance of each perfbench
 # workload decided by DecideRcdp/DecideRcqp and checked against the

@@ -191,15 +191,11 @@ class DisjunctSearch {
                    size_t resume_rank,
                    std::function<void(size_t rank)> on_progress,
                    Exhaustion* ex) {
-    const size_t threads = EffectiveThreads(options_);
-    std::vector<Worker> workers(threads);
-    for (Worker& w : workers) InitWorker(&w);
-
     // The hot callbacks below operate purely on ValueId rows; Values
-    // are materialized only at the rare boundaries (a partial row not
-    // already in D, or a full valuation surviving every prune). The
-    // family interner was pre-populated by ActiveDomain::Build, so the
-    // per-unit enumerators stay strictly read-only post-freeze.
+    // are materialized only at the rare boundary of a full valuation
+    // surviving every prune. The family interner was pre-populated by
+    // ActiveDomain::Build, so the per-unit enumerators stay strictly
+    // read-only post-freeze.
     const ValueInterner* interner = db_.interner().get();
     ValuationEnumerator::Options enum_options;
     enum_options.pruned = options_.prune;
@@ -207,41 +203,42 @@ class DisjunctSearch {
     enum_options.budget = options_.budget;
     enum_options.interner = interner;
 
-    // Precompute, for each enumeration position, which rows become
-    // fully bound there: the prune hook checks V on the partially
-    // instantiated tableau as soon as rows complete (sound because the
-    // supported constraint languages are monotone — a violation by a
-    // subset of μ(T) persists for all of it). The order is derived from
-    // a probe enumerator; it is deterministic, so per-unit enumerators
-    // built by the parallel driver use the identical order.
+    // The prune hook checks V on the partially instantiated tableau as
+    // soon as rows complete (sound because the supported constraint
+    // languages are monotone — a violation by a subset of μ(T) persists
+    // for all of it). The order is derived from a probe enumerator; it
+    // is deterministic, so per-unit enumerators built by the parallel
+    // driver use the identical order.
     ValuationEnumerator probe(&tableau_, &adom_, enum_options);
     const std::vector<std::string>& order = probe.order();
     std::map<std::string, size_t> position;
     for (size_t i = 0; i < order.size(); ++i) position[order[i]] = i;
-    // row_bound_at[r] = first position p with all variables of row r at
-    // positions <= p.
-    std::vector<size_t> row_bound_at(tableau_.rows().size(), 0);
+    RELCOMP_ASSIGN_OR_RETURN(TableauRowPlan plan,
+                             TableauRowPlan::Make(tableau_, order, *interner));
+    // row_has_new_at[p]: some row becomes fully bound at position p.
+    // Base relations are resolved now, pre-freeze, so db_.Get may
+    // populate its empty-relation cache.
     std::vector<bool> row_has_new_at(order.size(), false);
-    for (size_t r = 0; r < tableau_.rows().size(); ++r) {
-      size_t last = 0;
-      for (const Term& t : tableau_.rows()[r].terms) {
-        if (t.is_variable()) last = std::max(last, position[t.var()]);
-      }
-      row_bound_at[r] = last;
-      if (!order.empty()) row_has_new_at[last] = true;
+    std::vector<const Relation*> row_base(plan.size());
+    for (size_t r = 0; r < plan.size(); ++r) {
+      if (!order.empty()) row_has_new_at[plan.bound_at(r)] = true;
+      row_base[r] = &db_.Get(plan.relation(r));
     }
 
-    // --- Id-plane search plans -------------------------------------
-    // Summary plan: code >= 0 names an enumeration slot, code < 0 a
-    // constant at the same index (its id in summary_const_ids).
-    // summary_ground_depth is the prefix length at which the summary
-    // becomes fully grounded — the point the answer prune arms.
+    const size_t threads = EffectiveThreads(options_);
+    std::vector<Worker> workers(threads);
+    for (Worker& w : workers) InitWorker(&w, plan);
+
+    // --- Id-plane summary plan ---------------------------------------
+    // Code >= 0 names an enumeration slot, code < 0 a constant at the
+    // same index (its id in summary_const_ids). summary_ground_depth is
+    // the prefix length at which the summary becomes fully grounded —
+    // the point the answer prune arms.
     const std::vector<Term>& summary_terms = tableau_.summary();
     std::vector<int32_t> summary_codes(summary_terms.size(), -1);
     std::vector<ValueId> summary_const_ids(summary_terms.size(),
                                            kInvalidValueId);
     bool summary_groundable = true;
-    bool summary_unknown_const = false;
     size_t summary_ground_depth = 0;
     for (size_t i = 0; i < summary_terms.size(); ++i) {
       const Term& t = summary_terms[i];
@@ -256,89 +253,40 @@ class DisjunctSearch {
             std::max(summary_ground_depth, it->second + 1);
       } else {
         std::optional<ValueId> id = interner->TryGet(t.value());
-        if (id.has_value()) {
-          summary_const_ids[i] = *id;
-        } else {
-          summary_unknown_const = true;
+        if (!id.has_value()) {
+          return Status::Internal(
+              StrCat("summary constant ", t.value().ToString(),
+                     " was not interned before the valuation search"));
         }
+        summary_const_ids[i] = *id;
       }
     }
     // Answer containment goes through ids when Q(D) shares the family
     // interner (the EvalUnion output does unless the family was frozen
-    // while it was built); otherwise fall back to Value tuples. With a
-    // shared interner, a summary constant the interner has never seen
-    // cannot occur in Q(D) at all, so the prune never fires.
+    // while it was built); otherwise fall back to Value tuples.
     const bool answer_shared = current_answer_.interner().get() == interner;
 
-    // Row plans: PartialRowsSatisfyV over ids. `rel` is resolved now,
-    // pre-freeze, so db_.Get may populate its empty-relation cache.
-    struct RowPlan {
-      const TableauRow* row = nullptr;
-      const Relation* rel = nullptr;
-      std::vector<int32_t> codes;  // >= 0: slot; < 0: const -code-1
-      std::vector<ValueId> const_ids;
-      std::vector<const Value*> const_vals;
-      size_t bound_at = 0;
-      bool unknown_const = false;  // some constant absent from the interner
-    };
-    std::vector<RowPlan> plans(tableau_.rows().size());
-    for (size_t r = 0; r < tableau_.rows().size(); ++r) {
-      RowPlan& plan = plans[r];
-      const TableauRow& row = tableau_.rows()[r];
-      plan.row = &row;
-      plan.rel = &db_.Get(row.relation);
-      plan.bound_at = row_bound_at[r];
-      plan.codes.reserve(row.terms.size());
-      for (const Term& t : row.terms) {
-        if (t.is_variable()) {
-          plan.codes.push_back(static_cast<int32_t>(position[t.var()]));
-          continue;
-        }
-        plan.codes.push_back(
-            -static_cast<int32_t>(plan.const_ids.size()) - 1);
-        plan.const_vals.push_back(&t.value());
-        std::optional<ValueId> id = interner->TryGet(t.value());
-        if (id.has_value()) {
-          plan.const_ids.push_back(*id);
-        } else {
-          plan.const_ids.push_back(kInvalidValueId);
-          plan.unknown_const = true;
-        }
-      }
-    }
-
     // Id-plane body of PartialRowsSatisfyV: instantiate the rows fully
-    // bound at positions <= pos as id rows, membership-test them
-    // against D without materializing Values, and only build Tuples for
-    // the (rare) rows that actually extend D.
+    // bound at positions <= pos as id rows and stage those not in D on
+    // the worker's session view; no Value, Tuple or relation name is
+    // touched.
     auto partial_rows_satisfy = [&](Worker& w, const IdValuation& v,
                                     size_t pos) -> Result<bool> {
-      w.delta_scratch.clear();
-      for (const RowPlan& plan : plans) {
-        if (plan.bound_at > pos) continue;
-        bool contained = false;
-        if (!plan.unknown_const) {
-          w.id_buf.resize(plan.codes.size());
-          for (size_t c = 0; c < plan.codes.size(); ++c) {
-            int32_t code = plan.codes[c];
-            w.id_buf[c] = code >= 0 ? v.ids[code] : plan.const_ids[-code - 1];
-          }
-          contained = plan.rel->ContainsIds(w.id_buf.data());
+      DatabaseOverlay& view = w.session->view();
+      view.Clear();
+      ValueId* row = w.id_buf.data();
+      for (size_t r = 0; r < plan.size(); ++r) {
+        if (plan.bound_at(r) > pos) continue;
+        plan.Instantiate(r, v.ids, row);
+        // A view over D filters rows of D itself; over ∅ (the IND fast
+        // path) D is tested here.
+        if (w.empty_db.has_value() && row_base[r]->ContainsIds(row)) {
+          continue;
         }
-        if (!contained) {
-          std::vector<Value> vals;
-          vals.reserve(plan.codes.size());
-          for (size_t c = 0; c < plan.codes.size(); ++c) {
-            int32_t code = plan.codes[c];
-            vals.push_back(code >= 0 ? v.enumerator->ResolveId(v.ids[code])
-                                     : *plan.const_vals[-code - 1]);
-          }
-          w.delta_scratch.emplace_back(plan.row->relation,
-                                       Tuple(std::move(vals)));
-        }
+        view.AddIds(w.row_slots[r], row);
       }
-      if (w.delta_scratch.empty()) return true;
-      return ExtensionSatisfiesV(&w, w.delta_scratch);
+      if (!view.HasPending()) return true;
+      return CheckStaged(&w);
     };
 
     auto prune = [&](size_t wi, const IdValuation& v) {
@@ -346,17 +294,11 @@ class DisjunctSearch {
       // Prune once the summary is grounded and already answered.
       if (summary_groundable && v.depth >= summary_ground_depth) {
         if (answer_shared) {
-          if (!summary_unknown_const) {
-            w.summary_buf.resize(summary_codes.size());
-            for (size_t i = 0; i < summary_codes.size(); ++i) {
-              int32_t code = summary_codes[i];
-              w.summary_buf[i] =
-                  code >= 0 ? v.ids[code] : summary_const_ids[i];
-            }
-            if (current_answer_.ContainsIds(w.summary_buf.data())) {
-              return true;
-            }
+          for (size_t i = 0; i < summary_codes.size(); ++i) {
+            int32_t code = summary_codes[i];
+            w.summary_buf[i] = code >= 0 ? v.ids[code] : summary_const_ids[i];
           }
+          if (current_answer_.ContainsIds(w.summary_buf.data())) return true;
         } else {
           std::vector<Value> vals;
           vals.reserve(summary_codes.size());
@@ -461,29 +403,32 @@ class DisjunctSearch {
 
  private:
   /// Everything one worker touches while judging valuations: the
-  /// constraint-check state (delta session or scratch overlay), the
-  /// eval counters, and the slots the search callbacks fill. Workers
-  /// never share any of it; the vector is sized once so the interior
-  /// pointers (scratch -> empty_db, eval_options.counters) stay valid.
+  /// constraint session and its staging slots, the eval counters, and
+  /// the slots the search callbacks fill. Workers never share any of
+  /// it; the vector is sized once so the interior pointers (session
+  /// view -> empty_db, eval_options.counters) stay valid.
   struct Worker {
-    std::optional<DeltaConstraintChecker::Session> session;
+    /// The IND fast path's empty instance over the family interner.
     std::optional<Database> empty_db;
-    std::optional<DatabaseOverlay> scratch;
+    /// The constraint check: a delta session over D, a compiled one
+    /// over D or ∅, or the uncompiled fallback.
+    std::optional<ConstraintSession> session;
     /// Per-worker bump arena for the matcher's per-call scratch, reset
     /// before every candidate check (null when use_arena is off).
     std::optional<Arena> arena;
     EvalCounters counters;
     ConjunctiveEvalOptions eval_options;
-    /// Reused id/tuple scratch for the id-plane prune hook.
+    /// Per tableau row: its staging slot on the session's view.
+    std::vector<size_t> row_slots;
+    /// Reused id scratch for the id-plane prune hook.
     std::vector<ValueId> id_buf;
     std::vector<ValueId> summary_buf;
-    std::vector<std::pair<std::string, Tuple>> delta_scratch;
     RcdpResult candidate;
     Status error;
     bool found = false;
   };
 
-  void InitWorker(Worker* w) {
+  void InitWorker(Worker* w, const TableauRowPlan& plan) {
     if (options_.use_arena) {
       w->arena.emplace();
       if (options_.budget != nullptr) {
@@ -497,45 +442,41 @@ class DisjunctSearch {
     if (delta_checker_ != nullptr) {
       w->session.emplace(
           delta_checker_->NewSession(db_, master_, w->eval_options));
-      return;
-    }
-    // No delta session: candidates are staged on a scratch overlay —
-    // over ∅ for the Corollary 3.4 IND fast path (only μ(T) is
-    // checked), over D otherwise. Either way the base relations'
-    // column indexes survive across candidates.
-    if (options_.ind_fast_path && constraints_.IsIndsOnly()) {
-      // Share the family interner so candidate rows staged over ∅
-      // resolve to the same ids the search and base relations use.
-      w->empty_db.emplace(db_.schema_ptr(), db_.interner());
-      w->scratch.emplace(&*w->empty_db);
     } else {
-      w->scratch.emplace(&db_);
+      // No delta session: candidates are staged over ∅ for the
+      // Corollary 3.4 IND fast path (only μ(T) is checked), over D
+      // otherwise. Either way the base relations' column indexes
+      // survive across candidates, and the empty instance shares the
+      // family interner so staged rows keep the search's ids.
+      const Database* base = &db_;
+      if (options_.ind_fast_path && constraints_.IsIndsOnly()) {
+        w->empty_db.emplace(db_.schema_ptr(), db_.interner());
+        base = &*w->empty_db;
+      }
+      if (compiled_ != nullptr) {
+        w->session.emplace(compiled_->NewSession(*base, w->eval_options));
+      } else {
+        w->session.emplace(ConstraintSession::Uncompiled(
+            constraints_, *base, master_, options_.budget));
+      }
     }
-    if (options_.budget != nullptr) {
-      w->scratch->set_memory_tracker(options_.budget);
+    w->row_slots.resize(plan.size());
+    for (size_t r = 0; r < plan.size(); ++r) {
+      w->row_slots[r] =
+          w->session->view().Slot(plan.relation(r), plan.arity(r));
     }
+    w->id_buf.resize(plan.max_arity());
+    w->summary_buf.resize(tableau_.summary().size());
   }
-  /// Checks V on the extension given by `tuples`: (D ∪ tuples, Dm) on
-  /// the general path, (tuples, Dm) alone on the IND fast path
-  /// (Corollary 3.4 — callers pass μ(T) there). Dispatches to the
-  /// delta session or to the scratch overlay + compiled check.
-  Result<bool> ExtensionSatisfiesV(
-      Worker* w, const std::vector<std::pair<std::string, Tuple>>& tuples) {
+
+  /// Checks V on what the worker's session view stages: (D ∪ Δ, Dm) on
+  /// the general path, (Δ, Dm) alone on the IND fast path.
+  Result<bool> CheckStaged(Worker* w) {
     // The matcher's per-call scratch from the previous candidate is
     // dead; reclaim it (blocks are retained, so steady state is
     // allocation free).
     if (w->arena.has_value()) w->arena->Reset();
-    if (w->session.has_value()) {
-      return w->session->Check(tuples);
-    }
-    w->scratch->Clear();
-    for (const auto& [relation, tuple] : tuples) {
-      w->scratch->Add(relation, tuple);
-    }
-    if (compiled_ != nullptr) {
-      return compiled_->Satisfied(*w->scratch, w->eval_options);
-    }
-    return Satisfies(constraints_, *w->scratch, master_);
+    return w->session->Check();
   }
 
   Result<bool> IsCounterexample(Worker* w, const Bindings& valuation,
@@ -554,15 +495,13 @@ class DisjunctSearch {
       }
     }
     if (delta.empty()) return false;
-    bool satisfied = false;
-    if (!w->session.has_value() &&
-        options_.ind_fast_path && constraints_.IsIndsOnly()) {
-      // Corollary 3.4: for INDs, (D ∪ μ(T), Dm) |= V iff
-      // (D, Dm) |= V (precondition) and (μ(T), Dm) |= V.
-      RELCOMP_ASSIGN_OR_RETURN(satisfied, ExtensionSatisfiesV(w, rows));
-    } else {
-      RELCOMP_ASSIGN_OR_RETURN(satisfied, ExtensionSatisfiesV(w, delta));
-    }
+    // Corollary 3.4: for INDs, (D ∪ μ(T), Dm) |= V iff (D, Dm) |= V
+    // (precondition) and (μ(T), Dm) |= V — the fast path's view over ∅
+    // stages all of μ(T).
+    if (w->arena.has_value()) w->arena->Reset();
+    RELCOMP_ASSIGN_OR_RETURN(
+        bool satisfied,
+        w->session->Check(w->empty_db.has_value() ? rows : delta));
     if (!satisfied) return false;
     result->complete = false;
     Database delta_db(db_.schema_ptr());
@@ -673,7 +612,7 @@ Result<RcdpResult> DecideRcdp(const AnyQuery& query, const Database& db,
 
   // Without a delta session, per-candidate checks go through a
   // CompiledConstraintCheck (UCQ unfoldings and master-side target
-  // projections materialized once, here) over the scratch overlay.
+  // projections materialized once, here) and its per-worker sessions.
   // If compilation fails — an ∃FO+ constraint whose unfolding blows
   // the cap — candidates fall back to uncompiled overlay checks.
   std::optional<CompiledConstraintCheck> compiled;
@@ -752,18 +691,8 @@ Result<RcdpResult> DecideRcdp(const AnyQuery& query, const Database& db,
         db, master, query_constants, constraints,
         std::max<size_t>(1, tableau.variables().size()));
     // Finite variable domains can list values outside Adom; intern them
-    // too (still pre-freeze, charged through the same byte delta) so the
-    // id-plane search resolves every candidate through the interner.
-    if (db.interner() != nullptr) {
-      for (const std::string& var : tableau.variables()) {
-        std::shared_ptr<const Domain> dom = tableau.VariableDomain(var);
-        if (dom != nullptr && dom->is_finite()) {
-          for (const Value& v : dom->finite_values()) {
-            db.interner()->Intern(v);
-          }
-        }
-      }
-    }
+    // too (still pre-freeze, charged through the same byte delta).
+    InternFiniteDomainValues(tableau, db.interner().get());
     if (options.budget != nullptr) {
       size_t interner_after = db.interner()->ApproxBytes();
       if (interner_after > interner_before) {

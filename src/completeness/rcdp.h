@@ -80,11 +80,11 @@ struct RcdpOptions {
   /// positions during constraint checks and query evaluation. Disable
   /// to scan every atom, as the pre-index matcher did (bench_ablation).
   bool use_indexes = true;
-  /// Give every search worker a bump arena for the matcher's per-call
-  /// scratch (binding slots, staged id rows, step frames), reset
-  /// between candidate checks; block growth is charged to the budget.
-  /// Disable to heap-allocate per call (bench_ablation's `arena`
-  /// toggle).
+  /// Give every search worker (RCDP's, and RCQP's IND probe and
+  /// witness) a bump arena for the matcher's per-call scratch (binding
+  /// slots, per-atom row sources, step frames), reset between candidate
+  /// checks; block growth is charged to the budget. Disable to
+  /// heap-allocate per call (bench_ablation's `arena` toggle).
   bool use_arena = true;
   /// Worker threads for the valuation search. 0 = hardware_concurrency;
   /// 1 = today's serial path, bit-for-bit. Values > 1 partition the

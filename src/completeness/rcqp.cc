@@ -92,28 +92,61 @@ std::vector<VariableBoundedness> AnalyzeTableau(
   return out;
 }
 
-/// Checks (μ(T), Dm) |= V for one valuation by staging the instantiated
-/// rows on `scratch` (an overlay over an empty database over the
-/// db schema), going through the compiled check when available.
-Result<bool> ValuationRealizable(const TableauQuery& tableau,
-                                 const Bindings& valuation,
-                                 const Database& master,
-                                 const ConstraintSet& constraints,
-                                 const CompiledConstraintCheck* compiled,
-                                 ExecutionBudget* budget,
-                                 DatabaseOverlay* scratch) {
-  RELCOMP_ASSIGN_OR_RETURN(auto rows, tableau.Instantiate(valuation));
-  scratch->Clear();
-  for (const auto& [relation, tuple] : rows) {
-    scratch->Add(relation, tuple);
-  }
-  if (compiled != nullptr) {
+/// Checks (μ(T), Dm) |= V for valuations of one tableau: μ(T) is
+/// staged as id rows, straight from the valuation, on a constraint
+/// session over an empty instance that shares the family interner —
+/// compiled when the constraints compile, the uncompiled fallback
+/// otherwise. One per worker; it owns the instance its session views,
+/// so it stays where it was built.
+class RealizabilityCheck {
+ public:
+  RealizabilityCheck(const TableauRowPlan& plan, const Database& family,
+                     const Database& master,
+                     const ConstraintSet& constraints,
+                     const CompiledConstraintCheck* compiled,
+                     bool use_arena, ExecutionBudget* budget)
+      : plan_(plan), empty_db_(family.schema_ptr(), family.interner()) {
+    if (use_arena) {
+      arena_.emplace();
+      if (budget != nullptr) arena_->set_memory_tracker(budget);
+    }
     ConjunctiveEvalOptions eval_options;
+    eval_options.arena = arena_.has_value() ? &*arena_ : nullptr;
     eval_options.budget = budget;
-    return compiled->Satisfied(*scratch, eval_options);
+    if (compiled != nullptr) {
+      session_.emplace(compiled->NewSession(empty_db_, eval_options));
+    } else {
+      session_.emplace(ConstraintSession::Uncompiled(constraints, empty_db_,
+                                                     master, budget));
+    }
+    slots_.resize(plan.size());
+    for (size_t r = 0; r < plan.size(); ++r) {
+      slots_[r] = session_->view().Slot(plan.relation(r), plan.arity(r));
+    }
+    row_.resize(plan.max_arity());
   }
-  return Satisfies(constraints, *scratch, master);
-}
+  RealizabilityCheck(const RealizabilityCheck&) = delete;
+  RealizabilityCheck& operator=(const RealizabilityCheck&) = delete;
+
+  Result<bool> Realizable(const IdValuation& v) {
+    DatabaseOverlay& view = session_->view();
+    view.Clear();
+    for (size_t r = 0; r < plan_.size(); ++r) {
+      plan_.Instantiate(r, v.ids, row_.data());
+      view.AddIds(slots_[r], row_.data());
+    }
+    if (arena_.has_value()) arena_->Reset();
+    return session_->Check();
+  }
+
+ private:
+  const TableauRowPlan& plan_;
+  Database empty_db_;
+  std::optional<Arena> arena_;
+  std::optional<ConstraintSession> session_;
+  std::vector<size_t> slots_;
+  std::vector<ValueId> row_;
+};
 
 /// Outcome of one realizability probe: whether a realizable valuation
 /// exists, or the budget exhaustion point — next_rank is the resume
@@ -128,45 +161,45 @@ struct ProbeOutcome {
 
 /// Searches for a valid valuation μ of `tableau` with (μ(T), Dm) |= V.
 /// With num_threads > 1 the enumeration runs on the parallel driver:
-/// each worker stages candidates on its own empty-database overlay, Dm
-/// is frozen for the concurrent phase, and the verdict is the serial
-/// one (lowest work unit wins). With a budget the driver switches to
-/// its fixed thread-count-independent unit partition, so exhaustion
-/// and next_rank are deterministic at any num_threads. `interner` is
-/// the family interner the active domain was built on; `on_progress`
-/// (may be empty) receives the probe's rolling low watermark.
+/// each worker stages candidates on its own empty-instance session, Dm
+/// and the family are frozen for the concurrent phase, and the verdict
+/// is the serial one (lowest work unit wins). With a budget the driver
+/// switches to its fixed thread-count-independent unit partition, so
+/// exhaustion and next_rank are deterministic at any num_threads.
+/// `family` is the empty instance the active domain was built on;
+/// `on_progress` (may be empty) receives the probe's rolling low
+/// watermark.
 Result<ProbeOutcome> FindRealizableValuation(
     const TableauQuery& tableau, const Database& master,
     const ConstraintSet& constraints, const CompiledConstraintCheck* compiled,
-    const std::shared_ptr<const Schema>& db_schema, const ActiveDomain& adom,
-    const ValueInterner* interner, size_t num_threads,
-    ExecutionBudget* budget, size_t resume_rank,
+    const Database& family, const ActiveDomain& adom, size_t num_threads,
+    bool use_arena, ExecutionBudget* budget, size_t resume_rank,
     std::function<void(size_t rank)> on_progress) {
+  ValuationEnumerator::Options enum_options;
+  enum_options.budget = budget;
+  enum_options.interner = family.interner().get();
+  ValuationEnumerator probe_order(&tableau, &adom, enum_options);
+  RELCOMP_ASSIGN_OR_RETURN(
+      TableauRowPlan plan,
+      TableauRowPlan::Make(tableau, probe_order.order(), *family.interner()));
   struct Worker {
-    std::optional<Database> empty_db;
-    std::optional<DatabaseOverlay> scratch;
+    std::optional<RealizabilityCheck> check;
     Status error;
     bool found = false;
   };
   const size_t threads = std::max<size_t>(1, num_threads);
   std::vector<Worker> workers(threads);
   for (Worker& w : workers) {
-    w.empty_db.emplace(db_schema);
-    w.scratch.emplace(&*w.empty_db);
-    if (budget != nullptr) w.scratch->set_memory_tracker(budget);
+    w.check.emplace(plan, family, master, constraints, compiled, use_arena,
+                    budget);
   }
-  ValuationEnumerator::Options enum_options;
-  enum_options.budget = budget;
-  enum_options.interner = interner;
   ParallelSearchOptions parallel_options;
   parallel_options.num_threads = threads;
   parallel_options.resume_rank = resume_rank;
   parallel_options.on_progress = std::move(on_progress);
   auto on_total = [&](size_t wi, const IdValuation& v) {
     Worker& w = workers[wi];
-    Result<bool> sat = ValuationRealizable(tableau, v.ToBindings(), master,
-                                           constraints, compiled, budget,
-                                           &*w.scratch);
+    Result<bool> sat = w.check->Realizable(v);
     if (!sat.ok()) {
       w.error = sat.status();
       return false;
@@ -187,11 +220,17 @@ Result<ProbeOutcome> FindRealizableValuation(
     return r;
   };
   ParallelSearchOutcome outcome;
-  if (threads > 1) master.Freeze();
+  if (threads > 1) {
+    master.Freeze();
+    family.Freeze();
+  }
   ParallelValuationSearchIds(tableau, adom, enum_options, parallel_options,
                              /*should_prune=*/nullptr, on_total, epilogue,
                              &outcome);
-  if (threads > 1) master.Unfreeze();
+  if (threads > 1) {
+    family.Unfreeze();
+    master.Unfreeze();
+  }
   ProbeOutcome probe;
   if (outcome.exhausted) {
     probe.exhausted = true;
@@ -209,20 +248,22 @@ Result<ProbeOutcome> FindRealizableValuation(
 /// materialized into `witness` only for valuations that realize. A
 /// budget exhaustion here clears *witness_complete instead of failing
 /// the call; the caller answers kUnknown with a checkpoint that
-/// rebuilds the witness. `interner` is the family interner the active
+/// rebuilds the witness. `family` is the empty instance the active
 /// domain was built on.
 Status AccumulateIndWitness(const TableauQuery& tableau,
                             const Database& master,
                             const ConstraintSet& constraints,
                             const CompiledConstraintCheck* compiled,
-                            const ActiveDomain& adom,
-                            const ValueInterner* interner,
-                            ExecutionBudget* budget, Database* witness,
-                            bool* witness_complete) {
+                            const ActiveDomain& adom, const Database& family,
+                            bool use_arena, ExecutionBudget* budget,
+                            Database* witness, bool* witness_complete) {
   ValuationEnumerator::Options options;
   options.budget = budget;
-  options.interner = interner;
+  options.interner = family.interner().get();
   ValuationEnumerator enumerator(&tableau, &adom, options);
+  RELCOMP_ASSIGN_OR_RETURN(
+      TableauRowPlan plan,
+      TableauRowPlan::Make(tableau, enumerator.order(), *family.interner()));
   // Covered summary tuples, keyed on the ids of the summary's variable
   // slots (the constants are the same in every summary tuple, and id
   // equality is value equality within one enumeration).
@@ -233,9 +274,8 @@ Status AccumulateIndWitness(const TableauQuery& tableau,
     summary_slots.push_back(static_cast<size_t>(
         std::find(order.begin(), order.end(), t.var()) - order.begin()));
   }
-  Database empty_db(witness->schema_ptr());
-  DatabaseOverlay scratch(&empty_db);
-  if (budget != nullptr) scratch.set_memory_tracker(budget);
+  RealizabilityCheck check(plan, family, master, constraints, compiled,
+                           use_arena, budget);
   std::set<std::vector<ValueId>> covered;
   std::vector<ValueId> key;
   Status inner;
@@ -244,17 +284,14 @@ Status AccumulateIndWitness(const TableauQuery& tableau,
         key.clear();
         for (size_t slot : summary_slots) key.push_back(v.ids[slot]);
         if (covered.count(key) > 0) return true;
-        const Bindings valuation = v.ToBindings();
-        Result<bool> sat = ValuationRealizable(tableau, valuation, master,
-                                               constraints, compiled, budget,
-                                               &scratch);
+        Result<bool> sat = check.Realizable(v);
         if (!sat.ok()) {
           inner = sat.status();
           return false;
         }
         if (*sat) {
           covered.insert(key);
-          Status st = tableau.InstantiateInto(valuation, witness);
+          Status st = tableau.InstantiateInto(v.ToBindings(), witness);
           if (!st.ok()) {
             inner = st;
             return false;
@@ -529,6 +566,11 @@ Result<RcqpResult> DecideRcqp(const AnyQuery& query,
 
   // ---- Exact IND path (Prop 4.3 / Theorem 4.5(1)). -------------------
   if (constraints.IsIndsOnly()) {
+    // The probes and the witness stage valuations of the query tableaux
+    // as id rows, so every candidate must have a family id.
+    for (const TableauQuery& t : tableaux) {
+      InternFiniteDomainValues(t, empty_db.interner().get());
+    }
     // INDs are CQ constraints: compile once (targets materialized from
     // Dm here) and reuse across every valuation probe below.
     std::optional<CompiledConstraintCheck> compiled;
@@ -602,8 +644,9 @@ Result<RcqpResult> DecideRcqp(const AnyQuery& query,
         RELCOMP_ASSIGN_OR_RETURN(
             ProbeOutcome probe,
             FindRealizableValuation(tableau, master, constraints, compiled_ptr,
-                                    db_schema, adom, empty_db.interner().get(),
-                                    EffectiveThreads(options.rcdp), budget,
+                                    empty_db, adom,
+                                    EffectiveThreads(options.rcdp),
+                                    options.rcdp.use_arena, budget,
                                     probe_start, std::move(on_rank)));
         if (probe.exhausted) {
           result.verdict = Verdict::kUnknown;
@@ -643,8 +686,8 @@ Result<RcqpResult> DecideRcqp(const AnyQuery& query,
       bool witness_complete = true;
       for (const TableauQuery& tableau : tableaux) {
         RELCOMP_RETURN_NOT_OK(AccumulateIndWitness(
-            tableau, master, constraints, compiled_ptr, adom,
-            empty_db.interner().get(), budget, &witness, &witness_complete));
+            tableau, master, constraints, compiled_ptr, adom, empty_db,
+            options.rcdp.use_arena, budget, &witness, &witness_complete));
         if (!witness_complete) break;
       }
       if (!witness_complete) {

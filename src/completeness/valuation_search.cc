@@ -156,6 +156,50 @@ ValuationEnumerator::ValuationEnumerator(const TableauQuery* tableau,
   }
 }
 
+void InternFiniteDomainValues(const TableauQuery& tableau,
+                              ValueInterner* interner) {
+  for (const std::string& var : tableau.variables()) {
+    std::shared_ptr<const Domain> dom = tableau.VariableDomain(var);
+    if (dom != nullptr && dom->is_finite()) {
+      for (const Value& v : dom->finite_values()) interner->Intern(v);
+    }
+  }
+}
+
+Result<TableauRowPlan> TableauRowPlan::Make(
+    const TableauQuery& tableau, const std::vector<std::string>& order,
+    const ValueInterner& interner) {
+  std::map<std::string, size_t> position;
+  for (size_t i = 0; i < order.size(); ++i) position[order[i]] = i;
+  TableauRowPlan plan;
+  plan.rows_.reserve(tableau.rows().size());
+  for (const TableauRow& tableau_row : tableau.rows()) {
+    Row row;
+    row.relation = &tableau_row.relation;
+    row.offset = plan.codes_.size();
+    row.arity = tableau_row.terms.size();
+    for (const Term& t : tableau_row.terms) {
+      if (t.is_variable()) {
+        size_t pos = position.at(t.var());
+        row.bound_at = std::max(row.bound_at, pos);
+        plan.codes_.push_back(static_cast<int32_t>(pos));
+        continue;
+      }
+      std::optional<ValueId> id = interner.TryGet(t.value());
+      if (!id.has_value()) {
+        return Status::Internal(
+            "tableau constant " + t.value().ToString() +
+            " was not interned before the valuation search");
+      }
+      plan.const_ids_.push_back(*id);
+      plan.codes_.push_back(-static_cast<int32_t>(plan.const_ids_.size()));
+    }
+    plan.max_arity_ = std::max(plan.max_arity_, row.arity);
+    plan.rows_.push_back(row);
+  }
+  return plan;
+}
+
 Bindings IdValuation::ToBindings() const {
   Bindings out;
   const std::vector<std::string>& order = enumerator->order();

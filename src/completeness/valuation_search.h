@@ -85,6 +85,63 @@ struct IdValuation {
   Bindings ToBindings() const;
 };
 
+/// Interns the finite-domain values of `tableau`'s variables into the
+/// family interner. Finite domains may list values outside Adom, and
+/// interning them before the search (pre-freeze) lets the enumerator
+/// resolve every candidate to a family id: staged rows then never
+/// carry the enumerator's synthetic ids.
+void InternFiniteDomainValues(const TableauQuery& tableau,
+                              ValueInterner* interner);
+
+/// A tableau's rows compiled for instantiation straight from the ids
+/// of an IdValuation: μ(row) is written as an id row, ready for
+/// DatabaseOverlay::AddIds or Relation::ContainsIds, with no Value,
+/// Tuple or Bindings in between. Shared by RCDP's prune hook and RCQP's
+/// realizability probe and Prop 4.3 witness.
+class TableauRowPlan {
+ public:
+  /// `order` is the enumerator's variable order (IdValuation::ids is
+  /// indexed by it). Every constant of the tableau must already be in
+  /// `interner` — ActiveDomain::Build interns Q's constants — or Make
+  /// fails with kInternal.
+  static Result<TableauRowPlan> Make(const TableauQuery& tableau,
+                                     const std::vector<std::string>& order,
+                                     const ValueInterner& interner);
+
+  size_t size() const { return rows_.size(); }
+  const std::string& relation(size_t r) const { return *rows_[r].relation; }
+  size_t arity(size_t r) const { return rows_[r].arity; }
+  size_t max_arity() const { return max_arity_; }
+  /// The first enumeration position at which every variable of row r
+  /// is bound (0 for a row without variables).
+  size_t bound_at(size_t r) const { return rows_[r].bound_at; }
+
+  /// Writes μ(row r) into out[0, arity(r)); `ids` holds the valuation's
+  /// ids by enumeration position, bound at least through bound_at(r).
+  void Instantiate(size_t r, const ValueId* ids, ValueId* out) const {
+    const Row& row = rows_[r];
+    const int32_t* codes = codes_.data() + row.offset;
+    for (size_t c = 0; c < row.arity; ++c) {
+      int32_t code = codes[c];
+      out[c] = code >= 0 ? ids[code] : const_ids_[-code - 1];
+    }
+  }
+
+ private:
+  struct Row {
+    const std::string* relation = nullptr;
+    size_t offset = 0;
+    size_t arity = 0;
+    size_t bound_at = 0;
+  };
+  std::vector<Row> rows_;
+  /// Per row, per column: >= 0 an enumeration position, < 0 the
+  /// constant const_ids_[-code - 1].
+  std::vector<int32_t> codes_;
+  std::vector<ValueId> const_ids_;
+  size_t max_arity_ = 0;
+};
+
 /// Enumerates the paper's valid valuations of a tableau: total
 /// assignments of the tableau variables where each variable draws from
 /// adom(y) (finite domain, or Adom ∪ New) and every disequality of the

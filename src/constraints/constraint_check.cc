@@ -13,19 +13,6 @@ std::string ConstraintCheckResult::ToString() const {
   return out;
 }
 
-Relation EvalProjection(const ContainmentConstraint& cc,
-                        const Database& master) {
-  const Relation& source = master.Get(cc.master_relation());
-  Relation out(cc.projection().size());
-  for (const Tuple& t : source) {
-    std::vector<Value> values;
-    values.reserve(cc.projection().size());
-    for (size_t col : cc.projection()) values.push_back(t[col]);
-    out.Insert(Tuple(std::move(values)));
-  }
-  return out;
-}
-
 namespace {
 
 /// Materializes π_{projection}(master_relation) over the master data.
@@ -43,32 +30,12 @@ Relation ProjectMaster(const Database& master,
   return out;
 }
 
-/// Checks one compiled disjunct of a constraint query against a target:
-/// true iff some match's head tuple falls outside the target (or, with
-/// a null target, iff any match exists — the q ⊆ ∅ form). Early-exits
-/// on the first violation. Heads stay on the id/value-pointer plane —
-/// no Bindings map or Tuple is materialized per match; the target
-/// membership test resolves the head values through the target's own
-/// interner (ContainsValues).
-Result<bool> DisjunctViolates(const CompiledCq& cq,
-                              const DatabaseOverlay& view,
-                              const Relation* target,
-                              const ConjunctiveEvalOptions& options) {
-  bool violated = false;
-  Status st = cq.ForEachHeadMatch(
-      view, options,
-      [&](const ValueId* /*head_ids*/, const Value* const* head_vals) {
-        if (target == nullptr || !target->ContainsValues(head_vals)) {
-          violated = true;
-          return false;  // stop
-        }
-        return true;
-      });
-  RELCOMP_RETURN_NOT_OK(st);
-  return violated;
-}
-
 }  // namespace
+
+Relation EvalProjection(const ContainmentConstraint& cc,
+                        const Database& master) {
+  return ProjectMaster(master, cc.master_relation(), cc.projection());
+}
 
 Result<bool> CheckConstraint(const ContainmentConstraint& cc,
                              const Database& db, const Database& master,
@@ -148,6 +115,71 @@ Result<bool> Satisfies(const ConstraintSet& set, const DatabaseOverlay& db,
   return true;
 }
 
+ConstraintSession::ConstraintSession(const Database& base,
+                                     const ConjunctiveEvalOptions& eval_options)
+    : view_(&base), eval_options_(eval_options) {
+  if (eval_options_.budget != nullptr) {
+    view_.set_memory_tracker(eval_options_.budget);
+  }
+}
+
+ConstraintSession ConstraintSession::Uncompiled(const ConstraintSet& set,
+                                                const Database& base,
+                                                const Database& master,
+                                                ExecutionBudget* budget) {
+  ConjunctiveEvalOptions eval_options;
+  eval_options.budget = budget;
+  ConstraintSession session(base, eval_options);
+  session.uncompiled_ = &set;
+  session.master_ = &master;
+  return session;
+}
+
+size_t ConstraintSession::AddTarget(const Relation& projection) {
+  Relation target(projection.arity(), view_.base().interner());
+  target.UnionWith(projection);
+  targets_.push_back(std::move(target));
+  return targets_.size() - 1;
+}
+
+Result<bool> ConstraintSession::Check() {
+  if (uncompiled_ != nullptr) {
+    return Satisfies(*uncompiled_, view_, *master_);
+  }
+  // One counted decision point per check, in lockstep with the
+  // valuation search's per-binding points.
+  if (eval_options_.budget != nullptr) {
+    RELCOMP_RETURN_NOT_OK(eval_options_.budget->OnDecisionPoint());
+  }
+  for (const Probe& probe : probes_) {
+    if (probe.delta_slot != DatabaseOverlay::kNoSlot &&
+        view_.Staged(probe.delta_slot).empty()) {
+      continue;
+    }
+    const Relation* target =
+        probe.target == kNoTarget ? nullptr : &targets_[probe.target];
+    // True iff some match's head falls outside the target (or, with no
+    // target, iff any match exists — the q ⊆ ∅ form). Heads stay ids:
+    // the target shares the view's interner.
+    bool violated = false;
+    RELCOMP_RETURN_NOT_OK(probe.cq->ForEachHeadMatch(
+        view_, &probe.binding, eval_options_,
+        [&](const ValueId* head_ids, const Value* const*) {
+          violated = target == nullptr || !target->ContainsIds(head_ids);
+          return !violated;
+        }));
+    if (violated) return false;
+  }
+  return true;
+}
+
+Result<bool> ConstraintSession::Check(
+    const std::vector<std::pair<std::string, Tuple>>& delta) {
+  view_.Clear();
+  for (const auto& [relation, tuple] : delta) view_.Add(relation, tuple);
+  return Check();
+}
+
 Result<CompiledConstraintCheck> CompiledConstraintCheck::Make(
     const ConstraintSet& set, const Database& master,
     size_t max_union_disjuncts) {
@@ -171,23 +203,22 @@ Result<CompiledConstraintCheck> CompiledConstraintCheck::Make(
   return compiled;
 }
 
-Result<bool> CompiledConstraintCheck::Satisfied(
-    const DatabaseOverlay& view,
-    const ConjunctiveEvalOptions& options) const {
-  // One counted decision point per constraint check, in lockstep with
-  // the valuation search's per-binding points.
-  if (options.budget != nullptr) {
-    RELCOMP_RETURN_NOT_OK(options.budget->OnDecisionPoint());
-  }
+ConstraintSession CompiledConstraintCheck::NewSession(
+    const Database& base, const ConjunctiveEvalOptions& eval_options) const {
+  ConstraintSession session(base, eval_options);
   for (const Entry& entry : entries_) {
-    const Relation* target = entry.empty_target ? nullptr : &entry.target;
+    const size_t target = entry.empty_target
+                              ? ConstraintSession::kNoTarget
+                              : session.AddTarget(entry.target);
     for (const CompiledCq& cq : entry.compiled) {
-      RELCOMP_ASSIGN_OR_RETURN(bool violated,
-                               DisjunctViolates(cq, view, target, options));
-      if (violated) return false;
+      ConstraintSession::Probe probe;
+      probe.cq = &cq;
+      probe.binding = cq.Bind(&session.view_);
+      probe.target = target;
+      session.probes_.push_back(std::move(probe));
     }
   }
-  return true;
+  return session;
 }
 
 namespace {
@@ -198,16 +229,15 @@ Result<DeltaConstraintChecker> DeltaConstraintChecker::Make(
     const ConstraintSet& set, std::shared_ptr<const Schema> db_schema,
     size_t max_union_disjuncts) {
   DeltaConstraintChecker checker;
-  checker.base_schema_ = db_schema;
   for (const std::string& name : db_schema->relation_names()) {
     std::string delta_name = StrCat(name, kCcDeltaSuffix);
-    // The alias is virtual on the overlay; a real relation of that name
-    // would be shadowed by it, so such a schema is refused.
+    // The alias names R's Δ tuples; a real relation of that name would
+    // be shadowed by it, so such a schema is refused.
     if (db_schema->HasRelation(delta_name)) {
       return Status::InvalidArgument(
           StrCat("duplicate relation schema: ", delta_name));
     }
-    checker.delta_names_[name] = std::move(delta_name);
+    checker.delta_of_.emplace(std::move(delta_name), name);
   }
   for (const ContainmentConstraint& cc : set.constraints()) {
     RELCOMP_ASSIGN_OR_RETURN(UnionQuery ucq,
@@ -221,10 +251,11 @@ Result<DeltaConstraintChecker> DeltaConstraintChecker::Make(
         const Atom& atom = disjunct.body()[i];
         if (!atom.is_relation()) continue;
         ConjunctiveQuery variant = disjunct;
-        std::string delta_name = StrCat(atom.relation(), kCcDeltaSuffix);
-        variant.mutable_body()[i] = Atom::Relation(delta_name, atom.args());
+        variant.mutable_body()[i] =
+            Atom::Relation(StrCat(atom.relation(), kCcDeltaSuffix),
+                           atom.args());
         entry.variants.push_back(std::move(variant));
-        entry.variant_delta_relations.push_back(std::move(delta_name));
+        entry.variant_delta_relations.push_back(atom.relation());
       }
       // A disjunct with no relation atoms matches independently of Δ;
       // since (D, Dm) |= V it cannot newly violate — safe to drop.
@@ -241,95 +272,37 @@ Result<DeltaConstraintChecker> DeltaConstraintChecker::Make(
   return checker;
 }
 
-DeltaConstraintChecker::Session::Session(
-    const DeltaConstraintChecker* checker, const Database& base,
-    const Database& master, const ConjunctiveEvalOptions& eval_options)
-    : checker_(checker), master_(&master), eval_options_(eval_options),
-      view_(&base), targets_(checker->constraints_.size()) {
-  // The view stages candidate rows under both the real relation name
-  // and its $ccdelta alias; the base — with its column indexes — is
-  // never copied.
-  if (eval_options_.budget != nullptr) {
-    view_.set_memory_tracker(eval_options_.budget);
-  }
-}
-
-const Relation& DeltaConstraintChecker::Session::TargetFor(size_t cc_index) {
-  std::optional<Relation>& slot = targets_[cc_index];
-  if (!slot.has_value()) {
-    const CcVariants& cc = checker_->constraints_[cc_index];
-    slot = ProjectMaster(*master_, cc.master_relation, cc.projection);
-  }
-  return *slot;
-}
-
-Result<bool> DeltaConstraintChecker::Session::Check(
-    const std::vector<std::pair<std::string, Tuple>>& delta) {
-  // One counted decision point per delta check (see
-  // CompiledConstraintCheck::Satisfied).
-  if (eval_options_.budget != nullptr) {
-    RELCOMP_RETURN_NOT_OK(eval_options_.budget->OnDecisionPoint());
-  }
-  view_.Clear();
-  for (const auto& [relation, tuple] : delta) {
-    // Add() filters tuples already in the base (and duplicates within
-    // the delta); only genuinely new tuples reach the $ccdelta alias,
-    // which is virtual — absent from the base schema — so it is served
-    // purely from the staged rows.
-    if (view_.Add(relation, tuple)) {
-      view_.Add(checker_->delta_names_.at(relation), tuple);
-    }
-  }
-  if (!view_.HasPending()) return true;  // base already satisfies V
-  for (size_t c = 0; c < checker_->constraints_.size(); ++c) {
-    const CcVariants& cc = checker_->constraints_[c];
-    for (size_t v = 0; v < cc.variants.size(); ++v) {
-      if (view_.Pending(cc.variant_delta_relations[v]).empty()) continue;
-      const Relation* target = cc.empty_target ? nullptr : &TargetFor(c);
-      Result<bool> violated =
-          DisjunctViolates(cc.compiled[v], view_, target, eval_options_);
-      if (!violated.ok()) {
-        view_.Clear();
-        return violated.status();
-      }
-      if (*violated) {
-        view_.Clear();
-        return false;
-      }
-    }
-  }
-  view_.Clear();
-  return true;
-}
-
-Result<bool> DeltaConstraintChecker::Check(const Database& extended,
-                                           const Database& delta,
-                                           const Database& master) const {
-  // `extended` already holds D ∪ Δ; only the $ccdelta aliases need
-  // staging, and they are virtual relations of the overlay.
-  DatabaseOverlay view(&extended);
-  for (const std::string& name : base_schema_->relation_names()) {
-    const std::string& delta_name = delta_names_.at(name);
-    for (const Tuple& t : delta.Get(name)) {
-      view.Add(delta_name, t);
-    }
-  }
+ConstraintSession DeltaConstraintChecker::NewSession(
+    const Database& base, const Database& master,
+    const ConjunctiveEvalOptions& eval_options) const {
+  ConstraintSession session(base, eval_options);
+  DatabaseOverlay& view = session.view_;
+  // An R$ccdelta atom reads R's staged rows and no base rows: the
+  // overlay filters tuples already in the base (and duplicates within
+  // the delta), so R's staged rows are exactly the genuinely new ones.
+  auto delta_atom = [&](const std::string& relation)
+      -> std::optional<CqBinding::Atom> {
+    auto it = delta_of_.find(relation);
+    if (it == delta_of_.end()) return std::nullopt;
+    const RelationSchema* rs = base.schema().FindRelation(it->second);
+    return CqBinding::Atom{nullptr, view.Slot(it->second, rs->arity())};
+  };
   for (const CcVariants& cc : constraints_) {
-    std::optional<Relation> target;
+    size_t target = ConstraintSession::kNoTarget;
+    if (!cc.empty_target) {
+      target = session.AddTarget(
+          ProjectMaster(master, cc.master_relation, cc.projection));
+    }
     for (size_t v = 0; v < cc.variants.size(); ++v) {
-      if (view.Pending(cc.variant_delta_relations[v]).empty()) continue;
-      if (!cc.empty_target && !target.has_value()) {
-        target = ProjectMaster(master, cc.master_relation, cc.projection);
-      }
-      RELCOMP_ASSIGN_OR_RETURN(
-          bool violated,
-          DisjunctViolates(cc.compiled[v], view,
-                           cc.empty_target ? nullptr : &*target,
-                           ConjunctiveEvalOptions()));
-      if (violated) return false;
+      ConstraintSession::Probe probe;
+      probe.cq = &cc.compiled[v];
+      probe.binding = cc.compiled[v].Bind(&view, delta_atom);
+      probe.target = target;
+      probe.delta_slot = view.FindSlot(cc.variant_delta_relations[v]);
+      session.probes_.push_back(std::move(probe));
     }
   }
-  return true;
+  return session;
 }
 
 }  // namespace relcomp

@@ -53,12 +53,79 @@ Result<bool> Satisfies(const ConstraintSet& set, const DatabaseOverlay& db,
                        const Database& master,
                        const EvalOptions& options = EvalOptions());
 
+/// One worker's reusable state for checking candidate extensions of a
+/// fixed base against a constraint set: a staging overlay over the
+/// base, every constraint query bound to it once (CompiledCq::Bind),
+/// and the target projections p(Dm) on the base's id plane. Stage a
+/// candidate's rows on view() — AddIds() from the valuation search,
+/// Add() for Value-plane callers — then Check(). A steady-state check
+/// hashes no string, compares no relation name and allocates nothing.
+///
+/// Made by DeltaConstraintChecker::NewSession (the base is known to
+/// satisfy V; only matches through a staged row are examined),
+/// CompiledConstraintCheck::NewSession (every match is examined), and
+/// Uncompiled() for constraint sets neither can compile.
+class ConstraintSession {
+ public:
+  /// For a constraint set that does not compile (FO/FP, or a UCQ
+  /// unfolding over the cap): Check() evaluates it on the view through
+  /// Satisfies and claims no decision point. `budget` (may be null)
+  /// only tracks staging memory.
+  static ConstraintSession Uncompiled(const ConstraintSet& set,
+                                      const Database& base,
+                                      const Database& master,
+                                      ExecutionBudget* budget);
+
+  /// The staging view over the base. Clear() it before staging the
+  /// next candidate.
+  DatabaseOverlay& view() { return view_; }
+
+  /// Returns (base ∪ staged, Dm) |= V. Claims one decision point on
+  /// the eval options' budget (compiled sessions).
+  Result<bool> Check();
+
+  /// Value-plane form: clears the view, stages `delta` (tuples already
+  /// in the base are ignored) and checks it.
+  Result<bool> Check(
+      const std::vector<std::pair<std::string, Tuple>>& delta);
+
+ private:
+  friend class CompiledConstraintCheck;
+  friend class DeltaConstraintChecker;
+
+  ConstraintSession(const Database& base,
+                    const ConjunctiveEvalOptions& eval_options);
+
+  /// One compiled disjunct (or Δ variant) bound to the view.
+  struct Probe {
+    const CompiledCq* cq = nullptr;
+    CqBinding binding;
+    /// Index into targets_; kNoTarget for the q ⊆ ∅ form.
+    size_t target = kNoTarget;
+    /// A Δ variant runs only when this slot holds staged rows;
+    /// kNoSlot runs always.
+    size_t delta_slot = DatabaseOverlay::kNoSlot;
+  };
+  static constexpr size_t kNoTarget = SIZE_MAX;
+
+  /// p(Dm) of one CC as a relation on the base's interner, so a head
+  /// probes it by id. Built before anything is staged.
+  size_t AddTarget(const Relation& projection);
+
+  DatabaseOverlay view_;
+  ConjunctiveEvalOptions eval_options_;
+  std::vector<Relation> targets_;
+  std::vector<Probe> probes_;
+  /// Set by Uncompiled().
+  const ConstraintSet* uncompiled_ = nullptr;
+  const Database* master_ = nullptr;
+};
+
 /// A constraint set compiled for repeated checking: each CC's query is
 /// unfolded to a UCQ once and its master-side target projection p(Dm)
-/// is materialized once (into an indexed Relation), after which
-/// Satisfied() can be called per candidate instance — the deciders
-/// call it once per valuation, against an overlay over D (or over ∅
-/// for the Corollary 3.4 IND fast path).
+/// is materialized once, after which sessions check candidate
+/// instances against it — the deciders check once per valuation, over
+/// D (or over ∅ for the Corollary 3.4 IND fast path).
 ///
 /// Violation checks early-exit: matches of a constraint query are
 /// enumerated and the first head tuple outside the target stops the
@@ -72,19 +139,19 @@ class CompiledConstraintCheck {
                                               size_t max_union_disjuncts =
                                                   4096);
 
-  /// Returns (view, Dm) |= V. `options` carries the index toggle and
-  /// the counter sink.
-  Result<bool> Satisfied(const DatabaseOverlay& view,
-                         const ConjunctiveEvalOptions& options =
-                             ConjunctiveEvalOptions()) const;
+  /// A session checking (base ∪ staged, Dm) |= V. `eval_options`
+  /// carries the index toggle, the arena, the counter sink and the
+  /// budget.
+  ConstraintSession NewSession(const Database& base,
+                               const ConjunctiveEvalOptions& eval_options =
+                                   ConjunctiveEvalOptions()) const;
 
  private:
   struct Entry {
     UnionQuery ucq;
     /// One compiled matcher per disjunct of `ucq` (borrows the
     /// disjunct; the UnionQuery's heap storage keeps it stable across
-    /// Entry moves). Satisfied() matches on the id plane through these
-    /// instead of re-deriving slots and atom order per candidate.
+    /// Entry moves).
     std::vector<CompiledCq> compiled;
     bool empty_target = true;
     /// Materialized p(Dm); unused when empty_target.
@@ -100,8 +167,8 @@ class CompiledConstraintCheck {
 /// that use at least one Δ tuple. Exact for the monotone constraint
 /// languages (CQ/UCQ/∃FO+): since (D, Dm) |= V, any violation of
 /// (D ∪ Δ, Dm) must involve a new tuple. Construction is done once;
-/// Check() is then called per candidate extension (the RCDP decider
-/// calls it once per valuation).
+/// sessions then check per candidate extension (the RCDP decider
+/// checks once per valuation).
 class DeltaConstraintChecker {
  public:
   /// Fails with kUnsupported if the set contains FO/FP constraints.
@@ -109,55 +176,22 @@ class DeltaConstraintChecker {
       const ConstraintSet& set, std::shared_ptr<const Schema> db_schema,
       size_t max_union_disjuncts = 4096);
 
-  /// `extended` must be D ∪ Δ over the original schema; `delta` holds
-  /// exactly the new tuples. Returns (D ∪ Δ, Dm) |= V.
-  Result<bool> Check(const Database& extended, const Database& delta,
-                     const Database& master) const;
-
-  /// A reusable checking session over a fixed base database: candidate
-  /// deltas are staged on a DatabaseOverlay over the base — zero-copy,
-  /// and the base relations' column indexes stay valid across checks.
-  class Session {
-   public:
-    Session(const DeltaConstraintChecker* checker, const Database& base,
-            const Database& master,
-            const ConjunctiveEvalOptions& eval_options =
-                ConjunctiveEvalOptions());
-
-    /// Returns (base ∪ delta, Dm) |= V. Tuples already in the base are
-    /// ignored. The work state is restored before returning.
-    Result<bool> Check(
-        const std::vector<std::pair<std::string, Tuple>>& delta);
-
-   private:
-    /// Target projection p(Dm) of constraint `cc_index`, materialized
-    /// lazily once per session and reused across checks.
-    const Relation& TargetFor(size_t cc_index);
-
-    const DeltaConstraintChecker* checker_;
-    const Database* master_;
-    ConjunctiveEvalOptions eval_options_;
-    /// The zero-copy view over the caller's base.
-    DatabaseOverlay view_;
-    std::vector<std::optional<Relation>> targets_;
-  };
-
-  /// Creates a session; `base` is the decider's D, already known to
-  /// satisfy V together with `master`.
-  Session NewSession(const Database& base, const Database& master,
-                     const ConjunctiveEvalOptions& eval_options =
-                         ConjunctiveEvalOptions()) const {
-    return Session(this, base, master, eval_options);
-  }
+  /// A session over `base` — the decider's D, already known to satisfy
+  /// V together with `master`. Candidate deltas are staged on an
+  /// overlay over the base: zero-copy, and the base relations' column
+  /// indexes stay valid across checks.
+  ConstraintSession NewSession(const Database& base, const Database& master,
+                               const ConjunctiveEvalOptions& eval_options =
+                                   ConjunctiveEvalOptions()) const;
 
  private:
-  friend class Session;
   DeltaConstraintChecker() = default;
 
   struct CcVariants {
-    /// Rewritten disjunct queries, each with one atom redirected to the
-    /// delta relation, plus that delta relation's name (variants whose
-    /// delta relation is empty for a given candidate are skipped).
+    /// Rewritten disjunct queries, each with one atom redirected to
+    /// `R$ccdelta` — the Δ tuples of R — plus the base relation R whose
+    /// staged rows that atom reads (variants whose Δ is empty for a
+    /// given candidate are skipped).
     std::vector<ConjunctiveQuery> variants;
     std::vector<std::string> variant_delta_relations;
     /// One compiled matcher per variant (borrows variants[i]; built
@@ -169,11 +203,9 @@ class DeltaConstraintChecker {
     std::vector<size_t> projection;
   };
 
-  std::shared_ptr<const Schema> base_schema_;
   std::vector<CcVariants> constraints_;
-  /// Precomputed R -> R$ccdelta alias names; Session::Check used to
-  /// build the alias string per staged tuple per check.
-  std::map<std::string, std::string> delta_names_;
+  /// R$ccdelta alias -> R.
+  std::map<std::string, std::string, std::less<>> delta_of_;
 };
 
 }  // namespace relcomp

@@ -115,58 +115,52 @@ namespace {
 
 /// One evaluation of a compiled query over one overlay view. All hot
 /// state is ids: variable slots hold ValueIds (kInvalidValueId when
-/// unbound), rows are id arrays, and every per-step consistency check
-/// is a 32-bit compare. Values appear only at the boundaries — staged
-/// rows and constants are resolved to ids once at run start, and match
-/// delivery resolves slot ids back.
+/// unbound), rows are id arrays — base rows and the overlay's staged
+/// rows alike, read in place — and every per-step consistency check is
+/// a 32-bit compare. Values appear only at match delivery, which
+/// resolves slot ids back through the view.
 ///
-/// Values the view's interner has never seen (possible for staged
-/// overlay tuples and query constants) get per-run synthetic ids from
-/// the unused gap just below the fresh range: equal values share one
-/// synthetic id, and no synthetic id collides with an id any relation
-/// of the family stores, so id equality remains value equality
-/// throughout the run.
+/// Ids are the view's (DatabaseOverlay::IdOf): a value the family
+/// interner has never seen — a staged value or a query constant — has
+/// the overlay's synthetic id, which no base row holds, so id equality
+/// remains value equality throughout the run.
 class Run {
  public:
   Run(const CompiledCq::Impl& c, const DatabaseOverlay& db,
-      const ConjunctiveEvalOptions& opt)
-      : c_(c),
-        db_(db),
-        opt_(opt),
-        scratch_(opt.arena),
-        interner_(db.base().interner().get()) {
+      const CqBinding* binding, const ConjunctiveEvalOptions& opt)
+      : c_(c), db_(db), opt_(opt), scratch_(opt.arena) {
     size_t natoms = c_.atoms.size();
     slot_id_ = scratch_.Alloc<ValueId>(c_.nslots);
     std::fill(slot_id_, slot_id_ + c_.nslots, kInvalidValueId);
     const_id_ = scratch_.Alloc<ValueId>(c_.consts.size());
     for (size_t i = 0; i < c_.consts.size(); ++i) {
-      const_id_[i] = GetId(*c_.consts[i]);
+      ValueId id = binding != nullptr ? binding->const_ids[i]
+                                      : kInvalidValueId;
+      const_id_[i] = id != kInvalidValueId ? id : db.IdOf(*c_.consts[i]);
     }
     used_ = scratch_.Alloc<bool>(natoms);
     std::fill(used_, used_ + natoms, false);
     rels_ = scratch_.Alloc<const Relation*>(natoms);
+    staged_ = scratch_.Alloc<DatabaseOverlay::StagedRows>(natoms);
     sizes_ = scratch_.Alloc<size_t>(natoms);
-    staged_ids_ = scratch_.Alloc<ValueId*>(natoms);
-    staged_count_ = scratch_.Alloc<size_t>(natoms);
     for (size_t i = 0; i < natoms; ++i) {
       const CompiledAtom& ca = c_.atoms[i];
-      const std::string& name = ca.atom->relation();
-      rels_[i] = &db.BaseRelation(name);
-      const std::vector<Tuple>& pending = db.Pending(name);
-      sizes_[i] = db.Size(name);
-      size_t rows = 0;
-      for (const Tuple& t : pending) rows += (t.arity() == ca.nargs) ? 1 : 0;
-      staged_count_[i] = rows;
-      staged_ids_[i] =
-          rows == 0 ? nullptr : scratch_.Alloc<ValueId>(rows * ca.nargs);
-      size_t at = 0;
-      for (const Tuple& t : pending) {
-        if (t.arity() != ca.nargs) continue;
-        for (size_t j = 0; j < ca.nargs; ++j) {
-          staged_ids_[i][at * ca.nargs + j] = GetId(t[j]);
-        }
-        ++at;
+      size_t slot;
+      if (binding != nullptr) {
+        rels_[i] = binding->atoms[i].base;
+        slot = binding->atoms[i].slot;
+      } else {
+        rels_[i] = &db.BaseRelation(ca.atom->relation());
+        slot = db.FindSlot(ca.atom->relation());
       }
+      if (rels_[i] != nullptr &&
+          (rels_[i]->empty() || rels_[i]->arity() != ca.nargs)) {
+        rels_[i] = nullptr;
+      }
+      staged_[i] = db.Staged(slot);
+      if (staged_[i].arity != ca.nargs) staged_[i] = {};
+      sizes_[i] = (rels_[i] != nullptr ? rels_[i]->size() : 0) +
+                  staged_[i].count;
     }
     // Per-depth step frames (bound ids, newly bound slots, bound column
     // list) — preallocated so the search never touches an allocator.
@@ -209,30 +203,7 @@ class Run {
   }
 
  private:
-  ValueId GetId(const Value& v) {
-    if (interner_ != nullptr) {
-      std::optional<ValueId> id = interner_->TryGet(v);
-      if (id.has_value()) return *id;
-    }
-    for (const auto& [pv, id] : synth_) {
-      if (*pv == v) return id;
-    }
-    ValueId id = ValueInterner::kFreshIdBase - 1 -
-                 static_cast<ValueId>(synth_.size());
-    assert(interner_ == nullptr || id >= interner_->num_base_ids());
-    synth_.emplace_back(&v, id);
-    return id;
-  }
-
-  bool IsSynthetic(ValueId id) const {
-    return id < ValueInterner::kFreshIdBase &&
-           (interner_ == nullptr || id >= interner_->num_base_ids());
-  }
-
-  const Value& Resolve(ValueId id) const {
-    if (!IsSynthetic(id)) return interner_->ValueOf(id);
-    return *synth_[ValueInterner::kFreshIdBase - 1 - id].first;
-  }
+  const Value& Resolve(ValueId id) const { return db_.ValueOf(id); }
 
   ValueId OperandId(int32_t code) const {
     return code >= 0 ? slot_id_[code] : const_id_[ConstIndex(code)];
@@ -330,7 +301,6 @@ class Run {
     used_[pick] = true;
     const CompiledAtom& ca = c_.atoms[pick];
     const int32_t* refs = c_.refs.data() + ca.ref_offset;
-    const Relation& rel = *rels_[pick];
     ValueId* bound = bound_ + depth * c_.max_arity;
     int32_t* newly = newly_ + depth * c_.max_arity;
     size_t* cols = cols_ + depth * c_.max_arity;
@@ -344,14 +314,15 @@ class Run {
       bound[i] = b;
       if (b != kInvalidValueId) {
         cols[ncols++] = i;
-        any_synth = any_synth || IsSynthetic(b);
+        any_synth = any_synth || db_.IsSynthetic(b);
       }
     }
 
     // --- Base rows. A synthetic bound id can never match a base row
     // (its value is not in the family interner), so base is skipped
     // outright in that case.
-    if (!rel.empty() && rel.arity() == ca.nargs && !any_synth) {
+    if (rels_[pick] != nullptr && !any_synth) {
+      const Relation& rel = *rels_[pick];
       const std::vector<uint32_t>* rows = nullptr;
       bool possible = true;
       bool scan = false;
@@ -397,13 +368,13 @@ class Run {
       }
     }
 
-    // --- Overlay-staged rows, pre-converted to ids at run start.
-    const ValueId* staged = staged_ids_[pick];
-    for (size_t k = 0; k < staged_count_[pick]; ++k) {
+    // --- Overlay-staged rows, read in place.
+    const DatabaseOverlay::StagedRows& staged = staged_[pick];
+    for (size_t k = 0; k < staged.count; ++k) {
       if (opt_.counters != nullptr) ++opt_.counters->overlay_rows_considered;
       bool matched = false;
       bool keep =
-          TryRow(depth, pick, staged + k * ca.nargs, bound, newly, ca, &matched);
+          TryRow(depth, pick, staged.row(k), bound, newly, ca, &matched);
       if (matched && opt_.counters != nullptr) ++opt_.counters->overlay_hits;
       if (!keep) return false;
     }
@@ -416,18 +387,13 @@ class Run {
   const DatabaseOverlay& db_;
   const ConjunctiveEvalOptions& opt_;
   ScratchAlloc scratch_;
-  const ValueInterner* interner_;
-  /// Per-run synthetic ids for never-interned values (borrowed value
-  /// pointers into staged tuples / query constants; rare, so a linear
-  /// scan beats a map).
-  std::vector<std::pair<const Value*, ValueId>> synth_;
   ValueId* slot_id_ = nullptr;
   ValueId* const_id_ = nullptr;
   bool* used_ = nullptr;
+  /// Per atom: base rows read (null: none) and staged rows read.
   const Relation** rels_ = nullptr;
+  DatabaseOverlay::StagedRows* staged_ = nullptr;
   size_t* sizes_ = nullptr;
-  ValueId** staged_ids_ = nullptr;
-  size_t* staged_count_ = nullptr;
   ValueId* bound_ = nullptr;
   int32_t* newly_ = nullptr;
   size_t* cols_ = nullptr;
@@ -450,11 +416,36 @@ const std::vector<std::string>& CompiledCq::body_relations() const {
   return impl_->body_relations;
 }
 
+CqBinding CompiledCq::Bind(
+    DatabaseOverlay* view,
+    const std::function<std::optional<CqBinding::Atom>(
+        const std::string& relation)>& resolve) const {
+  CqBinding binding;
+  binding.atoms.reserve(impl_->atoms.size());
+  for (const CompiledAtom& ca : impl_->atoms) {
+    const std::string& relation = ca.atom->relation();
+    std::optional<CqBinding::Atom> atom;
+    if (resolve != nullptr) atom = resolve(relation);
+    if (!atom.has_value()) {
+      atom = CqBinding::Atom{&view->BaseRelation(relation),
+                             view->Slot(relation, ca.nargs)};
+    }
+    binding.atoms.push_back(*atom);
+  }
+  const ValueInterner& interner = *view->base().interner();
+  binding.const_ids.reserve(impl_->consts.size());
+  for (const Value* v : impl_->consts) {
+    binding.const_ids.push_back(interner.TryGet(*v).value_or(kInvalidValueId));
+  }
+  return binding;
+}
+
 Status CompiledCq::ForEachHeadMatch(
-    const DatabaseOverlay& db, const ConjunctiveEvalOptions& options,
+    const DatabaseOverlay& db, const CqBinding* binding,
+    const ConjunctiveEvalOptions& options,
     const std::function<bool(const ValueId*, const Value* const*)>& on_head)
     const {
-  Run run(*impl_, db, options);
+  Run run(*impl_, db, binding, options);
   run.Enumerate([&]() {
     if (!run.GroundHead()) return true;  // unbound head var: skip
     return on_head(run.head_ids(), run.head_vals());
@@ -465,7 +456,7 @@ Status CompiledCq::ForEachHeadMatch(
 Status CompiledCq::ForEachMatch(
     const DatabaseOverlay& db, const ConjunctiveEvalOptions& options,
     const std::function<bool(const Bindings&)>& on_match) const {
-  Run run(*impl_, db, options);
+  Run run(*impl_, db, nullptr, options);
   run.Enumerate([&]() {
     Bindings b;
     run.FillBindings(&b);
@@ -502,7 +493,7 @@ Result<Relation> EvalConjunctive(const ConjunctiveQuery& q,
   row.reserve(q.arity());
   CompiledCq compiled(q);
   Status st = compiled.ForEachHeadMatch(
-      db, options, [&](const ValueId*, const Value* const* vals) {
+      db, nullptr, options, [&](const ValueId*, const Value* const* vals) {
         row.clear();
         for (size_t i = 0; i < q.arity(); ++i) row.push_back(*vals[i]);
         out.Insert(Tuple(row));
@@ -543,7 +534,7 @@ Result<bool> ConjunctiveSatisfiedIn(const ConjunctiveQuery& q,
   bool found = false;
   CompiledCq compiled(q);
   Status st = compiled.ForEachHeadMatch(
-      db, options, [&](const ValueId*, const Value* const*) {
+      db, nullptr, options, [&](const ValueId*, const Value* const*) {
         found = true;
         return false;  // stop
       });

@@ -4,6 +4,8 @@
 #include <cstddef>
 #include <functional>
 #include <memory>
+#include <optional>
+#include <vector>
 
 #include "eval/bindings.h"
 #include "query/conjunctive_query.h"
@@ -57,17 +59,38 @@ struct ConjunctiveEvalOptions {
   /// algorithm.
   bool use_indexes = true;
   /// Optional per-search arena (not owned; may be null). When set, all
-  /// per-call matcher scratch — binding slots, staged id rows, step
-  /// frames — is bump-allocated here instead of the heap; the caller
-  /// resets the arena between searches. The `arena` ablation toggle.
+  /// per-call matcher scratch — binding slots, per-atom row sources,
+  /// step frames — is bump-allocated here instead of the heap; the
+  /// caller resets the arena between searches. The `arena` ablation
+  /// toggle.
   Arena* arena = nullptr;
   /// Optional sink for work counters (not owned; may be null).
   EvalCounters* counters = nullptr;
-  /// Optional shared execution budget (not owned; may be null). The
-  /// constraint-check entry points (DeltaConstraintChecker::Session,
-  /// CompiledConstraintCheck) claim one decision point per check call
+  /// Optional shared execution budget (not owned; may be null).
+  /// ConstraintSession::Check claims one decision point per check
   /// against it; plain evaluation does not consume points.
   ExecutionBudget* budget = nullptr;
+};
+
+/// A compiled query resolved against one overlay (CompiledCq::Bind):
+/// every relation atom's base relation and staging slot, and every
+/// constant's id. A checking session binds once and then runs the same
+/// query per candidate without comparing a relation name or hashing a
+/// value.
+struct CqBinding {
+  struct Atom {
+    /// Base rows the atom reads; null reads staged rows only (the delta
+    /// checker's Δ atoms).
+    const Relation* base = nullptr;
+    /// The overlay slot whose staged rows the atom reads.
+    size_t slot = DatabaseOverlay::kNoSlot;
+  };
+  /// Per relation atom, in body order.
+  std::vector<Atom> atoms;
+  /// Per constant occurrence: the family id, or kInvalidValueId for a
+  /// value the family does not know (resolved per run through the
+  /// overlay's synthetic table).
+  std::vector<ValueId> const_ids;
 };
 
 /// A conjunctive query compiled for the id-plane matcher: variables
@@ -95,16 +118,25 @@ class CompiledCq {
   /// relations.
   const std::vector<std::string>& body_relations() const;
 
+  /// Resolves the query against `view`, registering a staging slot per
+  /// relation atom. `resolve`, when set, overrides an atom's resolution
+  /// by relation name (it returns the atom's binding, or nullopt for the
+  /// default: the base relation and the slot of that name).
+  CqBinding Bind(DatabaseOverlay* view,
+                 const std::function<std::optional<CqBinding::Atom>(
+                     const std::string& relation)>& resolve = nullptr) const;
+
   /// Enumerates body matches over base ∪ staged, invoking `on_head`
   /// with the grounded head as parallel id/value arrays of
   /// query().arity() entries (valid only during the call). Matches
   /// whose head cannot be grounded (an unbound head variable) are
-  /// skipped. Head ids are intra-call identities: ids of values the
-  /// view's interner has never seen are synthetic (still equal iff the
-  /// values are equal within this call, and never equal to any id a
-  /// relation of the same interner family stores).
+  /// skipped. Head ids are ids of the view (IdOf): family ids, or the
+  /// overlay's synthetic ids for values the family has never seen.
+  /// `binding`, when set, must come from Bind() on this view; without
+  /// one, atoms and constants are resolved by name per call.
   Status ForEachHeadMatch(
-      const DatabaseOverlay& db, const ConjunctiveEvalOptions& options,
+      const DatabaseOverlay& db, const CqBinding* binding,
+      const ConjunctiveEvalOptions& options,
       const std::function<bool(const ValueId* head_ids,
                                const Value* const* head_vals)>& on_head) const;
 

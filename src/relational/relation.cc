@@ -107,23 +107,6 @@ uint32_t Relation::FindRow(const Tuple& t) const {
   return kNoRow;
 }
 
-bool Relation::ContainsValues(const Value* const* vals) const {
-  if (tuples_.empty() || interner_ == nullptr) return false;
-  ValueId stack_ids[16];
-  std::vector<ValueId> heap_ids;
-  ValueId* ids = stack_ids;
-  if (arity_ > 16) {
-    heap_ids.resize(arity_);
-    ids = heap_ids.data();
-  }
-  for (size_t c = 0; c < arity_; ++c) {
-    std::optional<ValueId> id = interner_->TryGet(*vals[c]);
-    if (!id.has_value()) return false;  // never interned ⇒ never stored
-    ids[c] = *id;
-  }
-  return ContainsIds(ids);
-}
-
 bool Relation::Erase(const Tuple& t) {
   uint32_t row = FindRow(t);
   if (row == kNoRow) return false;

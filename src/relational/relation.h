@@ -70,12 +70,6 @@ class Relation {
 
   bool Contains(const Tuple& t) const { return FindRow(t) != kNoRow; }
 
-  /// Membership test from a row of `arity()` Value pointers: each value
-  /// resolves through this relation's interner (TryGet only — a value
-  /// the interner has never seen cannot be stored here) and the id row
-  /// delegates to ContainsIds. No Tuple is materialized per probe.
-  bool ContainsValues(const Value* const* vals) const;
-
   bool Erase(const Tuple& t);
 
   /// Subset test: every tuple of *this is in `other`.

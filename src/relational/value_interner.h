@@ -88,9 +88,9 @@ class ValueInterner {
   size_t size() const { return low_.size() + high_.size(); }
 
   /// Number of ids in the base (non-fresh) range: base ids are exactly
-  /// [0, num_base_ids()). The eval engine parks per-call synthetic ids
-  /// for never-interned values in the unused gap just below
-  /// kFreshIdBase, and asserts against this bound.
+  /// [0, num_base_ids()). The valuation enumerator and the overlay
+  /// park their synthetic ids for never-interned values in the unused
+  /// gap just below kFreshIdBase, and assert against this bound.
   size_t num_base_ids() const { return low_.size(); }
 
   /// Rough heap footprint of the interned value tables, used by the

@@ -483,9 +483,13 @@ Result<PersistedCheckpoint> CheckpointStore::LoadLatestCheckpoint(
     return Status::NotFound(
         StrCat("no checkpoint for request ", request_id));
   }
-  // Newest first; a generation that fails integrity or does not parse
-  // is skipped, never surfaced.
-  for (uint64_t g = it->second; g >= 1; --g) {
+  // Newest first, over the two generations PersistCheckpoint retains;
+  // one that fails integrity or does not parse is skipped, never
+  // surfaced. An older file a lost gc unlink left behind is not
+  // consulted: with both retained generations damaged the job re-runs
+  // from rank 0, which the retention contract allows.
+  const uint64_t newest = it->second;
+  for (uint64_t g = newest; g >= 1 && g + 2 > newest; --g) {
     const std::string path = CkptPath(dir_, request_id, g);
     Result<std::string> payload = ReadRecord(path, "ckpt", request_id, g);
     if (!payload.ok()) {

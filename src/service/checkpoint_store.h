@@ -98,11 +98,12 @@ struct CheckpointStoreOptions {
 ///    corrupted files fail the CRC (or the payload-length check) and
 ///    are rejected with a typed kInvalidArgument naming the file and
 ///    the defect — a corrupted file is NEVER surfaced as a checkpoint.
-///  * LoadLatestCheckpoint walks generations newest-first and returns
-///    the first one that passes integrity AND parses as a
-///    SearchCheckpoint; corrupted newer generations are skipped (and
-///    counted in corrupt_files_skipped()), so a crash mid-write costs
-///    at most the interrupted generation, never prior progress.
+///  * LoadLatestCheckpoint walks the two retained generations
+///    newest-first and returns the first one that passes integrity AND
+///    parses as a SearchCheckpoint; a corrupted newest generation is
+///    skipped (and counted in corrupt_files_skipped()), so a crash
+///    mid-write costs at most the interrupted generation, never prior
+///    progress.
 ///  * Forget() only unlinks. A power cut that loses the unlinks leaves
 ///    the job record in place, and the restarted service re-runs that
 ///    deterministic job to the same result. Temp files left by a crash

@@ -351,6 +351,39 @@ TEST(CheckpointStoreTest, AllGenerationsCorruptIsNotFoundNeverGarbage) {
   EXPECT_GE((*store)->corrupt_files_skipped(), 1u);
 }
 
+/// Counts read-side opens.
+class ReadOpenCounter : public FsEnv {
+ public:
+  int Open(std::string_view site, const char* path, int flags,
+           mode_t mode) override {
+    if (site == "read") ++read_opens;
+    return FsEnv::Open(site, path, flags, mode);
+  }
+  size_t read_opens = 0;
+};
+
+TEST(CheckpointStoreTest, LoadReadsOnlyTheTwoRetainedGenerations) {
+  // A long-lived request with both retained generations damaged: the
+  // load opens those two files, not one per generation ever written.
+  const std::string dir = FreshDir("retained");
+  ReadOpenCounter env;
+  CheckpointStoreOptions options;
+  options.fs_env = &env;
+  auto store = CheckpointStore::Open(dir, options);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  for (size_t rank = 1; rank <= 50; ++rank) {
+    ASSERT_TRUE((*store)->PersistCheckpoint("req", MakeCkpt(rank)).ok());
+  }
+  WriteFile(StrCat(dir, "/req.g49.ckpt"), "damaged");
+  WriteFile(StrCat(dir, "/req.g50.ckpt"), "damaged");
+  env.read_opens = 0;
+  auto loaded = (*store)->LoadLatestCheckpoint("req");
+  EXPECT_EQ(loaded.status().code(), StatusCode::kNotFound)
+      << loaded.status().ToString();
+  EXPECT_EQ(env.read_opens, 2u);
+  EXPECT_EQ((*store)->corrupt_files_skipped(), 2u);
+}
+
 TEST(CheckpointStoreTest, RecordRenamedToAnotherIdentityIsRejected) {
   const std::string dir = FreshDir("identity");
   {

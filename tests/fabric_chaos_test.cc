@@ -63,11 +63,11 @@ const std::string& IncompleteSpec() {
 /// A larger, distinct instance per variant for work that must still be
 /// running when a handoff flushes: both columns of S are bound to the
 /// master, so the only counterexample is the missing far corner and the
-/// search walks about 4,000 decision points to reach it (a few
-/// milliseconds of search plus its rolling persists, at any thread
-/// count).
+/// search walks about 8,600 decision points to reach it (its rolling
+/// persists dominate, at any thread count). At 60 × 60 (3,900 points)
+/// both of shard 0's jobs were done before the flush in 1 of 160 runs.
 std::string LargeSpec(int variant) {
-  const int n = 60 + variant;
+  const int n = 90 + variant;
   std::string s = "relation S(a, b)\nmaster relation M(m)\n";
   for (int x = 0; x < n; ++x) {
     for (int y = 0; y < n; ++y) {
