@@ -30,17 +30,11 @@ CrmScenario SmallCrm() {
   return ValueOrDie(CrmScenario::Make(options), "crm");
 }
 
-/// One RCDP configuration over Q1 under φ0 or, with `inds`, under the
-/// pure-IND set of the Tables I/II IND rows.
-void RunRcdpConfig(benchmark::State& state, const RcdpOptions& options,
-                   bool inds = false) {
+/// One RCDP configuration over Q1 under φ0.
+void RunRcdpConfig(benchmark::State& state, const RcdpOptions& options) {
   CrmScenario crm = SmallCrm();
   ConstraintSet v;
-  if (inds) {
-    v = ValueOrDie(crm.IndConstraints(), "inds");
-  } else {
-    v.Add(ValueOrDie(crm.Phi0(), "phi0"));
-  }
+  v.Add(ValueOrDie(crm.Phi0(), "phi0"));
   AnyQuery q1 = ValueOrDie(crm.Q1(), "q1");
   ValuationSearchStats stats;
   for (auto _ : state) {
@@ -76,13 +70,6 @@ void BM_RcdpNoCollapse(benchmark::State& state) {
 }
 BENCHMARK(BM_RcdpNoCollapse);
 
-void BM_RcdpNoDeltaCheck(benchmark::State& state) {
-  RcdpOptions options;
-  options.delta_constraint_check = false;
-  RunRcdpConfig(state, options);
-}
-BENCHMARK(BM_RcdpNoDeltaCheck);
-
 void BM_RcdpNoIndexes(benchmark::State& state) {
   RcdpOptions options;
   options.use_indexes = false;
@@ -99,31 +86,16 @@ void BM_RcdpNoArena(benchmark::State& state) {
 }
 BENCHMARK(BM_RcdpNoArena);
 
-/// Corollary 3.4: under INDs alone, V is checked on μ(T_Q) instead of
-/// D ∪ μ(T_Q). The pair isolates that fast path (φ0 is no IND set, so
-/// it has no effect on the series above).
-void BM_RcdpIndsDefault(benchmark::State& state) {
-  RunRcdpConfig(state, RcdpOptions(), /*inds=*/true);
-}
-BENCHMARK(BM_RcdpIndsDefault);
-
-void BM_RcdpIndsNoFastPath(benchmark::State& state) {
-  RcdpOptions options;
-  options.ind_fast_path = false;
-  RunRcdpConfig(state, options, /*inds=*/true);
-}
-BENCHMARK(BM_RcdpIndsNoFastPath);
-
 /// The literal paper algorithm: enumerate every valuation over the
-/// full Adom, then check (no pruning, no collapse, no incremental
-/// constraint checks, no symmetry breaking, no column indexes). Each
-/// candidate D ∪ μ(T_Q) is staged on the overlay, which denotes the
-/// same database a per-candidate copy would.
+/// full Adom, then check (no pruning, no collapse, no symmetry
+/// breaking, no column indexes). Each candidate D ∪ μ(T_Q) is staged on
+/// the overlay, which denotes the same database a per-candidate copy
+/// would; the check is the decider's one delta check, which examines
+/// only the matches through μ(T_Q) \ D.
 void BM_RcdpPaperLiteral(benchmark::State& state) {
   RcdpOptions options;
   options.prune = false;
   options.collapse_dont_care = false;
-  options.delta_constraint_check = false;
   options.use_indexes = false;
   RunRcdpConfig(state, options);
 }

@@ -29,6 +29,11 @@ using bench::FormatMs;
 using bench::TimeMs;
 using bench::ValueOrDie;
 
+/// Decision-point cap of the NEXPTIME rows' witness searches (each
+/// judged pool candidate, chase round and inner RCDP step claims one);
+/// a search that reaches it reports "(budgeted)".
+constexpr size_t kWitnessSearchSteps = 2000000;
+
 void PrintTableTwo() {
   TablePrinter table({"RCQP(L_Q, L_C)", "paper", "this library",
                       "reference outcome", "time"});
@@ -160,10 +165,12 @@ void PrintTableTwo() {
         R"(Q2b(c) :- Supt(e, d, c), e = "e1".)");
     CheckOk(q2b.status(), "q2b");
     u.AddDisjunct(*q2b);
+    ExecutionBudget budget;
+    budget.set_max_steps(kWitnessSearchSteps);
     RcqpOptions options;
     options.max_witness_tuples = 2;
     options.max_pool_size = 1024;
-    options.max_candidates = 20000;
+    options.rcdp.budget = &budget;
     std::string outcome;
     double ms = TimeMs([&] {
       auto verdict = ValueOrDie(DecideRcqp(AnyQuery::Ucq(u), crm.db_schema(),
@@ -184,10 +191,12 @@ void PrintTableTwo() {
         R"(amo(c) :- Supt(e, d, c).)");
     CheckOk(amo.status(), "amo2");
     v.Add(ContainmentConstraint::Subset(AnyQuery::Cq(*amo), "DCust", {0}));
+    ExecutionBudget budget;
+    budget.set_max_steps(kWitnessSearchSteps);
     RcqpOptions options;
     options.max_witness_tuples = 2;
     options.max_pool_size = 1024;
-    options.max_candidates = 20000;
+    options.rcdp.budget = &budget;
     std::string outcome;
     double ms = TimeMs([&] {
       auto verdict =

@@ -13,6 +13,13 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Every ctest stage writes its scratch files into one private directory,
+# so the gate does not depend on what earlier runs left under /tmp. It
+# is removed when every stage passes and kept for inspection otherwise.
+TEST_TMPDIR="$(mktemp -d)"
+export TEST_TMPDIR
+echo "== TEST_TMPDIR=$TEST_TMPDIR"
+
 run() {
   echo "== $*"
   "$@"
@@ -91,4 +98,5 @@ run ctest --test-dir build-asan -L core --output-on-failure
 # on first use.
 run python3 perfbench/run.py --selftest
 
+rm -rf "$TEST_TMPDIR"
 echo "All checks passed."

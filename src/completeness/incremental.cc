@@ -260,10 +260,11 @@ uint64_t FingerprintRcdpInstance(const AnyQuery& query, const Database& db,
 }
 
 uint64_t FingerprintRcdpOptions(const RcdpOptions& options) {
-  uint64_t flags = 0;
+  // Bits 2 and 4 are the retired IND fast path and delta-check
+  // switches, which defaulted on: hashing them as set keeps every
+  // certificate minted while they existed valid.
+  uint64_t flags = 2u | 4u;
   flags |= options.prune ? 1u : 0;
-  flags |= options.ind_fast_path ? 2u : 0;
-  flags |= options.delta_constraint_check ? 4u : 0;
   flags |= options.collapse_dont_care ? 8u : 0;
   // The 0 is the retired binding-cap slot: hashing it keeps every
   // certificate minted while the cap existed valid.

@@ -36,8 +36,7 @@ uint64_t FingerprintRcdpInstance(const AnyQuery& query, const Database& db,
 
 /// Fingerprint of the semantic decider options: the flags that can
 /// change the verdict, the evidence, or the decision-point numbering
-/// (prune, ind_fast_path, delta_constraint_check, collapse_dont_care,
-/// max_union_disjuncts). Representation-only toggles
+/// (prune, collapse_dont_care, max_union_disjuncts). Representation-only toggles
 /// (indexes, arena, overlay) and num_threads are excluded — verdicts
 /// are bit-for-bit thread-count-invariant, so certificates transfer
 /// across thread counts.

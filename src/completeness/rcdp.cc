@@ -151,17 +151,14 @@ std::map<std::string, std::vector<Value>> CollapseOverrides(
 class DisjunctSearch {
  public:
   DisjunctSearch(const TableauQuery& tableau, const Database& db,
-                 const Database& master, const ConstraintSet& constraints,
-                 const DeltaConstraintChecker* delta_checker,
-                 const CompiledConstraintCheck* compiled,
+                 const Database& master,
+                 const DeltaConstraintChecker& delta_checker,
                  const Relation& current_answer, const ActiveDomain& adom,
                  const RcdpOptions& options)
       : tableau_(tableau),
         db_(db),
         master_(master),
-        constraints_(constraints),
         delta_checker_(delta_checker),
-        compiled_(compiled),
         current_answer_(current_answer),
         adom_(adom),
         options_(options) {}
@@ -176,8 +173,8 @@ class DisjunctSearch {
 
   /// Runs the search; fills *result on success (counterexample found).
   /// With num_threads > 1 the enumeration is partitioned into work
-  /// units on a jthread pool: every worker owns its scratch state (an
-  /// overlay or delta session, counters, and a candidate result slot),
+  /// units on a jthread pool: every worker owns its scratch state (a
+  /// delta session, counters, and a candidate result slot),
   /// the shared databases are frozen for the concurrent phase, and the
   /// winner is resolved deterministically (lowest work unit).
   /// `resume_rank` skips the ranks a prior interrupted run already
@@ -216,13 +213,9 @@ class DisjunctSearch {
     RELCOMP_ASSIGN_OR_RETURN(TableauRowPlan plan,
                              TableauRowPlan::Make(tableau_, order, *interner));
     // row_has_new_at[p]: some row becomes fully bound at position p.
-    // Base relations are resolved now, pre-freeze, so db_.Get may
-    // populate its empty-relation cache.
     std::vector<bool> row_has_new_at(order.size(), false);
-    std::vector<const Relation*> row_base(plan.size());
     for (size_t r = 0; r < plan.size(); ++r) {
       if (!order.empty()) row_has_new_at[plan.bound_at(r)] = true;
-      row_base[r] = &db_.Get(plan.relation(r));
     }
 
     const size_t threads = EffectiveThreads(options_);
@@ -267,9 +260,9 @@ class DisjunctSearch {
     const bool answer_shared = current_answer_.interner().get() == interner;
 
     // Id-plane body of PartialRowsSatisfyV: instantiate the rows fully
-    // bound at positions <= pos as id rows and stage those not in D on
-    // the worker's session view; no Value, Tuple or relation name is
-    // touched.
+    // bound at positions <= pos as id rows and stage them on the
+    // worker's session view, which drops rows of D itself; no Value,
+    // Tuple or relation name is touched.
     auto partial_rows_satisfy = [&](Worker& w, const IdValuation& v,
                                     size_t pos) -> Result<bool> {
       DatabaseOverlay& view = w.session->view();
@@ -278,11 +271,6 @@ class DisjunctSearch {
       for (size_t r = 0; r < plan.size(); ++r) {
         if (plan.bound_at(r) > pos) continue;
         plan.Instantiate(r, v.ids, row);
-        // A view over D filters rows of D itself; over ∅ (the IND fast
-        // path) D is tested here.
-        if (w.empty_db.has_value() && row_base[r]->ContainsIds(row)) {
-          continue;
-        }
         view.AddIds(w.row_slots[r], row);
       }
       if (!view.HasPending()) return true;
@@ -405,13 +393,10 @@ class DisjunctSearch {
   /// Everything one worker touches while judging valuations: the
   /// constraint session and its staging slots, the eval counters, and
   /// the slots the search callbacks fill. Workers never share any of
-  /// it; the vector is sized once so the interior pointers (session
-  /// view -> empty_db, eval_options.counters) stay valid.
+  /// it; the vector is sized once so the interior pointers (the eval
+  /// options' arena and counters, copied into the session) stay valid.
   struct Worker {
-    /// The IND fast path's empty instance over the family interner.
-    std::optional<Database> empty_db;
-    /// The constraint check: a delta session over D, a compiled one
-    /// over D or ∅, or the uncompiled fallback.
+    /// The constraint check: a delta session over D.
     std::optional<ConstraintSession> session;
     /// Per-worker bump arena for the matcher's per-call scratch, reset
     /// before every candidate check (null when use_arena is off).
@@ -439,27 +424,7 @@ class DisjunctSearch {
     w->eval_options.arena = w->arena.has_value() ? &*w->arena : nullptr;
     w->eval_options.counters = &w->counters;
     w->eval_options.budget = options_.budget;
-    if (delta_checker_ != nullptr) {
-      w->session.emplace(
-          delta_checker_->NewSession(db_, master_, w->eval_options));
-    } else {
-      // No delta session: candidates are staged over ∅ for the
-      // Corollary 3.4 IND fast path (only μ(T) is checked), over D
-      // otherwise. Either way the base relations' column indexes
-      // survive across candidates, and the empty instance shares the
-      // family interner so staged rows keep the search's ids.
-      const Database* base = &db_;
-      if (options_.ind_fast_path && constraints_.IsIndsOnly()) {
-        w->empty_db.emplace(db_.schema_ptr(), db_.interner());
-        base = &*w->empty_db;
-      }
-      if (compiled_ != nullptr) {
-        w->session.emplace(compiled_->NewSession(*base, w->eval_options));
-      } else {
-        w->session.emplace(ConstraintSession::Uncompiled(
-            constraints_, *base, master_, options_.budget));
-      }
-    }
+    w->session.emplace(delta_checker_.NewSession(db_, w->eval_options));
     w->row_slots.resize(plan.size());
     for (size_t r = 0; r < plan.size(); ++r) {
       w->row_slots[r] =
@@ -469,8 +434,7 @@ class DisjunctSearch {
     w->summary_buf.resize(tableau_.summary().size());
   }
 
-  /// Checks V on what the worker's session view stages: (D ∪ Δ, Dm) on
-  /// the general path, (Δ, Dm) alone on the IND fast path.
+  /// Checks (D ∪ Δ, Dm) |= V for what the worker's session view stages.
   Result<bool> CheckStaged(Worker* w) {
     // The matcher's per-call scratch from the previous candidate is
     // dead; reclaim it (blocks are retained, so steady state is
@@ -495,13 +459,8 @@ class DisjunctSearch {
       }
     }
     if (delta.empty()) return false;
-    // Corollary 3.4: for INDs, (D ∪ μ(T), Dm) |= V iff (D, Dm) |= V
-    // (precondition) and (μ(T), Dm) |= V — the fast path's view over ∅
-    // stages all of μ(T).
     if (w->arena.has_value()) w->arena->Reset();
-    RELCOMP_ASSIGN_OR_RETURN(
-        bool satisfied,
-        w->session->Check(w->empty_db.has_value() ? rows : delta));
+    RELCOMP_ASSIGN_OR_RETURN(bool satisfied, w->session->Check(delta));
     if (!satisfied) return false;
     result->complete = false;
     Database delta_db(db_.schema_ptr());
@@ -516,9 +475,7 @@ class DisjunctSearch {
   const TableauQuery& tableau_;
   const Database& db_;
   const Database& master_;
-  const ConstraintSet& constraints_;
-  const DeltaConstraintChecker* delta_checker_;
-  const CompiledConstraintCheck* compiled_;
+  const DeltaConstraintChecker& delta_checker_;
   const Relation& current_answer_;
   const ActiveDomain& adom_;
   const RcdpOptions& options_;
@@ -597,35 +554,14 @@ Result<RcdpResult> DecideRcdp(const AnyQuery& query, const Database& db,
   RELCOMP_ASSIGN_OR_RETURN(Relation current_answer,
                            EvalUnion(ucq, db, main_eval));
 
-  // Build the incremental constraint checker once (skipped for the
-  // IND fast path, which checks μ(T) in isolation and is cheaper).
-  std::optional<DeltaConstraintChecker> delta_checker;
-  const bool use_ind_fast_path =
-      options.ind_fast_path && constraints.IsIndsOnly();
-  if (options.delta_constraint_check && !use_ind_fast_path) {
-    RELCOMP_ASSIGN_OR_RETURN(
-        DeltaConstraintChecker checker,
-        DeltaConstraintChecker::Make(constraints, db.schema_ptr(),
-                                     options.max_union_disjuncts));
-    delta_checker = std::move(checker);
-  }
-
-  // Without a delta session, per-candidate checks go through a
-  // CompiledConstraintCheck (UCQ unfoldings and master-side target
-  // projections materialized once, here) and its per-worker sessions.
-  // If compilation fails — an ∃FO+ constraint whose unfolding blows
-  // the cap — candidates fall back to uncompiled overlay checks.
-  std::optional<CompiledConstraintCheck> compiled;
-  if (!delta_checker.has_value()) {
-    Result<CompiledConstraintCheck> c = CompiledConstraintCheck::Make(
-        constraints, master, options.max_union_disjuncts);
-    if (c.ok()) {
-      compiled = std::move(*c);
-    } else if (c.status().code() != StatusCode::kResourceExhausted &&
-               c.status().code() != StatusCode::kUnsupported) {
-      return c.status();
-    }
-  }
+  // The candidate check, built once: UCQ unfoldings, Δ variants and
+  // the master-side target projections p(Dm). Every worker's session
+  // stages candidates over D and examines only the matches through
+  // Δ = μ(T) \ D (for INDs, Corollary 3.4's check of μ(T) alone).
+  RELCOMP_ASSIGN_OR_RETURN(
+      const DeltaConstraintChecker delta_checker,
+      DeltaConstraintChecker::Make(constraints, db.schema_ptr(), master,
+                                   options.max_union_disjuncts));
 
   std::map<std::string, std::set<size_t>> sensitive;
   if (options.collapse_dont_care) {
@@ -703,10 +639,7 @@ Result<RcdpResult> DecideRcdp(const AnyQuery& query, const Database& db,
     if (options.collapse_dont_care) {
       overrides = CollapseOverrides(tableau, db, adom, sensitive);
     }
-    DisjunctSearch search(tableau, db, master, constraints,
-                          delta_checker.has_value() ? &*delta_checker
-                                                    : nullptr,
-                          compiled.has_value() ? &*compiled : nullptr,
+    DisjunctSearch search(tableau, db, master, delta_checker,
                           current_answer, adom, options);
     DisjunctSearch::Exhaustion ex;
     size_t disjunct_start_rank = i == start_disjunct ? start_rank : 0;

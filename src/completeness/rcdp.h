@@ -56,16 +56,6 @@ struct RcdpOptions {
   /// summary is already in Q(D). Disable for the paper's literal
   /// enumerate-then-check algorithm (bench_ablation).
   bool prune = true;
-  /// Use the Corollary 3.4 fast path when V consists of INDs: check
-  /// (μ(T_Q), Dm) |= V on the instantiated tableau alone instead of
-  /// (D ∪ μ(T_Q), Dm) |= V.
-  bool ind_fast_path = true;
-  /// Incremental constraint checking: since (D, Dm) |= V and the
-  /// constraint languages are monotone, (D ∪ Δ, Dm) |= V is checked by
-  /// examining only matches that touch Δ (DeltaConstraintChecker).
-  /// Disable to re-evaluate every constraint from scratch per
-  /// valuation, as the paper's literal algorithm does (bench_ablation).
-  bool delta_constraint_check = true;
   /// Don't-care collapse: a tableau variable that occurs exactly once
   /// in the rows, is absent from the summary and the disequalities,
   /// has an infinite domain, and sits at a column no constraint query

@@ -93,19 +93,16 @@ std::vector<VariableBoundedness> AnalyzeTableau(
 }
 
 /// Checks (μ(T), Dm) |= V for valuations of one tableau: μ(T) is
-/// staged as id rows, straight from the valuation, on a constraint
-/// session over an empty instance that shares the family interner —
-/// compiled when the constraints compile, the uncompiled fallback
-/// otherwise. One per worker; it owns the instance its session views,
-/// so it stays where it was built.
+/// staged as id rows, straight from the valuation, on a delta session
+/// over `family`, the empty instance the active domain was built on
+/// (partially closed, as DecideRcqp checks first). One per worker; its
+/// session points at its own arena, so it stays where it was built.
 class RealizabilityCheck {
  public:
   RealizabilityCheck(const TableauRowPlan& plan, const Database& family,
-                     const Database& master,
-                     const ConstraintSet& constraints,
-                     const CompiledConstraintCheck* compiled,
-                     bool use_arena, ExecutionBudget* budget)
-      : plan_(plan), empty_db_(family.schema_ptr(), family.interner()) {
+                     const DeltaConstraintChecker& checker, bool use_arena,
+                     ExecutionBudget* budget)
+      : plan_(plan) {
     if (use_arena) {
       arena_.emplace();
       if (budget != nullptr) arena_->set_memory_tracker(budget);
@@ -113,12 +110,7 @@ class RealizabilityCheck {
     ConjunctiveEvalOptions eval_options;
     eval_options.arena = arena_.has_value() ? &*arena_ : nullptr;
     eval_options.budget = budget;
-    if (compiled != nullptr) {
-      session_.emplace(compiled->NewSession(empty_db_, eval_options));
-    } else {
-      session_.emplace(ConstraintSession::Uncompiled(constraints, empty_db_,
-                                                     master, budget));
-    }
+    session_.emplace(checker.NewSession(family, eval_options));
     slots_.resize(plan.size());
     for (size_t r = 0; r < plan.size(); ++r) {
       slots_[r] = session_->view().Slot(plan.relation(r), plan.arity(r));
@@ -141,7 +133,6 @@ class RealizabilityCheck {
 
  private:
   const TableauRowPlan& plan_;
-  Database empty_db_;
   std::optional<Arena> arena_;
   std::optional<ConstraintSession> session_;
   std::vector<size_t> slots_;
@@ -161,8 +152,8 @@ struct ProbeOutcome {
 
 /// Searches for a valid valuation μ of `tableau` with (μ(T), Dm) |= V.
 /// With num_threads > 1 the enumeration runs on the parallel driver:
-/// each worker stages candidates on its own empty-instance session, Dm
-/// and the family are frozen for the concurrent phase, and the verdict
+/// each worker stages candidates on its own session over ∅, Dm and
+/// the family are frozen for the concurrent phase, and the verdict
 /// is the serial one (lowest work unit wins). With a budget the driver
 /// switches to its fixed thread-count-independent unit partition, so
 /// exhaustion and next_rank are deterministic at any num_threads.
@@ -171,8 +162,8 @@ struct ProbeOutcome {
 /// watermark.
 Result<ProbeOutcome> FindRealizableValuation(
     const TableauQuery& tableau, const Database& master,
-    const ConstraintSet& constraints, const CompiledConstraintCheck* compiled,
-    const Database& family, const ActiveDomain& adom, size_t num_threads,
+    const DeltaConstraintChecker& checker, const Database& family,
+    const ActiveDomain& adom, size_t num_threads,
     bool use_arena, ExecutionBudget* budget, size_t resume_rank,
     std::function<void(size_t rank)> on_progress) {
   ValuationEnumerator::Options enum_options;
@@ -190,8 +181,7 @@ Result<ProbeOutcome> FindRealizableValuation(
   const size_t threads = std::max<size_t>(1, num_threads);
   std::vector<Worker> workers(threads);
   for (Worker& w : workers) {
-    w.check.emplace(plan, family, master, constraints, compiled, use_arena,
-                    budget);
+    w.check.emplace(plan, family, checker, use_arena, budget);
   }
   ParallelSearchOptions parallel_options;
   parallel_options.num_threads = threads;
@@ -251,9 +241,7 @@ Result<ProbeOutcome> FindRealizableValuation(
 /// rebuilds the witness. `family` is the empty instance the active
 /// domain was built on.
 Status AccumulateIndWitness(const TableauQuery& tableau,
-                            const Database& master,
-                            const ConstraintSet& constraints,
-                            const CompiledConstraintCheck* compiled,
+                            const DeltaConstraintChecker& checker,
                             const ActiveDomain& adom, const Database& family,
                             bool use_arena, ExecutionBudget* budget,
                             Database* witness, bool* witness_complete) {
@@ -274,8 +262,7 @@ Status AccumulateIndWitness(const TableauQuery& tableau,
     summary_slots.push_back(static_cast<size_t>(
         std::find(order.begin(), order.end(), t.var()) - order.begin()));
   }
-  RealizabilityCheck check(plan, family, master, constraints, compiled,
-                           use_arena, budget);
+  RealizabilityCheck check(plan, family, checker, use_arena, budget);
   std::set<std::vector<ValueId>> covered;
   std::vector<ValueId> key;
   Status inner;
@@ -571,21 +558,13 @@ Result<RcqpResult> DecideRcqp(const AnyQuery& query,
     for (const TableauQuery& t : tableaux) {
       InternFiniteDomainValues(t, empty_db.interner().get());
     }
-    // INDs are CQ constraints: compile once (targets materialized from
-    // Dm here) and reuse across every valuation probe below.
-    std::optional<CompiledConstraintCheck> compiled;
-    {
-      Result<CompiledConstraintCheck> c = CompiledConstraintCheck::Make(
-          constraints, master, options.rcdp.max_union_disjuncts);
-      if (c.ok()) {
-        compiled = std::move(*c);
-      } else if (c.status().code() != StatusCode::kResourceExhausted &&
-                 c.status().code() != StatusCode::kUnsupported) {
-        return c.status();
-      }
-    }
-    const CompiledConstraintCheck* compiled_ptr =
-        compiled.has_value() ? &*compiled : nullptr;
+    // Built once (targets projected from Dm here) and shared by every
+    // valuation probe and the witness below; their sessions stage over
+    // ∅, which is partially closed (checked above).
+    RELCOMP_ASSIGN_OR_RETURN(
+        const DeltaConstraintChecker checker,
+        DeltaConstraintChecker::Make(constraints, db_schema, master,
+                                     options.rcdp.max_union_disjuncts));
     std::map<std::string, std::set<size_t>> projected =
         IndProjectedColumns(constraints);
     // Resume state: tableaux below start_tableau were already probed by
@@ -643,8 +622,7 @@ Result<RcqpResult> DecideRcqp(const AnyQuery& query,
         probed_any = true;
         RELCOMP_ASSIGN_OR_RETURN(
             ProbeOutcome probe,
-            FindRealizableValuation(tableau, master, constraints, compiled_ptr,
-                                    empty_db, adom,
+            FindRealizableValuation(tableau, master, checker, empty_db, adom,
                                     EffectiveThreads(options.rcdp),
                                     options.rcdp.use_arena, budget,
                                     probe_start, std::move(on_rank)));
@@ -686,8 +664,8 @@ Result<RcqpResult> DecideRcqp(const AnyQuery& query,
       bool witness_complete = true;
       for (const TableauQuery& tableau : tableaux) {
         RELCOMP_RETURN_NOT_OK(AccumulateIndWitness(
-            tableau, master, constraints, compiled_ptr, adom, empty_db,
-            options.rcdp.use_arena, budget, &witness, &witness_complete));
+            tableau, checker, adom, empty_db, options.rcdp.use_arena, budget,
+            &witness, &witness_complete));
         if (!witness_complete) break;
       }
       if (!witness_complete) {
@@ -833,8 +811,6 @@ Result<RcqpResult> DecideRcqp(const AnyQuery& query,
   RELCOMP_ASSIGN_OR_RETURN(bool truncated,
                            BuildPool(tableaux, cc_tableaux, adom,
                                      options.max_pool_size, &pool));
-  size_t candidates_tried = 0;
-  bool budget_hit = false;        // the max_candidates cap
   bool budget_exhausted = false;  // ExecutionBudget (deadline/steps/memory/
                                   // cancel) tripped
   Status exhausted_status;
@@ -851,7 +827,7 @@ Result<RcqpResult> DecideRcqp(const AnyQuery& query,
   std::vector<size_t> chosen;
   std::function<Result<bool>(size_t, size_t)> search =
       [&](size_t start, size_t remaining) -> Result<bool> {
-    if (found.has_value() || budget_hit || budget_exhausted) return true;
+    if (found.has_value() || budget_exhausted) return true;
     if (remaining == 0) {
       const size_t my_leaf = leaf_index++;
       if (my_leaf < resume_skip) return true;
@@ -865,11 +841,6 @@ Result<RcqpResult> DecideRcqp(const AnyQuery& query,
           exhausted_rank = my_leaf;
           return true;
         }
-      }
-      if (++candidates_tried > options.max_candidates) {
-        budget_hit = true;
-        exhausted_rank = my_leaf;
-        return true;
       }
       Database candidate(db_schema);
       for (size_t idx : chosen) {
@@ -907,7 +878,7 @@ Result<RcqpResult> DecideRcqp(const AnyQuery& query,
       RELCOMP_ASSIGN_OR_RETURN(bool ignored, search(i + 1, remaining - 1));
       (void)ignored;
       chosen.pop_back();
-      if (found.has_value() || budget_hit || budget_exhausted) break;
+      if (found.has_value() || budget_exhausted) break;
     }
     return true;
   };
@@ -915,7 +886,7 @@ Result<RcqpResult> DecideRcqp(const AnyQuery& query,
   for (size_t size = 1; size <= max_size; ++size) {
     RELCOMP_ASSIGN_OR_RETURN(bool ignored, search(0, size));
     (void)ignored;
-    if (found.has_value() || budget_hit || budget_exhausted) break;
+    if (found.has_value() || budget_exhausted) break;
   }
 
   result.method = "witness-search";
@@ -934,16 +905,10 @@ Result<RcqpResult> DecideRcqp(const AnyQuery& query,
         make_checkpoint("rcqp-pool", 0, exhausted_rank, std::string());
     return result;
   }
-  result.exhaustive = !truncated && !budget_hit &&
-                      options.max_witness_tuples >= pool.size();
+  result.exhaustive =
+      !truncated && options.max_witness_tuples >= pool.size();
   result.verdict =
       result.exhaustive ? Verdict::kIncomplete : Verdict::kUnknown;
-  if (budget_hit) {
-    // max_candidates inconclusiveness is resumable too: a follow-up call
-    // gets a fresh max_candidates allowance from this leaf on.
-    result.checkpoint =
-        make_checkpoint("rcqp-pool", 0, exhausted_rank, std::string());
-  }
   return result;
 }
 

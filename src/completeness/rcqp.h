@@ -22,8 +22,6 @@ struct RcqpOptions {
   /// Cap on the candidate tuple pool built from tableau-row
   /// instantiations over the active domain.
   size_t max_pool_size = 4096;
-  /// Budget on candidate witness databases examined.
-  size_t max_candidates = 100000;
   /// General path: before the pool search, try to build a witness by
   /// chasing the empty database to completeness (each round adds an
   /// RCDP counterexample). Often finds multi-tuple witnesses the

@@ -123,29 +123,7 @@ ConstraintSession::ConstraintSession(const Database& base,
   }
 }
 
-ConstraintSession ConstraintSession::Uncompiled(const ConstraintSet& set,
-                                                const Database& base,
-                                                const Database& master,
-                                                ExecutionBudget* budget) {
-  ConjunctiveEvalOptions eval_options;
-  eval_options.budget = budget;
-  ConstraintSession session(base, eval_options);
-  session.uncompiled_ = &set;
-  session.master_ = &master;
-  return session;
-}
-
-size_t ConstraintSession::AddTarget(const Relation& projection) {
-  Relation target(projection.arity(), view_.base().interner());
-  target.UnionWith(projection);
-  targets_.push_back(std::move(target));
-  return targets_.size() - 1;
-}
-
 Result<bool> ConstraintSession::Check() {
-  if (uncompiled_ != nullptr) {
-    return Satisfies(*uncompiled_, view_, *master_);
-  }
   // One counted decision point per check, in lockstep with the
   // valuation search's per-binding points.
   if (eval_options_.budget != nullptr) {
@@ -180,54 +158,13 @@ Result<bool> ConstraintSession::Check(
   return Check();
 }
 
-Result<CompiledConstraintCheck> CompiledConstraintCheck::Make(
-    const ConstraintSet& set, const Database& master,
-    size_t max_union_disjuncts) {
-  CompiledConstraintCheck compiled;
-  compiled.entries_.reserve(set.constraints().size());
-  for (const ContainmentConstraint& cc : set.constraints()) {
-    RELCOMP_ASSIGN_OR_RETURN(UnionQuery ucq,
-                             cc.query().ToUnion(max_union_disjuncts));
-    Entry entry;
-    entry.ucq = std::move(ucq);
-    entry.compiled.reserve(entry.ucq.disjuncts().size());
-    for (const ConjunctiveQuery& cq : entry.ucq.disjuncts()) {
-      entry.compiled.emplace_back(cq);
-    }
-    entry.empty_target = cc.has_empty_target();
-    if (!entry.empty_target) {
-      entry.target = EvalProjection(cc, master);
-    }
-    compiled.entries_.push_back(std::move(entry));
-  }
-  return compiled;
-}
-
-ConstraintSession CompiledConstraintCheck::NewSession(
-    const Database& base, const ConjunctiveEvalOptions& eval_options) const {
-  ConstraintSession session(base, eval_options);
-  for (const Entry& entry : entries_) {
-    const size_t target = entry.empty_target
-                              ? ConstraintSession::kNoTarget
-                              : session.AddTarget(entry.target);
-    for (const CompiledCq& cq : entry.compiled) {
-      ConstraintSession::Probe probe;
-      probe.cq = &cq;
-      probe.binding = cq.Bind(&session.view_);
-      probe.target = target;
-      session.probes_.push_back(std::move(probe));
-    }
-  }
-  return session;
-}
-
 namespace {
 constexpr char kCcDeltaSuffix[] = "$ccdelta";
 }  // namespace
 
 Result<DeltaConstraintChecker> DeltaConstraintChecker::Make(
     const ConstraintSet& set, std::shared_ptr<const Schema> db_schema,
-    size_t max_union_disjuncts) {
+    const Database& master, size_t max_union_disjuncts) {
   DeltaConstraintChecker checker;
   for (const std::string& name : db_schema->relation_names()) {
     std::string delta_name = StrCat(name, kCcDeltaSuffix);
@@ -244,8 +181,7 @@ Result<DeltaConstraintChecker> DeltaConstraintChecker::Make(
                              cc.query().ToUnion(max_union_disjuncts));
     CcVariants entry;
     entry.empty_target = cc.has_empty_target();
-    entry.master_relation = cc.master_relation();
-    entry.projection = cc.projection();
+    if (!entry.empty_target) entry.target = EvalProjection(cc, master);
     for (const ConjunctiveQuery& disjunct : ucq.disjuncts()) {
       for (size_t i = 0; i < disjunct.body().size(); ++i) {
         const Atom& atom = disjunct.body()[i];
@@ -273,8 +209,7 @@ Result<DeltaConstraintChecker> DeltaConstraintChecker::Make(
 }
 
 ConstraintSession DeltaConstraintChecker::NewSession(
-    const Database& base, const Database& master,
-    const ConjunctiveEvalOptions& eval_options) const {
+    const Database& base, const ConjunctiveEvalOptions& eval_options) const {
   ConstraintSession session(base, eval_options);
   DatabaseOverlay& view = session.view_;
   // An R$ccdelta atom reads R's staged rows and no base rows: the
@@ -290,8 +225,11 @@ ConstraintSession DeltaConstraintChecker::NewSession(
   for (const CcVariants& cc : constraints_) {
     size_t target = ConstraintSession::kNoTarget;
     if (!cc.empty_target) {
-      target = session.AddTarget(
-          ProjectMaster(master, cc.master_relation, cc.projection));
+      // p(Dm) onto the base's interner, so a head probes it by id.
+      Relation copy(cc.target.arity(), base.interner());
+      copy.UnionWith(cc.target);
+      session.targets_.push_back(std::move(copy));
+      target = session.targets_.size() - 1;
     }
     for (size_t v = 0; v < cc.variants.size(); ++v) {
       ConstraintSession::Probe probe;

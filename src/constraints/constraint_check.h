@@ -55,33 +55,21 @@ Result<bool> Satisfies(const ConstraintSet& set, const DatabaseOverlay& db,
 
 /// One worker's reusable state for checking candidate extensions of a
 /// fixed base against a constraint set: a staging overlay over the
-/// base, every constraint query bound to it once (CompiledCq::Bind),
-/// and the target projections p(Dm) on the base's id plane. Stage a
-/// candidate's rows on view() — AddIds() from the valuation search,
-/// Add() for Value-plane callers — then Check(). A steady-state check
-/// hashes no string, compares no relation name and allocates nothing.
-///
-/// Made by DeltaConstraintChecker::NewSession (the base is known to
-/// satisfy V; only matches through a staged row are examined),
-/// CompiledConstraintCheck::NewSession (every match is examined), and
-/// Uncompiled() for constraint sets neither can compile.
+/// base, every Δ variant of every constraint query bound to it once
+/// (CompiledCq::Bind), and the target projections p(Dm) on the base's
+/// id plane. Stage a candidate's rows on view() — AddIds() from the
+/// valuation search, Add() for Value-plane callers — then Check(). A
+/// steady-state check hashes no string, compares no relation name and
+/// allocates nothing. Made by DeltaConstraintChecker::NewSession.
 class ConstraintSession {
  public:
-  /// For a constraint set that does not compile (FO/FP, or a UCQ
-  /// unfolding over the cap): Check() evaluates it on the view through
-  /// Satisfies and claims no decision point. `budget` (may be null)
-  /// only tracks staging memory.
-  static ConstraintSession Uncompiled(const ConstraintSet& set,
-                                      const Database& base,
-                                      const Database& master,
-                                      ExecutionBudget* budget);
-
   /// The staging view over the base. Clear() it before staging the
   /// next candidate.
   DatabaseOverlay& view() { return view_; }
 
-  /// Returns (base ∪ staged, Dm) |= V. Claims one decision point on
-  /// the eval options' budget (compiled sessions).
+  /// Returns (base ∪ staged, Dm) |= V, examining only the matches that
+  /// use a staged row. Claims one decision point on the eval options'
+  /// budget.
   Result<bool> Check();
 
   /// Value-plane form: clears the view, stages `delta` (tuples already
@@ -90,97 +78,59 @@ class ConstraintSession {
       const std::vector<std::pair<std::string, Tuple>>& delta);
 
  private:
-  friend class CompiledConstraintCheck;
   friend class DeltaConstraintChecker;
 
   ConstraintSession(const Database& base,
                     const ConjunctiveEvalOptions& eval_options);
 
-  /// One compiled disjunct (or Δ variant) bound to the view.
+  /// One compiled Δ variant bound to the view.
   struct Probe {
     const CompiledCq* cq = nullptr;
     CqBinding binding;
     /// Index into targets_; kNoTarget for the q ⊆ ∅ form.
     size_t target = kNoTarget;
-    /// A Δ variant runs only when this slot holds staged rows;
-    /// kNoSlot runs always.
+    /// The variant runs only when this slot holds staged rows.
     size_t delta_slot = DatabaseOverlay::kNoSlot;
   };
   static constexpr size_t kNoTarget = SIZE_MAX;
 
-  /// p(Dm) of one CC as a relation on the base's interner, so a head
-  /// probes it by id. Built before anything is staged.
-  size_t AddTarget(const Relation& projection);
-
   DatabaseOverlay view_;
   ConjunctiveEvalOptions eval_options_;
+  /// p(Dm) of each CC with a target, on the base's interner, so a head
+  /// probes it by id. Built before anything is staged.
   std::vector<Relation> targets_;
   std::vector<Probe> probes_;
-  /// Set by Uncompiled().
-  const ConstraintSet* uncompiled_ = nullptr;
-  const Database* master_ = nullptr;
 };
 
-/// A constraint set compiled for repeated checking: each CC's query is
-/// unfolded to a UCQ once and its master-side target projection p(Dm)
-/// is materialized once, after which sessions check candidate
-/// instances against it — the deciders check once per valuation, over
-/// D (or over ∅ for the Corollary 3.4 IND fast path).
-///
-/// Violation checks early-exit: matches of a constraint query are
-/// enumerated and the first head tuple outside the target stops the
-/// evaluation, so nothing is materialized per candidate.
-class CompiledConstraintCheck {
- public:
-  /// Fails with kUnsupported for FO/FP constraints (not CQ-convertible)
-  /// and propagates kResourceExhausted from the UCQ unfolding cap.
-  static Result<CompiledConstraintCheck> Make(const ConstraintSet& set,
-                                              const Database& master,
-                                              size_t max_union_disjuncts =
-                                                  4096);
-
-  /// A session checking (base ∪ staged, Dm) |= V. `eval_options`
-  /// carries the index toggle, the arena, the counter sink and the
-  /// budget.
-  ConstraintSession NewSession(const Database& base,
-                               const ConjunctiveEvalOptions& eval_options =
-                                   ConjunctiveEvalOptions()) const;
-
- private:
-  struct Entry {
-    UnionQuery ucq;
-    /// One compiled matcher per disjunct of `ucq` (borrows the
-    /// disjunct; the UnionQuery's heap storage keeps it stable across
-    /// Entry moves).
-    std::vector<CompiledCq> compiled;
-    bool empty_target = true;
-    /// Materialized p(Dm); unused when empty_target.
-    Relation target;
-  };
-  std::vector<Entry> entries_;
-};
-
-/// Incremental constraint checking for the deciders' inner loop.
+/// The deciders' one candidate check.
 ///
 /// Given a base database D already known to satisfy V, checks whether
 /// (D ∪ Δ, Dm) |= V by examining only the constraint-query matches
 /// that use at least one Δ tuple. Exact for the monotone constraint
 /// languages (CQ/UCQ/∃FO+): since (D, Dm) |= V, any violation of
-/// (D ∪ Δ, Dm) must involve a new tuple. Construction is done once;
-/// sessions then check per candidate extension (the RCDP decider
-/// checks once per valuation).
+/// (D ∪ Δ, Dm) must involve a new tuple. For a set of INDs over D = ∅
+/// this is Corollary 3.4's check of V on μ(T) alone. Each CC's query is
+/// unfolded and its target projection p(Dm) materialized once, in
+/// Make(); sessions then check per candidate extension (the RCDP
+/// decider checks once per valuation, RCQP's Prop 4.3 probe and
+/// witness once per valuation over ∅).
 class DeltaConstraintChecker {
  public:
-  /// Fails with kUnsupported if the set contains FO/FP constraints.
+  /// Fails with kUnsupported if the set contains FO/FP constraints,
+  /// propagates kResourceExhausted from the UCQ unfolding cap, and
+  /// refuses (kInvalidArgument) a schema that names a relation like a
+  /// Δ alias (R$ccdelta).
   static Result<DeltaConstraintChecker> Make(
       const ConstraintSet& set, std::shared_ptr<const Schema> db_schema,
-      size_t max_union_disjuncts = 4096);
+      const Database& master, size_t max_union_disjuncts = 4096);
 
-  /// A session over `base` — the decider's D, already known to satisfy
-  /// V together with `master`. Candidate deltas are staged on an
-  /// overlay over the base: zero-copy, and the base relations' column
-  /// indexes stay valid across checks.
-  ConstraintSession NewSession(const Database& base, const Database& master,
+  /// A session over `base` — the decider's D (or ∅), already known to
+  /// satisfy V together with the master data Make() projected.
+  /// Candidate deltas are staged on an overlay over the base:
+  /// zero-copy, and the base relations' column indexes stay valid
+  /// across checks. `eval_options` carries the index toggle, the arena,
+  /// the counter sink and the budget.
+  ConstraintSession NewSession(const Database& base,
                                const ConjunctiveEvalOptions& eval_options =
                                    ConjunctiveEvalOptions()) const;
 
@@ -199,8 +149,8 @@ class DeltaConstraintChecker {
     /// queries never relocate).
     std::vector<CompiledCq> compiled;
     bool empty_target = true;
-    std::string master_relation;
-    std::vector<size_t> projection;
+    /// Materialized p(Dm); unused when empty_target.
+    Relation target;
   };
 
   std::vector<CcVariants> constraints_;

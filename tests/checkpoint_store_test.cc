@@ -1,7 +1,6 @@
 #include "service/checkpoint_store.h"
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <cstdio>
@@ -21,16 +20,10 @@
 #include "util/execution_control.h"
 #include "util/fs_env.h"
 #include "util/str.h"
+#include "test_support.h"
 
 namespace relcomp {
 namespace {
-
-/// A fresh store directory per test, unique across the process.
-std::string FreshDir(const char* tag) {
-  static int counter = 0;
-  return StrCat(::testing::TempDir(), "/relcomp_store_", ::getpid(), "_",
-                tag, "_", counter++);
-}
 
 SearchCheckpoint MakeCkpt(size_t rank, std::string payload = "payload") {
   SearchCheckpoint ckpt;

@@ -30,6 +30,7 @@
 #include "service/verdict_cache.h"
 #include "util/execution_control.h"
 #include "util/str.h"
+#include "test_support.h"
 
 namespace relcomp {
 namespace {
@@ -357,12 +358,6 @@ TEST(CodecFormatTest, Certificate) {
       "A 2 i-5 s3:a b 2 1:S 2 i5 i6 1:T 1 s3:x:y";
   EXPECT_EQ(cert.Serialize(), golden);
   SweepFormat(golden, Via(&RcdpCertificate::Deserialize));
-}
-
-std::string FreshDir(const char* tag) {
-  static int counter = 0;
-  return StrCat(::testing::TempDir(), "/relcomp_codec_", ::getpid(), "_",
-                tag, "_", counter++);
 }
 
 std::string ReadFile(const std::string& path) {

@@ -97,7 +97,6 @@ TEST_F(CrmScenarioTest, Paradigm3MasterDataMustGrow) {
   RcqpOptions options;
   options.max_witness_tuples = 1;
   options.max_pool_size = 512;
-  options.max_candidates = 5000;
   auto result =
       DecideRcqp(*q0, crm_->db_schema(), crm_->master(), v, options);
   ASSERT_TRUE(result.ok()) << result.status().ToString();

@@ -32,6 +32,7 @@
 #include "net/client.h"
 #include "spec/spec_parser.h"
 #include "util/str.h"
+#include "test_support.h"
 
 namespace relcomp {
 namespace {
@@ -80,18 +81,6 @@ std::string LargeSpec(int variant) {
   s += "constraint c1(y) :- S(x, y) |= M[0]\n";
   s += "query cq Q(x, y) :- S(x, y)\n";
   return s;
-}
-
-std::string FreshDir(const char* tag) {
-  static int counter = 0;
-  return StrCat(::testing::TempDir(), "/relcomp_chaos_", ::getpid(), "_", tag,
-                "_", counter++);
-}
-
-std::string FreshSocket(const char* tag) {
-  static int counter = 0;
-  return StrCat("unix:", ::testing::TempDir(), "/relcomp_chaos_", ::getpid(),
-                "_", tag, "_", counter++, ".sock");
 }
 
 JobSpec MakeJob(const std::string& spec, size_t threads = 1,

@@ -25,6 +25,7 @@
 #include "net/client.h"
 #include "spec/spec_parser.h"
 #include "util/str.h"
+#include "test_support.h"
 
 namespace relcomp {
 namespace {
@@ -63,12 +64,6 @@ std::string DirectRcdpEvidence(const std::string& spec_text) {
                 "|",
                 r->new_answer.has_value() ? r->new_answer->ToString()
                                           : std::string("<none>"));
-}
-
-std::string FreshRoot(const char* tag) {
-  static int counter = 0;
-  return StrCat(::testing::TempDir(), "/relcomp_fabcli_", ::getpid(), "_",
-                tag, "_", counter++);
 }
 
 std::string MemberEndpoint(const std::string& root, size_t index) {
@@ -136,10 +131,7 @@ void DrainGracefully(pid_t pid) {
 }
 
 std::string WriteSpec(const char* tag, const std::string& content) {
-  static int counter = 0;
-  const std::string path = StrCat(::testing::TempDir(), "/relcomp_fabcli_",
-                                  ::getpid(), "_", tag, "_", counter++,
-                                  ".rcspec");
+  const std::string path = FreshFile(tag, ".rcspec");
   std::ofstream out(path);
   out << content;
   EXPECT_TRUE(out.good());
@@ -171,7 +163,7 @@ JobSpec SlicedJob(int variant) {
 }
 
 TEST(FabricCliTest, ServesAndAuditsAcrossProcesses) {
-  const std::string root = FreshRoot("serve");
+  const std::string root = FreshDir("serve");
   pid_t m0 = SpawnMember(root, 2, 0);
   pid_t m1 = SpawnMember(root, 2, 1);
   ASSERT_TRUE(AwaitServing(MemberEndpoint(root, 0)));
@@ -187,7 +179,7 @@ TEST(FabricCliTest, ServesAndAuditsAcrossProcesses) {
 }
 
 TEST(FabricCliTest, SigkillOwnerMidAuditThenRestartIsBitForBit) {
-  const std::string root = FreshRoot("kill");
+  const std::string root = FreshDir("kill");
   pid_t m0 = SpawnMember(root, 2, 0);
   pid_t m1 = SpawnMember(root, 2, 1);
   ASSERT_TRUE(AwaitServing(MemberEndpoint(root, 0)));
@@ -230,7 +222,7 @@ TEST(FabricCliTest, SigkillOwnerMidAuditThenRestartIsBitForBit) {
 }
 
 TEST(FabricCliTest, RestartedMemberRejoinsAndKeepsServing) {
-  const std::string root = FreshRoot("rejoin");
+  const std::string root = FreshDir("rejoin");
   pid_t m0 = SpawnMember(root, 2, 0);
   pid_t m1 = SpawnMember(root, 2, 1);
   ASSERT_TRUE(AwaitServing(MemberEndpoint(root, 0)));
@@ -252,7 +244,7 @@ TEST(FabricCliTest, RestartedMemberRejoinsAndKeepsServing) {
 }
 
 TEST(FabricCliTest, AuthKeyFileRotationWindowInteroperates) {
-  const std::string root = FreshRoot("keyrot");
+  const std::string root = FreshDir("keyrot");
   ASSERT_EQ(::mkdir(root.c_str(), 0755), 0);
   // Server fleet mid-rotation: tags with NEW (line 1), accepts OLD
   // (line 2). The laggard client file is the mirror image.
@@ -290,7 +282,7 @@ TEST(FabricCliTest, AuthKeyFileRotationWindowInteroperates) {
 }
 
 TEST(FabricCliTest, HealthFlagReportsFleetAndExitsByWorstState) {
-  const std::string root = FreshRoot("health");
+  const std::string root = FreshDir("health");
   pid_t m0 = SpawnMember(root, 2, 0);
   pid_t m1 = SpawnMember(root, 2, 1);
   ASSERT_TRUE(AwaitServing(MemberEndpoint(root, 0)));
@@ -315,12 +307,12 @@ TEST(FabricCliTest, FabricFlagValidation) {
   // --fabric with a spec path, or out-of-range members, is a usage
   // error (exit 3), not a partial start.
   const std::string spec = WriteSpec("usage", IncompleteSpec());
-  EXPECT_EQ(RunRelcheck(StrCat("--fabric ", FreshRoot("usage"), " ", spec)),
+  EXPECT_EQ(RunRelcheck(StrCat("--fabric ", FreshDir("usage"), " ", spec)),
             3);
-  EXPECT_EQ(RunRelcheck(StrCat("--fabric ", FreshRoot("usage"),
+  EXPECT_EQ(RunRelcheck(StrCat("--fabric ", FreshDir("usage"),
                                " --members 0")),
             3);
-  EXPECT_EQ(RunRelcheck(StrCat("--fabric ", FreshRoot("usage"),
+  EXPECT_EQ(RunRelcheck(StrCat("--fabric ", FreshDir("usage"),
                                " --members 2 --member-index 5")),
             3);
 }

@@ -11,7 +11,6 @@
 // served twice.
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <chrono>
 #include <functional>
@@ -29,6 +28,7 @@
 #include "spec/spec_parser.h"
 #include "util/execution_control.h"
 #include "util/str.h"
+#include "test_support.h"
 
 namespace relcomp {
 namespace {
@@ -55,18 +55,6 @@ const std::string& IncompleteSpec() {
     return s;
   }();
   return spec;
-}
-
-std::string FreshDir(const char* tag) {
-  static int counter = 0;
-  return StrCat(::testing::TempDir(), "/relcomp_fab_", ::getpid(), "_", tag,
-                "_", counter++);
-}
-
-std::string FreshSocket(const char* tag) {
-  static int counter = 0;
-  return StrCat("unix:", ::testing::TempDir(), "/relcomp_fab_", ::getpid(),
-                "_", tag, "_", counter++, ".sock");
 }
 
 JobSpec MakeJob(const std::string& spec, size_t threads = 1,

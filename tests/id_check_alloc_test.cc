@@ -42,7 +42,8 @@ TEST(EvalEquivalenceAllocationTest, WarmIdRowCheckAllocatesNothing) {
   ASSERT_TRUE(phi0.ok());
   ConstraintSet v;
   v.Add(*phi0);
-  auto checker = DeltaConstraintChecker::Make(v, crm->db().schema_ptr());
+  auto checker =
+      DeltaConstraintChecker::Make(v, crm->db().schema_ptr(), crm->master());
   ASSERT_TRUE(checker.ok()) << checker.status().ToString();
   ExecutionBudget budget;
   budget.set_max_steps(size_t{1} << 40);
@@ -50,8 +51,7 @@ TEST(EvalEquivalenceAllocationTest, WarmIdRowCheckAllocatesNothing) {
   ConjunctiveEvalOptions eval_options;
   eval_options.arena = &arena;
   eval_options.budget = &budget;
-  ConstraintSession session =
-      checker->NewSession(crm->db(), crm->master(), eval_options);
+  ConstraintSession session = checker->NewSession(crm->db(), eval_options);
   DatabaseOverlay& view = session.view();
   const size_t cust = view.Slot("Cust", 5);
   const size_t supt = view.Slot("Supt", 3);

@@ -6,7 +6,6 @@
 // against endpoints that are all dead.
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <chrono>
 #include <memory>
@@ -16,6 +15,7 @@
 #include "net/server.h"
 #include "service/decision_service.h"
 #include "util/str.h"
+#include "test_support.h"
 
 namespace relcomp {
 namespace {
@@ -23,18 +23,6 @@ namespace {
 constexpr char kTinySpec[] =
     "relation S(a)\nmaster relation M(m)\nfact S(0)\nmaster fact M(0)\n"
     "constraint c0(x) :- S(x) |= M[0]\nquery cq Q(x) :- S(x)\n";
-
-std::string FreshDir(const char* tag) {
-  static int counter = 0;
-  return StrCat(::testing::TempDir(), "/relcomp_failover_", ::getpid(), "_",
-                tag, "_", counter++);
-}
-
-std::string FreshSocket(const char* tag) {
-  static int counter = 0;
-  return StrCat("unix:", ::testing::TempDir(), "/relcomp_failover_",
-                ::getpid(), "_", tag, "_", counter++, ".sock");
-}
 
 JobSpec TinyJob() {
   JobSpec job;

@@ -23,6 +23,7 @@
 #include "service/decision_service.h"
 #include "spec/spec_parser.h"
 #include "util/str.h"
+#include "test_support.h"
 
 namespace relcomp {
 namespace {
@@ -48,18 +49,6 @@ const std::string& IncompleteSpec() {
     return s;
   }();
   return spec;
-}
-
-std::string FreshDir(const char* tag) {
-  static int counter = 0;
-  return StrCat(::testing::TempDir(), "/relcomp_net_", ::getpid(), "_", tag,
-                "_", counter++);
-}
-
-std::string FreshSocket(const char* tag) {
-  static int counter = 0;
-  return StrCat("unix:", ::testing::TempDir(), "/relcomp_net_", ::getpid(),
-                "_", tag, "_", counter++, ".sock");
 }
 
 JobSpec MakeJob(const std::string& spec, size_t slice = 0) {

@@ -19,8 +19,7 @@ namespace {
 /// count the RCDP verdict, the counterexample Δ and the new answer
 /// tuple are bit-for-bit those of the serial search (lowest-work-unit
 /// winner resolution over contiguous rank shards). These sweeps check
-/// that on randomized instances, across both constraint-check paths
-/// (IND fast path and delta sessions).
+/// that on randomized instances (per-worker delta sessions).
 
 std::string DeltaKey(const RcdpResult& r) {
   if (!r.counterexample_delta.has_value()) return "<none>";
@@ -86,23 +85,17 @@ TEST_P(ParallelDeterminismTest, RcdpAgreesAcrossThreadCounts) {
     if (!*closed) continue;
     std::string context = cq.ToString() + "\n" + db.ToString();
 
-    // Both constraint-check paths: the Corollary 3.4 IND fast path
-    // (per-worker overlay over ∅) and delta-checker sessions
-    // (per-worker session state).
-    for (bool fast_path : {true, false}) {
-      RcdpOptions serial_options;
-      serial_options.ind_fast_path = fast_path;
-      serial_options.num_threads = 1;
-      auto serial = DecideRcdp(q, db, master, *constraints, serial_options);
-      ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-      for (size_t threads : {size_t{2}, size_t{8}}) {
-        RcdpOptions parallel_options = serial_options;
-        parallel_options.num_threads = threads;
-        auto parallel =
-            DecideRcdp(q, db, master, *constraints, parallel_options);
-        ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
-        ExpectSameDecision(*serial, *parallel, threads, context);
-      }
+    RcdpOptions serial_options;
+    serial_options.num_threads = 1;
+    auto serial = DecideRcdp(q, db, master, *constraints, serial_options);
+    ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+    for (size_t threads : {size_t{2}, size_t{8}}) {
+      RcdpOptions parallel_options = serial_options;
+      parallel_options.num_threads = threads;
+      auto parallel =
+          DecideRcdp(q, db, master, *constraints, parallel_options);
+      ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
+      ExpectSameDecision(*serial, *parallel, threads, context);
     }
     ++checked;
   }

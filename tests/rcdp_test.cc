@@ -172,6 +172,58 @@ TEST_F(CrmRcdpTest, RejectsNonPartiallyClosedInput) {
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
 }
 
+// A set of INDs goes through the one delta session like any other set:
+// matches through Δ = μ(T) \ D alone, which for INDs is Corollary 3.4's
+// check of μ(T). The decision points and evidence are pinned to those
+// of the dedicated IND path the session replaced (CRM n = 16).
+TEST(IndOnlyRcdpTest, DecisionPointsAndEvidenceArePinned) {
+  CrmOptions crm_options;
+  crm_options.num_domestic = 16;
+  crm_options.num_international = 8;
+  auto crm = CrmScenario::Make(crm_options);
+  ASSERT_TRUE(crm.ok()) << crm.status().ToString();
+  auto inds = crm->IndConstraints();
+  ASSERT_TRUE(inds.ok());
+  struct Case {
+    const char* name;
+    Result<AnyQuery> query;
+    size_t points;
+    const char* delta;
+    const char* answer;
+  };
+  const Case cases[] = {
+      {"Q1", crm->Q1(), 210,
+       "Cust = {(\"c1\", \"n0\", \"01\", \"908\", \"555-1000\")}\n",
+       "(\"c1\")"},
+      {"Q2", crm->Q2(), 209, "Supt = {(\"e0\", \"d0\", \"c10\")}\n",
+       "(\"c10\")"},
+  };
+  for (const Case& c : cases) {
+    ASSERT_TRUE(c.query.ok());
+    for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
+      SCOPED_TRACE(StrCat(c.name, " at ", threads, " threads"));
+      ExecutionBudget budget;
+      budget.set_max_steps(size_t{1} << 40);
+      RcdpOptions options;
+      options.num_threads = threads;
+      options.budget = &budget;
+      auto r = DecideRcdp(*c.query, crm->db(), crm->master(), *inds, options);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      ASSERT_EQ(r->verdict, Verdict::kIncomplete);
+      EXPECT_EQ(r->counterexample_delta->ToString(), c.delta);
+      EXPECT_EQ(r->new_answer->ToString(), c.answer);
+      if (threads == 1) {
+        EXPECT_EQ(budget.steps(), c.points);
+      } else {
+        // Every unit below the winner runs to exhaustion and the winner
+        // stops where the serial search does; units above it claim a
+        // schedule-dependent share before they are cancelled.
+        EXPECT_GE(budget.steps(), c.points);
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Small hand-built cases exercising the characterizations directly.
 
@@ -323,7 +375,7 @@ struct NamedOptions {
 };
 
 /// The default, each decider toggle off alone, and the paper-literal
-/// algorithm (prune, collapse, delta check and indexes all off).
+/// algorithm (prune, collapse and indexes all off).
 std::vector<NamedOptions> AblationConfigs(size_t num_threads) {
   std::vector<NamedOptions> configs;
   auto add = [&](const char* name, std::vector<bool RcdpOptions::*> off) {
@@ -335,13 +387,11 @@ std::vector<NamedOptions> AblationConfigs(size_t num_threads) {
   add("default", {});
   add("no_prune", {&RcdpOptions::prune});
   add("no_collapse", {&RcdpOptions::collapse_dont_care});
-  add("no_delta_check", {&RcdpOptions::delta_constraint_check});
-  add("no_ind_fast_path", {&RcdpOptions::ind_fast_path});
   add("no_indexes", {&RcdpOptions::use_indexes});
   add("no_arena", {&RcdpOptions::use_arena});
   add("paper_literal",
       {&RcdpOptions::prune, &RcdpOptions::collapse_dont_care,
-       &RcdpOptions::delta_constraint_check, &RcdpOptions::use_indexes});
+       &RcdpOptions::use_indexes});
   return configs;
 }
 

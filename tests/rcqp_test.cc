@@ -192,10 +192,13 @@ TEST_F(RcqpTest, Example41Q2NotCompleteUnderEidDeptFdAlone) {
   auto q2 = scenario->Q2();
   ASSERT_TRUE(q2.ok());
 
+  // About 29,000 judged pool candidates' worth of decision points.
+  ExecutionBudget budget;
+  budget.set_max_steps(400000);
   RcqpOptions options;
   options.max_witness_tuples = 2;
   options.max_pool_size = 600;
-  options.max_candidates = 30000;
+  options.rcdp.budget = &budget;
   auto result = DecideRcqp(*q2, scenario->db_schema(), scenario->master(), v,
                            options);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -351,7 +354,6 @@ TEST_F(RcqpTest, GeneralPathNotExistsIsExactWhenExhaustive) {
   RcqpOptions options;
   options.max_witness_tuples = 16;  // ≥ pool size for exhaustiveness
   options.max_pool_size = 16;
-  options.max_candidates = 100000;
   auto result = DecideRcqp(*q, schema, master_, v, options);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_FALSE(result->exists);

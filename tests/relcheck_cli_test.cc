@@ -3,6 +3,7 @@
 //   0 complete, 1 incomplete, 2 unknown/exhausted, 3 usage-or-internal.
 
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 #include <sys/wait.h>
 
 #include <cstdlib>
@@ -10,6 +11,7 @@
 #include <string>
 
 #include "util/str.h"
+#include "test_support.h"
 
 namespace relcomp {
 namespace {
@@ -25,10 +27,7 @@ int RunRelcheck(const std::string& args) {
 }
 
 std::string WriteSpec(const char* tag, const std::string& content) {
-  static int counter = 0;
-  const std::string path = StrCat(::testing::TempDir(), "/relcheck_cli_",
-                                  ::getpid(), "_", tag, "_", counter++,
-                                  ".rcspec");
+  const std::string path = FreshFile(tag, ".rcspec");
   std::ofstream out(path);
   out << content;
   EXPECT_TRUE(out.good());
@@ -123,10 +122,7 @@ TEST(RelcheckCliTest, ConnectToDeadServerExitsThree) {
 }
 
 std::string WriteDelta(const char* tag, const std::string& content) {
-  static int counter = 0;
-  const std::string path = StrCat(::testing::TempDir(), "/relcheck_cli_",
-                                  ::getpid(), "_", tag, "_", counter++,
-                                  ".delta");
+  const std::string path = FreshFile(tag, ".delta");
   std::ofstream out(path);
   out << content;
   EXPECT_TRUE(out.good());
@@ -134,10 +130,8 @@ std::string WriteDelta(const char* tag, const std::string& content) {
 }
 
 std::string FreshStoreDir(const char* tag) {
-  static int counter = 0;
-  const std::string dir = StrCat(::testing::TempDir(), "/relcheck_store_",
-                                 ::getpid(), "_", tag, "_", counter++);
-  std::system(StrCat("mkdir -p ", dir).c_str());
+  const std::string dir = FreshDir(tag);
+  ::mkdir(dir.c_str(), 0755);
   return dir;
 }
 

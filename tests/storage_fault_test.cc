@@ -42,21 +42,10 @@
 #include "spec/spec_parser.h"
 #include "util/fs_env.h"
 #include "util/str.h"
+#include "test_support.h"
 
 namespace relcomp {
 namespace {
-
-std::string FreshDir(const char* tag) {
-  static int counter = 0;
-  return StrCat(::testing::TempDir(), "/relcomp_sf_", ::getpid(), "_", tag,
-                "_", counter++);
-}
-
-std::string FreshSocket(const char* tag) {
-  static int counter = 0;
-  return StrCat("unix:", ::testing::TempDir(), "/relcomp_sf_", ::getpid(),
-                "_", tag, "_", counter++, ".sock");
-}
 
 /// The service tests' far-corner family, sized to order: S holds every
 /// pair over {0..max_x} x {0..max_y} except the corner, and M and N
@@ -150,8 +139,7 @@ TEST(StorageFaultEnvTest, OrdinalCountsOnlyKindAndSiteMatchingOps) {
   FsEnv env;
   env.set_fault_plan(Plan(StorageFaultKind::kFsyncFail, /*at=*/2,
                           /*site=*/"dirsync"));
-  const std::string path = StrCat(::testing::TempDir(), "/relcomp_sf_env_",
-                                  ::getpid(), "_ordinal");
+  const std::string path = FreshFile("env_ordinal");
   int fd = env.Open("dirsync", path.c_str(), O_WRONLY | O_CREAT | O_TRUNC,
                     0644);
   ASSERT_GE(fd, 0);
@@ -174,8 +162,7 @@ TEST(StorageFaultEnvTest, ShortWriteLandsExactlyThePrefix) {
   StorageFaultPlan plan = Plan(StorageFaultKind::kShortWrite, 1);
   plan.short_bytes = 3;
   env.set_fault_plan(plan);
-  const std::string path = StrCat(::testing::TempDir(), "/relcomp_sf_env_",
-                                  ::getpid(), "_short");
+  const std::string path = FreshFile("env_short");
   int fd = env.Open("x", path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   ASSERT_GE(fd, 0);
   errno = 0;
@@ -189,10 +176,8 @@ TEST(StorageFaultEnvTest, ShortWriteLandsExactlyThePrefix) {
 
 TEST(StorageFaultEnvTest, LostAppendAndLostRenameLieAboutSuccess) {
   FsEnv env;
-  const std::string a = StrCat(::testing::TempDir(), "/relcomp_sf_env_",
-                               ::getpid(), "_lie_a");
-  const std::string b = StrCat(::testing::TempDir(), "/relcomp_sf_env_",
-                               ::getpid(), "_lie_b");
+  const std::string a = FreshFile("env_lie_a");
+  const std::string b = FreshFile("env_lie_b");
   env.set_fault_plan(Plan(StorageFaultKind::kLostAppend, 1));
   int fd = env.Open("x", a.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   ASSERT_GE(fd, 0);

@@ -9,7 +9,6 @@
 #include "service/verdict_cache.h"
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <atomic>
 #include <memory>
@@ -24,15 +23,10 @@
 #include "service/decision_service.h"
 #include "spec/spec_parser.h"
 #include "util/str.h"
+#include "test_support.h"
 
 namespace relcomp {
 namespace {
-
-std::string FreshDir(const char* tag) {
-  static int counter = 0;
-  return StrCat(::testing::TempDir(), "/relcomp_vcache_", ::getpid(), "_",
-                tag, "_", counter++);
-}
 
 std::unique_ptr<CheckpointStore> MustOpen(const std::string& dir) {
   auto store = CheckpointStore::Open(dir);
