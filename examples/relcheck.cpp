@@ -386,14 +386,15 @@ int RunClient(const std::string& address, const std::string& spec_path,
     }
   };
 
-  if (SplitEndpoints(address).size() > 1) {
+  const std::vector<std::string> endpoints = SplitEndpoints(address);
+  if (endpoints.size() > 1) {
     // Multi-endpoint: route by the consistent-hash ring (a standalone
     // server answers a singleton ring, so this shape needs no fabric)
     // and survive the loss of any single member mid-audit.
     FabricClientOptions fabric_options;
     fabric_options.endpoint_options.auth_key = keys.primary;
     fabric_options.endpoint_options.auth_key2 = keys.secondary;
-    FabricClient client(SplitEndpoints(address), fabric_options);
+    FabricClient client(endpoints, fabric_options);
     for (size_t i = 0; i < spec->queries.size(); ++i) {
       Status submitted = client.Submit(make_key(i), make_job(i));
       if (!submitted.ok()) return Fail(submitted);
@@ -403,7 +404,7 @@ int RunClient(const std::string& address, const std::string& spec_path,
     for (size_t i = 0; i < spec->queries.size(); ++i) {
       // SubmitAndAwait rather than a bare poll loop: if a kill landed
       // between a job's completion and this read, the resubmission
-      // under the same key re-serves the journaled verdict (or
+      // under the same key re-serves the cached verdict (or
       // recomputes it bit-for-bit).
       auto reply = client.SubmitAndAwait(make_key(i), make_job(i));
       if (!reply.ok()) return Fail(reply.status());
@@ -420,7 +421,8 @@ int RunClient(const std::string& address, const std::string& spec_path,
   NetClientOptions client_options;
   client_options.auth_key = keys.primary;
   client_options.auth_key2 = keys.secondary;
-  NetClient client(address, client_options);
+  NetClient client(endpoints.empty() ? std::string() : endpoints.front(),
+                   client_options);
   for (size_t i = 0; i < spec->queries.size(); ++i) {
     Status submitted = client.Submit(make_key(i), make_job(i));
     if (!submitted.ok()) return Fail(submitted);

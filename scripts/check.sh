@@ -9,7 +9,8 @@
 # verdict-cache hammer; the tsan test preset carries the filter), then
 # the standalone ubsan preset (pure UBSan over the full suite). Later
 # stages re-run labelled suites under a sanitizer and finish with the
-# benchmark's known-answer selftest. Run from anywhere.
+# benchmark's known-answer selftest and a short run of every benchmark
+# workload. Run from anywhere.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -97,6 +98,29 @@ run ctest --test-dir build-asan -L core --output-on-failure
 # witness path. run.py builds perfbench as Release under .bench_build/
 # on first use.
 run python3 perfbench/run.py --selftest
+
+# Benchmark smoke stage: a 3 s run of every workload BENCHMARK.json
+# declares must end correct with no failed audit. perfbench calls a run
+# incorrect when a count it requires moves (cache hits and verdicts
+# served from the cache equal to the audit count on repeat_audits, one
+# cache insertion per fresh audit), so a service change that breaks one
+# fails here rather than in a full benchmark run.
+smoke() {
+  local result
+  result="$(python3 perfbench/run.py --workload "$1" --seconds 3 | tail -n 1)"
+  python3 - "$1" "$result" <<'PY'
+import json, sys
+workload, line = sys.argv[1], sys.argv[2]
+result = json.loads(line)
+if result.get("correct") is not True or result.get("failed") != 0:
+    sys.exit("perfbench smoke: %s is not correct: %s" % (workload, line[:300]))
+print("perfbench smoke: %s correct, %s audits" % (workload, result["attempted"]))
+PY
+}
+for workload in $(python3 -c 'import json
+print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))'); do
+  run smoke "$workload"
+done
 
 rm -rf "$TEST_TMPDIR"
 echo "All checks passed."

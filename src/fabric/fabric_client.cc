@@ -239,62 +239,49 @@ Status FabricClient::Cancel(const std::string& key) {
 Result<WireReply> FabricClient::AwaitTerminal(
     const std::string& key, std::chrono::milliseconds poll_interval,
     std::chrono::milliseconds limit) {
-  const Clock::time_point deadline = Clock::now() + limit;
-  for (;;) {
-    Result<WireReply> reply = Poll(key);
-    if (reply.ok() && reply->code == StatusCode::kOk &&
-        reply->state == WireJobState::kDone) {
-      return reply;
-    }
-    // Keep waiting through anything retryable — the whole point is to
-    // span the owner's death and the shard's adoption.
-    if (!reply.ok() && !Retryable(reply.status().code())) {
-      return reply.status();
-    }
-    if (reply.ok() && reply->code != StatusCode::kOk &&
-        !Retryable(reply->code)) {
-      return reply->ToStatus();
-    }
-    if (Clock::now() >= deadline) {
-      return Status::DeadlineExceeded(
-          StrCat("job \"", key, "\" not terminal within ", limit.count(),
-                 " ms of fabric polling"));
-    }
-    std::this_thread::sleep_for(poll_interval);
-  }
+  return Await(key, nullptr, poll_interval, limit);
 }
 
 Result<WireReply> FabricClient::SubmitAndAwait(
     const std::string& key, const JobSpec& spec,
     std::chrono::milliseconds poll_interval, std::chrono::milliseconds limit) {
-  const Clock::time_point deadline = Clock::now() + limit;
   RELCOMP_RETURN_NOT_OK(Submit(key, spec));
+  return Await(key, &spec, poll_interval, limit);
+}
+
+Result<WireReply> FabricClient::Await(const std::string& key,
+                                      const JobSpec* spec,
+                                      std::chrono::milliseconds poll_interval,
+                                      std::chrono::milliseconds limit) {
+  const Clock::time_point deadline = Clock::now() + limit;
   for (;;) {
     Result<WireReply> reply = Poll(key);
     if (reply.ok() && reply->code == StatusCode::kOk &&
         reply->state == WireJobState::kDone) {
       return reply;
     }
-    const StatusCode code =
-        reply.ok() ? reply->code : reply.status().code();
-    if (code == StatusCode::kNotFound) {
-      // The job completed and was forgotten (a kill landed between its
-      // completion and our poll, and recovery never saw an in-flight
-      // record). The idempotency key plus the determinism contract
-      // make resubmission the honest recovery: the verdict cache
-      // answers from the journaled verdict when it survived, and a
-      // recomputation is bit-for-bit the same by PR 3's guarantees.
-      Status resubmitted = Submit(key, spec);
+    const StatusCode code = reply.ok() ? reply->code : reply.status().code();
+    if (code == StatusCode::kNotFound && spec != nullptr) {
+      // The job is terminal and gone: a verdict-cache hit, or a job
+      // that completed and was forgotten, lost to a restart before its
+      // verdict was read. The idempotency key plus the determinism
+      // contract make resubmission the honest recovery: the verdict
+      // cache answers from its durable record when it survived, and a
+      // recomputation is bit-for-bit the same (verdicts are
+      // deterministic at every thread count).
+      Status resubmitted = Submit(key, *spec);
       if (!resubmitted.ok() && !Retryable(resubmitted.code())) {
         return resubmitted;
       }
-    } else if (!Retryable(code) && code != StatusCode::kOk) {
+    } else if (code != StatusCode::kOk && !Retryable(code)) {
+      // Keep waiting through anything retryable — the whole point is
+      // to span the owner's death and the shard's adoption.
       return reply.ok() ? reply->ToStatus() : reply.status();
     }
     if (Clock::now() >= deadline) {
       return Status::DeadlineExceeded(
           StrCat("job \"", key, "\" not terminal within ", limit.count(),
-                 " ms of fabric submit+poll"));
+                 " ms of fabric polling"));
     }
     std::this_thread::sleep_for(poll_interval);
   }

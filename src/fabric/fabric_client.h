@@ -85,11 +85,12 @@ class FabricClient {
       std::chrono::milliseconds poll_interval = std::chrono::milliseconds(5),
       std::chrono::milliseconds limit = std::chrono::milliseconds(60000));
 
-  /// Submit + await in one self-healing loop: a kNotFound poll (the
-  /// job completed and was forgotten before the verdict was read — a
-  /// kill can land in exactly that window) resubmits under the same
-  /// idempotency key and keeps waiting. Determinism + the durable
-  /// verdict cache make the answer bit-for-bit either way.
+  /// Submit, then the same await loop, self-healing: a kNotFound poll
+  /// (the job was terminal and is gone before the verdict was read — a
+  /// restart can land in exactly that window, and a verdict-cache hit
+  /// never had a job record) resubmits under the same idempotency key
+  /// and keeps waiting. Determinism + the durable verdict cache make
+  /// the answer bit-for-bit either way.
   Result<WireReply> SubmitAndAwait(
       const std::string& key, const JobSpec& spec,
       std::chrono::milliseconds poll_interval = std::chrono::milliseconds(5),
@@ -134,6 +135,12 @@ class FabricClient {
   /// Routes one keyed request: candidate sweep, ring refresh, repeat
   /// until a non-kUnavailable answer or the op deadline.
   Result<WireReply> CallRouted(const WireRequest& request);
+  /// The one await loop: polls `key` until terminal, waiting through
+  /// anything retryable, and resubmits `*spec` on kNotFound when the
+  /// caller holds the spec (non-null).
+  Result<WireReply> Await(const std::string& key, const JobSpec* spec,
+                          std::chrono::milliseconds poll_interval,
+                          std::chrono::milliseconds limit);
   /// The per-endpoint client (created on first use).
   NetClient* ClientFor(const std::string& endpoint);
   /// Try order for `shard`: owner, other live ring endpoints, seeds.

@@ -34,20 +34,9 @@ int MsUntil(Clock::time_point deadline) {
 }  // namespace
 
 NetClient::NetClient(std::string address, NetClientOptions options)
-    : options_(options), jitter_(options.jitter_seed) {
-  // Split the comma-separated failover list. Empty segments are
-  // dropped; a wholly empty address yields one empty endpoint whose
-  // connect attempt reports the usual typed error.
-  size_t pos = 0;
-  while (pos <= address.size()) {
-    size_t comma = address.find(',', pos);
-    if (comma == std::string::npos) comma = address.size();
-    std::string endpoint = address.substr(pos, comma - pos);
-    if (!endpoint.empty()) endpoints_.push_back(std::move(endpoint));
-    pos = comma + 1;
-  }
-  if (endpoints_.empty()) endpoints_.push_back(std::string());
-}
+    : address_(std::move(address)),
+      options_(options),
+      jitter_(options.jitter_seed) {}
 
 NetClient::~NetClient() { Disconnect(); }
 
@@ -58,16 +47,9 @@ void NetClient::Disconnect() {
   }
 }
 
-void NetClient::RotateEndpoint() {
-  if (endpoints_.size() < 2) return;
-  active_ = (active_ + 1) % endpoints_.size();
-  ++stats_.failovers;
-}
-
 Status NetClient::EnsureConnected() {
   if (fd_ >= 0) return Status::OK();
-  const std::string& address = endpoints_[active_];
-  RELCOMP_ASSIGN_OR_RETURN(const NetAddress parsed, ParseNetAddress(address));
+  RELCOMP_ASSIGN_OR_RETURN(const NetAddress parsed, ParseNetAddress(address_));
   sockaddr_storage addr{};
   socklen_t addr_len;
   if (parsed.is_unix) {
@@ -78,7 +60,7 @@ Status NetClient::EnsureConnected() {
   } else {
     if (parsed.port == 0) {
       return Status::InvalidArgument(
-          StrCat("tcp port 0 names no listener: ", address));
+          StrCat("tcp port 0 names no listener: ", address_));
     }
     auto* in = reinterpret_cast<sockaddr_in*>(&addr);
     in->sin_family = AF_INET;
@@ -89,7 +71,7 @@ Status NetClient::EnsureConnected() {
   const int fd = ::socket(addr.ss_family, SOCK_STREAM, 0);
   if (fd < 0) return Transport("socket");
   if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), addr_len) != 0) {
-    Status st = Transport(StrCat("connect ", address));
+    Status st = Transport(StrCat("connect ", address_));
     ::close(fd);
     return st;
   }
@@ -213,20 +195,15 @@ Result<WireReply> NetClient::Call(const WireRequest& request) {
     Result<WireReply> reply = RoundTripOnce(request);
     if (reply.ok()) {
       // A typed kUnavailable reply (backend restarting, orphaned
-      // shard) is retryable exactly like a transport failure — but
-      // against the NEXT endpoint of a failover list, this one having
-      // just declared itself unable to serve.
+      // shard) is retryable exactly like a transport failure.
       if (reply->code != StatusCode::kUnavailable) return reply;
       last = Status::Unavailable(reply->message);
-      if (endpoints_.size() > 1) Disconnect();
-      RotateEndpoint();
       if (options_.honor_retry_after && reply->retry_after_ms > 0 &&
           attempt < options_.max_retries) {
         bounded_sleep(reply->retry_after_ms);
       }
     } else if (reply.status().code() == StatusCode::kUnavailable) {
       last = reply.status();
-      RotateEndpoint();
     } else {
       return reply.status();  // non-transport error: caller's problem
     }

@@ -5,7 +5,6 @@
 #include <cstddef>
 #include <random>
 #include <string>
-#include <vector>
 
 #include "net/wire.h"
 #include "service/decision_service.h"
@@ -39,8 +38,8 @@ struct NetClientOptions {
   /// Caller deadline on one Call(): total wall time across every
   /// attempt and backoff sleep. Once it elapses the call fails
   /// kDeadlineExceeded instead of burning through the remaining retry
-  /// budget against endpoints that are all down. Zero = bounded only
-  /// by max_retries (the historical behavior).
+  /// budget against a server that is down. Zero = bounded only by
+  /// max_retries (the historical behavior).
   std::chrono::milliseconds call_deadline{0};
   /// Shared fabric secret: non-empty = every request frame carries a
   /// keyed tag and every reply must verify (a stripped or forged reply
@@ -58,7 +57,6 @@ struct NetClientStats {
   size_t connects = 0;      ///< sockets opened (1 + reconnects)
   size_t retries = 0;       ///< transport-level retries performed
   size_t backoff_waits = 0; ///< sleeps taken before a retry
-  size_t failovers = 0;     ///< endpoint rotations (multi-endpoint only)
 };
 
 /// Blocking request/reply client for a NetServer. One connection,
@@ -70,12 +68,9 @@ struct NetClientStats {
 /// server processed the request) is absorbed server-side: exactly-once
 /// submission effect over an at-least-once transport.
 ///
-/// The address may be a comma-separated endpoint list
-/// ("unix:/a,unix:/b,tcp:127.0.0.1:9000"): the client talks to the
-/// first endpoint it can reach and fails over in list order — a
-/// transport failure or typed kUnavailable reply advances to the next
-/// endpoint on the following attempt, wrapping around. With one
-/// endpoint this degenerates to the historical reconnect-in-place.
+/// The address names one endpoint ("unix:<path>" or
+/// "tcp:<ipv4>:<port>"); failing over between servers is the
+/// FabricClient's job.
 ///
 /// Not thread-safe: one NetClient per thread.
 class NetClient {
@@ -129,12 +124,6 @@ class NetClient {
   /// currently own the shard.
   Status Handoff(size_t shard, const std::string& successor);
 
-  /// The endpoint the next attempt will use (failover cursor).
-  const std::string& current_endpoint() const {
-    return endpoints_[active_];
-  }
-  const std::vector<std::string>& endpoints() const { return endpoints_; }
-
   /// One request/reply exchange with retry/reconnect/backoff applied.
   /// Public for the FabricClient, which routes raw requests itself.
   Result<WireReply> Call(const WireRequest& request);
@@ -156,12 +145,7 @@ class NetClient {
   /// Reads until the decoder yields one frame, within the deadline.
   Result<std::string> ReadFrame();
 
-  /// Advances the failover cursor to the next endpoint (no-op with one).
-  void RotateEndpoint();
-
-  /// The configured endpoints, in failover order (never empty).
-  std::vector<std::string> endpoints_;
-  size_t active_ = 0;
+  std::string address_;
   NetClientOptions options_;
   int fd_ = -1;
   NetClientStats stats_;

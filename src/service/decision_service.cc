@@ -134,14 +134,12 @@ struct DecisionService::Job {
   uint64_t spec_digest = 0;
   /// The parsed spec, owned from admission until RunJob takes it.
   std::unique_ptr<CompletenessSpec> problem;
-  /// The instance fingerprint, when admission already computed it (the
-  /// degraded-mode cache check), so RunJob does not compute it again.
+  /// The instance fingerprint of a kRcdp job when the verdict cache is
+  /// on: the key admission looked up, and RunJob inserts the decided
+  /// verdict under.
   std::optional<uint64_t> instance_fp;
   /// Absolute EDF deadline (time_point::max() when the spec has none).
   std::chrono::steady_clock::time_point deadline;
-  /// Admitted while degraded, against the verdict cache, with no
-  /// durable job record — the store is never asked to Forget it.
-  bool ephemeral = false;
   bool running = false;
   bool terminal = false;
   /// Set by Cancel(): the job was explicitly abandoned, so its durable
@@ -178,28 +176,33 @@ Result<std::unique_ptr<DecisionService>> DecisionService::Start(
   // in-flight — re-create and re-enqueue it. Recovered jobs bypass
   // admission control (shedding a job the previous process already
   // accepted would break the "accepted means survives a kill"
-  // contract). Each is parsed here, once; one whose spec no longer
-  // parses ends terminal with the parse error.
+  // contract). Each goes through admission's one parse and cache
+  // lookup; one the cache already answers, or whose spec no longer
+  // parses, ends terminal here and its record goes.
   for (const std::string& id : service->store_->PendingRequests()) {
     Result<std::string> payload = service->store_->LoadJob(id);
     if (!payload.ok()) continue;  // corrupt record: skipped, counted
     Result<JobSpec> spec = JobSpec::Deserialize(*payload);
     if (!spec.ok()) continue;
-    Result<CompletenessSpec> parsed = ParseJob(*spec);
     auto job = std::make_unique<Job>();
     job->id = id;
     job->spec_digest = JobSpec::Digest(spec->Serialize());
     job->spec = std::move(*spec);
+    std::optional<CachedVerdict> cached;
+    const Status parsed = service->PrepareJob(job.get(), &cached);
     std::lock_guard<std::mutex> lock(service->mu_);
     service->recovered_.push_back(id);
-    if (parsed.ok()) {
-      job->problem = std::make_unique<CompletenessSpec>(std::move(*parsed));
+    if (parsed.ok() && !cached.has_value()) {
       service->AdmitLocked(std::move(job));
       continue;
     }
     service->store_->Forget(id);
-    service->FinishLocked(job.get(), parsed.status());
-    service->jobs_[id] = std::move(job);
+    if (cached.has_value()) {
+      service->ServeHitLocked(std::move(job), std::move(*cached));
+    } else {
+      service->FinishLocked(job.get(), parsed);
+      service->jobs_[id] = std::move(job);
+    }
   }
 
   const size_t workers = std::max<size_t>(1, options.num_workers);
@@ -456,50 +459,37 @@ Status DecisionService::Submit(const std::string& request_id,
                                const JobSpec& spec) {
   // Refusals that need no parse come first: a full queue or a crashed,
   // stopping or detaching service refuses before paying for one.
-  bool degraded_at_entry = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
     RELCOMP_RETURN_NOT_OK(RefuseLocked(request_id, spec));
-    degraded_at_entry = degraded_;
   }
 
-  // The job's one parse, its record and the record's digest are built
-  // outside mu_: for a large spec they are the cost of admission, and
-  // the network server runs every Submit on its one loop thread.
-  // Rejecting an unparseable spec here means a worker (or, worse, a
-  // restarted process during recovery) never meets it.
-  Result<CompletenessSpec> parsed = ParseJob(spec);
+  // The job's one parse, its record, the record's digest and the cache
+  // lookup run outside mu_: for a large spec they are the cost of
+  // admission, and the network server runs every Submit on its one
+  // loop thread. Rejecting an unparseable spec here means a worker
+  // (or, worse, a restarted process during recovery) never meets it.
   const std::string record = spec.Serialize();
   auto job = std::make_unique<Job>();
   job->id = request_id;
   job->spec = spec;
   job->spec_digest = JobSpec::Digest(record);
-  bool cache_hit = false;
-  if (parsed.ok()) {
-    if (degraded_at_entry) {
-      // RefuseLocked let a degraded submit through only for this check.
-      job->instance_fp = FingerprintRcdpInstance(
-          parsed->queries[spec.query_index], parsed->db, parsed->master,
-          parsed->constraints);
-      cache_hit = verdict_cache_->Lookup(*job->instance_fp).has_value();
-    }
-    job->problem = std::make_unique<CompletenessSpec>(std::move(*parsed));
-  }
+  std::optional<CachedVerdict> cached;
+  const Status parsed = PrepareJob(job.get(), &cached);
 
-  std::unique_lock<std::mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   // The service may have changed state while the spec was parsed.
   RELCOMP_RETURN_NOT_OK(RefuseLocked(request_id, spec));
-  if (degraded_) {
-    // Admitted ephemerally (no job record; it never claimed
-    // durability), to be served from memory. A service that degraded
-    // during the parse has no cache answer at hand and sheds.
-    if (!cache_hit) return ShedDegradedLocked(request_id);
-    ++ephemeral_admissions_;
-    job->ephemeral = true;
-    AdmitLocked(std::move(job));
+  if (cached.has_value()) {
+    // A hit needs no job record — its answer is already durable — so a
+    // degraded service answers it like a healthy one.
+    if (degraded_) ++ephemeral_admissions_;
+    ServeHitLocked(std::move(job), std::move(*cached));
     return Status::OK();
   }
-  if (!parsed.ok()) return parsed.status();
+  // A degraded store cannot make a miss durable.
+  if (degraded_) return ShedDegradedLocked(request_id);
+  RELCOMP_RETURN_NOT_OK(parsed);
   // Durability before admission: once Submit returns OK the job
   // survives a kill.
   Status persisted = store_->PersistJob(request_id, record);
@@ -520,6 +510,32 @@ Status DecisionService::Submit(const std::string& request_id,
   }
   AdmitLocked(std::move(job));
   return Status::OK();
+}
+
+Status DecisionService::PrepareJob(Job* job,
+                                   std::optional<CachedVerdict>* cached) {
+  Result<CompletenessSpec> parsed = ParseJob(job->spec);
+  if (!parsed.ok()) return parsed.status();
+  // kRcdp only; the other deciders have no content fingerprint. Thread
+  // count is deliberately outside the key: verdicts do not depend on it.
+  if (verdict_cache_ != nullptr && job->spec.kind == JobKind::kRcdp) {
+    job->instance_fp = FingerprintRcdpInstance(
+        parsed->queries[job->spec.query_index], parsed->db, parsed->master,
+        parsed->constraints);
+    *cached = verdict_cache_->Lookup(*job->instance_fp);
+    if (cached->has_value()) return Status::OK();  // the parse dies here
+  }
+  job->problem = std::make_unique<CompletenessSpec>(std::move(*parsed));
+  return Status::OK();
+}
+
+void DecisionService::ServeHitLocked(std::unique_ptr<Job> job,
+                                     CachedVerdict cached) {
+  job->result.verdict = cached.verdict;
+  job->result.evidence = std::move(cached.evidence);
+  ++cache_served_;
+  FinishLocked(job.get(), Status::OK());
+  jobs_[job->id] = std::move(job);
 }
 
 void DecisionService::AdmitLocked(std::unique_ptr<Job> job) {
@@ -607,7 +623,7 @@ Status DecisionService::Cancel(const std::string& request_id) {
         break;
       }
     }
-    if (!job->ephemeral) store_->Forget(request_id);
+    store_->Forget(request_id);
     job->result.verdict = Verdict::kUnknown;
     job->result.evidence =
         StrCat("unknown|", BudgetKindToString(BudgetKind::kCancel));
@@ -672,34 +688,8 @@ void DecisionService::RunJob(Job* job,
   std::unique_ptr<CompletenessSpec> owned = std::move(job->problem);
   const CompletenessSpec& problem = *owned;
   const AnyQuery& query = problem.queries[spec.query_index];
-  const std::optional<uint64_t> admitted_fp = job->instance_fp;
+  const std::optional<uint64_t> instance_fp = job->instance_fp;
   lock.unlock();
-
-  // Verdict-cache fast path: a decided verdict cached for this exact
-  // instance content (strong fingerprint over Q, V, D, Dm — thread
-  // count deliberately excluded, verdicts are thread-count-invariant)
-  // is re-served without running any search. kRcdp only; the other
-  // deciders have no content fingerprint.
-  uint64_t instance_fp = 0;
-  if (verdict_cache_ != nullptr && spec.kind == JobKind::kRcdp) {
-    instance_fp = admitted_fp.has_value()
-                      ? *admitted_fp
-                      : FingerprintRcdpInstance(query, problem.db,
-                                                problem.master,
-                                                problem.constraints);
-    if (std::optional<CachedVerdict> cached =
-            verdict_cache_->Lookup(instance_fp)) {
-      if (!job->ephemeral) store_->Forget(job->id);
-      owned.reset();  // free a large parse before taking the lock
-      lock.lock();
-      if (crashed_) return;
-      job->result.verdict = cached->verdict;
-      job->result.evidence = std::move(cached->evidence);
-      ++cache_served_;
-      finish(Status::OK());
-      return;
-    }
-  }
 
   ExecutionBudget budget;
   if (spec.deadline.has_value()) budget.set_deadline(job->deadline);
@@ -733,11 +723,9 @@ void DecisionService::RunJob(Job* job,
   // slice_steps decision points have passed since the last durable
   // generation, the next report is persisted. The sink's calls are
   // serialized, so `durable_at` needs no lock. A chase reports nothing
-  // (recovery restarts it at round 0 anyway), and an ephemeral job has
-  // no durable identity to persist under.
+  // (recovery restarts it at round 0 anyway).
   size_t durable_at = 0;
-  if (spec.slice_steps > 0 && !job->ephemeral &&
-      spec.kind != JobKind::kChase) {
+  if (spec.slice_steps > 0 && spec.kind != JobKind::kChase) {
     rcdp_options.progress = [&](const SearchCheckpoint& ckpt) {
       const size_t steps = budget.steps();
       if (steps - durable_at < spec.slice_steps) return;
@@ -794,12 +782,13 @@ void DecisionService::RunJob(Job* job,
     }
   }
 
-  // Populate the cache before re-taking the service lock (the cache
-  // write fsyncs; don't stall the other workers on it). Best-effort:
-  // a failed cache write must not fail the job.
-  if (verdict_cache_ != nullptr && spec.kind == JobKind::kRcdp &&
-      decide_status.ok() && verdict != Verdict::kUnknown) {
-    Status cache_st = verdict_cache_->Insert(instance_fp, verdict, evidence);
+  // Populate the cache under the fingerprint admission looked up,
+  // before re-taking the service lock (the cache write fsyncs; don't
+  // stall the other workers on it). Best-effort: a failed cache write
+  // must not fail the job.
+  if (instance_fp.has_value() && decide_status.ok() &&
+      verdict != Verdict::kUnknown) {
+    Status cache_st = verdict_cache_->Insert(*instance_fp, verdict, evidence);
     (void)cache_st;
   }
 
@@ -808,7 +797,7 @@ void DecisionService::RunJob(Job* job,
   job->result.attempts = 1;
 
   if (!decide_status.ok()) {
-    if (!job->ephemeral) store_->Forget(job->id);
+    store_->Forget(job->id);
     finish(std::move(decide_status));
     return;
   }
@@ -816,41 +805,48 @@ void DecisionService::RunJob(Job* job,
   if (verdict != Verdict::kUnknown) {
     job->result.verdict = verdict;
     job->result.evidence = std::move(evidence);
-    if (!job->ephemeral) store_->Forget(job->id);
+    store_->Forget(job->id);
     finish(Status::OK());
     return;
   }
 
   // kUnknown. The service arms no step or memory cap, so only a
   // deadline, a cancel (Cancel, Quiesce or another job's crash), the
-  // crash harness or the chase's round cap stops a job — none of which
-  // a retry would get past. Persist the resume point first: crash
-  // simulation and real kills alike must find it durable. An ephemeral
-  // job never persists (it has no durable identity to attach a
-  // generation to).
-  const bool budget_saw_crash =
-      budget.exhausted_kind() == BudgetKind::kCrash;
-  if (checkpoint.has_value()) {
-    bool persisted = false;
-    if (!job->ephemeral &&
-        !PersistAndMaybeCrash(job, *checkpoint, budget_saw_crash, &persisted,
-                              lock)) {
-      return;  // simulated kill (or store failure after crash)
+  // crash harness, the chase's round cap or a pool search that is not
+  // exhaustive stops a job short. The last two are final: a re-run
+  // ends the same way (a chase checkpoint does not outlive the
+  // process, and an RCQP pool search bounded by max_witness_tuples or
+  // max_pool_size leaves none), so like a decided job they persist
+  // nothing and drop their record. Every other kUnknown persists its
+  // resume point first: crash simulation and real kills alike must
+  // find it durable.
+  const bool final_unknown = exhaustion.kind == BudgetKind::kNone ||
+                             exhaustion.kind == BudgetKind::kRounds;
+  if (!final_unknown) {
+    const bool budget_saw_crash =
+        budget.exhausted_kind() == BudgetKind::kCrash;
+    if (checkpoint.has_value()) {
+      bool persisted = false;
+      if (!PersistAndMaybeCrash(job, *checkpoint, budget_saw_crash,
+                                &persisted, lock)) {
+        return;  // simulated kill (or store failure after crash)
+      }
+    } else if (budget_saw_crash) {
+      // Nothing to persist (exhaustion before the first checkpointable
+      // point) — the kill still happens; recovery restarts from the
+      // job record alone.
+      CrashLocked();
+      return;
     }
-  } else if (budget_saw_crash) {
-    // Nothing to persist (exhaustion before the first checkpointable
-    // point) — the kill still happens; recovery restarts from the job
-    // record alone.
-    CrashLocked();
-    return;
   }
   // The job ends kUnknown with its newest checkpoint retained in the
-  // store for a manual resume — unless an explicit Cancel() abandoned
-  // it, which drops its durable record and checkpoints.
+  // store for a manual resume — unless it is final or an explicit
+  // Cancel() abandoned it, which drops its durable record and
+  // checkpoints.
   job->result.verdict = Verdict::kUnknown;
   job->result.evidence = StrCat("unknown|", BudgetKindToString(exhaustion.kind));
   job->result.exhaustion = exhaustion;
-  if (job->cancel_requested && !job->ephemeral) store_->Forget(job->id);
+  if (final_unknown || job->cancel_requested) store_->Forget(job->id);
   finish(Status::OK());
 }
 

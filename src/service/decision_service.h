@@ -107,9 +107,9 @@ struct DecisionServiceOptions {
   bool start_paused = false;
   /// Serve and populate a fingerprint-keyed VerdictCache over the
   /// store: a kRcdp job whose instance content matches a cached
-  /// decided verdict returns it without any search, and decided
-  /// verdicts are persisted as durable store records that survive
-  /// restarts. Off by default — a cache hit skips the decider
+  /// decided verdict is answered at admission without any search, and
+  /// decided verdicts are persisted as durable store records that
+  /// survive restarts. Off by default — a cache hit skips the decider
   /// entirely, which the crash/fault harnesses (which need the search
   /// to actually run) do not expect.
   bool enable_verdict_cache = false;
@@ -142,8 +142,11 @@ struct DecisionServiceOptions {
 ///
 /// Lifecycle: Start() opens (exclusively locks) the store directory,
 /// re-creates every in-flight job found there (RecoveredJobs()), and
-/// spawns the workers. Submit() durably records the job, then enqueues
-/// it — so a job accepted is a job that survives a kill. Workers drain
+/// spawns the workers. Submit() answers a verdict-cache hit at once,
+/// with no job record, queue slot or worker: completeness is a
+/// property of the instance alone, and the cached verdict is already a
+/// durable record. Any other job is durably recorded, then enqueued —
+/// so a job accepted is a job that survives a kill. Workers drain
 /// the queue oldest-deadline-first and run each job's decider once,
 /// under a per-request ExecutionBudget that carries the deadline, the
 /// job's cancel token and the crash harness but no step or memory cap.
@@ -154,14 +157,19 @@ struct DecisionServiceOptions {
 /// it, without stopping the search. Deadline and cancel exhaustion are
 /// terminal: the search unwinds, its checkpoint is persisted, and the
 /// job ends kUnknown with that checkpoint left in the store. Completed
-/// jobs are Forget()ten. Each job's spec is parsed once, by Submit
-/// before it takes the service lock; the worker decides on that
-/// parse.
+/// jobs are Forget()ten, and so are the two kUnknown kinds no re-run
+/// can change (a chase stopped by its round cap, an RCQP pool search
+/// that is not exhaustive). Each job's spec is parsed once — and a
+/// kRcdp job's instance fingerprinted and looked up once when the
+/// cache is on — by Submit before it takes the service lock; the
+/// worker decides on that parse.
 ///
-/// Crash recovery: at Start(), a restarted service parses each pending job's
-/// spec and resumes from its newest valid checkpoint; the PR-3 resume
-/// guarantees make the final verdict and evidence bit-for-bit equal to
-/// an uninterrupted run at any thread count. Chase jobs are the one
+/// Crash recovery: at Start(), a restarted service puts each pending
+/// job through the same parse and cache lookup — one the cache already
+/// answers is served and forgotten there — and resumes the rest from
+/// their newest valid checkpoints; the resume guarantees make the
+/// final verdict and evidence bit-for-bit equal to an uninterrupted
+/// run at any thread count. Chase jobs are the one
 /// caveat: the partially chased database lives only in memory, so a
 /// cross-process recovery re-runs the (deterministic) chase from round
 /// 0 — same final result, repeated work — so a chase job persists
@@ -177,12 +185,15 @@ class DecisionService {
   DecisionService(const DecisionService&) = delete;
   DecisionService& operator=(const DecisionService&) = delete;
 
-  /// Admits `spec` as `request_id`, durably persisting it first.
-  /// kResourceExhausted when the queue is full (load shedding);
-  /// kInvalidArgument on a bad id, duplicate id, or a spec that does
-  /// not parse; kFailedPrecondition after a (simulated) crash. The
-  /// spec is parsed outside the service lock, and only after the
-  /// refusals that need no parse.
+  /// Admits `spec` as `request_id`. A kRcdp job the verdict cache
+  /// answers is terminal when this returns (attempts 0), healthy or
+  /// degraded; any other job is durably persisted first, then queued.
+  /// kResourceExhausted when the queue is full (load shedding) or, for
+  /// a miss, while degraded; kInvalidArgument on a bad id, duplicate
+  /// id, or a spec that does not parse; kFailedPrecondition after a
+  /// (simulated) crash. The spec is parsed, fingerprinted and looked
+  /// up outside the service lock, and only after the refusals that
+  /// need no parse.
   Status Submit(const std::string& request_id, const JobSpec& spec);
 
   /// Blocks until `request_id` is terminal and returns its result.
@@ -261,9 +272,9 @@ class DecisionService {
 
   /// True while the service is in degraded mode: a store write failed
   /// (or the fsync gate closed), so durable admission is suspended —
-  /// Submit sheds with typed kResourceExhausted, EXCEPT verdict-cache
-  /// hits, which are admitted ephemerally (no job record) and served
-  /// from memory. Running jobs keep deciding; their checkpoint
+  /// Submit sheds a miss with typed kResourceExhausted. Degraded mode
+  /// changes only what a miss gets: a verdict-cache hit is answered at
+  /// admission either way. Running jobs keep deciding; their checkpoint
   /// persists are skipped, not fatal. Cleared ONLY by a successful
   /// store probe (the background thread or ProbeStoreNow) — a lucky
   /// write never flips the service back, so degraded/healthy cannot
@@ -283,7 +294,8 @@ class DecisionService {
   /// (subset of jobs_shed()).
   size_t submits_shed_degraded() const;
 
-  /// Cache-hit jobs admitted ephemerally while degraded.
+  /// Verdict-cache hits answered while degraded (a subset of
+  /// verdicts_served_from_cache(); the health line's `ephemeral=`).
   size_t ephemeral_admissions() const;
 
   /// Worst-wins health token for this service + its store:
@@ -295,7 +307,8 @@ class DecisionService {
   /// probes=<succeeded>/<attempted> shed=<n> ephemeral=<n>`.
   std::string HealthLine(std::string_view label) const;
 
-  /// Jobs answered from the verdict cache without running a search.
+  /// Jobs answered from the verdict cache without running a search, at
+  /// admission or at recovery.
   size_t verdicts_served_from_cache() const;
 
   /// The cache (null unless enable_verdict_cache) — stats for tests
@@ -313,6 +326,15 @@ class DecisionService {
   Status RefuseLocked(const std::string& request_id, const JobSpec& spec);
   /// Counts and returns a degraded-mode shed.
   Status ShedDegradedLocked(const std::string& request_id);
+  /// The admission work that takes no lock, shared by Submit and
+  /// recovery: the job's one parse and, for a kRcdp job when the cache
+  /// is on, its instance fingerprint and cache lookup. Returns the
+  /// parse status. On a hit `*cached` holds the verdict and the parse
+  /// is dropped; otherwise `job` keeps it for RunJob.
+  Status PrepareJob(Job* job, std::optional<CachedVerdict>* cached);
+  /// Answers `job` from its cached verdict: terminal at once, with no
+  /// job record, queue slot or worker.
+  void ServeHitLocked(std::unique_ptr<Job> job, CachedVerdict cached);
   /// Enqueues an admitted (or recovered) job.
   void AdmitLocked(std::unique_ptr<Job> job);
   /// Terminal bookkeeping: marks `job` terminal with `status`, frees

@@ -35,13 +35,6 @@ SearchCheckpoint MakeCkpt(size_t rank, std::string payload = "payload") {
   return ckpt;
 }
 
-std::string ReadFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good()) << path;
-  return std::string(std::istreambuf_iterator<char>(in),
-                     std::istreambuf_iterator<char>());
-}
-
 void WriteFile(const std::string& path, const std::string& content) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out << content;
@@ -166,26 +159,6 @@ TEST(CheckpointStoreTest, EachPersistFsyncsItsRecordAndTheDirectoryOnce) {
 // A directory written by the earlier journaled store opens to what its
 // record files say.
 
-/// A 3 x 4 far-corner instance: S holds every pair over {0..2} x {0..3}
-/// but (2, 3), and M and N bound its columns, so the search walks the
-/// whole space before it finds the one new answer.
-std::string CornerSpec() {
-  std::string s =
-      "relation S(a, b)\nmaster relation M(m)\nmaster relation N(n)\n";
-  for (int x = 0; x <= 2; ++x) {
-    for (int y = 0; y <= 3; ++y) {
-      if (x == 2 && y == 3) continue;
-      s += StrCat("fact S(", x, ", ", y, ")\n");
-    }
-  }
-  for (int m = 0; m <= 2; ++m) s += StrCat("master fact M(", m, ")\n");
-  for (int n = 0; n <= 3; ++n) s += StrCat("master fact N(", n, ")\n");
-  s += "constraint c0(x) :- S(x, y) |= M[0]\n";
-  s += "constraint c1(y) :- S(x, y) |= N[0]\n";
-  s += "query cq Q(x, y) :- S(x, y)\n";
-  return s;
-}
-
 /// One line of the retired J1 journal: "J1 <op> <id> <gen> <crc>", the
 /// CRC-32 covering "<op> <id> <gen>".
 std::string J1Line(std::string_view op, std::string_view id,
@@ -195,7 +168,7 @@ std::string J1Line(std::string_view op, std::string_view id,
 }
 
 TEST(CheckpointStoreTest, JournaledDirectoryOpensToItsRecordFiles) {
-  const std::string spec_text = CornerSpec();
+  const std::string spec_text = GridSpec(2, 3);
   auto spec = ParseCompletenessSpec(spec_text);
   ASSERT_TRUE(spec.ok()) << spec.status().ToString();
   auto direct = DecideRcdp(spec->queries[0], spec->db, spec->master,

@@ -360,12 +360,6 @@ TEST(CodecFormatTest, Certificate) {
   SweepFormat(golden, Via(&RcdpCertificate::Deserialize));
 }
 
-std::string ReadFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return std::string(std::istreambuf_iterator<char>(in),
-                     std::istreambuf_iterator<char>());
-}
-
 void WriteFile(const std::string& path, std::string_view content) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out << content;

@@ -12,6 +12,7 @@
 #include <string>
 #include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "completeness/rcdp.h"
@@ -25,33 +26,6 @@
 
 namespace relcomp {
 namespace {
-
-/// An incomplete instance whose single counterexample sits in the far
-/// corner of the valuation space: S holds every pair over
-/// {0..5} x {0..6} except (5, 6), and S's columns are IND-bounded by
-/// M = {0..5} and N = {0..6}. The only new answer any extension can
-/// add is (5, 6), so the search walks the whole space (76 decision
-/// points at any thread count, finishing work units on the way) before
-/// the verdict — enough room to persist, checkpoint, and crash.
-const std::string& IncompleteSpec() {
-  static const std::string spec = [] {
-    std::string s = "relation S(a, b)\nmaster relation M(m)\n"
-                    "master relation N(n)\n";
-    for (int x = 0; x <= 5; ++x) {
-      for (int y = 0; y <= 6; ++y) {
-        if (x == 5 && y == 6) continue;
-        s += StrCat("fact S(", x, ", ", y, ")\n");
-      }
-    }
-    for (int m = 0; m <= 5; ++m) s += StrCat("master fact M(", m, ")\n");
-    for (int n = 0; n <= 6; ++n) s += StrCat("master fact N(", n, ")\n");
-    s += "constraint c0(x) :- S(x, y) |= M[0]\n";
-    s += "constraint c1(y) :- S(x, y) |= N[0]\n";
-    s += "query cq Q(x, y) :- S(x, y)\n";
-    return s;
-  }();
-  return spec;
-}
 
 /// A chase that converges: both S columns are IND-bounded by a small
 /// master relation, so the chase closes the finite M × M space within
@@ -75,25 +49,6 @@ JobSpec MakeJob(JobKind kind, const std::string& spec, size_t threads = 1,
   job.num_threads = threads;
   job.slice_steps = slice;
   return job;
-}
-
-/// The service's canonical evidence string, recomputed from a direct
-/// library call — the oracle every service result is compared against.
-std::string DirectRcdpEvidence(const std::string& spec_text, size_t threads) {
-  auto spec = ParseCompletenessSpec(spec_text);
-  EXPECT_TRUE(spec.ok()) << spec.status().ToString();
-  RcdpOptions options;
-  options.num_threads = threads;
-  auto r = DecideRcdp(spec->queries[0], spec->db, spec->master,
-                      spec->constraints, options);
-  EXPECT_TRUE(r.ok()) << r.status().ToString();
-  return StrCat(VerdictToString(r->verdict), "|",
-                r->counterexample_delta.has_value()
-                    ? r->counterexample_delta->ToString()
-                    : std::string("<none>"),
-                "|",
-                r->new_answer.has_value() ? r->new_answer->ToString()
-                                          : std::string("<none>"));
 }
 
 /// The evidence string of a direct RCQP decision, in the service's
@@ -226,6 +181,69 @@ class CheckpointRecorder : public FsEnv {
   std::vector<SearchCheckpoint> written_;
 };
 
+/// Records every store operation as "<op> <site> <file name>", in
+/// issue order. A fault plan armed on it still applies.
+class StoreOpRecorder : public FsEnv {
+ public:
+  int Open(std::string_view site, const char* path, int flags,
+           mode_t mode) override {
+    Note("open", site, path);
+    return FsEnv::Open(site, path, flags, mode);
+  }
+  ssize_t Read(std::string_view site, int fd, void* buf,
+               size_t count) override {
+    Note("read", site);
+    return FsEnv::Read(site, fd, buf, count);
+  }
+  ssize_t Write(std::string_view site, int fd, const void* buf,
+                size_t count) override {
+    Note("write", site);
+    return FsEnv::Write(site, fd, buf, count);
+  }
+  int Fsync(std::string_view site, int fd) override {
+    Note("fsync", site);
+    return FsEnv::Fsync(site, fd);
+  }
+  int Rename(std::string_view site, const char* from,
+             const char* to) override {
+    Note("rename", site, to);
+    return FsEnv::Rename(site, from, to);
+  }
+  int Unlink(std::string_view site, const char* path) override {
+    Note("unlink", site, path);
+    return FsEnv::Unlink(site, path);
+  }
+  int Flock(std::string_view site, int fd, int operation) override {
+    Note("flock", site);
+    return FsEnv::Flock(site, fd, operation);
+  }
+  int Mkdir(std::string_view site, const char* path, mode_t mode) override {
+    Note("mkdir", site, path);
+    return FsEnv::Mkdir(site, path, mode);
+  }
+  DIR* Opendir(std::string_view site, const char* path) override {
+    Note("opendir", site, path);
+    return FsEnv::Opendir(site, path);
+  }
+
+  /// The operations recorded since the last call.
+  std::vector<std::string> Take() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return std::exchange(ops_, {});
+  }
+
+ private:
+  void Note(std::string_view op, std::string_view site,
+            std::string_view path = "") {
+    const std::string_view name = path.substr(path.rfind('/') + 1);
+    std::lock_guard<std::mutex> lock(mu_);
+    ops_.push_back(StrCat(op, " ", site, " ", name));
+  }
+
+  std::mutex mu_;
+  std::vector<std::string> ops_;
+};
+
 /// Runs `job` as "req" on a fresh un-faulted service; returns the
 /// terminal JobResult.
 JobResult RunToCompletion(const std::string& dir, const JobSpec& job,
@@ -243,22 +261,22 @@ JobResult RunToCompletion(const std::string& dir, const JobSpec& job,
 
 TEST(DecisionServiceTest, RcdpJobMatchesTheDirectDecision) {
   JobResult r = RunToCompletion(FreshDir("rcdp"),
-                                MakeJob(JobKind::kRcdp, IncompleteSpec()));
+                                MakeJob(JobKind::kRcdp, GridSpec(5, 6)));
   EXPECT_EQ(r.verdict, Verdict::kIncomplete);
-  EXPECT_EQ(r.evidence, DirectRcdpEvidence(IncompleteSpec(), 1));
+  EXPECT_EQ(r.evidence, DirectRcdpEvidence(GridSpec(5, 6), 1));
   EXPECT_EQ(r.attempts, 1u);
   EXPECT_EQ(r.persisted, 0u);
 }
 
 TEST(DecisionServiceTest, RcqpJobMatchesTheDirectDecision) {
-  auto spec = ParseCompletenessSpec(IncompleteSpec());
+  auto spec = ParseCompletenessSpec(GridSpec(5, 6));
   ASSERT_TRUE(spec.ok());
   auto direct = DecideRcqp(spec->queries[0], spec->db_schema, spec->master,
                            spec->constraints, RcqpOptions());
   ASSERT_TRUE(direct.ok()) << direct.status().ToString();
 
   JobResult r = RunToCompletion(FreshDir("rcqp"),
-                                MakeJob(JobKind::kRcqp, IncompleteSpec()));
+                                MakeJob(JobKind::kRcqp, GridSpec(5, 6)));
   EXPECT_EQ(r.verdict, direct->verdict);
   EXPECT_NE(r.evidence.find(direct->method), std::string::npos)
       << r.evidence;
@@ -281,12 +299,12 @@ TEST(DecisionServiceTest, ChaseJobMatchesTheDirectChase) {
 }
 
 TEST(DecisionServiceTest, SlicedExecutionPersistsAndStillMatches) {
-  const size_t total = CountDecisionPoints(IncompleteSpec(), JobKind::kRcdp, 1);
+  const size_t total = CountDecisionPoints(GridSpec(5, 6), JobKind::kRcdp, 1);
   ASSERT_GT(total, 8u);
   const std::string dir = FreshDir("sliced");
   JobResult r = RunToCompletion(
-      dir, MakeJob(JobKind::kRcdp, IncompleteSpec(), 1, total / 4 + 1));
-  EXPECT_EQ(r.evidence, DirectRcdpEvidence(IncompleteSpec(), 1));
+      dir, MakeJob(JobKind::kRcdp, GridSpec(5, 6), 1, total / 4 + 1));
+  EXPECT_EQ(r.evidence, DirectRcdpEvidence(GridSpec(5, 6), 1));
   // One uncapped run that persisted as it went: no slice, no retry.
   EXPECT_EQ(r.attempts, 1u);
   EXPECT_GE(r.persisted, 1u) << "no rolling persist landed";
@@ -311,11 +329,11 @@ std::vector<SearchCheckpoint> PersistedSequence(const JobSpec& job,
 
 TEST(DecisionServiceTest, RollingPersistsAdvanceAndRepeatAtOneThread) {
   // Interval 1: every advance of the search's low watermark persists.
-  const JobSpec job = MakeJob(JobKind::kRcdp, IncompleteSpec(), 1, 1);
+  const JobSpec job = MakeJob(JobKind::kRcdp, GridSpec(5, 6), 1, 1);
   JobResult first;
   const std::vector<SearchCheckpoint> persisted =
       PersistedSequence(job, &first);
-  EXPECT_EQ(first.evidence, DirectRcdpEvidence(IncompleteSpec(), 1));
+  EXPECT_EQ(first.evidence, DirectRcdpEvidence(GridSpec(5, 6), 1));
   EXPECT_EQ(first.attempts, 1u);
   ASSERT_GE(persisted.size(), 2u);
   EXPECT_EQ(first.persisted, persisted.size());
@@ -336,8 +354,8 @@ TEST(DecisionServiceTest, RollingPersistsAdvanceAndRepeatAtOneThread) {
   // only moves forward.
   JobResult wide;
   const std::vector<SearchCheckpoint> wide_persisted = PersistedSequence(
-      MakeJob(JobKind::kRcdp, IncompleteSpec(), 8, 1), &wide);
-  EXPECT_EQ(wide.evidence, DirectRcdpEvidence(IncompleteSpec(), 8));
+      MakeJob(JobKind::kRcdp, GridSpec(5, 6), 8, 1), &wide);
+  EXPECT_EQ(wide.evidence, DirectRcdpEvidence(GridSpec(5, 6), 8));
   for (size_t g = 1; g < wide_persisted.size(); ++g) {
     EXPECT_LT(wide_persisted[g - 1].rank, wide_persisted[g].rank)
         << "generation " << g;
@@ -374,11 +392,11 @@ TEST(DecisionServiceTest, AdmissionControlShedsBeyondTheQueueDepth) {
   auto service = DecisionService::Start(FreshDir("shed"), options);
   ASSERT_TRUE(service.ok());
   ASSERT_TRUE(
-      (*service)->Submit("a", MakeJob(JobKind::kRcdp, IncompleteSpec())).ok());
+      (*service)->Submit("a", MakeJob(JobKind::kRcdp, GridSpec(5, 6))).ok());
   ASSERT_TRUE(
-      (*service)->Submit("b", MakeJob(JobKind::kRcdp, IncompleteSpec())).ok());
+      (*service)->Submit("b", MakeJob(JobKind::kRcdp, GridSpec(5, 6))).ok());
   Status shed =
-      (*service)->Submit("c", MakeJob(JobKind::kRcdp, IncompleteSpec()));
+      (*service)->Submit("c", MakeJob(JobKind::kRcdp, GridSpec(5, 6)));
   EXPECT_EQ(shed.code(), StatusCode::kResourceExhausted) << shed.ToString();
   EXPECT_EQ((*service)->jobs_shed(), 1u);
   // Shed jobs leave no durable residue: a restart must not resurrect c.
@@ -395,7 +413,7 @@ TEST(DecisionServiceTest, OldestDeadlineFirstScheduling) {
   auto service = DecisionService::Start(FreshDir("edf"), options);
   ASSERT_TRUE(service.ok());
 
-  JobSpec none = MakeJob(JobKind::kRcdp, IncompleteSpec());
+  JobSpec none = MakeJob(JobKind::kRcdp, GridSpec(5, 6));
   JobSpec late = none;
   late.deadline = std::chrono::milliseconds(120000);
   JobSpec early = none;
@@ -413,7 +431,7 @@ TEST(DecisionServiceTest, OldestDeadlineFirstScheduling) {
 }
 
 TEST(DecisionServiceTest, ExpiredDeadlineIsTerminalUnknown) {
-  JobSpec job = MakeJob(JobKind::kRcdp, IncompleteSpec());
+  JobSpec job = MakeJob(JobKind::kRcdp, GridSpec(5, 6));
   job.deadline = std::chrono::milliseconds(0);
   JobResult r = RunToCompletion(FreshDir("deadline"), job);
   EXPECT_EQ(r.verdict, Verdict::kUnknown);
@@ -429,21 +447,109 @@ TEST(DecisionServiceTest, InvalidSpecsAndDuplicateIdsAreRejectedAtSubmit) {
   EXPECT_EQ((*service)->Submit("bad", bad).code(),
             StatusCode::kInvalidArgument);
 
-  JobSpec no_query = MakeJob(JobKind::kRcdp, IncompleteSpec());
+  JobSpec no_query = MakeJob(JobKind::kRcdp, GridSpec(5, 6));
   no_query.query_index = 7;
   EXPECT_EQ((*service)->Submit("oob", no_query).code(),
             StatusCode::kInvalidArgument);
 
   ASSERT_TRUE(
-      (*service)->Submit("dup", MakeJob(JobKind::kRcdp, IncompleteSpec()))
+      (*service)->Submit("dup", MakeJob(JobKind::kRcdp, GridSpec(5, 6)))
           .ok());
   EXPECT_EQ(
-      (*service)->Submit("dup", MakeJob(JobKind::kRcdp, IncompleteSpec()))
+      (*service)->Submit("dup", MakeJob(JobKind::kRcdp, GridSpec(5, 6)))
           .code(),
       StatusCode::kInvalidArgument);
   EXPECT_EQ((*service)->Wait("nonesuch").status().code(),
             StatusCode::kNotFound);
   EXPECT_TRUE((*service)->Wait("dup").ok());
+}
+
+TEST(DecisionServiceTest, HealthyCacheHitTouchesNoStore) {
+  // A hit's answer is already a durable verdict record, so answering it
+  // writes no job record, syncs no directory and unlinks nothing: its
+  // Submit and Wait issue no store operation at all.
+  StoreOpRecorder recorder;
+  DecisionServiceOptions options;
+  options.enable_verdict_cache = true;
+  options.store_options.fs_env = &recorder;
+  auto service = DecisionService::Start(FreshDir("hit_io"), options);
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+  const JobSpec job = MakeJob(JobKind::kRcdp, GridSpec(5, 6));
+  ASSERT_TRUE((*service)->Submit("miss", job).ok());
+  ASSERT_TRUE((*service)->Wait("miss").ok());
+  EXPECT_FALSE(recorder.Take().empty()) << "the miss wrote nothing";
+
+  ASSERT_TRUE((*service)->Submit("hit", job).ok());
+  auto hit = (*service)->Wait("hit");
+  EXPECT_EQ(recorder.Take(), std::vector<std::string>{});
+  ASSERT_TRUE(hit.ok()) << hit.status().ToString();
+  EXPECT_EQ(hit->evidence, DirectRcdpEvidence(GridSpec(5, 6)));
+  EXPECT_EQ(hit->attempts, 0u);
+  EXPECT_EQ((*service)->verdicts_served_from_cache(), 1u);
+  EXPECT_FALSE((*service)->degraded());
+}
+
+TEST(DecisionServiceRecoveryTest, PendingJobWithACachedVerdictIsServedAtStart) {
+  // A kill between a verdict's cache insert and its job's Forget leaves
+  // both records. The successor answers the job from the cache while it
+  // recovers — its workers are parked, so none can — and drops the
+  // record.
+  const std::string dir = FreshDir("recovered_hit");
+  const JobSpec job = MakeJob(JobKind::kRcdp, GridSpec(5, 6));
+  DecisionServiceOptions options;
+  options.enable_verdict_cache = true;
+  ASSERT_EQ(RunToCompletion(dir, job, options).attempts, 1u);
+  {
+    auto store = CheckpointStore::Open(dir);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    ASSERT_TRUE((*store)->PersistJob("pending", job.Serialize()).ok());
+  }
+  options.start_paused = true;
+  auto service = DecisionService::Start(dir, options);
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+  EXPECT_EQ((*service)->RecoveredJobs(), std::vector<std::string>{"pending"});
+  auto poll = (*service)->Poll("pending");
+  ASSERT_TRUE(poll.ok()) << poll.status().ToString();
+  ASSERT_TRUE(poll->terminal) << "the recovered hit was queued";
+  EXPECT_EQ(poll->result.evidence, DirectRcdpEvidence(GridSpec(5, 6)));
+  EXPECT_EQ(poll->result.attempts, 0u);
+  EXPECT_EQ((*service)->verdicts_served_from_cache(), 1u);
+  EXPECT_TRUE((*service)->store().PendingRequests().empty());
+}
+
+TEST(DecisionServiceRecoveryTest, FinalUnknownsLeaveNoRecord) {
+  // Two kUnknowns no re-run can change: a general-path RCQP pool search
+  // that is not exhaustive (the CQ constraint keeps it off the IND
+  // path, and the default max_witness_tuples of 3 is below its pool),
+  // and a chase stopped by its round cap. Like a decided job, neither
+  // persists anything or leaves a record for a restart to run again.
+  const std::string dir = FreshDir("final_unknown");
+  const std::string pool_spec =
+      "relation S(a, b)\nmaster relation M(m)\n"
+      "master fact M(0)\nmaster fact M(1)\n"
+      "constraint c0(x) :- S(x, y), S(x, z) |= M[0]\n"
+      "query cq Q(y) :- S(x, y)\n";
+  JobSpec chase = MakeJob(JobKind::kChase, kChaseableSpec);
+  chase.max_chase_rounds = 1;
+  {
+    auto service = DecisionService::Start(dir);
+    ASSERT_TRUE(service.ok()) << service.status().ToString();
+    ASSERT_TRUE(
+        (*service)->Submit("pool", MakeJob(JobKind::kRcqp, pool_spec)).ok());
+    ASSERT_TRUE((*service)->Submit("chase", chase).ok());
+    auto pool = (*service)->Wait("pool");
+    ASSERT_TRUE(pool.ok()) << pool.status().ToString();
+    EXPECT_EQ(pool->evidence, "unknown|none");
+    EXPECT_EQ(pool->attempts, 1u);
+    auto rounds = (*service)->Wait("chase");
+    ASSERT_TRUE(rounds.ok()) << rounds.status().ToString();
+    EXPECT_EQ(rounds->evidence, "unknown|rounds");
+    EXPECT_EQ(rounds->persisted, 0u);
+    EXPECT_TRUE((*service)->store().PendingRequests().empty());
+  }
+  auto restarted = DecisionService::Start(dir);
+  ASSERT_TRUE(restarted.ok()) << restarted.status().ToString();
+  EXPECT_TRUE((*restarted)->RecoveredJobs().empty());
 }
 
 TEST(DecisionServiceRecoveryTest, RecoveredSpecThatNoLongerParsesEndsTerminal) {
@@ -517,9 +623,9 @@ class DecisionServiceSweepTest : public ::testing::TestWithParam<size_t> {
 };
 
 TEST_P(DecisionServiceSweepTest, CrashAtEveryDecisionPointRecoversBitForBit) {
-  const std::string expected = DirectRcdpEvidence(IncompleteSpec(), threads());
+  const std::string expected = DirectRcdpEvidence(GridSpec(5, 6), threads());
   const size_t total =
-      CountDecisionPoints(IncompleteSpec(), JobKind::kRcdp, threads());
+      CountDecisionPoints(GridSpec(5, 6), JobKind::kRcdp, threads());
   ASSERT_GT(total, 0u);
 
   size_t crashes = 0;
@@ -534,7 +640,7 @@ TEST_P(DecisionServiceSweepTest, CrashAtEveryDecisionPointRecoversBitForBit) {
       ASSERT_TRUE(
           (*service)
               ->Submit("req",
-                       MakeJob(JobKind::kRcdp, IncompleteSpec(), threads()))
+                       MakeJob(JobKind::kRcdp, GridSpec(5, 6), threads()))
               .ok());
       auto result = (*service)->Wait("req");
       if (result.ok()) {
@@ -565,16 +671,16 @@ TEST_P(DecisionServiceSweepTest, CrashAtEveryDecisionPointRecoversBitForBit) {
 }
 
 TEST_P(DecisionServiceSweepTest, CrashAfterEveryPersistSiteRecoversBitForBit) {
-  const std::string expected = DirectRcdpEvidence(IncompleteSpec(), threads());
+  const std::string expected = DirectRcdpEvidence(GridSpec(5, 6), threads());
   const size_t total =
-      CountDecisionPoints(IncompleteSpec(), JobKind::kRcdp, threads());
+      CountDecisionPoints(GridSpec(5, 6), JobKind::kRcdp, threads());
   const size_t slice = total / 6 + 1;
 
   // Learn how many rolling persists the sliced run performs.
   DecisionServiceOptions sliced;
   JobResult uninterrupted = RunToCompletion(
       FreshDir("persistbase"),
-      MakeJob(JobKind::kRcdp, IncompleteSpec(), threads(), slice), sliced);
+      MakeJob(JobKind::kRcdp, GridSpec(5, 6), threads(), slice), sliced);
   ASSERT_EQ(uninterrupted.evidence, expected);
   ASSERT_GE(uninterrupted.persisted, 1u);
 
@@ -587,7 +693,7 @@ TEST_P(DecisionServiceSweepTest, CrashAfterEveryPersistSiteRecoversBitForBit) {
       auto service = DecisionService::Start(dir, options);
       ASSERT_TRUE(service.ok());
       ASSERT_TRUE((*service)
-                      ->Submit("req", MakeJob(JobKind::kRcdp, IncompleteSpec(),
+                      ->Submit("req", MakeJob(JobKind::kRcdp, GridSpec(5, 6),
                                               threads(), slice))
                       .ok());
       auto result = (*service)->Wait("req");
@@ -732,9 +838,9 @@ INSTANTIATE_TEST_SUITE_P(Threads, DecisionServiceSweepTest,
                          ::testing::Values(1, 2, 8));
 
 TEST(DecisionServiceRecoveryTest, MultiCrashChainEventuallyCompletes) {
-  const std::string expected = DirectRcdpEvidence(IncompleteSpec(), 1);
+  const std::string expected = DirectRcdpEvidence(GridSpec(5, 6), 1);
   const size_t total =
-      CountDecisionPoints(IncompleteSpec(), JobKind::kRcdp, 1);
+      CountDecisionPoints(GridSpec(5, 6), JobKind::kRcdp, 1);
   const size_t slice = total / 8 + 1;
   const std::string dir = FreshDir("chain");
 
@@ -752,7 +858,7 @@ TEST(DecisionServiceRecoveryTest, MultiCrashChainEventuallyCompletes) {
       ASSERT_TRUE(
           (*service)
               ->Submit("req",
-                       MakeJob(JobKind::kRcdp, IncompleteSpec(), 1, slice))
+                       MakeJob(JobKind::kRcdp, GridSpec(5, 6), 1, slice))
               .ok());
       submitted = true;
     } else {
@@ -813,10 +919,10 @@ TEST(DecisionServiceRecoveryTest, SubmitAfterCrashIsFailedPrecondition) {
   auto service = DecisionService::Start(dir, options);
   ASSERT_TRUE(service.ok());
   ASSERT_TRUE(
-      (*service)->Submit("req", MakeJob(JobKind::kRcdp, IncompleteSpec())).ok());
+      (*service)->Submit("req", MakeJob(JobKind::kRcdp, GridSpec(5, 6))).ok());
   ASSERT_FALSE((*service)->Wait("req").ok());
   EXPECT_EQ(
-      (*service)->Submit("next", MakeJob(JobKind::kRcdp, IncompleteSpec()))
+      (*service)->Submit("next", MakeJob(JobKind::kRcdp, GridSpec(5, 6)))
           .code(),
       StatusCode::kFailedPrecondition);
 }
@@ -853,14 +959,14 @@ TEST(DecisionServiceConcurrencyTest, ConcurrentSubmittersAndWorkersAreClean) {
       for (int i = 0; i < kPerThread; ++i) {
         Status st = (*service)->Submit(
             StrCat("job-", t, "-", i),
-            MakeJob(JobKind::kRcdp, IncompleteSpec(), 1, 64));
+            MakeJob(JobKind::kRcdp, GridSpec(5, 6), 1, 64));
         EXPECT_TRUE(st.ok()) << st.ToString();
       }
     });
   }
   for (auto& s : submitters) s.join();
 
-  const std::string expected = DirectRcdpEvidence(IncompleteSpec(), 1);
+  const std::string expected = DirectRcdpEvidence(GridSpec(5, 6), 1);
   for (int t = 0; t < 2; ++t) {
     for (int i = 0; i < kPerThread; ++i) {
       auto result = (*service)->Wait(StrCat("job-", t, "-", i));
@@ -975,9 +1081,10 @@ std::string TinySpec(int k) {
 /// and duplicate ids (one id every thread tries, one already taken)
 /// while a fifth thread polls. Submit parses outside mu_ and re-checks
 /// admission after the parse; every job must still be admitted or
-/// refused exactly as a serial service would, and decide as directly.
+/// refused exactly as a serial service would, and decide as directly,
+/// and no admitted hit may write a job record.
 void ExpectExactAdmissionUnderRace(bool degraded) {
-  FsEnv env;
+  StoreOpRecorder env;
   DecisionServiceOptions options;
   options.num_workers = 2;
   options.max_queue_depth = 1024;
@@ -1005,6 +1112,7 @@ void ExpectExactAdmissionUnderRace(bool degraded) {
     ASSERT_TRUE(svc.degraded());
   }
   const size_t shed_before = svc.jobs_shed();
+  (void)env.Take();
 
   enum Kind { kHit, kMiss, kBad, kTaken, kShared, kKinds };
   struct Outcome {
@@ -1048,6 +1156,15 @@ void ExpectExactAdmissionUnderRace(bool degraded) {
     });
   }
   for (std::thread& s : submitters) s.join();
+  // Request ids whose job record the race opened for writing.
+  std::set<std::string> recorded;
+  for (const std::string& op : env.Take()) {
+    constexpr std::string_view kJobOpen = "open record.job ";
+    if (op.rfind(kJobOpen, 0) == 0) {
+      recorded.insert(op.substr(kJobOpen.size(),
+                                op.find(".job.tmp") - kJobOpen.size()));
+    }
+  }
 
   std::map<std::string, std::string> direct;
   size_t hits = 0;
@@ -1072,7 +1189,10 @@ void ExpectExactAdmissionUnderRace(bool degraded) {
             << o.id << ": " << o.status.ToString();
         continue;
       }
-      if (o.kind == kHit || o.kind == kShared) ++hits;
+      if (o.kind == kHit || o.kind == kShared) {
+        ++hits;
+        EXPECT_EQ(recorded.count(o.id), 0u) << o.id << " wrote a job record";
+      }
       if (direct.count(o.spec) == 0) {
         direct[o.spec] = DirectRcdpEvidence(o.spec, 1);
       }

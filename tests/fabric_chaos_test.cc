@@ -24,42 +24,16 @@
 #include <thread>
 #include <vector>
 
-#include "completeness/rcdp.h"
 #include "fabric/fabric_client.h"
 #include "fabric/member.h"
 #include "fabric/rebalancer.h"
 #include "fabric/ring.h"
 #include "net/client.h"
-#include "spec/spec_parser.h"
 #include "util/str.h"
 #include "test_support.h"
 
 namespace relcomp {
 namespace {
-
-/// The fabric tests' far-corner instance: both columns are bound to
-/// the master, so the single counterexample (5, 6) forces the search
-/// across the whole valuation space — room to persist, checkpoint, and
-/// hand off mid-flight.
-const std::string& IncompleteSpec() {
-  static const std::string spec = [] {
-    std::string s = "relation S(a, b)\nmaster relation M(m)\n"
-                    "master relation N(n)\n";
-    for (int x = 0; x <= 5; ++x) {
-      for (int y = 0; y <= 6; ++y) {
-        if (x == 5 && y == 6) continue;
-        s += StrCat("fact S(", x, ", ", y, ")\n");
-      }
-    }
-    for (int m = 0; m <= 5; ++m) s += StrCat("master fact M(", m, ")\n");
-    for (int n = 0; n <= 6; ++n) s += StrCat("master fact N(", n, ")\n");
-    s += "constraint c0(x) :- S(x, y) |= M[0]\n";
-    s += "constraint c1(y) :- S(x, y) |= N[0]\n";
-    s += "query cq Q(x, y) :- S(x, y)\n";
-    return s;
-  }();
-  return spec;
-}
 
 /// A larger, distinct instance per variant for work that must still be
 /// running when a handoff flushes: both columns of S are bound to the
@@ -91,24 +65,6 @@ JobSpec MakeJob(const std::string& spec, size_t threads = 1,
   job.num_threads = threads;
   job.slice_steps = slice;
   return job;
-}
-
-/// The oracle: canonical evidence of an uninterrupted direct run.
-std::string DirectRcdpEvidence(const std::string& spec_text, size_t threads) {
-  auto spec = ParseCompletenessSpec(spec_text);
-  EXPECT_TRUE(spec.ok()) << spec.status().ToString();
-  RcdpOptions options;
-  options.num_threads = threads;
-  auto r = DecideRcdp(spec->queries[0], spec->db, spec->master,
-                      spec->constraints, options);
-  EXPECT_TRUE(r.ok()) << r.status().ToString();
-  return StrCat(VerdictToString(r->verdict), "|",
-                r->counterexample_delta.has_value()
-                    ? r->counterexample_delta->ToString()
-                    : std::string("<none>"),
-                "|",
-                r->new_answer.has_value() ? r->new_answer->ToString()
-                                          : std::string("<none>"));
 }
 
 struct Fabric {
@@ -226,7 +182,7 @@ TEST_P(FabricChaosSweepTest, CleanHandoffUnderLiveTrafficIsInvisible) {
   std::vector<Audit> audits;
   for (size_t shard = members(); shard-- > 0;) {
     for (int j = 0; j < 2; ++j) {
-      const std::string spec = shard == 0 ? LargeSpec(j) : IncompleteSpec();
+      const std::string spec = shard == 0 ? LargeSpec(j) : GridSpec(5, 6);
       audits.push_back(
           {KeyForShard(placement, shard, StrCat("clean", shard, "x", j).c_str()),
            spec, DirectRcdpEvidence(spec, threads())});
@@ -275,7 +231,7 @@ TEST_P(FabricChaosSweepTest, CleanHandoffUnderLiveTrafficIsInvisible) {
 // fabric must recover to identical verdicts — zero corrupt files, no
 // job served twice, exactly one owner.
 TEST_P(FabricChaosSweepTest, KillAtEveryHandoffStageRecovers) {
-  const std::string expected = DirectRcdpEvidence(IncompleteSpec(), threads());
+  const std::string expected = DirectRcdpEvidence(GridSpec(5, 6), threads());
   for (HandoffStage stage :
        {HandoffStage::kDrain, HandoffStage::kFlush, HandoffStage::kJournal,
         HandoffStage::kRelease, HandoffStage::kAdopt,
@@ -298,7 +254,7 @@ TEST_P(FabricChaosSweepTest, KillAtEveryHandoffStageRecovers) {
         KeyForShard(FabricRing::Make(fabric.endpoints), 0, tag.c_str());
     FabricClient client(fabric.endpoints);
     ASSERT_TRUE(
-        client.Submit(key, MakeJob(IncompleteSpec(), threads(), 40)).ok());
+        client.Submit(key, MakeJob(GridSpec(5, 6), threads(), 40)).ok());
 
     // The protocol aborts at the armed stage...
     Status handoff = fabric.members[0]->HandoffShard(0, fabric.endpoints[1]);
@@ -320,7 +276,7 @@ TEST_P(FabricChaosSweepTest, KillAtEveryHandoffStageRecovers) {
     EXPECT_EQ(SoleOwnerOf(fabric, 0), 1u);
 
     auto reply = client.SubmitAndAwait(
-        key, MakeJob(IncompleteSpec(), threads(), 40));
+        key, MakeJob(GridSpec(5, 6), threads(), 40));
     ASSERT_TRUE(reply.ok()) << reply.status().ToString();
     EXPECT_EQ(reply->evidence, expected);
     EXPECT_EQ(TimesCompleted(fabric, key), 1u) << "job served twice";
@@ -340,7 +296,7 @@ INSTANTIATE_TEST_SUITE_P(
 // --- Successor failure modes -----------------------------------------
 
 TEST(FabricChaosTest, DeadSuccessorFailsHandoffAndThirdMemberAdopts) {
-  const std::string expected = DirectRcdpEvidence(IncompleteSpec(), 1);
+  const std::string expected = DirectRcdpEvidence(GridSpec(5, 6), 1);
   Fabric fabric = StartFabric("deadsucc", 3,
                               [](size_t index, FabricMemberOptions& o) {
                                 if (index == 0) {
@@ -351,7 +307,7 @@ TEST(FabricChaosTest, DeadSuccessorFailsHandoffAndThirdMemberAdopts) {
   const std::string key =
       KeyForShard(FabricRing::Make(fabric.endpoints), 0, "deadsucc");
   FabricClient client(fabric.endpoints);
-  ASSERT_TRUE(client.Submit(key, MakeJob(IncompleteSpec(), 1, 40)).ok());
+  ASSERT_TRUE(client.Submit(key, MakeJob(GridSpec(5, 6), 1, 40)).ok());
 
   // The successor dies before the adopt RPC can reach it: the handoff
   // flushes, journals, and releases, then fails typed at the adopt
@@ -365,7 +321,7 @@ TEST(FabricChaosTest, DeadSuccessorFailsHandoffAndThirdMemberAdopts) {
   // A third member adopts and finishes the move.
   ASSERT_TRUE(fabric.members[2]->AdoptShard(0).ok());
   EXPECT_EQ(SoleOwnerOf(fabric, 0), 2u);
-  auto reply = client.SubmitAndAwait(key, MakeJob(IncompleteSpec(), 1, 40));
+  auto reply = client.SubmitAndAwait(key, MakeJob(GridSpec(5, 6), 1, 40));
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
   EXPECT_EQ(reply->evidence, expected);
   EXPECT_EQ(TimesCompleted(fabric, key), 1u);
@@ -373,7 +329,7 @@ TEST(FabricChaosTest, DeadSuccessorFailsHandoffAndThirdMemberAdopts) {
 }
 
 TEST(FabricChaosTest, StalledSuccessorFailsHandoffWithoutDoubleServing) {
-  const std::string expected = DirectRcdpEvidence(IncompleteSpec(), 1);
+  const std::string expected = DirectRcdpEvidence(GridSpec(5, 6), 1);
   Fabric fabric = StartFabric("stallsucc", 3,
                               [](size_t index, FabricMemberOptions& o) {
                                 if (index == 0) {
@@ -384,7 +340,7 @@ TEST(FabricChaosTest, StalledSuccessorFailsHandoffWithoutDoubleServing) {
   const std::string key =
       KeyForShard(FabricRing::Make(fabric.endpoints), 0, "stallsucc");
   FabricClient client(fabric.endpoints);
-  ASSERT_TRUE(client.Submit(key, MakeJob(IncompleteSpec(), 1, 40)).ok());
+  ASSERT_TRUE(client.Submit(key, MakeJob(GridSpec(5, 6), 1, 40)).ok());
 
   // The successor stalls: it swallows every reply (the work may still
   // happen — the ambiguous-outcome case). The departing member's adopt
@@ -404,7 +360,7 @@ TEST(FabricChaosTest, StalledSuccessorFailsHandoffWithoutDoubleServing) {
     ASSERT_TRUE(fabric.members[2]->AdoptShard(0).ok());
   }
   EXPECT_NE(SoleOwnerOf(fabric, 0), std::string::npos);
-  auto reply = client.SubmitAndAwait(key, MakeJob(IncompleteSpec(), 1, 40));
+  auto reply = client.SubmitAndAwait(key, MakeJob(GridSpec(5, 6), 1, 40));
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
   EXPECT_EQ(reply->evidence, expected);
   EXPECT_EQ(TimesCompleted(fabric, key), 1u);
@@ -441,7 +397,7 @@ TEST(FabricChaosTest, HandoffValidationRejectsSelfUnknownAndUnowned) {
 }
 
 TEST(FabricChaosTest, ConcurrentHandoffAndAdoptResolveHighestEpochWins) {
-  const std::string expected = DirectRcdpEvidence(IncompleteSpec(), 1);
+  const std::string expected = DirectRcdpEvidence(GridSpec(5, 6), 1);
   // Member 0 hands shard 0 to member 1; between the release and the
   // adopt RPC, member 2 races in and adopts the shard first. The
   // handoff must fail typed (member 1 cannot take the flock), and the
@@ -459,7 +415,7 @@ TEST(FabricChaosTest, ConcurrentHandoffAndAdoptResolveHighestEpochWins) {
   const std::string key =
       KeyForShard(FabricRing::Make(fabric.endpoints), 0, "race");
   FabricClient client(fabric.endpoints);
-  ASSERT_TRUE(client.Submit(key, MakeJob(IncompleteSpec(), 1, 40)).ok());
+  ASSERT_TRUE(client.Submit(key, MakeJob(GridSpec(5, 6), 1, 40)).ok());
 
   std::atomic<bool> raced{false};
   hook = [&](HandoffStage stage) {
@@ -481,7 +437,7 @@ TEST(FabricChaosTest, ConcurrentHandoffAndAdoptResolveHighestEpochWins) {
   // journaled handoff record, so clients converge on member 2.
   ASSERT_TRUE(client.RefreshRing().ok());
   EXPECT_EQ(client.ring().endpoints[0], fabric.endpoints[2]);
-  auto reply = client.SubmitAndAwait(key, MakeJob(IncompleteSpec(), 1, 40));
+  auto reply = client.SubmitAndAwait(key, MakeJob(GridSpec(5, 6), 1, 40));
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
   EXPECT_EQ(reply->evidence, expected);
   EXPECT_EQ(TimesCompleted(fabric, key), 1u);
@@ -489,7 +445,7 @@ TEST(FabricChaosTest, ConcurrentHandoffAndAdoptResolveHighestEpochWins) {
 }
 
 TEST(FabricChaosTest, TornFramesDuringHandoffTrafficStayExactlyOnce) {
-  const std::string expected = DirectRcdpEvidence(IncompleteSpec(), 1);
+  const std::string expected = DirectRcdpEvidence(GridSpec(5, 6), 1);
   Fabric fabric = StartFabric("torn", 2);
   const FabricRing placement = FabricRing::Make(fabric.endpoints);
   FabricClient client(fabric.endpoints);
@@ -507,7 +463,7 @@ TEST(FabricChaosTest, TornFramesDuringHandoffTrafficStayExactlyOnce) {
   for (size_t shard = 0; shard < 2; ++shard) {
     keys.push_back(
         KeyForShard(placement, shard, StrCat("torn", shard).c_str()));
-    (void)client.Submit(keys.back(), MakeJob(IncompleteSpec(), 1, 40));
+    (void)client.Submit(keys.back(), MakeJob(GridSpec(5, 6), 1, 40));
   }
   // The handoff itself is driven member-side (operators do not lose
   // control-plane access to a member with a flaky client-facing link).
@@ -515,7 +471,7 @@ TEST(FabricChaosTest, TornFramesDuringHandoffTrafficStayExactlyOnce) {
   EXPECT_EQ(SoleOwnerOf(fabric, 0), 1u);
 
   for (const std::string& key : keys) {
-    auto reply = client.SubmitAndAwait(key, MakeJob(IncompleteSpec(), 1, 40));
+    auto reply = client.SubmitAndAwait(key, MakeJob(GridSpec(5, 6), 1, 40));
     ASSERT_TRUE(reply.ok()) << key << ": " << reply.status().ToString();
     EXPECT_EQ(reply->evidence, expected) << key;
     EXPECT_EQ(TimesCompleted(fabric, key), 1u) << key;
@@ -577,7 +533,7 @@ TEST(FabricRebalanceTest, PlansAreMinimalDeterministicAndBalanced) {
 }
 
 TEST(FabricRebalanceTest, ExecutedDrainEmptiesAMemberWithLiveJobs) {
-  const std::string expected = DirectRcdpEvidence(IncompleteSpec(), 1);
+  const std::string expected = DirectRcdpEvidence(GridSpec(5, 6), 1);
   Fabric fabric = StartFabric("drain", 3);
   const FabricRing placement = FabricRing::Make(fabric.endpoints);
   FabricClient client(fabric.endpoints);
@@ -586,7 +542,7 @@ TEST(FabricRebalanceTest, ExecutedDrainEmptiesAMemberWithLiveJobs) {
     keys.push_back(
         KeyForShard(placement, shard, StrCat("drain", shard).c_str()));
     ASSERT_TRUE(
-        client.Submit(keys.back(), MakeJob(IncompleteSpec(), 1, 40)).ok());
+        client.Submit(keys.back(), MakeJob(GridSpec(5, 6), 1, 40)).ok());
   }
 
   ASSERT_TRUE(client.RefreshRing().ok());
@@ -596,7 +552,7 @@ TEST(FabricRebalanceTest, ExecutedDrainEmptiesAMemberWithLiveJobs) {
 
   EXPECT_TRUE(fabric.members[0]->owned_shards().empty());
   for (const std::string& key : keys) {
-    auto reply = client.SubmitAndAwait(key, MakeJob(IncompleteSpec(), 1, 40));
+    auto reply = client.SubmitAndAwait(key, MakeJob(GridSpec(5, 6), 1, 40));
     ASSERT_TRUE(reply.ok()) << key << ": " << reply.status().ToString();
     EXPECT_EQ(reply->evidence, expected) << key;
     EXPECT_EQ(TimesCompleted(fabric, key), 1u) << key;
@@ -651,7 +607,7 @@ int RawConnect(const std::string& endpoint) {
 }
 
 TEST(FabricAuthTest, AuthenticatedFabricServesKeyedPeersEndToEnd) {
-  const std::string expected = DirectRcdpEvidence(IncompleteSpec(), 1);
+  const std::string expected = DirectRcdpEvidence(GridSpec(5, 6), 1);
   const std::string secret = "chaos-shared-secret";
   Fabric fabric = StartFabric("auth", 2,
                               [&](size_t, FabricMemberOptions& o) {
@@ -663,7 +619,7 @@ TEST(FabricAuthTest, AuthenticatedFabricServesKeyedPeersEndToEnd) {
 
   const std::string key =
       KeyForShard(FabricRing::Make(fabric.endpoints), 0, "auth");
-  auto reply = client.SubmitAndAwait(key, MakeJob(IncompleteSpec(), 1, 40));
+  auto reply = client.SubmitAndAwait(key, MakeJob(GridSpec(5, 6), 1, 40));
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
   EXPECT_EQ(reply->evidence, expected);
 
@@ -703,7 +659,7 @@ TEST(FabricAuthTest, UntaggedAndWrongKeyPeersGetTypedDenials) {
   keyless_options.op_deadline = std::chrono::milliseconds(30000);
   FabricClient keyless(fabric.endpoints, keyless_options);
   const auto t0 = std::chrono::steady_clock::now();
-  Status denied = keyless.Submit("deny-job", MakeJob(IncompleteSpec(), 1));
+  Status denied = keyless.Submit("deny-job", MakeJob(GridSpec(5, 6), 1));
   EXPECT_EQ(denied.code(), StatusCode::kPermissionDenied)
       << denied.ToString();
   EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(5))
@@ -748,9 +704,9 @@ TEST(FabricAuthTest, KeyRotationWindowServesOldAndNewKeyedPeers) {
   FabricClient client(fabric.endpoints, options);
   const std::string key =
       KeyForShard(FabricRing::Make(fabric.endpoints), 0, "rotate");
-  auto reply = client.SubmitAndAwait(key, MakeJob(IncompleteSpec(), 1, 40));
+  auto reply = client.SubmitAndAwait(key, MakeJob(GridSpec(5, 6), 1, 40));
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
-  EXPECT_EQ(reply->evidence, DirectRcdpEvidence(IncompleteSpec(), 1));
+  EXPECT_EQ(reply->evidence, DirectRcdpEvidence(GridSpec(5, 6), 1));
   ExpectNoCorruption(fabric);
 }
 

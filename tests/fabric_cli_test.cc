@@ -19,52 +19,14 @@
 #include <thread>
 #include <vector>
 
-#include "completeness/rcdp.h"
 #include "fabric/fabric_client.h"
 #include "fabric/ring.h"
 #include "net/client.h"
-#include "spec/spec_parser.h"
 #include "util/str.h"
 #include "test_support.h"
 
 namespace relcomp {
 namespace {
-
-/// The far-corner incomplete grid the service suites audit.
-const std::string& IncompleteSpec() {
-  static const std::string spec = [] {
-    std::string s = "relation S(a, b)\nmaster relation M(m)\n"
-                    "master relation N(n)\n";
-    for (int x = 0; x <= 5; ++x) {
-      for (int y = 0; y <= 6; ++y) {
-        if (x == 5 && y == 6) continue;
-        s += StrCat("fact S(", x, ", ", y, ")\n");
-      }
-    }
-    for (int m = 0; m <= 5; ++m) s += StrCat("master fact M(", m, ")\n");
-    for (int n = 0; n <= 6; ++n) s += StrCat("master fact N(", n, ")\n");
-    s += "constraint c0(x) :- S(x, y) |= M[0]\n";
-    s += "constraint c1(y) :- S(x, y) |= N[0]\n";
-    s += "query cq Q(x, y) :- S(x, y)\n";
-    return s;
-  }();
-  return spec;
-}
-
-std::string DirectRcdpEvidence(const std::string& spec_text) {
-  auto spec = ParseCompletenessSpec(spec_text);
-  EXPECT_TRUE(spec.ok()) << spec.status().ToString();
-  auto r = DecideRcdp(spec->queries[0], spec->db, spec->master,
-                      spec->constraints, RcdpOptions());
-  EXPECT_TRUE(r.ok()) << r.status().ToString();
-  return StrCat(VerdictToString(r->verdict), "|",
-                r->counterexample_delta.has_value()
-                    ? r->counterexample_delta->ToString()
-                    : std::string("<none>"),
-                "|",
-                r->new_answer.has_value() ? r->new_answer->ToString()
-                                          : std::string("<none>"));
-}
 
 std::string MemberEndpoint(const std::string& root, size_t index) {
   return StrCat("unix:", root, "/member-", index, ".sock");
@@ -151,7 +113,7 @@ int RunRelcheck(const std::string& args) {
 /// instance, so no variant is a verdict-cache hit of another and each
 /// must run its own search.
 std::string VariantSpec(int variant) {
-  return StrCat(IncompleteSpec(), "master fact M(", 100 + variant, ")\n");
+  return StrCat(GridSpec(5, 6), "master fact M(", 100 + variant, ")\n");
 }
 
 JobSpec SlicedJob(int variant) {
@@ -170,7 +132,7 @@ TEST(FabricCliTest, ServesAndAuditsAcrossProcesses) {
   ASSERT_TRUE(AwaitServing(MemberEndpoint(root, 1)));
 
   // The CLI client over both endpoints: the grid is incomplete → 1.
-  const std::string spec = WriteSpec("serve", IncompleteSpec());
+  const std::string spec = WriteSpec("serve", GridSpec(5, 6));
   EXPECT_EQ(RunRelcheck(StrCat("--connect ", MemberEndpoint(root, 0), ",",
                                MemberEndpoint(root, 1), " ", spec)),
             1);
@@ -235,7 +197,7 @@ TEST(FabricCliTest, RestartedMemberRejoinsAndKeepsServing) {
   m0 = SpawnMember(root, 2, 0);
   ASSERT_TRUE(AwaitServing(MemberEndpoint(root, 0)));
 
-  const std::string spec = WriteSpec("rejoin", IncompleteSpec());
+  const std::string spec = WriteSpec("rejoin", GridSpec(5, 6));
   EXPECT_EQ(RunRelcheck(StrCat("--connect ", MemberEndpoint(root, 0), ",",
                                MemberEndpoint(root, 1), " ", spec)),
             1);
@@ -264,7 +226,7 @@ TEST(FabricCliTest, AuthKeyFileRotationWindowInteroperates) {
                                      ",", MemberEndpoint(root, 1));
 
   // The laggard (OLD primary, NEW secondary) is served end to end.
-  const std::string spec = WriteSpec("keyrot", IncompleteSpec());
+  const std::string spec = WriteSpec("keyrot", GridSpec(5, 6));
   EXPECT_EQ(RunRelcheck(StrCat(connect, " --auth-key-file ", laggard_keys,
                                " ", spec)),
             1);
@@ -294,7 +256,7 @@ TEST(FabricCliTest, HealthFlagReportsFleetAndExitsByWorstState) {
   EXPECT_EQ(RunRelcheck(StrCat(connect, " --health")), 0);
   // --health is a dedicated mode: combining it with a spec or a shard
   // move is a usage error.
-  const std::string spec = WriteSpec("health", IncompleteSpec());
+  const std::string spec = WriteSpec("health", GridSpec(5, 6));
   EXPECT_EQ(RunRelcheck(StrCat(connect, " --health ", spec)), 3);
 
   // A dead member makes the fleet non-healthy: exit 1, not a hang.
@@ -306,7 +268,7 @@ TEST(FabricCliTest, HealthFlagReportsFleetAndExitsByWorstState) {
 TEST(FabricCliTest, FabricFlagValidation) {
   // --fabric with a spec path, or out-of-range members, is a usage
   // error (exit 3), not a partial start.
-  const std::string spec = WriteSpec("usage", IncompleteSpec());
+  const std::string spec = WriteSpec("usage", GridSpec(5, 6));
   EXPECT_EQ(RunRelcheck(StrCat("--fabric ", FreshDir("usage"), " ", spec)),
             3);
   EXPECT_EQ(RunRelcheck(StrCat("--fabric ", FreshDir("usage"),

@@ -33,30 +33,6 @@
 namespace relcomp {
 namespace {
 
-/// The service tests' far-corner instance: both columns are bound to
-/// the master, so the single counterexample (5, 6) forces the search
-/// across the whole valuation space — room to persist, checkpoint, and
-/// die.
-const std::string& IncompleteSpec() {
-  static const std::string spec = [] {
-    std::string s = "relation S(a, b)\nmaster relation M(m)\n"
-                    "master relation N(n)\n";
-    for (int x = 0; x <= 5; ++x) {
-      for (int y = 0; y <= 6; ++y) {
-        if (x == 5 && y == 6) continue;
-        s += StrCat("fact S(", x, ", ", y, ")\n");
-      }
-    }
-    for (int m = 0; m <= 5; ++m) s += StrCat("master fact M(", m, ")\n");
-    for (int n = 0; n <= 6; ++n) s += StrCat("master fact N(", n, ")\n");
-    s += "constraint c0(x) :- S(x, y) |= M[0]\n";
-    s += "constraint c1(y) :- S(x, y) |= N[0]\n";
-    s += "query cq Q(x, y) :- S(x, y)\n";
-    return s;
-  }();
-  return spec;
-}
-
 JobSpec MakeJob(const std::string& spec, size_t threads = 1,
                 size_t slice = 0) {
   JobSpec job;
@@ -65,24 +41,6 @@ JobSpec MakeJob(const std::string& spec, size_t threads = 1,
   job.num_threads = threads;
   job.slice_steps = slice;
   return job;
-}
-
-/// The oracle: canonical evidence of an uninterrupted direct run.
-std::string DirectRcdpEvidence(const std::string& spec_text, size_t threads) {
-  auto spec = ParseCompletenessSpec(spec_text);
-  EXPECT_TRUE(spec.ok()) << spec.status().ToString();
-  RcdpOptions options;
-  options.num_threads = threads;
-  auto r = DecideRcdp(spec->queries[0], spec->db, spec->master,
-                      spec->constraints, options);
-  EXPECT_TRUE(r.ok()) << r.status().ToString();
-  return StrCat(VerdictToString(r->verdict), "|",
-                r->counterexample_delta.has_value()
-                    ? r->counterexample_delta->ToString()
-                    : std::string("<none>"),
-                "|",
-                r->new_answer.has_value() ? r->new_answer->ToString()
-                                          : std::string("<none>"));
 }
 
 size_t CountDecisionPoints(const std::string& spec_text, size_t threads) {
@@ -205,7 +163,7 @@ class FabricSweepTest
 };
 
 TEST_P(FabricSweepTest, RoutesAndCompletesAcrossMembers) {
-  const std::string expected = DirectRcdpEvidence(IncompleteSpec(), threads());
+  const std::string expected = DirectRcdpEvidence(GridSpec(5, 6), threads());
   Fabric fabric = StartFabric("route", members());
   FabricClient client(fabric.endpoints);
   const FabricRing placement = FabricRing::Make(fabric.endpoints);
@@ -214,7 +172,7 @@ TEST_P(FabricSweepTest, RoutesAndCompletesAcrossMembers) {
   for (size_t i = 0; i < 3 * members(); ++i) {
     keys.push_back(StrCat("job-route-", i));
     ASSERT_TRUE(
-        client.Submit(keys.back(), MakeJob(IncompleteSpec(), threads())).ok());
+        client.Submit(keys.back(), MakeJob(GridSpec(5, 6), threads())).ok());
   }
   for (const std::string& key : keys) {
     auto reply = client.AwaitTerminal(key);
@@ -237,8 +195,8 @@ TEST_P(FabricSweepTest, RoutesAndCompletesAcrossMembers) {
 }
 
 TEST_P(FabricSweepTest, KillAtEveryPersistSiteRecoversByRestart) {
-  const std::string expected = DirectRcdpEvidence(IncompleteSpec(), threads());
-  const size_t total = CountDecisionPoints(IncompleteSpec(), threads());
+  const std::string expected = DirectRcdpEvidence(GridSpec(5, 6), threads());
+  const size_t total = CountDecisionPoints(GridSpec(5, 6), threads());
   const size_t slice = total / 6 + 1;
 
   // Learn the persist count from one unkilled fabric run.
@@ -247,7 +205,7 @@ TEST_P(FabricSweepTest, KillAtEveryPersistSiteRecoversByRestart) {
     Fabric fabric = StartFabric("persistbase", members());
     FabricClient client(fabric.endpoints);
     auto reply = client.SubmitAndAwait(
-        "job-base", MakeJob(IncompleteSpec(), threads(), slice));
+        "job-base", MakeJob(GridSpec(5, 6), threads(), slice));
     ASSERT_TRUE(reply.ok()) << reply.status().ToString();
     ASSERT_EQ(reply->evidence, expected);
     const size_t shard = FabricRing::Make(fabric.endpoints)
@@ -278,7 +236,7 @@ TEST_P(FabricSweepTest, KillAtEveryPersistSiteRecoversByRestart) {
                     tag.c_str());
     FabricClient client(fabric.endpoints);
     ASSERT_TRUE(
-        client.Submit(key, MakeJob(IncompleteSpec(), threads(), slice)).ok());
+        client.Submit(key, MakeJob(GridSpec(5, 6), threads(), slice)).ok());
 
     DecisionService* owner =
         fabric.members[owner_shard]->shard_service(owner_shard);
@@ -307,8 +265,8 @@ TEST_P(FabricSweepTest, KillAtEveryPersistSiteRecoversByRestart) {
 }
 
 TEST_P(FabricSweepTest, KillAtEveryPersistSiteRecoversByAdoption) {
-  const std::string expected = DirectRcdpEvidence(IncompleteSpec(), threads());
-  const size_t total = CountDecisionPoints(IncompleteSpec(), threads());
+  const std::string expected = DirectRcdpEvidence(GridSpec(5, 6), threads());
+  const size_t total = CountDecisionPoints(GridSpec(5, 6), threads());
   const size_t slice = total / 6 + 1;
 
   size_t kills = 0;
@@ -330,7 +288,7 @@ TEST_P(FabricSweepTest, KillAtEveryPersistSiteRecoversByAdoption) {
                     tag.c_str());
     FabricClient client(fabric.endpoints);
     ASSERT_TRUE(
-        client.Submit(key, MakeJob(IncompleteSpec(), threads(), slice)).ok());
+        client.Submit(key, MakeJob(GridSpec(5, 6), threads(), slice)).ok());
 
     DecisionService* owner =
         fabric.members[owner_shard]->shard_service(owner_shard);
@@ -364,12 +322,12 @@ TEST_P(FabricSweepTest, KillAtEveryPersistSiteRecoversByAdoption) {
 }
 
 TEST_P(FabricSweepTest, KillAtSampledDecisionPointsRecoversByAdoption) {
-  const std::string expected = DirectRcdpEvidence(IncompleteSpec(), threads());
+  const std::string expected = DirectRcdpEvidence(GridSpec(5, 6), threads());
   // The points come from the 1-thread count: every schedule reaches
   // it, because every unit below the winner runs to exhaustion, while
   // a parallel count also holds the schedule-dependent points units
   // above the winner claim before they stop.
-  const size_t total = CountDecisionPoints(IncompleteSpec(), 1);
+  const size_t total = CountDecisionPoints(GridSpec(5, 6), 1);
   ASSERT_GT(total, 4u);
 
   for (size_t point : {total / 4, total / 2, (3 * total) / 4}) {
@@ -391,7 +349,7 @@ TEST_P(FabricSweepTest, KillAtSampledDecisionPointsRecoversByAdoption) {
                     tag.c_str());
     FabricClient client(fabric.endpoints);
     ASSERT_TRUE(
-        client.Submit(key, MakeJob(IncompleteSpec(), threads())).ok());
+        client.Submit(key, MakeJob(GridSpec(5, 6), threads())).ok());
 
     DecisionService* owner =
         fabric.members[owner_shard]->shard_service(owner_shard);
@@ -425,7 +383,7 @@ TEST(FabricServiceTest, WrongOwnerShedIsTypedAndNamesTheOwner) {
   NetClientOptions options;
   options.max_retries = 1;
   NetClient direct(fabric.endpoints[1], options);
-  Status submitted = direct.Submit(key, MakeJob(IncompleteSpec()));
+  Status submitted = direct.Submit(key, MakeJob(GridSpec(5, 6)));
   ASSERT_FALSE(submitted.ok());
   EXPECT_EQ(submitted.code(), StatusCode::kUnavailable)
       << submitted.ToString();
@@ -434,7 +392,7 @@ TEST(FabricServiceTest, WrongOwnerShedIsTypedAndNamesTheOwner) {
 }
 
 TEST(FabricServiceTest, DrainDepartsTheRingThenAdoptionRevives) {
-  const std::string expected = DirectRcdpEvidence(IncompleteSpec(), 1);
+  const std::string expected = DirectRcdpEvidence(GridSpec(5, 6), 1);
   Fabric fabric = StartFabric("drain", 2);
   const std::string key =
       KeyForShard(FabricRing::Make(fabric.endpoints), 0, "drain");
@@ -452,7 +410,7 @@ TEST(FabricServiceTest, DrainDepartsTheRingThenAdoptionRevives) {
     options.op_deadline = std::chrono::milliseconds(400);
     FabricClient client(fabric.endpoints, options);
     const auto start = std::chrono::steady_clock::now();
-    Status submitted = client.Submit(key, MakeJob(IncompleteSpec()));
+    Status submitted = client.Submit(key, MakeJob(GridSpec(5, 6)));
     ASSERT_FALSE(submitted.ok());
     EXPECT_EQ(submitted.code(), StatusCode::kDeadlineExceeded)
         << submitted.ToString();
@@ -467,7 +425,7 @@ TEST(FabricServiceTest, DrainDepartsTheRingThenAdoptionRevives) {
   EXPECT_EQ(fabric.members[1]->ring().endpoints[0], fabric.endpoints[1]);
 
   FabricClient client(fabric.endpoints);
-  auto reply = client.SubmitAndAwait(key, MakeJob(IncompleteSpec()));
+  auto reply = client.SubmitAndAwait(key, MakeJob(GridSpec(5, 6)));
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
   EXPECT_EQ(reply->evidence, expected);
   ExpectNoCorruption(fabric);
@@ -517,12 +475,12 @@ TEST(FabricServiceTest, RejoinAfterDrainFencesWithAHigherEpoch) {
   const std::string key =
       KeyForShard(FabricRing::Make(fabric.endpoints), 0, "rejoin");
   FabricClient client(fabric.endpoints);
-  auto reply = client.SubmitAndAwait(key, MakeJob(IncompleteSpec()));
+  auto reply = client.SubmitAndAwait(key, MakeJob(GridSpec(5, 6)));
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
 }
 
 TEST(FabricServiceTest, VerdictCacheIsServedAcrossShardHandoff) {
-  const std::string expected = DirectRcdpEvidence(IncompleteSpec(), 1);
+  const std::string expected = DirectRcdpEvidence(GridSpec(5, 6), 1);
   MemberTweak with_cache = [](size_t, FabricMemberOptions& options) {
     options.service_options.enable_verdict_cache = true;
   };
@@ -531,7 +489,7 @@ TEST(FabricServiceTest, VerdictCacheIsServedAcrossShardHandoff) {
       KeyForShard(FabricRing::Make(fabric.endpoints), 0, "vcache");
   {
     FabricClient client(fabric.endpoints);
-    auto reply = client.SubmitAndAwait(key, MakeJob(IncompleteSpec()));
+    auto reply = client.SubmitAndAwait(key, MakeJob(GridSpec(5, 6)));
     ASSERT_TRUE(reply.ok()) << reply.status().ToString();
     ASSERT_EQ(reply->evidence, expected);
   }
@@ -545,7 +503,7 @@ TEST(FabricServiceTest, VerdictCacheIsServedAcrossShardHandoff) {
   ASSERT_EQ(adopted->verdicts_served_from_cache(), 0u);
 
   FabricClient client(fabric.endpoints);
-  auto reply = client.SubmitAndAwait(key, MakeJob(IncompleteSpec()));
+  auto reply = client.SubmitAndAwait(key, MakeJob(GridSpec(5, 6)));
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
   EXPECT_EQ(reply->evidence, expected);
   EXPECT_GE(adopted->verdicts_served_from_cache(), 1u)
@@ -557,13 +515,13 @@ TEST(FabricServiceTest, VerdictIsRecomputedHonestlyWithoutTheCache) {
   // Same handoff, cache disabled: the adopter re-runs the search and
   // determinism makes the answer bit-for-bit anyway — served honestly,
   // never corrupted.
-  const std::string expected = DirectRcdpEvidence(IncompleteSpec(), 1);
+  const std::string expected = DirectRcdpEvidence(GridSpec(5, 6), 1);
   Fabric fabric = StartFabric("nocache", 2);
   const std::string key =
       KeyForShard(FabricRing::Make(fabric.endpoints), 0, "nocache");
   {
     FabricClient client(fabric.endpoints);
-    auto reply = client.SubmitAndAwait(key, MakeJob(IncompleteSpec()));
+    auto reply = client.SubmitAndAwait(key, MakeJob(GridSpec(5, 6)));
     ASSERT_TRUE(reply.ok()) << reply.status().ToString();
     ASSERT_EQ(reply->evidence, expected);
   }
@@ -574,7 +532,7 @@ TEST(FabricServiceTest, VerdictIsRecomputedHonestlyWithoutTheCache) {
   ASSERT_NE(adopted, nullptr);
 
   FabricClient client(fabric.endpoints);
-  auto reply = client.SubmitAndAwait(key, MakeJob(IncompleteSpec()));
+  auto reply = client.SubmitAndAwait(key, MakeJob(GridSpec(5, 6)));
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
   EXPECT_EQ(reply->evidence, expected);
   EXPECT_EQ(adopted->verdicts_served_from_cache(), 0u);
@@ -585,13 +543,13 @@ TEST(FabricServiceTest, FabricClientBootstrapsOffAStandaloneServer) {
   // The uniform-shape contract: a FabricClient pointed at plain
   // NetServers (no fabric) bootstraps off their singleton rings and
   // completes the audit — multi-endpoint --connect without a fabric.
-  const std::string expected = DirectRcdpEvidence(IncompleteSpec(), 1);
+  const std::string expected = DirectRcdpEvidence(GridSpec(5, 6), 1);
   auto service = DecisionService::Start(FreshDir("solo"));
   ASSERT_TRUE(service.ok());
   auto server = NetServer::Start(service->get(), FreshSocket("solo"));
   ASSERT_TRUE(server.ok());
   FabricClient client({(*server)->address()});
-  auto reply = client.SubmitAndAwait("job-solo", MakeJob(IncompleteSpec()));
+  auto reply = client.SubmitAndAwait("job-solo", MakeJob(GridSpec(5, 6)));
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
   EXPECT_EQ(reply->evidence, expected);
   ASSERT_TRUE(client.has_ring());

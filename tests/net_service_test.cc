@@ -21,35 +21,11 @@
 #include "net/server.h"
 #include "net/wire.h"
 #include "service/decision_service.h"
-#include "spec/spec_parser.h"
 #include "util/str.h"
 #include "test_support.h"
 
 namespace relcomp {
 namespace {
-
-/// Same far-corner incomplete instance the service sweep uses (both
-/// columns bound to the master): enough decision points to persist
-/// mid-search, checkpoint, and kill.
-const std::string& IncompleteSpec() {
-  static const std::string spec = [] {
-    std::string s = "relation S(a, b)\nmaster relation M(m)\n"
-                    "master relation N(n)\n";
-    for (int x = 0; x <= 5; ++x) {
-      for (int y = 0; y <= 6; ++y) {
-        if (x == 5 && y == 6) continue;
-        s += StrCat("fact S(", x, ", ", y, ")\n");
-      }
-    }
-    for (int m = 0; m <= 5; ++m) s += StrCat("master fact M(", m, ")\n");
-    for (int n = 0; n <= 6; ++n) s += StrCat("master fact N(", n, ")\n");
-    s += "constraint c0(x) :- S(x, y) |= M[0]\n";
-    s += "constraint c1(y) :- S(x, y) |= N[0]\n";
-    s += "query cq Q(x, y) :- S(x, y)\n";
-    return s;
-  }();
-  return spec;
-}
 
 JobSpec MakeJob(const std::string& spec, size_t slice = 0) {
   JobSpec job;
@@ -57,24 +33,6 @@ JobSpec MakeJob(const std::string& spec, size_t slice = 0) {
   job.spec_text = spec;
   job.slice_steps = slice;
   return job;
-}
-
-/// The canonical evidence an uninterrupted direct decision produces —
-/// the oracle the networked (and killed-and-restarted) runs must match
-/// bit for bit.
-std::string DirectRcdpEvidence(const std::string& spec_text) {
-  auto spec = ParseCompletenessSpec(spec_text);
-  EXPECT_TRUE(spec.ok()) << spec.status().ToString();
-  auto r = DecideRcdp(spec->queries[0], spec->db, spec->master,
-                      spec->constraints, RcdpOptions());
-  EXPECT_TRUE(r.ok()) << r.status().ToString();
-  return StrCat(VerdictToString(r->verdict), "|",
-                r->counterexample_delta.has_value()
-                    ? r->counterexample_delta->ToString()
-                    : std::string("<none>"),
-                "|",
-                r->new_answer.has_value() ? r->new_answer->ToString()
-                                          : std::string("<none>"));
 }
 
 /// A server + service pair over a fresh store directory.
@@ -170,11 +128,11 @@ TEST(NetServiceTest, SubmitAndAwaitOverUnixSocketMatchesDirectDecision) {
   ASSERT_NE(ts.server, nullptr);
   NetClient client(ts.server->address());
 
-  ASSERT_TRUE(client.Submit("job-1", MakeJob(IncompleteSpec())).ok());
+  ASSERT_TRUE(client.Submit("job-1", MakeJob(GridSpec(5, 6))).ok());
   auto reply = client.AwaitTerminal("job-1");
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
   EXPECT_EQ(reply->verdict, Verdict::kIncomplete);
-  EXPECT_EQ(reply->evidence, DirectRcdpEvidence(IncompleteSpec()));
+  EXPECT_EQ(reply->evidence, DirectRcdpEvidence(GridSpec(5, 6)));
   EXPECT_EQ(reply->attempts, 1u);
 }
 
@@ -187,10 +145,10 @@ TEST(NetServiceTest, SubmitAndAwaitOverTcpEphemeralPort) {
   EXPECT_NE(ts.server->address(), "tcp:127.0.0.1:0");
 
   NetClient client(ts.server->address());
-  ASSERT_TRUE(client.Submit("job-tcp", MakeJob(IncompleteSpec())).ok());
+  ASSERT_TRUE(client.Submit("job-tcp", MakeJob(GridSpec(5, 6))).ok());
   auto reply = client.AwaitTerminal("job-tcp");
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
-  EXPECT_EQ(reply->evidence, DirectRcdpEvidence(IncompleteSpec()));
+  EXPECT_EQ(reply->evidence, DirectRcdpEvidence(GridSpec(5, 6)));
 }
 
 TEST(NetServiceTest, SubmitBeyondTheJobCapsIsATypedRefusal) {
@@ -199,9 +157,9 @@ TEST(NetServiceTest, SubmitBeyondTheJobCapsIsATypedRefusal) {
   TestServer ts = StartServer(FreshDir("caps"), FreshSocket("caps"));
   ASSERT_NE(ts.server, nullptr);
   NetClient client(ts.server->address());
-  JobSpec threads = MakeJob(IncompleteSpec());
+  JobSpec threads = MakeJob(GridSpec(5, 6));
   threads.num_threads = kMaxJobThreads + 1;
-  JobSpec late = MakeJob(IncompleteSpec());
+  JobSpec late = MakeJob(GridSpec(5, 6));
   late.deadline = kMaxJobDeadline + std::chrono::milliseconds(1);
   for (const JobSpec& job : {threads, late}) {
     const Status submitted = client.Submit("over-cap", job);
@@ -287,7 +245,7 @@ TEST(NetServiceTest, ResubmitWithSameKeyAndSpecIsAbsorbed) {
   ASSERT_NE(ts.server, nullptr);
   NetClient client(ts.server->address());
 
-  const JobSpec job = MakeJob(IncompleteSpec());
+  const JobSpec job = MakeJob(GridSpec(5, 6));
   ASSERT_TRUE(client.Submit("job-dup", job).ok());
   ASSERT_TRUE(client.Submit("job-dup", job).ok());  // the "retry"
   ASSERT_TRUE(client.Submit("job-dup", job).ok());  // and another
@@ -309,8 +267,8 @@ TEST(NetServiceTest, SameKeyDifferentSpecIsATypedCollision) {
   ASSERT_NE(ts.server, nullptr);
   NetClient client(ts.server->address());
 
-  ASSERT_TRUE(client.Submit("job-x", MakeJob(IncompleteSpec())).ok());
-  Status collision = client.Submit("job-x", MakeJob(IncompleteSpec(), 16));
+  ASSERT_TRUE(client.Submit("job-x", MakeJob(GridSpec(5, 6))).ok());
+  Status collision = client.Submit("job-x", MakeJob(GridSpec(5, 6), 16));
   ASSERT_FALSE(collision.ok());
   EXPECT_EQ(collision.code(), StatusCode::kInvalidArgument);
   EXPECT_NE(collision.message().find("different job"), std::string::npos);
@@ -323,7 +281,7 @@ TEST(NetServiceTest, TerminalJobResubmitWithSameSpecIsAbsorbed) {
   ASSERT_NE(ts.server, nullptr);
   NetClient client(ts.server->address());
 
-  const JobSpec job = MakeJob(IncompleteSpec());
+  const JobSpec job = MakeJob(GridSpec(5, 6));
   ASSERT_TRUE(client.Submit("job-done", job).ok());
   ASSERT_TRUE(client.AwaitTerminal("job-done").ok());
   ASSERT_TRUE(client.Submit("job-done", job).ok());  // the late "retry"
@@ -331,7 +289,7 @@ TEST(NetServiceTest, TerminalJobResubmitWithSameSpecIsAbsorbed) {
   EXPECT_EQ(ts.server->stats().submits_deduped, 1u);
   auto reply = client.AwaitTerminal("job-done");
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
-  EXPECT_EQ(reply->evidence, DirectRcdpEvidence(IncompleteSpec()));
+  EXPECT_EQ(reply->evidence, DirectRcdpEvidence(GridSpec(5, 6)));
   EXPECT_EQ(ts.service->completed_order().size(), 1u);
 }
 
@@ -340,9 +298,9 @@ TEST(NetServiceTest, TerminalJobSameKeyDifferentSpecIsATypedCollision) {
   ASSERT_NE(ts.server, nullptr);
   NetClient client(ts.server->address());
 
-  ASSERT_TRUE(client.Submit("job-done", MakeJob(IncompleteSpec())).ok());
+  ASSERT_TRUE(client.Submit("job-done", MakeJob(GridSpec(5, 6))).ok());
   ASSERT_TRUE(client.AwaitTerminal("job-done").ok());
-  Status collision = client.Submit("job-done", MakeJob(IncompleteSpec(), 16));
+  Status collision = client.Submit("job-done", MakeJob(GridSpec(5, 6), 16));
   ASSERT_FALSE(collision.ok());
   EXPECT_EQ(collision.code(), StatusCode::kInvalidArgument);
   EXPECT_NE(collision.message().find("different job"), std::string::npos);
@@ -361,8 +319,8 @@ TEST(NetServiceTest, QueueExhaustionIsTypedResourceExhaustedWithHint) {
   ASSERT_NE(ts.server, nullptr);
   NetClient client(ts.server->address());
 
-  ASSERT_TRUE(client.Submit("fits", MakeJob(IncompleteSpec())).ok());
-  Status shed = client.Submit("shed", MakeJob(IncompleteSpec()));
+  ASSERT_TRUE(client.Submit("fits", MakeJob(GridSpec(5, 6))).ok());
+  Status shed = client.Submit("shed", MakeJob(GridSpec(5, 6)));
   ASSERT_FALSE(shed.ok());
   EXPECT_EQ(shed.code(), StatusCode::kResourceExhausted);
   EXPECT_GE(ts.server->stats().submits_shed, 1u);
@@ -389,7 +347,7 @@ TEST(NetServiceTest, CancelOverTheWireFinishesQueuedJobAsUnknown) {
   ASSERT_NE(ts.server, nullptr);
   NetClient client(ts.server->address());
 
-  ASSERT_TRUE(client.Submit("doomed", MakeJob(IncompleteSpec())).ok());
+  ASSERT_TRUE(client.Submit("doomed", MakeJob(GridSpec(5, 6))).ok());
   ASSERT_TRUE(client.Cancel("doomed").ok());
   auto reply = client.AwaitTerminal("doomed");
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
@@ -565,10 +523,10 @@ TEST(NetServiceTest, PeriodicFaultsDuringRealJobsStillConverge) {
   NetClientOptions copts;
   copts.io_timeout = std::chrono::milliseconds(2000);
   NetClient client(ts.server->address(), copts);
-  ASSERT_TRUE(client.Submit("under-fire", MakeJob(IncompleteSpec())).ok());
+  ASSERT_TRUE(client.Submit("under-fire", MakeJob(GridSpec(5, 6))).ok());
   auto reply = client.AwaitTerminal("under-fire");
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
-  EXPECT_EQ(reply->evidence, DirectRcdpEvidence(IncompleteSpec()));
+  EXPECT_EQ(reply->evidence, DirectRcdpEvidence(GridSpec(5, 6)));
   EXPECT_GE(ts.server->stats().faults_injected, 1u);
 }
 
@@ -581,7 +539,7 @@ TEST(NetServiceConcurrencyTest, ParallelClientsEachGetTheirOwnVerdict) {
   TestServer ts =
       StartServer(FreshDir("par"), FreshSocket("par"), options);
   ASSERT_NE(ts.server, nullptr);
-  const std::string oracle = DirectRcdpEvidence(IncompleteSpec());
+  const std::string oracle = DirectRcdpEvidence(GridSpec(5, 6));
 
   constexpr size_t kClients = 4;
   std::vector<std::thread> threads;
@@ -590,7 +548,7 @@ TEST(NetServiceConcurrencyTest, ParallelClientsEachGetTheirOwnVerdict) {
     threads.emplace_back([&, i] {
       NetClient client(ts.server->address());
       const std::string key = StrCat("par-", i);
-      ASSERT_TRUE(client.Submit(key, MakeJob(IncompleteSpec())).ok());
+      ASSERT_TRUE(client.Submit(key, MakeJob(GridSpec(5, 6))).ok());
       auto reply = client.AwaitTerminal(key);
       ASSERT_TRUE(reply.ok()) << reply.status().ToString();
       evidence[i] = reply->evidence;
@@ -611,7 +569,7 @@ TEST(NetServiceConcurrencyTest, ParallelClientsEachGetTheirOwnVerdict) {
 TEST(NetServiceRestartTest, ClientReattachesAcrossServerKillMidJob) {
   const std::string dir = FreshDir("restart");
   const std::string address = FreshSocket("restart");
-  const std::string oracle = DirectRcdpEvidence(IncompleteSpec());
+  const std::string oracle = DirectRcdpEvidence(GridSpec(5, 6));
   const std::string key = "kill-me";
 
   // Incarnation 1: crash-after-persist harness armed, so the service
@@ -630,7 +588,7 @@ TEST(NetServiceRestartTest, ClientReattachesAcrossServerKillMidJob) {
     NetClient submit_client(address);
     // A persist interval small enough to persist (and crash) early.
     ASSERT_TRUE(
-        submit_client.Submit(key, MakeJob(IncompleteSpec(), /*slice=*/6))
+        submit_client.Submit(key, MakeJob(GridSpec(5, 6), /*slice=*/6))
             .ok());
   }
   awaiter_thread = std::thread([&] {
@@ -681,7 +639,7 @@ TEST(NetServiceRestartTest, ResubmitAfterRestartDedupsAgainstDurableRecord) {
   // Persisting as it runs, so the crash harness fires mid-job, leaving
   // the durable job record behind (a clean shutdown would drain the
   // queue instead).
-  const JobSpec job = MakeJob(IncompleteSpec(), /*slice=*/6);
+  const JobSpec job = MakeJob(GridSpec(5, 6), /*slice=*/6);
 
   {
     DecisionServiceOptions crashing;

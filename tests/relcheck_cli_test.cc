@@ -68,25 +68,6 @@ constraint c0(x) :- S(x, y) |= M[0]
 query cq Q(x) :- S(x, y)
 )spec";
 
-/// Takes more than a couple of decision points to decide: a grid
-/// minus one far corner, mirroring the service tests' instance.
-std::string GridSpec() {
-  std::string s = "relation S(a, b)\nmaster relation M(m)\n"
-                  "master relation N(n)\n";
-  for (int x = 0; x <= 5; ++x) {
-    for (int y = 0; y <= 6; ++y) {
-      if (x == 5 && y == 6) continue;
-      s += StrCat("fact S(", x, ", ", y, ")\n");
-    }
-  }
-  for (int m = 0; m <= 5; ++m) s += StrCat("master fact M(", m, ")\n");
-  for (int n = 0; n <= 6; ++n) s += StrCat("master fact N(", n, ")\n");
-  s += "constraint c0(x) :- S(x, y) |= M[0]\n";
-  s += "constraint c1(y) :- S(x, y) |= N[0]\n";
-  s += "query cq Q(x, y) :- S(x, y)\n";
-  return s;
-}
-
 TEST(RelcheckCliTest, CompleteSpecExitsZero) {
   EXPECT_EQ(RunRelcheck(WriteSpec("complete", kCompleteSpec)), 0);
 }
@@ -98,7 +79,7 @@ TEST(RelcheckCliTest, IncompleteSpecExitsOne) {
 TEST(RelcheckCliTest, ExhaustedBudgetExitsTwo) {
   // A step budget (unlike a wall-clock one) exhausts at the same
   // decision point on every machine — no timing flake.
-  EXPECT_EQ(RunRelcheck(StrCat(WriteSpec("grid", GridSpec()),
+  EXPECT_EQ(RunRelcheck(StrCat(WriteSpec("grid", GridSpec(5, 6)),
                                " --max-steps 3")),
             2);
 }

@@ -7,8 +7,8 @@
 //  * CheckpointStore — the health machine: transient failures degrade,
 //    fsync failures close the gate (read-only, refusals without I/O),
 //    and ONLY a successful probe heals.
-//  * DecisionService — degraded mode: durable admission shed typed,
-//    verdict-cache hits served ephemerally, running jobs finishing in
+//  * DecisionService — degraded mode: a miss's durable admission shed
+//    typed, verdict-cache hits still served, running jobs finishing in
 //    memory bit-for-bit, and the background prober self-healing.
 //  * The sweeps — a fault of every kind at every matching store-op
 //    ordinal, followed by a clean restart: verdicts bit-for-bit vs the
@@ -23,15 +23,12 @@
 
 #include <atomic>
 #include <chrono>
-#include <fstream>
-#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
-#include "completeness/rcdp.h"
 #include "fabric/fabric_client.h"
 #include "fabric/member.h"
 #include "fabric/ring.h"
@@ -39,35 +36,12 @@
 #include "net/wire.h"
 #include "service/checkpoint_store.h"
 #include "service/decision_service.h"
-#include "spec/spec_parser.h"
 #include "util/fs_env.h"
 #include "util/str.h"
 #include "test_support.h"
 
 namespace relcomp {
 namespace {
-
-/// The service tests' far-corner family, sized to order: S holds every
-/// pair over {0..max_x} x {0..max_y} except the corner, and M and N
-/// bound its columns to those ranges, so the search walks the whole
-/// valuation space before deciding — room to persist mid-search,
-/// checkpoint, and lose the disk.
-std::string CornerSpec(int max_x, int max_y) {
-  std::string s =
-      "relation S(a, b)\nmaster relation M(m)\nmaster relation N(n)\n";
-  for (int x = 0; x <= max_x; ++x) {
-    for (int y = 0; y <= max_y; ++y) {
-      if (x == max_x && y == max_y) continue;
-      s += StrCat("fact S(", x, ", ", y, ")\n");
-    }
-  }
-  for (int m = 0; m <= max_x; ++m) s += StrCat("master fact M(", m, ")\n");
-  for (int n = 0; n <= max_y; ++n) s += StrCat("master fact N(", n, ")\n");
-  s += "constraint c0(x) :- S(x, y) |= M[0]\n";
-  s += "constraint c1(y) :- S(x, y) |= N[0]\n";
-  s += "query cq Q(x, y) :- S(x, y)\n";
-  return s;
-}
 
 JobSpec MakeJob(const std::string& spec, size_t threads = 1,
                 size_t slice = 0) {
@@ -77,25 +51,6 @@ JobSpec MakeJob(const std::string& spec, size_t threads = 1,
   job.num_threads = threads;
   job.slice_steps = slice;
   return job;
-}
-
-/// The oracle: canonical evidence of an uninterrupted direct run.
-std::string DirectRcdpEvidence(const std::string& spec_text,
-                               size_t threads = 1) {
-  auto spec = ParseCompletenessSpec(spec_text);
-  EXPECT_TRUE(spec.ok()) << spec.status().ToString();
-  RcdpOptions options;
-  options.num_threads = threads;
-  auto r = DecideRcdp(spec->queries[0], spec->db, spec->master,
-                      spec->constraints, options);
-  EXPECT_TRUE(r.ok()) << r.status().ToString();
-  return StrCat(VerdictToString(r->verdict), "|",
-                r->counterexample_delta.has_value()
-                    ? r->counterexample_delta->ToString()
-                    : std::string("<none>"),
-                "|",
-                r->new_answer.has_value() ? r->new_answer->ToString()
-                                          : std::string("<none>"));
 }
 
 SearchCheckpoint MakeCkpt(size_t rank) {
@@ -124,12 +79,6 @@ StorageFaultPlan EveryPlan(StorageFaultKind kind, uint64_t every,
   plan.every = every;
   plan.site = site;
   return plan;
-}
-
-std::string ReadFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return std::string(std::istreambuf_iterator<char>(in),
-                     std::istreambuf_iterator<char>());
 }
 
 // ---------------------------------------------------------------------------
@@ -333,7 +282,7 @@ TEST(StorageFaultServiceTest, DegradedShedsTypedAndServesCacheHits) {
   auto service = DecisionService::Start(FreshDir("shed"),
                                         ServiceOptions(&env, /*cache=*/true));
   ASSERT_TRUE(service.ok()) << service.status().ToString();
-  const std::string spec = CornerSpec(1, 2);
+  const std::string spec = GridSpec(1, 2);
 
   // A clean run populates the verdict cache.
   ASSERT_TRUE((*service)->Submit("a", MakeJob(spec)).ok());
@@ -343,12 +292,12 @@ TEST(StorageFaultServiceTest, DegradedShedsTypedAndServesCacheHits) {
   // Kill the disk. The next durable admission fails its persist, flips
   // the service degraded, and is shed typed.
   env.set_fault_plan(EveryPlan(StorageFaultKind::kEio, 1, "record"));
-  Status shed = (*service)->Submit("b", MakeJob(CornerSpec(2, 2)));
+  Status shed = (*service)->Submit("b", MakeJob(GridSpec(2, 2)));
   EXPECT_EQ(shed.code(), StatusCode::kResourceExhausted);
   EXPECT_TRUE((*service)->degraded());
   EXPECT_GE((*service)->submits_shed_degraded(), 1u);
 
-  // A cache hit needs no durability: admitted ephemerally, served from
+  // A cache hit needs no durability: answered at admission, from
   // memory, bit-for-bit the cached verdict.
   ASSERT_TRUE((*service)->Submit("c", MakeJob(spec)).ok());
   auto cached = (*service)->Wait("c");
@@ -358,14 +307,14 @@ TEST(StorageFaultServiceTest, DegradedShedsTypedAndServesCacheHits) {
 
   // Heal: disarm the disk, probe, and durable admission returns. A
   // working disk alone is NOT enough — until the probe, submits shed.
-  Status still_shed = (*service)->Submit("d", MakeJob(CornerSpec(2, 3)));
+  Status still_shed = (*service)->Submit("d", MakeJob(GridSpec(2, 3)));
   EXPECT_EQ(still_shed.code(), StatusCode::kResourceExhausted);
   env.set_fault_plan(StorageFaultPlan());
   EXPECT_EQ((*service)->HealthState(), "degraded");
   ASSERT_TRUE((*service)->ProbeStoreNow().ok());
   EXPECT_FALSE((*service)->degraded());
   EXPECT_EQ((*service)->HealthState(), "healthy");
-  ASSERT_TRUE((*service)->Submit("e", MakeJob(CornerSpec(2, 4))).ok());
+  ASSERT_TRUE((*service)->Submit("e", MakeJob(GridSpec(2, 4))).ok());
   EXPECT_TRUE((*service)->Wait("e").ok());
 }
 
@@ -376,7 +325,7 @@ TEST(StorageFaultServiceTest, DegradedJobCompletesInMemoryBitForBit) {
   auto service = DecisionService::Start(FreshDir("inmem"), options);
   ASSERT_TRUE(service.ok()) << service.status().ToString();
 
-  const std::string spec = CornerSpec(5, 6);
+  const std::string spec = GridSpec(5, 6);
   ASSERT_TRUE(
       (*service)->Submit("job", MakeJob(spec, /*threads=*/1, /*slice=*/1))
           .ok());
@@ -405,7 +354,7 @@ TEST(StorageFaultServiceTest, BackgroundProberHealsWithBackoff) {
   ASSERT_TRUE(service.ok()) << service.status().ToString();
 
   ASSERT_TRUE(
-      (*service)->Submit("job", MakeJob(CornerSpec(2, 3), 1, /*slice=*/1))
+      (*service)->Submit("job", MakeJob(GridSpec(2, 3), 1, /*slice=*/1))
           .ok());
   // Every store write now fails — including probes, so the prober
   // backs off and keeps trying instead of flapping.
@@ -441,7 +390,7 @@ TEST(StorageFaultServiceTest, BackgroundProberHealsWithBackoff) {
 // oracle bit-for-bit, and a clean restart recovers the directory with
 // zero corrupt records loaded.
 TEST(StorageFaultServiceTest, KillTheDiskSweepRecoversBitForBit) {
-  const std::string spec = CornerSpec(5, 6);
+  const std::string spec = GridSpec(5, 6);
   const std::string expected = DirectRcdpEvidence(spec);
   const StorageFaultKind kinds[] = {
       StorageFaultKind::kEio,        StorageFaultKind::kEnospc,
@@ -518,7 +467,7 @@ TEST(StorageFaultConcurrencyTest, ConcurrentSubmitsProbesAndHealthReads) {
   options.max_queue_depth = 256;
   auto service = DecisionService::Start(FreshDir("conc"), options);
   ASSERT_TRUE(service.ok()) << service.status().ToString();
-  const std::string spec = CornerSpec(1, 2);
+  const std::string spec = GridSpec(1, 2);
   ASSERT_TRUE((*service)->Submit("seed", MakeJob(spec)).ok());
   ASSERT_TRUE((*service)->Wait("seed").ok());
 
@@ -666,7 +615,7 @@ TEST(StorageFaultFabricTest, HealthOpAnsweredAndAggregated) {
 
 TEST(StorageFaultFabricTest, SickMemberSelfEvictsToHealthyPeer) {
   Fabric fabric = StartFabric("evict", 2);
-  const std::string spec = CornerSpec(2, 3);
+  const std::string spec = GridSpec(2, 3);
   KillDisk(fabric, 0, 0);
 
   // One sweep: shard 0's store is sick and fails its live re-probe, so
@@ -712,7 +661,7 @@ TEST(StorageFaultFabricTest, DeadDiskGivesUpTenureForAdoption) {
   Status adopted = client.AdoptShard(0, fabric.endpoints[1]);
   ASSERT_TRUE(adopted.ok()) << adopted.ToString();
   EXPECT_EQ(OwnersOf(fabric, 0), 1u);
-  const std::string spec = CornerSpec(2, 3);
+  const std::string spec = GridSpec(2, 3);
   const std::string key = KeyForShard(client.ring(), 0, "tenure");
   auto result = client.SubmitAndAwait(key, MakeJob(spec));
   ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -722,20 +671,20 @@ TEST(StorageFaultFabricTest, DeadDiskGivesUpTenureForAdoption) {
 
 TEST(StorageFaultFabricTest, FullyDegradedMemberStillServesCacheHits) {
   Fabric fabric = StartFabric("cachehit", 2, /*cache=*/true);
-  const std::string spec = CornerSpec(2, 3);
+  const std::string spec = GridSpec(2, 3);
   FabricClient client(fabric.endpoints);
   ASSERT_TRUE(client.RefreshRing().ok());
   const std::string key = KeyForShard(client.ring(), 0, "warm");
   auto warm = client.SubmitAndAwait(key, MakeJob(spec));
   ASSERT_TRUE(warm.ok()) << warm.status().ToString();
 
-  // Kill member 0's disk completely. The first durable submit fails
-  // its persist and is shed typed; every cache hit after that is
-  // served ephemerally, straight from memory.
+  // Kill member 0's disk completely. The first miss fails its persist
+  // and is shed typed, which degrades the member; a cache hit needs no
+  // disk and is served from memory all the same.
   fabric.disks[0]->set_fault_plan(EveryPlan(StorageFaultKind::kEio, 1));
   NetClient direct(fabric.endpoints[0]);
   const std::string shed_key = KeyForShard(client.ring(), 0, "shed");
-  Status shed = direct.Submit(shed_key, MakeJob(spec));
+  Status shed = direct.Submit(shed_key, MakeJob(GridSpec(2, 4)));
   EXPECT_EQ(shed.code(), StatusCode::kResourceExhausted) << shed.ToString();
 
   const std::string hit_key = KeyForShard(client.ring(), 0, "hit");
@@ -802,7 +751,7 @@ void ChaosRun(const char* tag, size_t members, size_t threads,
 }
 
 TEST(StorageFaultFabricTest, KillTheDiskChaosSweepTwoMembers) {
-  const std::string spec = CornerSpec(5, 6);
+  const std::string spec = GridSpec(5, 6);
   const std::string expected = DirectRcdpEvidence(spec);
   const StorageFaultKind kinds[] = {
       StorageFaultKind::kEio,        StorageFaultKind::kEnospc,
@@ -821,7 +770,7 @@ TEST(StorageFaultFabricTest, KillTheDiskChaosSweepTwoMembers) {
 }
 
 TEST(StorageFaultFabricTest, KillTheDiskChaosSweepWideAndThreaded) {
-  const std::string spec = CornerSpec(5, 6);
+  const std::string spec = GridSpec(5, 6);
   const std::string expected = DirectRcdpEvidence(spec, /*threads=*/8);
   const StorageFaultKind kinds[] = {
       StorageFaultKind::kEio,        StorageFaultKind::kEnospc,

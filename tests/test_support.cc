@@ -5,8 +5,12 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <mutex>
 
+#include "completeness/rcdp.h"
+#include "spec/spec_parser.h"
 #include "util/str.h"
 
 namespace relcomp {
@@ -50,6 +54,47 @@ std::string FreshFile(std::string_view tag, std::string_view suffix) {
     scratch_dir = std::move(pattern);
   }
   return StrCat(scratch_dir, "/", tag, "_", next_path++, suffix);
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.good()) << path;
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+std::string GridSpec(int max_x, int max_y) {
+  std::string s =
+      "relation S(a, b)\nmaster relation M(m)\nmaster relation N(n)\n";
+  for (int x = 0; x <= max_x; ++x) {
+    for (int y = 0; y <= max_y; ++y) {
+      if (x == max_x && y == max_y) continue;
+      s += StrCat("fact S(", x, ", ", y, ")\n");
+    }
+  }
+  for (int m = 0; m <= max_x; ++m) s += StrCat("master fact M(", m, ")\n");
+  for (int n = 0; n <= max_y; ++n) s += StrCat("master fact N(", n, ")\n");
+  s += "constraint c0(x) :- S(x, y) |= M[0]\n";
+  s += "constraint c1(y) :- S(x, y) |= N[0]\n";
+  s += "query cq Q(x, y) :- S(x, y)\n";
+  return s;
+}
+
+std::string DirectRcdpEvidence(const std::string& spec_text, size_t threads) {
+  auto spec = ParseCompletenessSpec(spec_text);
+  EXPECT_TRUE(spec.ok()) << spec.status().ToString();
+  RcdpOptions options;
+  options.num_threads = threads;
+  auto r = DecideRcdp(spec->queries[0], spec->db, spec->master,
+                      spec->constraints, options);
+  EXPECT_TRUE(r.ok()) << r.status().ToString();
+  return StrCat(VerdictToString(r->verdict), "|",
+                r->counterexample_delta.has_value()
+                    ? r->counterexample_delta->ToString()
+                    : std::string("<none>"),
+                "|",
+                r->new_answer.has_value() ? r->new_answer->ToString()
+                                          : std::string("<none>"));
 }
 
 }  // namespace relcomp

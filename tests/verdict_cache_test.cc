@@ -44,25 +44,6 @@ constraint c0(x) :- S(x, y) |= M[0]
 query cq Q(x) :- S(x, y)
 )spec";
 
-/// The service's canonical evidence string, recomputed from a direct
-/// library call — the oracle cache-served results are compared against.
-std::string DirectEvidence(const std::string& spec_text, size_t threads) {
-  auto spec = ParseCompletenessSpec(spec_text);
-  EXPECT_TRUE(spec.ok()) << spec.status().ToString();
-  RcdpOptions options;
-  options.num_threads = threads;
-  auto r = DecideRcdp(spec->queries[0], spec->db, spec->master,
-                      spec->constraints, options);
-  EXPECT_TRUE(r.ok()) << r.status().ToString();
-  return StrCat(VerdictToString(r->verdict), "|",
-                r->counterexample_delta.has_value()
-                    ? r->counterexample_delta->ToString()
-                    : std::string("<none>"),
-                "|",
-                r->new_answer.has_value() ? r->new_answer->ToString()
-                                          : std::string("<none>"));
-}
-
 TEST(VerdictCacheTest, MemoryOnlyHitMissInsert) {
   VerdictCache cache(nullptr);
   EXPECT_FALSE(cache.Lookup(0x1234).has_value());
@@ -219,7 +200,7 @@ TEST(VerdictCacheTest, ServiceCacheHitEqualsRecomputeAcrossThreadCounts) {
     EXPECT_EQ((*service)->verdicts_served_from_cache(), 1u)
         << threads << " threads";
 
-    const std::string oracle = DirectEvidence(kIncompleteSpec, threads);
+    const std::string oracle = DirectRcdpEvidence(kIncompleteSpec, threads);
     EXPECT_EQ(first->verdict, second->verdict) << threads << " threads";
     EXPECT_EQ(first->evidence, oracle) << threads << " threads";
     EXPECT_EQ(second->evidence, oracle) << threads << " threads";
