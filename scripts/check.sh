@@ -9,8 +9,9 @@
 # verdict-cache hammer; the tsan test preset carries the filter), then
 # the standalone ubsan preset (pure UBSan over the full suite). Later
 # stages re-run labelled suites under a sanitizer and finish with the
-# benchmark's known-answer selftest and a short run of every benchmark
-# workload. Run from anywhere.
+# benchmark's known-answer selftest, a short run of every benchmark
+# workload and one traced run that pins the shape of a cache hit. Run
+# from anywhere.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -121,6 +122,34 @@ for workload in $(python3 -c 'import json
 print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))'); do
   run smoke "$workload"
 done
+
+# Hit-shape stage: one traced repeat_audits run, where every audit is a
+# verdict-cache hit. A hit is answered in its submit reply, so it costs
+# one round trip and one server frame, writes nothing durable and is
+# served from the cache. The untraced smoke above cannot tell a hit
+# that quietly falls back to polling from one that does not; these
+# exact per-audit counts can.
+hit_shape() {
+  local result
+  result="$(python3 perfbench/run.py --workload repeat_audits --seconds 3 --trace 1 | tail -n 1)"
+  python3 - "$result" <<'PY'
+import json, sys
+line = sys.argv[1]
+result = json.loads(line)
+if result.get("correct") is not True or result.get("failed") != 0:
+    sys.exit("hit shape: repeat_audits is not correct: %s" % line[:300])
+want = {"net.round_trips": 1, "counters.server_frames": 1,
+        "service.store_fsyncs": 0, "counters.served_from_cache": 1}
+metrics = result["metrics"]
+wrong = ["%s = %s, expected %s" % (name, metrics[name]["value"], value)
+         for name, value in want.items() if metrics[name]["value"] != value]
+if wrong:
+    sys.exit("hit shape: " + "; ".join(wrong))
+print("hit shape: %s audits, %s" % (result["attempted"], ", ".join(
+    "%s %s" % (name, value) for name, value in want.items())))
+PY
+}
+run hit_shape
 
 rm -rf "$TEST_TMPDIR"
 echo "All checks passed."

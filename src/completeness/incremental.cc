@@ -6,6 +6,7 @@
 #include "constraints/constraint_check.h"
 #include "eval/conjunctive_eval.h"
 #include "query/union_query.h"
+#include "util/blake2s.h"
 #include "util/codec.h"
 #include "util/str.h"
 
@@ -23,17 +24,66 @@ uint64_t FnvValue(uint64_t h, const Value& v) {
   return Fnv1a(Fnv1aU64(Fnv1a(h, "s"), s.size()), s);
 }
 
-/// XOR-fold of per-tuple fingerprints over one relation's content.
-/// XOR is commutative, so the fold is independent of iteration and
-/// insertion order and maintainable in O(1) per single-tuple update.
-uint64_t XorFoldRelation(std::string_view name, const Relation& rel) {
-  uint64_t acc = 0;
-  for (const Tuple& t : rel) acc ^= FingerprintTuple(name, t);
-  return acc;
+/// The first 64 bits of the BLAKE2s-256 of `bytes`, little-endian.
+uint64_t Blake2s64(std::string_view bytes) {
+  const Blake2sDigest digest = Blake2s256(bytes);
+  uint64_t h = 0;
+  for (size_t i = 8; i-- > 0;) h = (h << 8) | digest[i];
+  return h;
 }
 
+/// `value` in LEB128: seven bits a byte, low bits first, so no
+/// encoding is a prefix of another.
+void AppendVarint(uint64_t value, std::string* out) {
+  for (; value >= 0x80; value >>= 7) {
+    out->push_back(static_cast<char>(value | 0x80));
+  }
+  out->push_back(static_cast<char>(value));
+}
+
+/// `bytes` prefixed with its length.
+void AppendBytes(std::string_view bytes, std::string* out) {
+  AppendVarint(bytes.size(), out);
+  out->append(bytes);
+}
+
+/// The canonical encoding the content fingerprints hash: the count of
+/// non-empty relations, then each in name order as its name, arity and
+/// tuple count followed by its tuples in their sorted order. An int is
+/// 'i' and its varint, a string 's' and its length-prefixed bytes, so
+/// two contents never share an encoding.
+void AppendDatabase(const Database& db, std::string* out) {
+  std::vector<std::string_view> names;
+  for (const std::string& name : db.schema().relation_names()) {
+    if (!db.Get(name).empty()) names.push_back(name);
+  }
+  std::sort(names.begin(), names.end());
+  AppendVarint(names.size(), out);
+  for (const std::string_view name : names) {
+    const Relation& rel = db.Get(name);
+    AppendBytes(name, out);
+    AppendVarint(rel.arity(), out);
+    AppendVarint(rel.size(), out);
+    for (const Tuple& t : rel) {
+      for (size_t i = 0; i < t.arity(); ++i) {
+        if (t[i].is_int()) {
+          out->push_back('i');
+          AppendVarint(static_cast<uint64_t>(t[i].AsInt()), out);
+        } else {
+          out->push_back('s');
+          AppendBytes(t[i].AsString(), out);
+        }
+      }
+    }
+  }
+}
+
+/// An XOR fold of per-tuple fingerprints over Q(D): independent of
+/// iteration order, but linear over GF(2), so two answers that fold
+/// alike can be solved for.
 uint64_t FingerprintAnswer(const Relation& answer) {
-  uint64_t acc = XorFoldRelation("$answer", answer);
+  uint64_t acc = 0;
+  for (const Tuple& t : answer) acc ^= FingerprintTuple("$answer", t);
   return CheckpointFingerprint(
       {FingerprintString("rcdp-answer/1"), acc, answer.size()});
 }
@@ -242,21 +292,20 @@ uint64_t FingerprintTuple(std::string_view relation, const Tuple& tuple) {
 }
 
 uint64_t FingerprintDatabase(const Database& db) {
-  uint64_t acc = 0;
-  for (const std::string& name : db.schema().relation_names()) {
-    acc ^= XorFoldRelation(name, db.Get(name));
-  }
-  return CheckpointFingerprint(
-      {FingerprintString("rcdp-db/1"), acc, db.TotalTuples()});
+  std::string bytes = "rcdp-db/2";
+  AppendDatabase(db, &bytes);
+  return Blake2s64(bytes);
 }
 
 uint64_t FingerprintRcdpInstance(const AnyQuery& query, const Database& db,
                                  const Database& master,
                                  const ConstraintSet& constraints) {
-  return CheckpointFingerprint(
-      {FingerprintString("rcdp-inst/1"), FingerprintString(query.ToString()),
-       FingerprintString(constraints.ToString()), FingerprintDatabase(db),
-       FingerprintDatabase(master)});
+  std::string bytes = "rcdp-inst/2";
+  AppendBytes(query.ToString(), &bytes);
+  AppendBytes(constraints.ToString(), &bytes);
+  AppendDatabase(db, &bytes);
+  AppendDatabase(master, &bytes);
+  return Blake2s64(bytes);
 }
 
 uint64_t FingerprintRcdpOptions(const RcdpOptions& options) {

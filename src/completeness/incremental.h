@@ -21,15 +21,23 @@ namespace relcomp {
 ///
 /// The durable checkpoints fingerprint an instance by tuple *counts*
 /// (cheap, but blind to content swaps); the incremental layer needs to
-/// recognize content. FingerprintDatabase XOR-folds a per-tuple FNV
-/// hash over (relation name, value tags, value bytes): commutative, so
-/// it is independent of insertion order and maintainable in O(|Δ|)
-/// under updates, and a single tuple swap flips it.
+/// recognize content. FingerprintTuple is an FNV-1a hash of one tuple
+/// over (relation name, value tags, value bytes). FingerprintDatabase
+/// is BLAKE2s-256, truncated to 64 bits, over a canonical encoding:
+/// each non-empty relation in name order, its tuples in their sorted
+/// order, every name and string value length-prefixed. It is
+/// independent of insertion order, and a single tuple swap flips it.
+/// Unlike an XOR fold of FingerprintTuple values, which is linear over
+/// GF(2), two contents with equal fingerprints cannot be solved for:
+/// a submitter needs about 2^32 work to find a colliding pair, and
+/// about 2^64 to match a given instance.
 uint64_t FingerprintTuple(std::string_view relation, const Tuple& tuple);
 uint64_t FingerprintDatabase(const Database& db);
 
-/// Strong identity of a whole RCDP instance (Q, V, D, Dm): the verdict
-/// cache key, and the "nothing changed" fast path of RecertifyRcdp.
+/// Identity of a whole RCDP instance (Q, V, D, Dm): BLAKE2s-256,
+/// truncated to 64 bits, over Q and V in their text forms and D and Dm
+/// in FingerprintDatabase's encoding. The verdict cache key, and the
+/// "nothing changed" fast path of RecertifyRcdp.
 uint64_t FingerprintRcdpInstance(const AnyQuery& query, const Database& db,
                                  const Database& master,
                                  const ConstraintSet& constraints);

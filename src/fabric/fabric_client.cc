@@ -212,12 +212,17 @@ std::vector<std::pair<std::string, std::string>> FabricClient::FleetHealth() {
   return out;
 }
 
-Status FabricClient::Submit(const std::string& key, const JobSpec& spec) {
+Result<WireReply> FabricClient::CallSubmit(const std::string& key,
+                                           const JobSpec& spec) {
   WireRequest req;
   req.op = WireOp::kSubmit;
   req.key = key;
   req.job = spec.Serialize();
-  RELCOMP_ASSIGN_OR_RETURN(WireReply reply, CallRouted(req));
+  return CallRouted(req);
+}
+
+Status FabricClient::Submit(const std::string& key, const JobSpec& spec) {
+  RELCOMP_ASSIGN_OR_RETURN(WireReply reply, CallSubmit(key, spec));
   return reply.ToStatus();
 }
 
@@ -245,7 +250,9 @@ Result<WireReply> FabricClient::AwaitTerminal(
 Result<WireReply> FabricClient::SubmitAndAwait(
     const std::string& key, const JobSpec& spec,
     std::chrono::milliseconds poll_interval, std::chrono::milliseconds limit) {
-  RELCOMP_RETURN_NOT_OK(Submit(key, spec));
+  RELCOMP_ASSIGN_OR_RETURN(WireReply submitted, CallSubmit(key, spec));
+  RELCOMP_RETURN_NOT_OK(submitted.ToStatus());
+  if (submitted.state == WireJobState::kDone) return submitted;
   return Await(key, &spec, poll_interval, limit);
 }
 

@@ -90,7 +90,10 @@ class FabricClient {
   /// restart can land in exactly that window, and a verdict-cache hit
   /// never had a job record) resubmits under the same idempotency key
   /// and keeps waiting. Determinism + the durable verdict cache make
-  /// the answer bit-for-bit either way.
+  /// the answer bit-for-bit either way. A submit reply that already
+  /// carries the terminal state (a verdict-cache hit, or a duplicate
+  /// of a finished job) is returned as it is, with no poll: a hit costs
+  /// one routed request.
   Result<WireReply> SubmitAndAwait(
       const std::string& key, const JobSpec& spec,
       std::chrono::milliseconds poll_interval = std::chrono::milliseconds(5),
@@ -135,6 +138,8 @@ class FabricClient {
   /// Routes one keyed request: candidate sweep, ring refresh, repeat
   /// until a non-kUnavailable answer or the op deadline.
   Result<WireReply> CallRouted(const WireRequest& request);
+  /// Routes a kSubmit of `spec` under `key`; the reply as it came.
+  Result<WireReply> CallSubmit(const std::string& key, const JobSpec& spec);
   /// The one await loop: polls `key` until terminal, waiting through
   /// anything retryable, and resubmits `*spec` on kNotFound when the
   /// caller holds the spec (non-null).

@@ -85,7 +85,10 @@ class NetClient {
   /// OK whether this call or an earlier retry admitted it (the reply
   /// message distinguishes "admitted" from "duplicate"). Typed errors
   /// pass through: kResourceExhausted = queue full (retry later),
-  /// kInvalidArgument = bad spec or key collision.
+  /// kInvalidArgument = bad spec or key collision. When the reply
+  /// already carries the job's terminal state (a verdict-cache hit, or
+  /// a duplicate of a finished job), the client keeps it for
+  /// AwaitTerminal; only the latest Submit's reply is kept.
   Status Submit(const std::string& key, const JobSpec& spec);
 
   /// Non-blocking server-side state probe for `key`.
@@ -101,6 +104,9 @@ class NetClient {
   /// `poll_interval` between probes, up to `limit`. Spans server
   /// restarts: kUnavailable and still-running polls both keep waiting.
   /// kDeadlineExceeded once `limit` elapses without a terminal state.
+  /// When the latest Submit was of `key` and its reply was terminal,
+  /// that reply is returned with no request sent: a verdict-cache hit
+  /// costs one round trip in all.
   Result<WireReply> AwaitTerminal(
       const std::string& key,
       std::chrono::milliseconds poll_interval = std::chrono::milliseconds(5),
@@ -147,6 +153,10 @@ class NetClient {
 
   std::string address_;
   NetClientOptions options_;
+  /// The latest Submit's key and reply, when that reply was terminal
+  /// (empty key otherwise).
+  std::string done_key_;
+  WireReply done_reply_;
   int fd_ = -1;
   NetClientStats stats_;
   std::mt19937_64 jitter_;

@@ -33,6 +33,24 @@ Status SetNonBlocking(int fd) {
   return Status::OK();
 }
 
+/// Gives `reply` the job state a kPoll reply carries: where the job is
+/// and, once it is terminal, its verdict, evidence and effort.
+void FillJobState(const DecisionService::JobPoll& poll, WireReply* reply) {
+  if (!poll.terminal) {
+    reply->state =
+        poll.running ? WireJobState::kRunning : WireJobState::kQueued;
+    return;
+  }
+  reply->state = WireJobState::kDone;
+  reply->verdict = poll.result.verdict;
+  reply->evidence = poll.result.evidence;
+  reply->attempts = poll.result.attempts;
+  reply->persisted = poll.result.persisted;
+  if (poll.result.exhaustion.exhausted()) {
+    reply->exhaustion = poll.result.exhaustion.ToString();
+  }
+}
+
 }  // namespace
 
 /// Per-connection state, owned by the loop thread.
@@ -530,17 +548,28 @@ WireReply NetServer::HandleSubmit(DecisionService* service,
     reply.message = spec.status().message();
     return reply;
   }
+  // A job that is terminal by the time it is admitted (a verdict-cache
+  // hit) or deduplicated (a finished job) has its result in the reply,
+  // so the client needs no poll. The reply format is unchanged: a
+  // client that ignores these fields polls as before.
+  auto with_job_state = [&](WireReply done) {
+    Result<DecisionService::JobPoll> poll = service->Poll(request.key);
+    if (poll.ok() && poll->terminal) FillJobState(*poll, &done);
+    return done;
+  };
   // Idempotency-key dedup: a client that retries after an ambiguous
   // failure (timeout, reset mid-reply) must never double-submit. The
-  // serialized spec's digest is the identity — same key + same bytes
-  // is the same job, same key + different bytes is a collision.
-  Result<uint64_t> existing = service->JobDigest(request.key);
+  // serialized spec's BLAKE2s digest is the identity — same key + same
+  // bytes is the same job, same key + different bytes is a collision.
+  Result<Blake2sDigest> existing = service->JobDigest(request.key);
   if (existing.ok()) {
     if (*existing == JobSpec::Digest(spec->Serialize())) {
       reply.message = "duplicate";
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++stats_.submits_deduped;
-      return reply;
+      {
+        std::lock_guard<std::mutex> lock(stats_mu_);
+        ++stats_.submits_deduped;
+      }
+      return with_job_state(std::move(reply));
     }
     reply.code = StatusCode::kInvalidArgument;
     reply.message = StrCat("idempotency key \"", request.key,
@@ -550,9 +579,11 @@ WireReply NetServer::HandleSubmit(DecisionService* service,
   Status admitted = service->Submit(request.key, *spec);
   if (admitted.ok()) {
     reply.message = "admitted";
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.submits_admitted;
-    return reply;
+    {
+      std::lock_guard<std::mutex> lock(stats_mu_);
+      ++stats_.submits_admitted;
+    }
+    return with_job_state(std::move(reply));
   }
   reply.code = admitted.code();
   reply.message = admitted.message();
@@ -582,19 +613,7 @@ WireReply NetServer::HandlePoll(DecisionService* service,
     }
     return reply;
   }
-  if (!poll->terminal) {
-    reply.state =
-        poll->running ? WireJobState::kRunning : WireJobState::kQueued;
-    return reply;
-  }
-  reply.state = WireJobState::kDone;
-  reply.verdict = poll->result.verdict;
-  reply.evidence = poll->result.evidence;
-  reply.attempts = poll->result.attempts;
-  reply.persisted = poll->result.persisted;
-  if (poll->result.exhaustion.exhausted()) {
-    reply.exhaustion = poll->result.exhaustion.ToString();
-  }
+  FillJobState(*poll, &reply);
   return reply;
 }
 

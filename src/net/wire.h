@@ -139,6 +139,9 @@ class FrameDecoder {
 // health.
 // <key> is the client-chosen idempotency key (a valid store request
 // id); <job> is a serialized JobSpec (submit only, empty otherwise).
+// A submit reply of a job that is already terminal fills <state>,
+// <verdict>, <attempts>, <persisted>, <evidence> and <exhaustion> as a
+// poll reply would; the format is the same either way.
 // `ring` takes no key and asks a fabric member for its serialized
 // `relcomp-fabric/1` ring record (returned in the reply's <message>
 // segment; a standalone server answers with a singleton ring naming
@@ -211,7 +214,8 @@ struct WireRequest {
   static Result<WireRequest> Deserialize(std::string_view text);
 };
 
-/// Job state as reported by a poll reply.
+/// Job state as reported by a poll reply (and by the submit reply of
+/// a job that is already terminal).
 enum class WireJobState : uint8_t { kNone, kQueued, kRunning, kDone };
 
 const char* WireJobStateToString(WireJobState state);
@@ -227,7 +231,10 @@ struct WireReply {
   /// retrying (0 = no hint). Set on kResourceExhausted and
   /// kUnavailable replies.
   uint64_t retry_after_ms = 0;
-  /// Poll replies: where the job is.
+  /// Poll replies: where the job is. Submit replies: kDone with the
+  /// fields below when the job is already terminal (a verdict-cache
+  /// hit, or a duplicate of a finished job), kNone otherwise — the
+  /// client then polls.
   WireJobState state = WireJobState::kNone;
   /// state == kDone only: the terminal verdict and canonical evidence
   /// string (bit-for-bit comparable across runs), plus effort counters.

@@ -56,10 +56,9 @@ std::string ChaseEvidence(const ChaseResult& r) {
                 r.db.ToString());
 }
 
-/// Checks a job's bounds, parses its spec and checks its query index:
-/// the one parse a job gets, at admission (or at recovery).
+/// Parses a job's spec and checks its query index: the one parse a
+/// job gets, at admission (or at recovery).
 Result<CompletenessSpec> ParseJob(const JobSpec& spec) {
-  RELCOMP_RETURN_NOT_OK(CheckJobBounds(spec));
   RELCOMP_ASSIGN_OR_RETURN(CompletenessSpec parsed,
                            ParseCompletenessSpec(spec.spec_text));
   if (spec.query_index >= parsed.queries.size()) {
@@ -119,8 +118,8 @@ Result<JobSpec> JobSpec::Deserialize(std::string_view text) {
   return spec;
 }
 
-uint64_t JobSpec::Digest(std::string_view serialized) {
-  return FingerprintString(serialized);
+Blake2sDigest JobSpec::Digest(std::string_view serialized) {
+  return Blake2s256(serialized);
 }
 
 // --- Job state ------------------------------------------------------
@@ -131,7 +130,7 @@ struct DecisionService::Job {
   /// terminal; spec_digest keeps the identity idempotent resubmission
   /// is checked against.
   JobSpec spec;
-  uint64_t spec_digest = 0;
+  Blake2sDigest spec_digest{};
   /// The parsed spec, owned from admission until RunJob takes it.
   std::unique_ptr<CompletenessSpec> problem;
   /// The instance fingerprint of a kRcdp job when the verdict cache is
@@ -464,11 +463,11 @@ Status DecisionService::Submit(const std::string& request_id,
     RELCOMP_RETURN_NOT_OK(RefuseLocked(request_id, spec));
   }
 
-  // The job's one parse, its record, the record's digest and the cache
-  // lookup run outside mu_: for a large spec they are the cost of
-  // admission, and the network server runs every Submit on its one
-  // loop thread. Rejecting an unparseable spec here means a worker
-  // (or, worse, a restarted process during recovery) never meets it.
+  // The record, its digest, the job's one parse and the cache lookup
+  // run outside mu_: for a large spec they are the cost of admission,
+  // and the network server runs every Submit on its one loop thread.
+  // Rejecting an unparseable spec here means a worker (or, worse, a
+  // restarted process during recovery) never meets it.
   const std::string record = spec.Serialize();
   auto job = std::make_unique<Job>();
   job->id = request_id;
@@ -514,15 +513,24 @@ Status DecisionService::Submit(const std::string& request_id,
 
 Status DecisionService::PrepareJob(Job* job,
                                    std::optional<CachedVerdict>* cached) {
-  Result<CompletenessSpec> parsed = ParseJob(job->spec);
-  if (!parsed.ok()) return parsed.status();
+  RELCOMP_RETURN_NOT_OK(CheckJobBounds(job->spec));
   // kRcdp only; the other deciders have no content fingerprint. Thread
   // count is deliberately outside the key: verdicts do not depend on it.
-  if (verdict_cache_ != nullptr && job->spec.kind == JobKind::kRcdp) {
+  const bool cacheable =
+      verdict_cache_ != nullptr && job->spec.kind == JobKind::kRcdp;
+  if (cacheable) {
+    // A record byte-identical to one whose parse already hit: the same
+    // parse would succeed again and resolve to the same fingerprint.
+    *cached = verdict_cache_->LookupRequest(job->spec_digest);
+    if (cached->has_value()) return Status::OK();
+  }
+  Result<CompletenessSpec> parsed = ParseJob(job->spec);
+  if (!parsed.ok()) return parsed.status();
+  if (cacheable) {
     job->instance_fp = FingerprintRcdpInstance(
         parsed->queries[job->spec.query_index], parsed->db, parsed->master,
         parsed->constraints);
-    *cached = verdict_cache_->Lookup(*job->instance_fp);
+    *cached = verdict_cache_->Lookup(*job->instance_fp, &job->spec_digest);
     if (cached->has_value()) return Status::OK();  // the parse dies here
   }
   job->problem = std::make_unique<CompletenessSpec>(std::move(*parsed));
@@ -635,7 +643,7 @@ Status DecisionService::Cancel(const std::string& request_id) {
   return Status::OK();
 }
 
-Result<uint64_t> DecisionService::JobDigest(
+Result<Blake2sDigest> DecisionService::JobDigest(
     const std::string& request_id) const {
   std::unique_lock<std::mutex> lock(mu_);
   auto it = jobs_.find(request_id);

@@ -16,6 +16,7 @@
 #include "completeness/rcdp.h"
 #include "service/checkpoint_store.h"
 #include "service/verdict_cache.h"
+#include "util/blake2s.h"
 #include "util/execution_control.h"
 #include "util/status.h"
 
@@ -67,9 +68,10 @@ struct JobSpec {
   /// Single-line versioned text form (the store's job record).
   std::string Serialize() const;
   static Result<JobSpec> Deserialize(std::string_view text);
-  /// 64-bit digest of a Serialize() form: the identity an idempotent
-  /// resubmission is checked against (DecisionService::JobDigest).
-  static uint64_t Digest(std::string_view serialized);
+  /// BLAKE2s-256 of a Serialize() form: the identity an idempotent
+  /// resubmission is checked against (DecisionService::JobDigest), and
+  /// the key under which the verdict cache remembers a parsed record.
+  static Blake2sDigest Digest(std::string_view serialized);
 };
 
 /// Terminal outcome of a job.
@@ -162,7 +164,10 @@ struct DecisionServiceOptions {
 /// that is not exhaustive). Each job's spec is parsed once — and a
 /// kRcdp job's instance fingerprinted and looked up once when the
 /// cache is on — by Submit before it takes the service lock; the
-/// worker decides on that parse.
+/// worker decides on that parse. A kRcdp job whose record is
+/// byte-identical to one a fingerprint hit already parsed is served
+/// from the cache's request memo with no parse at all: one BLAKE2s
+/// pass over the record.
 ///
 /// Crash recovery: at Start(), a restarted service puts each pending
 /// job through the same parse and cache lookup — one the cache already
@@ -191,9 +196,10 @@ class DecisionService {
   /// kResourceExhausted when the queue is full (load shedding) or, for
   /// a miss, while degraded; kInvalidArgument on a bad id, duplicate
   /// id, or a spec that does not parse; kFailedPrecondition after a
-  /// (simulated) crash. The spec is parsed, fingerprinted and looked
-  /// up outside the service lock, and only after the refusals that
-  /// need no parse.
+  /// (simulated) crash. The record is digested, and the spec parsed,
+  /// fingerprinted and looked up, outside the service lock, and only
+  /// after the refusals that need no parse (PrepareJob). A repeat of a
+  /// record the cache has already resolved costs the digest alone.
   Status Submit(const std::string& request_id, const JobSpec& spec);
 
   /// Blocks until `request_id` is terminal and returns its result.
@@ -226,7 +232,7 @@ class DecisionService {
   /// serialized spec has the same digest is the same job, anything
   /// else is a key collision. It outlives the spec text, which a
   /// terminal job releases. kNotFound for an unknown id.
-  Result<uint64_t> JobDigest(const std::string& request_id) const;
+  Result<Blake2sDigest> JobDigest(const std::string& request_id) const;
 
   /// Releases workers parked by start_paused. Idempotent.
   void Resume();
@@ -294,8 +300,9 @@ class DecisionService {
   /// (subset of jobs_shed()).
   size_t submits_shed_degraded() const;
 
-  /// Verdict-cache hits answered while degraded (a subset of
-  /// verdicts_served_from_cache(); the health line's `ephemeral=`).
+  /// Verdict-cache hits answered while degraded, request-memo hits
+  /// included (a subset of verdicts_served_from_cache(); the health
+  /// line's `ephemeral=`).
   size_t ephemeral_admissions() const;
 
   /// Worst-wins health token for this service + its store:
@@ -308,7 +315,7 @@ class DecisionService {
   std::string HealthLine(std::string_view label) const;
 
   /// Jobs answered from the verdict cache without running a search, at
-  /// admission or at recovery.
+  /// admission (request-memo hits included) or at recovery.
   size_t verdicts_served_from_cache() const;
 
   /// The cache (null unless enable_verdict_cache) — stats for tests
@@ -327,10 +334,13 @@ class DecisionService {
   /// Counts and returns a degraded-mode shed.
   Status ShedDegradedLocked(const std::string& request_id);
   /// The admission work that takes no lock, shared by Submit and
-  /// recovery: the job's one parse and, for a kRcdp job when the cache
-  /// is on, its instance fingerprint and cache lookup. Returns the
-  /// parse status. On a hit `*cached` holds the verdict and the parse
-  /// is dropped; otherwise `job` keeps it for RunJob.
+  /// recovery: the job's bounds check, then, for a kRcdp job when the
+  /// cache is on, the request memo looked up by the record's digest —
+  /// a memo hit needs no parse — and otherwise the job's one parse
+  /// and, for that kRcdp job, its instance fingerprint and cache
+  /// lookup, which on a hit remembers the digest. Returns the parse
+  /// status. On a hit `*cached` holds the verdict and the parse is
+  /// dropped; otherwise `job` keeps it for RunJob.
   Status PrepareJob(Job* job, std::optional<CachedVerdict>* cached);
   /// Answers `job` from its cached verdict: terminal at once, with no
   /// job record, queue slot or worker.

@@ -44,21 +44,25 @@ std::string VerdictCache::KeyFor(uint64_t fingerprint) {
   return StrCat("v", Hex(fingerprint, 16));
 }
 
-std::optional<CachedVerdict> VerdictCache::Lookup(uint64_t fingerprint) {
+std::optional<CachedVerdict> VerdictCache::Lookup(
+    uint64_t fingerprint, const Blake2sDigest* request) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = entries_.find(fingerprint);
-  if (it != entries_.end()) {
+  auto hit = [&](const CachedVerdict& cached) {
     ++stats_.hits;
-    return it->second;
-  }
+    if (request != nullptr) {
+      if (requests_.size() >= kRequestMemoCap) requests_.clear();
+      requests_[*request] = fingerprint;
+    }
+    return cached;
+  };
+  auto it = entries_.find(fingerprint);
+  if (it != entries_.end()) return hit(it->second);
   if (store_ != nullptr) {
     Result<std::string> payload = store_->LoadVerdict(KeyFor(fingerprint));
     if (payload.ok()) {
       Result<CachedVerdict> cached = DecodeRecord(*payload, fingerprint);
       if (cached.ok()) {
-        entries_[fingerprint] = *cached;
-        ++stats_.hits;
-        return *std::move(cached);
+        return hit(entries_[fingerprint] = *std::move(cached));
       }
       // A record that fails to parse, or whose embedded fingerprint
       // disagrees with the key it was stored under, is never served.
@@ -67,6 +71,18 @@ std::optional<CachedVerdict> VerdictCache::Lookup(uint64_t fingerprint) {
   }
   ++stats_.misses;
   return std::nullopt;
+}
+
+std::optional<CachedVerdict> VerdictCache::LookupRequest(
+    const Blake2sDigest& request) {
+  std::lock_guard<std::mutex> lock(mu_);
+  // The memo names only fingerprints a hit resolved, and entries are
+  // never removed, so a remembered record always finds its verdict.
+  auto it = requests_.find(request);
+  if (it == requests_.end()) return std::nullopt;
+  ++stats_.hits;
+  ++stats_.request_hits;
+  return entries_.at(it->second);
 }
 
 Status VerdictCache::Insert(uint64_t fingerprint, Verdict verdict,
@@ -89,7 +105,9 @@ Status VerdictCache::Insert(uint64_t fingerprint, Verdict verdict,
 
 VerdictCacheStats VerdictCache::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
+  VerdictCacheStats stats = stats_;
+  stats.requests_remembered = requests_.size();
+  return stats;
 }
 
 }  // namespace relcomp

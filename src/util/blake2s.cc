@@ -148,6 +148,13 @@ std::string Blake2sMac(std::string_view key, std::string_view data,
   return Blake2s(key, data, out_len);
 }
 
+Blake2sDigest Blake2s256(std::string_view data) {
+  const std::string hash = Blake2s("", data, 32);
+  Blake2sDigest digest;
+  std::memcpy(digest.data(), hash.data(), digest.size());
+  return digest;
+}
+
 bool ConstantTimeEqual(std::string_view a, std::string_view b) {
   if (a.size() != b.size()) return false;
   unsigned char acc = 0;

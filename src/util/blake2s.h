@@ -1,7 +1,9 @@
 #ifndef RELCOMP_UTIL_BLAKE2S_H_
 #define RELCOMP_UTIL_BLAKE2S_H_
 
+#include <array>
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <string_view>
 
@@ -20,6 +22,13 @@ inline constexpr size_t kBlake2sTagLength = 16;
 /// presence before trusting tags.
 std::string Blake2sMac(std::string_view key, std::string_view data,
                        size_t out_len = kBlake2sTagLength);
+
+/// An unkeyed BLAKE2s-256 digest.
+using Blake2sDigest = std::array<uint8_t, 32>;
+
+/// Unkeyed BLAKE2s-256 (RFC 7693) over `data`: a collision-resistant
+/// identity for bytes a client chooses (job records, instance content).
+Blake2sDigest Blake2s256(std::string_view data);
 
 /// Constant-time equality for MAC tags: the comparison cost depends
 /// only on the lengths, never on where the first mismatch sits, so a

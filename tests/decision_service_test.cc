@@ -9,6 +9,7 @@
 #include <memory>
 #include <mutex>
 #include <set>
+#include <sstream>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -1212,6 +1213,241 @@ void ExpectExactAdmissionUnderRace(bool degraded) {
 TEST(DecisionServiceConcurrencyTest, ParseOutsideTheLockKeepsAdmissionExact) {
   ExpectExactAdmissionUnderRace(/*degraded=*/false);
   ExpectExactAdmissionUnderRace(/*degraded=*/true);
+}
+
+// ---------------------------------------------------------------------------
+// The request memo: a byte-identical repeat of a record whose parse hit
+// the verdict cache is served by its digest alone.
+
+/// `spec` with its `fact` lines moved to the end in reverse order:
+/// other bytes, the same content.
+std::string ReverseFacts(const std::string& spec) {
+  std::string out;
+  std::vector<std::string> facts;
+  std::istringstream in(spec);
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind("fact ", 0) == 0) {
+      facts.push_back(line + "\n");
+    } else {
+      out += line + "\n";
+    }
+  }
+  std::reverse(facts.begin(), facts.end());
+  for (const std::string& fact : facts) out += fact;
+  return out;
+}
+
+/// A cache-on service over a fresh store that has decided `job` once
+/// (a miss) and served it once from a parse (filling the memo).
+std::unique_ptr<DecisionService> StartWithMemoOf(
+    const JobSpec& job, const std::string& tag,
+    DecisionServiceOptions options = {}) {
+  options.enable_verdict_cache = true;
+  auto service = DecisionService::Start(FreshDir(tag), options);
+  EXPECT_TRUE(service.ok()) << service.status().ToString();
+  if (!service.ok()) return nullptr;
+  for (const char* id : {"decided", "parsed"}) {
+    EXPECT_TRUE((*service)->Submit(id, job).ok()) << id;
+    EXPECT_TRUE((*service)->Wait(id).ok()) << id;
+  }
+  const VerdictCacheStats stats = (*service)->verdict_cache()->stats();
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.request_hits, 0u);
+  EXPECT_EQ(stats.requests_remembered, 1u);
+  return std::move(*service);
+}
+
+TEST(DecisionServiceTest, RequestMemoServesAByteIdenticalRepeat) {
+  const JobSpec job = MakeJob(JobKind::kRcdp, GridSpec(5, 6));
+  auto svc = StartWithMemoOf(job, "memo_repeat");
+  ASSERT_NE(svc, nullptr);
+  ASSERT_TRUE(svc->Submit("repeat", job).ok());
+  auto repeat = svc->Wait("repeat");
+  ASSERT_TRUE(repeat.ok()) << repeat.status().ToString();
+  EXPECT_EQ(repeat->evidence, DirectRcdpEvidence(GridSpec(5, 6)));
+  EXPECT_EQ(repeat->attempts, 0u);
+  const VerdictCacheStats stats = svc->verdict_cache()->stats();
+  EXPECT_EQ(stats.request_hits, 1u);
+  EXPECT_EQ(stats.hits, 2u);
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(svc->verdicts_served_from_cache(), 2u);
+}
+
+TEST(DecisionServiceTest, ReorderedFactsAreAMemoMissThenAHit) {
+  const JobSpec job = MakeJob(JobKind::kRcdp, GridSpec(5, 6));
+  auto svc = StartWithMemoOf(job, "memo_reorder");
+  ASSERT_NE(svc, nullptr);
+  const JobSpec reordered = MakeJob(JobKind::kRcdp, ReverseFacts(GridSpec(5, 6)));
+  ASSERT_NE(reordered.spec_text, job.spec_text);
+  // Other bytes: the memo misses, the parse resolves to the same
+  // fingerprint and hits, and the memo learns the new record.
+  ASSERT_TRUE(svc->Submit("reordered", reordered).ok());
+  auto first = svc->Wait("reordered");
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_EQ(first->evidence, DirectRcdpEvidence(GridSpec(5, 6)));
+  EXPECT_EQ(first->attempts, 0u);
+  VerdictCacheStats stats = svc->verdict_cache()->stats();
+  EXPECT_EQ(stats.request_hits, 0u);
+  EXPECT_EQ(stats.hits, 2u);
+  EXPECT_EQ(stats.requests_remembered, 2u);
+  ASSERT_TRUE(svc->Submit("reordered-again", reordered).ok());
+  auto again = svc->Wait("reordered-again");
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_EQ(again->evidence, first->evidence);
+  stats = svc->verdict_cache()->stats();
+  EXPECT_EQ(stats.request_hits, 1u);
+  EXPECT_EQ(stats.hits, 3u);
+}
+
+TEST(DecisionServiceTest, SpecEditedAfterAHitIsAMemoMissAndADecide) {
+  const JobSpec job = MakeJob(JobKind::kRcdp, GridSpec(5, 6));
+  auto svc = StartWithMemoOf(job, "memo_edit");
+  ASSERT_NE(svc, nullptr);
+  // The missing corner filled in: every answer the master allows is
+  // now in D.
+  const std::string edited = GridSpec(5, 6) + "fact S(5, 6)\n";
+  ASSERT_TRUE(svc->Submit("edited", MakeJob(JobKind::kRcdp, edited)).ok());
+  auto result = svc->Wait("edited");
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->attempts, 1u);
+  EXPECT_EQ(result->evidence, DirectRcdpEvidence(edited));
+  EXPECT_NE(result->evidence, DirectRcdpEvidence(GridSpec(5, 6)));
+  const VerdictCacheStats stats = svc->verdict_cache()->stats();
+  EXPECT_EQ(stats.request_hits, 0u);
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.misses, 2u);
+}
+
+TEST(DecisionServiceTest, AnotherThreadCountIsAMemoMissAndACacheHit) {
+  const JobSpec job = MakeJob(JobKind::kRcdp, GridSpec(5, 6));
+  auto svc = StartWithMemoOf(job, "memo_threads");
+  ASSERT_NE(svc, nullptr);
+  // The thread count is in the record, so the digest differs; it is
+  // outside the fingerprint, so the parse hits.
+  ASSERT_TRUE(
+      svc->Submit("two", MakeJob(JobKind::kRcdp, GridSpec(5, 6), 2)).ok());
+  auto result = svc->Wait("two");
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->attempts, 0u);
+  EXPECT_EQ(result->evidence, DirectRcdpEvidence(GridSpec(5, 6), 2));
+  const VerdictCacheStats stats = svc->verdict_cache()->stats();
+  EXPECT_EQ(stats.request_hits, 0u);
+  EXPECT_EQ(stats.hits, 2u);
+}
+
+TEST(DecisionServiceTest, RestartEmptiesTheRequestMemo) {
+  const JobSpec job = MakeJob(JobKind::kRcdp, GridSpec(5, 6));
+  std::string dir;
+  {
+    auto svc = StartWithMemoOf(job, "memo_restart");
+    ASSERT_NE(svc, nullptr);
+    dir = svc->store().directory();
+  }
+  DecisionServiceOptions options;
+  options.enable_verdict_cache = true;
+  auto service = DecisionService::Start(dir, options);
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+  DecisionService& svc = **service;
+  EXPECT_EQ(svc.verdict_cache()->stats().requests_remembered, 0u);
+  // The durable verdict answers the parse; only then does the memo
+  // know the record again.
+  for (const char* id : {"after-restart", "after-restart-again"}) {
+    ASSERT_TRUE(svc.Submit(id, job).ok()) << id;
+    auto result = svc.Wait(id);
+    ASSERT_TRUE(result.ok()) << id << ": " << result.status().ToString();
+    EXPECT_EQ(result->attempts, 0u) << id;
+    EXPECT_EQ(result->evidence, DirectRcdpEvidence(GridSpec(5, 6))) << id;
+  }
+  const VerdictCacheStats stats = svc.verdict_cache()->stats();
+  EXPECT_EQ(stats.hits, 2u);
+  EXPECT_EQ(stats.request_hits, 1u);
+  EXPECT_EQ(stats.misses, 0u);
+}
+
+TEST(DecisionServiceTest, RequestMemoNeverExceedsItsCap) {
+  // Byte variants of one instance (a comment line each): one decide,
+  // then every variant a parsed hit that the memo remembers. At the
+  // cap the memo is cleared, so it never holds more.
+  auto variant = [](size_t i) {
+    return MakeJob(JobKind::kRcdp, StrCat(TinySpec(0), "% variant ", i, "\n"));
+  };
+  auto svc = StartWithMemoOf(variant(0), "memo_cap");
+  ASSERT_NE(svc, nullptr);
+  constexpr size_t kCap = VerdictCache::kRequestMemoCap;
+  for (size_t i = 1; i <= kCap; ++i) {
+    ASSERT_TRUE(svc->Submit(StrCat("v", i), variant(i)).ok()) << i;
+    ASSERT_LE(svc->verdict_cache()->stats().requests_remembered, kCap) << i;
+  }
+  VerdictCacheStats stats = svc->verdict_cache()->stats();
+  EXPECT_EQ(stats.requests_remembered, 1u);  // cleared at the cap
+  EXPECT_EQ(stats.request_hits, 0u);
+  EXPECT_EQ(stats.hits, kCap + 1);
+  // The newest record is remembered; the first was cleared with the
+  // rest, so it parses again.
+  ASSERT_TRUE(svc->Submit("newest-again", variant(kCap)).ok());
+  ASSERT_TRUE(svc->Submit("first-again", variant(0)).ok());
+  stats = svc->verdict_cache()->stats();
+  EXPECT_EQ(stats.request_hits, 1u);
+  EXPECT_EQ(stats.hits, kCap + 3);
+  EXPECT_EQ(stats.requests_remembered, 2u);
+  EXPECT_EQ(svc->verdicts_served_from_cache(), kCap + 3);
+}
+
+TEST(DecisionServiceTest, RcqpJobsAndCacheOffServicesNeverConsultTheMemo) {
+  DecisionServiceOptions options;
+  options.enable_verdict_cache = true;
+  auto cached = DecisionService::Start(FreshDir("memo_rcqp"), options);
+  ASSERT_TRUE(cached.ok()) << cached.status().ToString();
+  const JobSpec rcqp = MakeJob(JobKind::kRcqp, GridSpec(5, 6));
+  for (const char* id : {"rcqp-1", "rcqp-2"}) {
+    ASSERT_TRUE((*cached)->Submit(id, rcqp).ok()) << id;
+    auto result = (*cached)->Wait(id);
+    ASSERT_TRUE(result.ok()) << id << ": " << result.status().ToString();
+    EXPECT_EQ(result->attempts, 1u) << id;
+  }
+  const VerdictCacheStats stats = (*cached)->verdict_cache()->stats();
+  EXPECT_EQ(stats.hits + stats.misses + stats.insertions, 0u);
+  EXPECT_EQ(stats.requests_remembered, 0u);
+
+  auto uncached = DecisionService::Start(FreshDir("memo_off"));
+  ASSERT_TRUE(uncached.ok()) << uncached.status().ToString();
+  ASSERT_EQ((*uncached)->verdict_cache(), nullptr);
+  const JobSpec rcdp = MakeJob(JobKind::kRcdp, GridSpec(5, 6));
+  for (const char* id : {"rcdp-1", "rcdp-2", "rcdp-3"}) {
+    ASSERT_TRUE((*uncached)->Submit(id, rcdp).ok()) << id;
+    auto result = (*uncached)->Wait(id);
+    ASSERT_TRUE(result.ok()) << id << ": " << result.status().ToString();
+    EXPECT_EQ(result->attempts, 1u) << id;
+  }
+  EXPECT_EQ((*uncached)->verdicts_served_from_cache(), 0u);
+}
+
+TEST(DecisionServiceTest, DegradedServiceAnswersARequestMemoHit) {
+  StoreOpRecorder env;
+  DecisionServiceOptions options;
+  options.store_options.fs_env = &env;
+  const JobSpec job = MakeJob(JobKind::kRcdp, TinySpec(0));
+  auto svc = StartWithMemoOf(job, "memo_degraded", options);
+  ASSERT_NE(svc, nullptr);
+  env.set_fault_plan([] {
+    StorageFaultPlan plan;
+    plan.kind = StorageFaultKind::kEio;
+    plan.every = 1;
+    plan.site = "record";
+    return plan;
+  }());
+  EXPECT_EQ(svc->Submit("trip", MakeJob(JobKind::kRcdp, TinySpec(1))).code(),
+            StatusCode::kResourceExhausted);
+  ASSERT_TRUE(svc->degraded());
+  ASSERT_TRUE(svc->Submit("memo", job).ok());
+  auto result = svc->Wait("memo");
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->evidence, DirectRcdpEvidence(TinySpec(0)));
+  EXPECT_EQ(svc->verdict_cache()->stats().request_hits, 1u);
+  EXPECT_EQ(svc->ephemeral_admissions(), 1u);
+  EXPECT_EQ(svc->verdicts_served_from_cache(), 2u);
+  EXPECT_TRUE(svc->degraded());
 }
 
 }  // namespace

@@ -511,6 +511,34 @@ TEST(FabricServiceTest, VerdictCacheIsServedAcrossShardHandoff) {
   EXPECT_EQ(adopted->store().corrupt_files_skipped(), 0u);
 }
 
+TEST(FabricServiceTest, SubmitAndAwaitOfAHitIsOneRoutedRequest) {
+  // The submit reply of a hit carries the verdict, so SubmitAndAwait
+  // returns it without a poll: the owner reads one frame.
+  MemberTweak with_cache = [](size_t, FabricMemberOptions& options) {
+    options.service_options.enable_verdict_cache = true;
+  };
+  Fabric fabric = StartFabric("hitroute", 2, with_cache);
+  const FabricRing ring = FabricRing::Make(fabric.endpoints);
+  FabricClient client(fabric.endpoints);
+  const JobSpec job = MakeJob(GridSpec(5, 6));
+  const std::string miss = KeyForShard(ring, 0, "miss");
+  auto decided = client.SubmitAndAwait(miss, job);
+  ASSERT_TRUE(decided.ok()) << decided.status().ToString();
+
+  const std::string hit = KeyForShard(ring, 0, "hit");
+  NetServer* owner = fabric.members[0]->server();
+  const size_t frames = owner->stats().frames_received;
+  const size_t routed = client.stats().routed_calls;
+  auto reply = client.SubmitAndAwait(hit, job);
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  EXPECT_EQ(reply->evidence, DirectRcdpEvidence(GridSpec(5, 6), 1));
+  EXPECT_EQ(reply->attempts, 0u);
+  EXPECT_EQ(client.stats().routed_calls - routed, 1u);
+  EXPECT_EQ(owner->stats().frames_received - frames, 1u);
+  EXPECT_EQ(fabric.members[0]->shard_service(0)->verdicts_served_from_cache(),
+            1u);
+}
+
 TEST(FabricServiceTest, VerdictIsRecomputedHonestlyWithoutTheCache) {
   // Same handoff, cache disabled: the adopter re-runs the search and
   // determinism makes the answer bit-for-bit anyway — served honestly,

@@ -150,7 +150,8 @@ TEST(FingerprintTest, DatabaseFingerprintIsContentBased) {
   CompletenessSpec b = MustParse(kTwoRelationSpec);
   EXPECT_EQ(FingerprintDatabase(a.db), FingerprintDatabase(b.db));
 
-  // Insertion order does not matter (XOR fold is commutative)...
+  // Insertion order does not matter (tuples are hashed in their sorted
+  // order)...
   ASSERT_TRUE(b.db.Insert("R", Tuple({Value::Int(1), Value::Int(1)})).ok());
   ASSERT_TRUE(b.db.Insert("R", Tuple({Value::Int(2), Value::Int(2)})).ok());
   ASSERT_TRUE(a.db.Insert("R", Tuple({Value::Int(2), Value::Int(2)})).ok());

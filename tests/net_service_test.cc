@@ -308,6 +308,111 @@ TEST(NetServiceTest, TerminalJobSameKeyDifferentSpecIsATypedCollision) {
 }
 
 // ---------------------------------------------------------------------------
+// A job that is terminal when its submit is answered carries its result
+// in the submit reply.
+
+DecisionServiceOptions WithCache() {
+  DecisionServiceOptions options;
+  options.enable_verdict_cache = true;
+  return options;
+}
+
+WireRequest SubmitRequest(const std::string& key, const JobSpec& job) {
+  WireRequest request;
+  request.op = WireOp::kSubmit;
+  request.key = key;
+  request.job = job.Serialize();
+  return request;
+}
+
+TEST(NetServiceTest, SubmitReplyOfAHitCarriesWhatAPollWould) {
+  TestServer ts =
+      StartServer(FreshDir("hit_reply"), FreshSocket("hit_reply"), WithCache());
+  ASSERT_NE(ts.server, nullptr);
+  NetClient client(ts.server->address());
+  const JobSpec job = MakeJob(GridSpec(5, 6));
+  ASSERT_TRUE(client.Submit("miss", job).ok());
+  ASSERT_TRUE(client.AwaitTerminal("miss").ok());
+
+  auto submitted = client.Call(SubmitRequest("hit", job));
+  ASSERT_TRUE(submitted.ok()) << submitted.status().ToString();
+  EXPECT_EQ(submitted->code, StatusCode::kOk);
+  EXPECT_EQ(submitted->message, "admitted");
+  EXPECT_EQ(submitted->state, WireJobState::kDone);
+  auto polled = client.Poll("hit");
+  ASSERT_TRUE(polled.ok()) << polled.status().ToString();
+  EXPECT_EQ(submitted->verdict, polled->verdict);
+  EXPECT_EQ(submitted->evidence, polled->evidence);
+  EXPECT_EQ(submitted->attempts, polled->attempts);
+  EXPECT_EQ(submitted->persisted, polled->persisted);
+  EXPECT_EQ(submitted->exhaustion, polled->exhaustion);
+  EXPECT_EQ(submitted->evidence, DirectRcdpEvidence(GridSpec(5, 6)));
+  EXPECT_EQ(submitted->attempts, 0u);
+}
+
+TEST(NetServiceTest, SubmitAndAwaitOfAHitIsOneRoundTrip) {
+  TestServer ts =
+      StartServer(FreshDir("hit_trip"), FreshSocket("hit_trip"), WithCache());
+  ASSERT_NE(ts.server, nullptr);
+  NetClient client(ts.server->address());
+  const JobSpec job = MakeJob(GridSpec(5, 6));
+  ASSERT_TRUE(client.Submit("miss", job).ok());
+  ASSERT_TRUE(client.AwaitTerminal("miss").ok());
+
+  const size_t trips = client.stats().round_trips;
+  const size_t frames = ts.server->stats().frames_received;
+  ASSERT_TRUE(client.Submit("hit", job).ok());
+  auto reply = client.AwaitTerminal("hit");
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  EXPECT_EQ(reply->evidence, DirectRcdpEvidence(GridSpec(5, 6)));
+  EXPECT_EQ(reply->attempts, 0u);
+  EXPECT_EQ(client.stats().round_trips - trips, 1u);
+  EXPECT_EQ(ts.server->stats().frames_received - frames, 1u);
+  EXPECT_EQ(ts.service->verdicts_served_from_cache(), 1u);
+}
+
+TEST(NetServiceTest, AMissStillPollsToTheDirectVerdict) {
+  DecisionServiceOptions options = WithCache();
+  options.start_paused = true;  // the job is queued when Submit answers
+  TestServer ts =
+      StartServer(FreshDir("miss_poll"), FreshSocket("miss_poll"), options);
+  ASSERT_NE(ts.server, nullptr);
+  NetClient client(ts.server->address());
+  auto submitted =
+      client.Call(SubmitRequest("miss", MakeJob(GridSpec(5, 6))));
+  ASSERT_TRUE(submitted.ok()) << submitted.status().ToString();
+  EXPECT_EQ(submitted->code, StatusCode::kOk);
+  EXPECT_EQ(submitted->state, WireJobState::kNone);
+  ts.service->Resume();
+  auto reply =
+      client.AwaitTerminal("miss", std::chrono::milliseconds(1));
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  EXPECT_EQ(reply->evidence, DirectRcdpEvidence(GridSpec(5, 6)));
+  EXPECT_EQ(reply->attempts, 1u);
+  EXPECT_GE(client.stats().round_trips, 2u);
+}
+
+TEST(NetServiceTest, DuplicateOfAFinishedJobCarriesItsResult) {
+  TestServer ts = StartServer(FreshDir("dup_done"), FreshSocket("dup_done"));
+  ASSERT_NE(ts.server, nullptr);
+  NetClient client(ts.server->address());
+  const JobSpec job = MakeJob(GridSpec(5, 6));
+  ASSERT_TRUE(client.Submit("job-done", job).ok());
+  auto first = client.AwaitTerminal("job-done");
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+
+  auto duplicate = client.Call(SubmitRequest("job-done", job));
+  ASSERT_TRUE(duplicate.ok()) << duplicate.status().ToString();
+  EXPECT_EQ(duplicate->message, "duplicate");
+  EXPECT_EQ(duplicate->state, WireJobState::kDone);
+  EXPECT_EQ(duplicate->verdict, first->verdict);
+  EXPECT_EQ(duplicate->evidence, first->evidence);
+  EXPECT_EQ(duplicate->attempts, 1u);
+  EXPECT_EQ(ts.server->stats().submits_deduped, 1u);
+  EXPECT_EQ(ts.service->completed_order().size(), 1u);
+}
+
+// ---------------------------------------------------------------------------
 // Backpressure and typed failure paths.
 
 TEST(NetServiceTest, QueueExhaustionIsTypedResourceExhaustedWithHint) {
@@ -510,9 +615,14 @@ TEST(NetServiceTest, FaultSweepResetAndStallAreRetriedToSuccess) {
 }
 
 TEST(NetServiceTest, PeriodicFaultsDuringRealJobsStillConverge) {
-  // Every 3rd reply injured while real submit/poll traffic flows: the
+  // Every 2nd reply injured while real submit/poll traffic flows: the
   // client's retry loop must still land every verdict, identically.
-  TestServer ts = StartServer(FreshDir("periodic"), FreshSocket("periodic"));
+  // The service starts paused, so the job is still queued when its
+  // submit is answered and the client must poll for the verdict.
+  DecisionServiceOptions paused;
+  paused.start_paused = true;
+  TestServer ts =
+      StartServer(FreshDir("periodic"), FreshSocket("periodic"), paused);
   ASSERT_NE(ts.server, nullptr);
   SocketFaultPlan plan;
   plan.kind = SocketFaultPlan::Kind::kBitFlip;
@@ -524,6 +634,7 @@ TEST(NetServiceTest, PeriodicFaultsDuringRealJobsStillConverge) {
   copts.io_timeout = std::chrono::milliseconds(2000);
   NetClient client(ts.server->address(), copts);
   ASSERT_TRUE(client.Submit("under-fire", MakeJob(GridSpec(5, 6))).ok());
+  ts.service->Resume();
   auto reply = client.AwaitTerminal("under-fire");
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
   EXPECT_EQ(reply->evidence, DirectRcdpEvidence(GridSpec(5, 6)));

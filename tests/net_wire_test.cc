@@ -352,6 +352,11 @@ TEST(NetWireV2Test, Blake2sMatchesKnownVectors) {
   EXPECT_EQ(HexString(Blake2sMac("", "abc", 32)),
             "508c5e8c327c14e2e1a72ba34eeb452f"
             "37458b209ed63a294d999b4c86675982");
+  const Blake2sDigest digest = Blake2s256("abc");
+  EXPECT_EQ(HexString(std::string_view(
+                reinterpret_cast<const char*>(digest.data()), digest.size())),
+            "508c5e8c327c14e2e1a72ba34eeb452f"
+            "37458b209ed63a294d999b4c86675982");
   // First entry of the reference keyed KAT: key = 00..1f, data = "".
   std::string key;
   for (int i = 0; i < 32; ++i) key.push_back(static_cast<char>(i));

@@ -46,7 +46,10 @@ class ScratchCleanup : public ::testing::Environment {
 std::string FreshFile(std::string_view tag, std::string_view suffix) {
   std::lock_guard<std::mutex> lock(scratch_mu);
   if (scratch_dir.empty()) {
-    std::string pattern = StrCat(::testing::TempDir(), "relcomp_XXXXXX");
+    // TempDir() is $TEST_TMPDIR as given, with no separator added.
+    std::string base = ::testing::TempDir();
+    if (!base.empty() && base.back() != '/') base += '/';
+    std::string pattern = StrCat(base, "relcomp_XXXXXX");
     if (::mkdtemp(pattern.data()) == nullptr) {
       ADD_FAILURE() << "mkdtemp(" << pattern << ") failed";
       return pattern;

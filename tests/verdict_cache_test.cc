@@ -2,16 +2,22 @@
 // an optional CheckpointStore, rejection of mis-keyed or corrupted
 // store records, invalidation after a delta, durability across store
 // reopen, the DecisionService's zero-search serve path (identical to a
-// recompute at 1/2/8 threads), and a concurrency hammer that runs
-// under tsan (suite name VerdictCacheConcurrency is in the preset
-// filter).
+// recompute at 1/2/8 threads), a pair of instances whose per-tuple
+// hashes XOR to the same fold, and concurrency hammers that run under
+// tsan (suite name VerdictCacheConcurrency is in the preset filter).
 
 #include "service/verdict_cache.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <atomic>
+#include <bitset>
 #include <memory>
+#include <numeric>
+#include <optional>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -207,6 +213,163 @@ TEST(VerdictCacheTest, ServiceCacheHitEqualsRecomputeAcrossThreadCounts) {
   }
 }
 
+// Filler tuples R("w<j>", "u") and target tuples R("t<k>", "t"): the
+// master relation M holds all of them, and Q asks for the targets.
+constexpr size_t kFillers = 160;
+constexpr size_t kTargets = 4;
+
+Tuple FillerTuple(size_t j) {
+  return Tuple({Value::Str(StrCat("w", j)), Value::Str("u")});
+}
+
+Tuple TargetTuple(size_t k) {
+  return Tuple({Value::Str(StrCat("t", k)), Value::Str("t")});
+}
+
+/// The fillers whose FingerprintTuple values XOR to `target`, by
+/// Gaussian elimination over GF(2)^64 with the basis taken in `order`;
+/// std::nullopt when `target` is outside their span.
+std::optional<std::bitset<kFillers>> XorSolution(
+    const std::vector<uint64_t>& fillers, const std::vector<size_t>& order,
+    uint64_t target) {
+  struct Row {
+    uint64_t bits = 0;
+    std::bitset<kFillers> used;
+  };
+  std::array<Row, 64> basis{};  // basis[b]: a row whose top bit is b
+  for (const size_t j : order) {
+    Row row{fillers[j], {}};
+    row.used.set(j);
+    for (size_t b = 64; b-- > 0 && row.bits != 0;) {
+      if (((row.bits >> b) & 1) == 0) continue;
+      if (basis[b].bits == 0) {
+        basis[b] = row;
+        break;
+      }
+      row.bits ^= basis[b].bits;
+      row.used ^= basis[b].used;
+    }
+  }
+  Row rest{target, {}};
+  for (size_t b = 64; b-- > 0;) {
+    if (((rest.bits >> b) & 1) != 0 && basis[b].bits != 0) {
+      rest.bits ^= basis[b].bits;
+      rest.used ^= basis[b].used;
+    }
+  }
+  if (rest.bits != 0) return std::nullopt;
+  return rest.used;
+}
+
+std::string CollisionSpec(const std::vector<Tuple>& facts) {
+  std::string s = "relation R(a, b)\nmaster relation M(a, b)\n";
+  for (size_t k = 0; k < kTargets; ++k) {
+    s += StrCat("master fact M(\"t", k, "\", \"t\")\n");
+  }
+  for (size_t j = 0; j < kFillers; ++j) {
+    s += StrCat("master fact M(\"w", j, "\", \"u\")\n");
+  }
+  for (const Tuple& t : facts) {
+    s += StrCat("fact R(\"", t[0].AsString(), "\", \"", t[1].AsString(),
+                "\")\n");
+  }
+  s += "constraint c0(x, y) :- R(x, y) |= M[0, 1]\n";
+  s += "query cq Q(x) :- R(x, y), y = \"t\"\n";
+  return s;
+}
+
+TEST(VerdictCacheTest, InstancesWithEqualXorFoldsAreServedTheirOwnVerdicts) {
+  // An XOR fold of per-tuple hashes is linear over GF(2), so anyone can
+  // solve for two databases that fold alike. Take fillers S whose
+  // hashes XOR to the fourth target's, |S| odd and at most 31, and
+  // split S into S_A and S_B with |S_B| = |S_A| + 1. Then
+  //   A = {t0..t3} + S_A + C   and   B = {t0..t2} + S_B + C,
+  // with C padding both to 19 tuples, fold alike. A holds every target
+  // the master allows and is complete; B lacks t3 and is not. A cache
+  // keyed by the fold would serve B the verdict decided for A.
+  std::vector<uint64_t> fillers;
+  for (size_t j = 0; j < kFillers; ++j) {
+    fillers.push_back(FingerprintTuple("R", FillerTuple(j)));
+  }
+  const uint64_t missing = FingerprintTuple("R", TargetTuple(kTargets - 1));
+  std::vector<size_t> order(kFillers);
+  std::iota(order.begin(), order.end(), 0);
+  std::mt19937 rng(7);
+  std::optional<std::bitset<kFillers>> solution;
+  for (int attempt = 0; attempt < 10000 && !solution.has_value(); ++attempt) {
+    std::shuffle(order.begin(), order.end(), rng);
+    solution = XorSolution(fillers, order, missing);
+    if (solution.has_value() &&
+        (solution->count() % 2 == 0 || solution->count() > 31)) {
+      solution.reset();
+    }
+  }
+  ASSERT_TRUE(solution.has_value());
+
+  std::vector<size_t> in_s;
+  std::vector<size_t> out_s;
+  for (size_t j = 0; j < kFillers; ++j) {
+    (solution->test(j) ? in_s : out_s).push_back(j);
+  }
+  const size_t half = in_s.size() / 2;  // |S_A|
+  std::vector<Tuple> a;
+  std::vector<Tuple> b;
+  for (size_t k = 0; k < kTargets; ++k) {
+    a.push_back(TargetTuple(k));
+    if (k + 1 < kTargets) b.push_back(TargetTuple(k));
+  }
+  for (size_t i = 0; i < in_s.size(); ++i) {
+    (i < half ? a : b).push_back(FillerTuple(in_s[i]));
+  }
+  for (size_t i = 0; i + half < 15; ++i) {
+    a.push_back(FillerTuple(out_s[i]));
+    b.push_back(FillerTuple(out_s[i]));
+  }
+  const std::string a_text = CollisionSpec(a);
+  const std::string b_text = CollisionSpec(b);
+  auto a_spec = ParseCompletenessSpec(a_text);
+  auto b_spec = ParseCompletenessSpec(b_text);
+  ASSERT_TRUE(a_spec.ok()) << a_spec.status().ToString();
+  ASSERT_TRUE(b_spec.ok()) << b_spec.status().ToString();
+  auto fold = [](const CompletenessSpec& spec) {
+    uint64_t acc = 0;
+    for (const Tuple& t : spec.db.Get("R")) acc ^= FingerprintTuple("R", t);
+    return acc;
+  };
+  ASSERT_EQ(fold(*a_spec), fold(*b_spec));
+  ASSERT_EQ(a_spec->db.TotalTuples(), 19u);
+  ASSERT_EQ(b_spec->db.TotalTuples(), 19u);
+
+  EXPECT_NE(FingerprintDatabase(a_spec->db), FingerprintDatabase(b_spec->db));
+  EXPECT_NE(FingerprintRcdpInstance(a_spec->queries[0], a_spec->db,
+                                    a_spec->master, a_spec->constraints),
+            FingerprintRcdpInstance(b_spec->queries[0], b_spec->db,
+                                    b_spec->master, b_spec->constraints));
+
+  const std::string a_direct = DirectRcdpEvidence(a_text);
+  const std::string b_direct = DirectRcdpEvidence(b_text);
+  ASSERT_EQ(a_direct.rfind("COMPLETE|", 0), 0u) << a_direct;
+  ASSERT_EQ(b_direct.rfind("INCOMPLETE|", 0), 0u) << b_direct;
+  DecisionServiceOptions options;
+  options.enable_verdict_cache = true;
+  auto service = DecisionService::Start(FreshDir("xor_fold"), options);
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+  JobSpec job;
+  job.kind = JobKind::kRcdp;
+  job.spec_text = a_text;
+  ASSERT_TRUE((*service)->Submit("complete", job).ok());
+  auto complete = (*service)->Wait("complete");
+  ASSERT_TRUE(complete.ok()) << complete.status().ToString();
+  EXPECT_EQ(complete->evidence, a_direct);
+  job.spec_text = b_text;
+  ASSERT_TRUE((*service)->Submit("incomplete", job).ok());
+  auto incomplete = (*service)->Wait("incomplete");
+  ASSERT_TRUE(incomplete.ok()) << incomplete.status().ToString();
+  EXPECT_EQ(incomplete->evidence, b_direct);
+  EXPECT_EQ(incomplete->attempts, 1u);
+  EXPECT_EQ((*service)->verdicts_served_from_cache(), 0u);
+}
+
 TEST(VerdictCacheTest, ServiceCacheSurvivesRestart) {
   // The durable verdict record outlives both the job (Forget leaves
   // it) and the process: a restarted service serves it without search.
@@ -282,6 +445,67 @@ TEST(VerdictCacheConcurrency, ParallelLookupAndInsert) {
   auto stats = cache.stats();
   EXPECT_EQ(stats.hits + stats.misses, lookups.load());
   EXPECT_EQ(stats.rejections, 0u);
+}
+
+TEST(VerdictCacheConcurrency, RequestMemoAndParsedHitsServeOneVerdict) {
+  // Threads submit one spec and a byte variant of it (its master facts
+  // swapped: other bytes, the same content), alternating. A thread's
+  // first submit of each may parse; each later one is a byte-identical
+  // repeat of a record whose hit has already returned, so the memo
+  // answers it. Every submit is a hit, by the memo or by a parse, and
+  // every verdict is the direct one.
+  DecisionServiceOptions options;
+  options.enable_verdict_cache = true;
+  options.num_workers = 2;
+  options.max_queue_depth = 1024;
+  auto service = DecisionService::Start(FreshDir("memo_race"), options);
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+  DecisionService& svc = **service;
+  const std::string spec = kIncompleteSpec;
+  std::string variant = spec;
+  const std::string m0 = "master fact M(0)\n";
+  const std::string m1 = "master fact M(1)\n";
+  variant.replace(variant.find(m0 + m1), m0.size() + m1.size(), m1 + m0);
+  ASSERT_NE(variant, spec);
+  const std::string oracle = DirectRcdpEvidence(spec);
+  ASSERT_EQ(DirectRcdpEvidence(variant), oracle);
+  JobSpec job;
+  job.kind = JobKind::kRcdp;
+  job.spec_text = spec;
+  ASSERT_TRUE(svc.Submit("warm", job).ok());
+  ASSERT_TRUE(svc.Wait("warm").ok());
+  const VerdictCacheStats before = svc.verdict_cache()->stats();
+
+  constexpr size_t kThreads = 4;
+  constexpr size_t kPerThread = 24;
+  std::vector<std::thread> submitters;
+  for (size_t t = 0; t < kThreads; ++t) {
+    submitters.emplace_back([&, t] {
+      for (size_t i = 0; i < kPerThread; ++i) {
+        JobSpec mine;
+        mine.kind = JobKind::kRcdp;
+        mine.spec_text = i % 2 == 0 ? spec : variant;
+        const std::string id = StrCat("t", t, "-", i);
+        const Status submitted = svc.Submit(id, mine);
+        EXPECT_TRUE(submitted.ok()) << id << ": " << submitted.ToString();
+        auto result = svc.Wait(id);
+        ASSERT_TRUE(result.ok()) << id << ": " << result.status().ToString();
+        EXPECT_EQ(result->evidence, oracle) << id;
+        EXPECT_EQ(result->attempts, 0u) << id;
+      }
+    });
+  }
+  for (std::thread& s : submitters) s.join();
+
+  const VerdictCacheStats after = svc.verdict_cache()->stats();
+  constexpr size_t kSubmits = kThreads * kPerThread;
+  const size_t memo_hits = after.request_hits - before.request_hits;
+  const size_t parsed_hits = after.hits - before.hits - memo_hits;
+  EXPECT_EQ(memo_hits + parsed_hits, kSubmits);
+  EXPECT_GE(memo_hits, kSubmits - 2 * kThreads);
+  EXPECT_GE(parsed_hits, 2u);  // each byte form's first submit parses
+  EXPECT_EQ(after.misses, before.misses);
+  EXPECT_EQ(svc.verdicts_served_from_cache(), kSubmits);
 }
 
 }  // namespace
