@@ -30,8 +30,11 @@ CrmScenario SmallCrm() {
   return ValueOrDie(CrmScenario::Make(options), "crm");
 }
 
-/// One RCDP configuration over Q1 under φ0.
-void RunRcdpConfig(benchmark::State& state, const RcdpOptions& options) {
+/// One RCDP configuration over Q1 under φ0, at one search thread: each
+/// decide is sub-millisecond, and a pool built per call would bury the
+/// toggle under thread start-up and scheduling.
+void RunRcdpConfig(benchmark::State& state, RcdpOptions options) {
+  options.num_threads = 1;
   CrmScenario crm = SmallCrm();
   ConstraintSet v;
   v.Add(ValueOrDie(crm.Phi0(), "phi0"));

@@ -4,14 +4,15 @@
 # preset (ThreadSanitizer over the concurrency-sensitive suites — the
 # parallel-search determinism sweep, the budget-exhaustion matrix, the
 # fault-injection sweep, the eval equivalence tests, the decision
-# service's kill sweeps (rolling persists run on search threads), the
+# service's kill sweeps (rolling persists run while the search threads
+# search), the
 # network front end's wire/socket suites and the concurrent
 # verdict-cache hammer; the tsan test preset carries the filter), then
 # the standalone ubsan preset (pure UBSan over the full suite). Later
 # stages re-run labelled suites under a sanitizer and finish with the
 # benchmark's known-answer selftest, a short run of every benchmark
-# workload and one traced run that pins the shape of a cache hit. Run
-# from anywhere.
+# workload and two traced runs that pin the shape of a cache hit and of
+# a fresh audit. Run from anywhere.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -150,6 +151,38 @@ print("hit shape: %s audits, %s" % (result["attempted"], ", ".join(
 PY
 }
 run hit_shape
+
+# Fresh-shape stage: one traced fresh_audits run, where every audit
+# misses the cache and runs a 2-thread search. Its rolling checkpoints
+# are reported to the job's worker thread, which persists them; a
+# change to that delivery that silently dropped every report would
+# still end correct, so the persists are counted here, with the one
+# cache insertion each decided audit makes.
+fresh_shape() {
+  local result
+  result="$(python3 perfbench/run.py --workload fresh_audits --seconds 3 --trace 1 | tail -n 1)"
+  python3 - "$result" <<'PY'
+import json, sys
+line = sys.argv[1]
+result = json.loads(line)
+if result.get("correct") is not True or result.get("failed") != 0:
+    sys.exit("fresh shape: fresh_audits is not correct: %s" % line[:300])
+metrics = result["metrics"]
+persisted = metrics["counters.checkpoints_persisted"]["value"]
+inserted = metrics["counters.cache_insertions"]["value"]
+wrong = []
+if not persisted > 0:
+    wrong.append("counters.checkpoints_persisted = %s, expected > 0" % persisted)
+if inserted != 1:
+    wrong.append("counters.cache_insertions = %s, expected 1" % inserted)
+if wrong:
+    sys.exit("fresh shape: " + "; ".join(wrong))
+print("fresh shape: %s audits, counters.checkpoints_persisted %s, "
+      "counters.cache_insertions %s" % (result["attempted"], persisted,
+                                        inserted))
+PY
+}
+run fresh_shape
 
 rm -rf "$TEST_TMPDIR"
 echo "All checks passed."

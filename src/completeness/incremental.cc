@@ -47,11 +47,32 @@ void AppendBytes(std::string_view bytes, std::string* out) {
   out->append(bytes);
 }
 
+/// A value in the canonical encoding: an int is 'i' and its varint, a
+/// string 's' and its length-prefixed bytes, so no two values share an
+/// encoding.
+void AppendValue(const Value& v, std::string* out) {
+  if (v.is_int()) {
+    out->push_back('i');
+    AppendVarint(static_cast<uint64_t>(v.AsInt()), out);
+  } else {
+    out->push_back('s');
+    AppendBytes(v.AsString(), out);
+  }
+}
+
+/// A relation's arity and tuple count, then its tuples in their sorted
+/// order.
+void AppendTuples(const Relation& rel, std::string* out) {
+  AppendVarint(rel.arity(), out);
+  AppendVarint(rel.size(), out);
+  for (const Tuple& t : rel) {
+    for (size_t i = 0; i < t.arity(); ++i) AppendValue(t[i], out);
+  }
+}
+
 /// The canonical encoding the content fingerprints hash: the count of
-/// non-empty relations, then each in name order as its name, arity and
-/// tuple count followed by its tuples in their sorted order. An int is
-/// 'i' and its varint, a string 's' and its length-prefixed bytes, so
-/// two contents never share an encoding.
+/// non-empty relations, then each in name order as its name and its
+/// tuples (AppendTuples), so two contents never share an encoding.
 void AppendDatabase(const Database& db, std::string* out) {
   std::vector<std::string_view> names;
   for (const std::string& name : db.schema().relation_names()) {
@@ -60,32 +81,18 @@ void AppendDatabase(const Database& db, std::string* out) {
   std::sort(names.begin(), names.end());
   AppendVarint(names.size(), out);
   for (const std::string_view name : names) {
-    const Relation& rel = db.Get(name);
     AppendBytes(name, out);
-    AppendVarint(rel.arity(), out);
-    AppendVarint(rel.size(), out);
-    for (const Tuple& t : rel) {
-      for (size_t i = 0; i < t.arity(); ++i) {
-        if (t[i].is_int()) {
-          out->push_back('i');
-          AppendVarint(static_cast<uint64_t>(t[i].AsInt()), out);
-        } else {
-          out->push_back('s');
-          AppendBytes(t[i].AsString(), out);
-        }
-      }
-    }
+    AppendTuples(db.Get(name), out);
   }
 }
 
-/// An XOR fold of per-tuple fingerprints over Q(D): independent of
-/// iteration order, but linear over GF(2), so two answers that fold
-/// alike can be solved for.
+/// Q(D) in the canonical encoding, hashed. An XOR fold of per-tuple
+/// hashes, being linear over GF(2), let a delta be solved for that
+/// moved Q(D) with the fold held.
 uint64_t FingerprintAnswer(const Relation& answer) {
-  uint64_t acc = 0;
-  for (const Tuple& t : answer) acc ^= FingerprintTuple("$answer", t);
-  return CheckpointFingerprint(
-      {FingerprintString("rcdp-answer/1"), acc, answer.size()});
+  std::string bytes = "rcdp-answer/2";
+  AppendTuples(answer, &bytes);
+  return Blake2s64(bytes);
 }
 
 /// Fingerprint of the active-domain base constant set, replicating
@@ -103,9 +110,10 @@ uint64_t FingerprintAdomBase(const UnionQuery& ucq, const Database& db,
     std::set<Value> cc_consts = cc.query().Constants();
     base.insert(cc_consts.begin(), cc_consts.end());
   }
-  uint64_t h = Fnv1aU64(Fnv1a(kFingerprintBasis, "rcdp-adom/1"), base.size());
-  for (const Value& v : base) h = FnvValue(h, v);
-  return h;
+  std::string bytes = "rcdp-adom/2";
+  AppendVarint(base.size(), &bytes);
+  for (const Value& v : base) AppendValue(v, &bytes);
+  return Blake2s64(bytes);
 }
 
 bool DecidableLanguage(QueryLanguage lang) {

@@ -90,8 +90,12 @@ struct RcdpDependencyGraph {
 /// kInvalidArgument, never UB.
 struct RcdpCertificate {
   uint64_t instance_fp = 0;  ///< FingerprintRcdpInstance at proof time.
-  uint64_t adom_fp = 0;      ///< Active-domain base constant set.
-  uint64_t answer_fp = 0;    ///< Content of Q(D).
+  /// Active-domain base constant set and the content of Q(D), each
+  /// BLAKE2s-256 over FingerprintDatabase's value and tuple encoding,
+  /// truncated to 64 bits: a delta cannot be solved for that moves
+  /// either while its fingerprint holds.
+  uint64_t adom_fp = 0;
+  uint64_t answer_fp = 0;
   uint64_t options_fp = 0;   ///< FingerprintRcdpOptions.
   size_t num_disjuncts = 0;  ///< UCQ unfolding width of Q.
   Verdict verdict = Verdict::kComplete;

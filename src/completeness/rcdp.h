@@ -120,9 +120,10 @@ struct RcdpOptions {
   /// search runs to exhaustion with every unit below it exhausted, or
   /// a later disjunct starts — the sink receives the checkpoint this
   /// call would have returned had its budget tripped right then. Calls
-  /// are serialized, may come from search worker threads, and strictly
-  /// increase in (disjunct, rank). A sink makes the search controlled
-  /// (the fixed kControlledUnits partition) even without a budget.
+  /// are serialized, run on the thread that called the decider (never
+  /// on a search worker), and strictly increase in (disjunct, rank). A
+  /// sink makes the search controlled (the fixed kControlledUnits
+  /// partition) even without a budget.
   /// DecideRcqp wraps it per phase; nested decider calls (RCQP's
   /// per-candidate RCDP checks, the chase's rounds) never receive it.
   ProgressSink progress;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <mutex>
@@ -467,18 +468,24 @@ void ParallelValuationSearchIds(
 
   // Rolling checkpoints: the low watermark is the lowest unit not yet
   // run to exhaustion. Exhausting it advances the watermark past every
-  // exhausted unit above it, and the new watermark's begin rank is
-  // reported under the lock, so reports are serialized and increasing.
+  // exhausted unit above it. A lone worker reports the new watermark's
+  // begin rank itself, under the lock; a pool worker only records the
+  // advance and signals, and the calling thread reports it (below).
   std::mutex progress_mu;
+  std::condition_variable progress_cv;
   std::vector<char> unit_exhausted(num_units, 0);  // guarded by progress_mu
   size_t low_unit = 0;                             // guarded by progress_mu
+  size_t workers_left = num_workers;               // guarded by progress_mu
   auto note_exhausted = [&](size_t u) {
     std::lock_guard<std::mutex> lock(progress_mu);
     unit_exhausted[u] = 1;
     const size_t before = low_unit;
     while (low_unit < num_units && unit_exhausted[low_unit] != 0) ++low_unit;
-    if (low_unit != before && low_unit < num_units) {
+    if (low_unit == before || low_unit == num_units) return;
+    if (num_workers == 1) {
       on_progress(units[low_unit].begin);
+    } else {
+      progress_cv.notify_one();
     }
   };
 
@@ -563,7 +570,38 @@ void ParallelValuationSearchIds(
     std::vector<std::jthread> pool;
     pool.reserve(num_workers);
     for (size_t w = 0; w < num_workers; ++w) {
-      pool.emplace_back([&worker_fn, w] { worker_fn(w); });
+      pool.emplace_back([&, w] {
+        {
+          // Each pool worker numbers its decision points from leased
+          // runs (inert under a step cap or an injector).
+          ExecutionBudget::Lease lease(budget);
+          worker_fn(w);
+        }
+        std::lock_guard<std::mutex> lock(progress_mu);
+        --workers_left;
+        progress_cv.notify_one();
+      });
+    }
+    if (on_progress != nullptr) {
+      // This thread would idle in the joins: it reports the pool's
+      // advances instead, outside the lock, so a slow sink (a durable
+      // persist) stalls no search thread. Advances that land while a
+      // report runs are reported once, as the newest watermark; one
+      // still unreported when the last worker leaves is reported then.
+      std::unique_lock<std::mutex> lock(progress_mu);
+      size_t reported = 0;
+      auto pending = [&] {
+        return low_unit != reported && low_unit < num_units;
+      };
+      for (;;) {
+        progress_cv.wait(lock, [&] { return workers_left == 0 || pending(); });
+        if (!pending()) break;
+        reported = low_unit;
+        const size_t rank = units[reported].begin;
+        lock.unlock();
+        on_progress(rank);
+        lock.lock();
+      }
     }
   }  // joins
 

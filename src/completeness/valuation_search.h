@@ -302,10 +302,13 @@ struct ParallelSearchOptions {
   /// Rolling checkpoints: called with the new lowest unfinished rank
   /// each time the unit holding it runs to exhaustion with every unit
   /// below it exhausted too — the next_rank a budget exhaustion right
-  /// then would have returned. Calls are serialized (on whichever
-  /// worker finished the unit), ranks strictly increase, and the end
-  /// of the rank space is never reported. Setting it makes the run
-  /// controlled.
+  /// then would have returned. Every call runs on the calling thread:
+  /// a lone worker reports inline, and with a pool the calling thread
+  /// reports while the workers search on, so a slow callback stalls no
+  /// search thread. Calls are serialized, ranks strictly increase,
+  /// advances that land during one call are reported once (as the
+  /// newest rank), and the end of the rank space is never reported.
+  /// Setting it makes the run controlled.
   std::function<void(size_t rank)> on_progress;
 };
 
@@ -369,6 +372,14 @@ inline constexpr size_t kControlledUnits = 16;
 /// of units above it cancel (each checks at every binding step), so
 /// every unit below the winner runs to exhaustion. A tripped budget
 /// stops every worker through its sticky status.
+///
+/// Budget: the serial path claims one decision point per point on the
+/// shared budget; each pool worker holds an ExecutionBudget::Lease, so
+/// it claims point numbers in runs and checks every limit at every
+/// point. Leases are inert under a step cap or a FaultInjector, so a
+/// capped or injected run numbers its points exactly as before, and an
+/// uncapped run's steps() after the call counts exactly the points the
+/// search used, at any thread count.
 void ParallelValuationSearchIds(
     const TableauQuery& tableau, const ActiveDomain& adom,
     const ValuationEnumerator::Options& enum_options,

@@ -236,11 +236,14 @@ Status NetClient::Submit(const std::string& key, const JobSpec& spec) {
   req.op = WireOp::kSubmit;
   req.key = key;
   req.job = spec.Serialize();
-  done_key_.clear();
+  std::erase_if(kept_replies_,
+                [&key](const auto& kept) { return kept.first == key; });
   RELCOMP_ASSIGN_OR_RETURN(WireReply reply, Call(req));
   if (reply.code == StatusCode::kOk && reply.state == WireJobState::kDone) {
-    done_key_ = key;
-    done_reply_ = reply;
+    if (kept_replies_.size() == kMaxKeptReplies) {
+      kept_replies_.erase(kept_replies_.begin());
+    }
+    kept_replies_.emplace_back(key, reply);
   }
   return reply.ToStatus();
 }
@@ -304,7 +307,14 @@ Status NetClient::Handoff(size_t shard, const std::string& successor) {
 Result<WireReply> NetClient::AwaitTerminal(const std::string& key,
                                            std::chrono::milliseconds poll_interval,
                                            std::chrono::milliseconds limit) {
-  if (!done_key_.empty() && key == done_key_) return done_reply_;
+  auto kept = std::find_if(
+      kept_replies_.begin(), kept_replies_.end(),
+      [&key](const auto& entry) { return entry.first == key; });
+  if (kept != kept_replies_.end()) {
+    WireReply reply = std::move(kept->second);
+    kept_replies_.erase(kept);
+    return reply;
+  }
   const Clock::time_point deadline = Clock::now() + limit;
   for (;;) {
     Result<WireReply> reply = Poll(key);

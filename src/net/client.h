@@ -5,6 +5,8 @@
 #include <cstddef>
 #include <random>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "net/wire.h"
 #include "service/decision_service.h"
@@ -87,8 +89,8 @@ class NetClient {
   /// pass through: kResourceExhausted = queue full (retry later),
   /// kInvalidArgument = bad spec or key collision. When the reply
   /// already carries the job's terminal state (a verdict-cache hit, or
-  /// a duplicate of a finished job), the client keeps it for
-  /// AwaitTerminal; only the latest Submit's reply is kept.
+  /// a duplicate of a finished job), the client keeps it by key until
+  /// AwaitTerminal(key) takes it; the newest kMaxKeptReplies are kept.
   Status Submit(const std::string& key, const JobSpec& spec);
 
   /// Non-blocking server-side state probe for `key`.
@@ -104,9 +106,10 @@ class NetClient {
   /// `poll_interval` between probes, up to `limit`. Spans server
   /// restarts: kUnavailable and still-running polls both keep waiting.
   /// kDeadlineExceeded once `limit` elapses without a terminal state.
-  /// When the latest Submit was of `key` and its reply was terminal,
-  /// that reply is returned with no request sent: a verdict-cache hit
-  /// costs one round trip in all.
+  /// When a kept terminal submit reply of `key` is waiting (see
+  /// Submit), it is returned and dropped with no request sent: a
+  /// verdict-cache hit costs one round trip in all, also when several
+  /// submits precede their awaits.
   Result<WireReply> AwaitTerminal(
       const std::string& key,
       std::chrono::milliseconds poll_interval = std::chrono::milliseconds(5),
@@ -140,6 +143,10 @@ class NetClient {
 
   const NetClientStats& stats() const { return stats_; }
 
+  /// How many terminal submit replies wait for AwaitTerminal at most;
+  /// keeping one more drops the oldest, whose await then polls.
+  static constexpr size_t kMaxKeptReplies = 64;
+
  private:
   /// One attempt: ensure connected, send the frame, read one reply
   /// frame. Any transport defect returns kUnavailable (and drops the
@@ -153,10 +160,8 @@ class NetClient {
 
   std::string address_;
   NetClientOptions options_;
-  /// The latest Submit's key and reply, when that reply was terminal
-  /// (empty key otherwise).
-  std::string done_key_;
-  WireReply done_reply_;
+  /// Terminal submit replies not yet awaited, by key, oldest first.
+  std::vector<std::pair<std::string, WireReply>> kept_replies_;
   int fd_ = -1;
   NetClientStats stats_;
   std::mt19937_64 jitter_;

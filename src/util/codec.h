@@ -92,9 +92,9 @@ uint32_t Crc32(std::string_view data);
 inline constexpr uint64_t kFnvOffsetBasis = 0xcbf29ce484222325ull;
 /// The basis of every persisted fingerprint: the decimal FNV offset
 /// basis 14695981039346656037 with its last digit dropped. Checkpoint
-/// fingerprints, FingerprintTuple and a certificate's answer,
-/// active-domain and options fingerprints start here, so a different
-/// value would orphan every store written so far; it cannot change.
+/// fingerprints, FingerprintTuple and a certificate's options
+/// fingerprint start here, so a different value would orphan every
+/// store written so far; it cannot change.
 inline constexpr uint64_t kFingerprintBasis = 1469598103934665603ull;
 
 /// FNV-1a over `bytes`, continuing from `h`.

@@ -52,7 +52,26 @@ Status StatusForKind(BudgetKind kind, size_t at_point) {
   return Status::OK();
 }
 
+/// The innermost live Lease of this thread (null: none).
+thread_local ExecutionBudget::Lease* current_lease = nullptr;
+
 }  // namespace
+
+ExecutionBudget::Lease::Lease(ExecutionBudget* budget) {
+  if (budget == nullptr || budget->max_steps_ > 0 ||
+      budget->injector_ != nullptr) {
+    return;
+  }
+  budget_ = budget;
+  outer_ = current_lease;
+  current_lease = this;
+}
+
+ExecutionBudget::Lease::~Lease() {
+  if (budget_ == nullptr) return;
+  budget_->steps_.fetch_sub(end_ - next_, std::memory_order_relaxed);
+  current_lease = outer_;
+}
 
 Status ExecutionBudget::Exhaust(BudgetKind kind, size_t at_point) {
   // First trip wins; later trips (possibly from other workers) adopt
@@ -72,7 +91,20 @@ Status ExecutionBudget::OnDecisionPoint() {
     return StatusForKind(static_cast<BudgetKind>(k),
                          exhausted_at_.load(std::memory_order_acquire));
   }
-  const size_t point = steps_.fetch_add(1, std::memory_order_relaxed);
+  size_t point;
+  bool deadline_due;
+  Lease* lease = current_lease;
+  if (lease != nullptr && lease->budget_ == this) {
+    if (lease->next_ == lease->end_) {
+      lease->next_ = steps_.fetch_add(kLeaseLength, std::memory_order_relaxed);
+      lease->end_ = lease->next_ + kLeaseLength;
+    }
+    point = lease->next_++;
+    deadline_due = lease->used_++ % kDeadlineStride == 0;
+  } else {
+    point = steps_.fetch_add(1, std::memory_order_relaxed);
+    deadline_due = point % kDeadlineStride == 0;
+  }
   if (injector_ != nullptr) {
     BudgetKind injected = injector_->Observe(point);
     if (injected != BudgetKind::kNone) return Exhaust(injected, point);
@@ -87,7 +119,7 @@ Status ExecutionBudget::OnDecisionPoint() {
       tracked_bytes_.load(std::memory_order_relaxed) > max_bytes_) {
     return Exhaust(BudgetKind::kMemory, point);
   }
-  if (deadline_.has_value() && point % kDeadlineStride == 0 &&
+  if (deadline_.has_value() && deadline_due &&
       std::chrono::steady_clock::now() > *deadline_) {
     return Exhaust(BudgetKind::kDeadline, point);
   }

@@ -75,7 +75,8 @@ class CancelSource {
 /// Injects one fault when the owning budget's shared decision-point
 /// counter reaches a chosen value. Decision points are numbered 0,1,...
 /// in the order OnDecisionPoint() calls claim ticks of the shared
-/// atomic counter; in serial mode that order is the deterministic
+/// atomic counter (an armed injector turns leases off, so every point
+/// claims its own tick); in serial mode that order is the deterministic
 /// search order, so "fault at point N" reproduces exactly. The sweep
 /// harness iterates N over [0, total_points) and every fault kind.
 class FaultInjector {
@@ -135,6 +136,10 @@ class FaultInjector {
 /// limit exhausts after the same amount of total work at any thread
 /// count (though parallel schedules may distribute it differently).
 ///
+/// A point is numbered by a claim on the shared counter: one claim per
+/// point, except on a thread holding a Lease, which claims its numbers
+/// kLeaseLength at a time (see Lease).
+///
 /// Exhaustion is sticky: after the first non-OK OnDecisionPoint() the
 /// budget keeps returning the same failure until Rearm(). Deadline,
 /// step, and memory limits surface as kResourceExhausted; a fired
@@ -168,8 +173,40 @@ class ExecutionBudget {
 
   /// Claims one decision point and checks every configured limit.
   /// Returns OK to continue, or the (sticky) exhaustion status. The
-  /// wall clock is only consulted every kDeadlineStride points.
+  /// wall clock is only consulted every kDeadlineStride points (on a
+  /// leasing thread, every kDeadlineStride of that thread's points).
   Status OnDecisionPoint();
+
+  /// A search worker's lease on decision-point numbers. While a Lease
+  /// is alive on a thread, that thread's OnDecisionPoint() calls on
+  /// the budget number their points from a run of kLeaseLength
+  /// consecutive numbers claimed with one fetch_add, not one fetch_add
+  /// each, so concurrent workers do not contend on the counter. Every
+  /// limit is still checked at every point. When the Lease ends it
+  /// returns the numbers it did not use, so once every lease has ended
+  /// steps() counts exactly the points used; while leases are alive it
+  /// may run ahead by up to kLeaseLength per lease.
+  ///
+  /// A Lease is inert when the budget is null or has a step cap or a
+  /// FaultInjector armed: both are addressed by point number, so a
+  /// capped or injected run keeps one claim per point and its exact
+  /// numbering. Leases nest per thread; only the innermost one leases,
+  /// and only for its own budget.
+  class Lease {
+   public:
+    explicit Lease(ExecutionBudget* budget);
+    ~Lease();
+    Lease(const Lease&) = delete;
+    Lease& operator=(const Lease&) = delete;
+
+   private:
+    friend class ExecutionBudget;
+    ExecutionBudget* budget_ = nullptr;  ///< null: inert
+    Lease* outer_ = nullptr;             ///< this thread's enclosing lease
+    size_t next_ = 0;                    ///< next number of the run
+    size_t end_ = 0;                     ///< one past the run's last number
+    size_t used_ = 0;                    ///< points numbered so far
+  };
 
   /// Records `bytes` of tracked allocation (interner growth, overlay
   /// staging, chase deltas). Never fails in place; a tripped memory
@@ -181,6 +218,7 @@ class ExecutionBudget {
     tracked_bytes_.fetch_sub(bytes, std::memory_order_relaxed);
   }
 
+  /// Decision points claimed so far: exact once no Lease is alive.
   size_t steps() const { return steps_.load(std::memory_order_relaxed); }
   size_t tracked_bytes() const {
     return tracked_bytes_.load(std::memory_order_relaxed);
@@ -206,7 +244,8 @@ class ExecutionBudget {
   /// Clears the sticky exhaustion record and the step counter so the
   /// same budget instance can drive a resumed call. Tracked bytes are
   /// kept (live allocations from the interrupted call may persist);
-  /// limits, token, and injector are kept as configured.
+  /// limits, token, and injector are kept as configured. Not while a
+  /// Lease on the budget is alive.
   void Rearm() {
     exhausted_kind_.store(static_cast<uint8_t>(BudgetKind::kNone),
                           std::memory_order_release);
@@ -216,12 +255,19 @@ class ExecutionBudget {
 
   /// How many decision points between wall-clock reads.
   static constexpr size_t kDeadlineStride = 32;
+  /// How many point numbers one Lease claim takes.
+  static constexpr size_t kLeaseLength = 64;
 
  private:
   Status Exhaust(BudgetKind kind, size_t at_point);
 
-  std::atomic<size_t> steps_{0};
-  std::atomic<size_t> tracked_bytes_{0};
+  static constexpr size_t kCacheLineBytes = 64;
+
+  /// The point counter sits alone on its cache line: lease claims
+  /// write it, while every point reads the limits and the sticky
+  /// record below, which therefore start on the next line.
+  alignas(kCacheLineBytes) std::atomic<size_t> steps_{0};
+  alignas(kCacheLineBytes) std::atomic<size_t> tracked_bytes_{0};
   std::optional<std::chrono::steady_clock::time_point> deadline_;
   size_t max_steps_ = 0;
   size_t max_bytes_ = 0;

@@ -6,6 +6,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -17,6 +18,7 @@
 #include "spec/spec_parser.h"
 #include "util/execution_control.h"
 #include "util/str.h"
+#include "test_support.h"
 
 namespace relcomp {
 namespace {
@@ -509,18 +511,23 @@ INSTANTIATE_TEST_SUITE_P(Threads, ExhaustionMatrixTest,
 // ---------------------------------------------------------------------------
 // Rolling checkpoints (RcdpOptions::progress): every checkpoint a
 // decider reports must be one it could have returned on a tripped
-// budget — increasing, and resumable to the uninterrupted decision.
-// Named Parallel* so the tsan preset runs it: at more than one thread
-// the sink is called from search worker threads.
+// budget — increasing, and resumable to the uninterrupted decision —
+// and must arrive on the thread that called the decider. Named
+// Parallel* so the tsan preset runs it: at more than one thread search
+// workers record the advances that the calling thread reports.
 
 class ParallelProgressTest : public ::testing::TestWithParam<int> {
  protected:
   size_t threads() const { return static_cast<size_t>(GetParam()); }
 };
 
-/// A sink appending to `out`. The decider serializes its calls.
+/// A sink appending to `out`. The decider serializes its calls and
+/// makes each on the thread that created the sink (the test's).
 ProgressSink Collect(std::vector<SearchCheckpoint>* out) {
-  return [out](const SearchCheckpoint& c) { out->push_back(c); };
+  return [out, caller = std::this_thread::get_id()](const SearchCheckpoint& c) {
+    EXPECT_EQ(std::this_thread::get_id(), caller) << c.Serialize();
+    out->push_back(c);
+  };
 }
 
 CompletenessSpec ParseOrDie(const std::string& text) {
@@ -710,6 +717,87 @@ TEST_P(ParallelProgressTest, RcqpPhaseCheckpointsResumeToTheSameDecision) {
 
 INSTANTIATE_TEST_SUITE_P(Threads, ParallelProgressTest,
                          ::testing::Values(1, 2, 8));
+
+// ---------------------------------------------------------------------------
+// Decision-point leases: each pool worker claims its point numbers in
+// runs (ExecutionBudget::Lease), checks every limit at every point, and
+// hands back the numbers it did not use. Named Parallel* so the tsan
+// preset runs them.
+
+TEST(ParallelLeaseTest, CancelOnlyBudgetCountsTheSameStepsAtEveryThreadCount) {
+  // Every work unit of the complete grid runs to exhaustion, so the
+  // search uses the same decision points at every thread count.
+  const CompletenessSpec spec = ParseOrDie(CompleteGridUcqSpec(31, 31));
+  const AnyQuery& q = spec.queries[0];
+  auto steps_at = [&](size_t threads) -> size_t {
+    CancelSource cancel;
+    ExecutionBudget budget;
+    budget.set_cancel_token(cancel.token());
+    RcdpOptions options;
+    options.num_threads = threads;
+    options.budget = &budget;
+    auto r = DecideRcdp(q, spec.db, spec.master, spec.constraints, options);
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    if (r.ok()) EXPECT_EQ(r->verdict, Verdict::kComplete) << threads;
+    return budget.steps();
+  };
+  const size_t serial = steps_at(1);
+  // Enough points that every one of 8 workers claims more than one run.
+  ASSERT_GT(serial, 2 * 8 * ExecutionBudget::kLeaseLength);
+  EXPECT_EQ(steps_at(2), serial);
+  EXPECT_EQ(steps_at(8), serial);
+}
+
+class ParallelLeaseTest : public ::testing::TestWithParam<int> {
+ protected:
+  size_t threads() const { return static_cast<size_t>(GetParam()); }
+};
+
+TEST_P(ParallelLeaseTest, CancelAndPastDeadlineStopLeasingWorkersResumably) {
+  const CompletenessSpec spec = ParseOrDie(CompleteGridUcqSpec(31, 31));
+  const AnyQuery& q = spec.queries[0];
+  RcdpOptions plain;
+  plain.num_threads = threads();
+  auto uninterrupted =
+      DecideRcdp(q, spec.db, spec.master, spec.constraints, plain);
+  ASSERT_TRUE(uninterrupted.ok()) << uninterrupted.status().ToString();
+  ASSERT_EQ(uninterrupted->verdict, Verdict::kComplete);
+
+  for (const BudgetKind kind : {BudgetKind::kCancel, BudgetKind::kDeadline}) {
+    SCOPED_TRACE(BudgetKindToString(kind));
+    CancelSource cancel;
+    ExecutionBudget budget;
+    RcdpOptions options = plain;
+    options.budget = &budget;
+    if (kind == BudgetKind::kCancel) {
+      // The first report fires the token mid-search: at the latest the
+      // second disjunct's start, so its workers always see it.
+      budget.set_cancel_token(cancel.token());
+      options.progress = [&cancel](const SearchCheckpoint&) {
+        cancel.RequestCancel();
+      };
+    } else {
+      // Each leasing worker reads the clock at its first point.
+      budget.set_deadline(std::chrono::steady_clock::now() -
+                          std::chrono::seconds(1));
+    }
+    auto stopped =
+        DecideRcdp(q, spec.db, spec.master, spec.constraints, options);
+    ASSERT_TRUE(stopped.ok()) << stopped.status().ToString();
+    ASSERT_EQ(stopped->verdict, Verdict::kUnknown);
+    EXPECT_EQ(stopped->exhaustion.kind, kind);
+    ASSERT_TRUE(stopped->checkpoint.has_value());
+
+    RcdpOptions resume = plain;
+    resume.resume = &*stopped->checkpoint;
+    auto resumed =
+        DecideRcdp(q, spec.db, spec.master, spec.constraints, resume);
+    ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+    EXPECT_EQ(RcdpKey(*uninterrupted), RcdpKey(*resumed));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Threads, ParallelLeaseTest, ::testing::Values(2, 8));
 
 // ---------------------------------------------------------------------------
 // Checkpoint misuse.

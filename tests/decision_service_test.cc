@@ -245,6 +245,34 @@ class StoreOpRecorder : public FsEnv {
   std::vector<std::string> ops_;
 };
 
+/// Records the thread of every checkpoint and verdict record write.
+class RecordWriterThreads : public FsEnv {
+ public:
+  ssize_t Write(std::string_view site, int fd, const void* buf,
+                size_t count) override {
+    if (site == "record.ckpt" || site == "record.vrd") {
+      std::lock_guard<std::mutex> lock(mu_);
+      (site == "record.ckpt" ? ckpt_ : vrd_)
+          .push_back(std::this_thread::get_id());
+    }
+    return FsEnv::Write(site, fd, buf, count);
+  }
+
+  std::vector<std::thread::id> ckpt() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return ckpt_;
+  }
+  std::vector<std::thread::id> vrd() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return vrd_;
+  }
+
+ private:
+  mutable std::mutex mu_;
+  std::vector<std::thread::id> ckpt_;
+  std::vector<std::thread::id> vrd_;
+};
+
 /// Runs `job` as "req" on a fresh un-faulted service; returns the
 /// terminal JobResult.
 JobResult RunToCompletion(const std::string& dir, const JobSpec& job,
@@ -947,6 +975,30 @@ TEST(DecisionServiceConcurrencyTest, SecondServiceOnALiveDirectoryIsRefused) {
   EXPECT_TRUE(third.ok()) << third.status().ToString();
 }
 
+// A 2-thread job's search reports its rolling checkpoints on the
+// thread that called the decider — the job's worker — which persists
+// them while the search threads search on. The verdict record, written
+// after the decide, marks that thread.
+TEST(DecisionServiceConcurrencyTest,
+     ParallelJobPersistsRollingGenerationsOnItsWorkerThread) {
+  RecordWriterThreads recorder;
+  DecisionServiceOptions options;
+  options.enable_verdict_cache = true;
+  options.store_options.fs_env = &recorder;
+  const std::string spec = CompleteGridUcqSpec(15, 15);
+  JobResult r = RunToCompletion(FreshDir("worker_persists"),
+                                MakeJob(JobKind::kRcdp, spec, 2, 1), options);
+  EXPECT_EQ(r.evidence, DirectRcdpEvidence(spec, 2));
+  // The second disjunct's start is always reported, so at least one.
+  EXPECT_GE(r.persisted, 1u);
+  const std::vector<std::thread::id> ckpt = recorder.ckpt();
+  const std::vector<std::thread::id> vrd = recorder.vrd();
+  ASSERT_EQ(vrd.size(), 1u);
+  EXPECT_NE(vrd[0], std::this_thread::get_id());
+  EXPECT_EQ(ckpt.size(), r.persisted);
+  for (const std::thread::id& writer : ckpt) EXPECT_EQ(writer, vrd[0]);
+}
+
 TEST(DecisionServiceConcurrencyTest, ConcurrentSubmittersAndWorkersAreClean) {
   DecisionServiceOptions options;
   options.num_workers = 2;
@@ -996,8 +1048,9 @@ std::string SquareGridSpec(int n) {
 }
 
 TEST(DecisionServiceConcurrencyTest, PoolPersistsRaceCancelAndQuiesce) {
-  // Eight search threads per job persist rolling checkpoints from the
-  // pool (interval 1: at every advance) while one thread cancels every
+  // Eight search threads per job report rolling checkpoints that the
+  // job's worker persists (interval 1: at every advance) while the
+  // searches run on and one thread cancels every
   // other job and another quiesces the service. Every job must end
   // decided, cancelled, or durable — and a successor must finish each
   // durable one with the uninterrupted evidence.

@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
 #include <optional>
 #include <random>
 #include <set>
@@ -22,6 +24,7 @@
 #include "util/execution_control.h"
 #include "util/str.h"
 #include "workload/crm_scenario.h"
+#include "test_support.h"
 
 namespace relcomp {
 namespace {
@@ -705,6 +708,112 @@ TEST(IncrementalRcdpTest, StaleOptionsOrWidthFallBackToFullCertify) {
                       wrong_width, DeltaApplyReport());
   ASSERT_TRUE(inc.ok()) << inc.status().ToString();
   EXPECT_TRUE(inc->certificate == base->certificate);
+}
+
+TEST(IncrementalRcdpTest, DeltaThatHoldsAnXorFoldOfTheAnswerStillMovesIt) {
+  // Q(x, y) :- R(x, y), y = "t" reads the targets R("tk", "t") that
+  // the master M allows; Q(x, y) :- S(x, y) reads the unconstrained S.
+  // D holds R for t0..t2 and fillers ("wj", "u") in S, so disjunct 0's
+  // counterexample is R("t3", "t"), gaining ("t3", "t"). The delta
+  // touches only S: it inserts ("t3", "t") and fillers Q', and deletes
+  // the fillers P, solved by Gaussian elimination so that
+  // |P| = |Q'| + 1 and the XOR fold of per-tuple hashes over Q(D) is
+  // unchanged. Then every target is in Q(D), the stored counterexample
+  // gains nothing, and a fresh S tuple is the first counterexample. No
+  // constraint reads S and the active domain holds (M names every
+  // value), so only the answer fingerprint can tell that disjunct 0's
+  // certificate no longer holds.
+  constexpr size_t kFillers = 160;
+  auto pair = [](const std::string& x, const std::string& y) {
+    return Tuple({Value::Str(x), Value::Str(y)});
+  };
+  auto filler = [&pair](size_t j) { return pair(StrCat("w", j), "u"); };
+  std::vector<uint64_t> fillers;
+  for (size_t j = 0; j < kFillers; ++j) {
+    fillers.push_back(FingerprintTuple("$answer", filler(j)));
+  }
+  std::vector<size_t> order(kFillers);
+  std::iota(order.begin(), order.end(), 0);
+  std::mt19937 rng(11);
+  std::optional<std::vector<bool>> solution;
+  for (int attempt = 0; attempt < 100 && !solution.has_value(); ++attempt) {
+    std::shuffle(order.begin(), order.end(), rng);
+    solution = XorSubset(fillers, order,
+                         FingerprintTuple("$answer", pair("t3", "t")));
+    if (solution.has_value() &&
+        std::count(solution->begin(), solution->end(), true) % 2 == 0) {
+      solution.reset();
+    }
+  }
+  ASSERT_TRUE(solution.has_value());
+  std::vector<size_t> p;        // in S before the delta only
+  std::vector<size_t> q_prime;  // in S after the delta only
+  for (size_t j = 0; j < kFillers; ++j) {
+    if (!(*solution)[j]) continue;
+    (q_prime.size() < p.size() ? q_prime : p).push_back(j);
+  }
+  ASSERT_EQ(p.size(), q_prime.size() + 1);
+
+  std::string text =
+      "relation R(a, b)\nrelation S(a, b)\nmaster relation M(a, b)\n";
+  for (int k = 0; k < 4; ++k) {
+    text += StrCat("master fact M(\"t", k, "\", \"t\")\n");
+  }
+  for (size_t j = 0; j < kFillers; ++j) {
+    text += StrCat("master fact M(\"w", j, "\", \"u\")\n");
+  }
+  for (int k = 0; k < 3; ++k) text += StrCat("fact R(\"t", k, "\", \"t\")\n");
+  for (size_t j : p) text += StrCat("fact S(\"w", j, "\", \"u\")\n");
+  text += "constraint c0(x, y) :- R(x, y) |= M[0, 1]\n";
+  text += "query ucq Q(x, y) :- R(x, y), y = \"t\". Q(x, y) :- S(x, y)\n";
+  CompletenessSpec spec = MustParse(text);
+  const AnyQuery& q = spec.queries[0];
+
+  auto base = CertifyRcdp(q, spec.db, spec.master, spec.constraints);
+  ASSERT_TRUE(base.ok()) << base.status().ToString();
+  ASSERT_EQ(base->result.verdict, Verdict::kIncomplete);
+  ASSERT_EQ(base->result.counterexample_disjunct, 0u);
+
+  DeltaBatch batch;
+  batch.db_ops.push_back(Op(true, "S", {Value::Str("t3"), Value::Str("t")}));
+  for (size_t j : q_prime) {
+    batch.db_ops.push_back(Op(true, "S", filler(j).values()));
+  }
+  for (size_t j : p) batch.db_ops.push_back(Op(false, "S", filler(j).values()));
+  Database post = spec.db;
+  auto report = ApplyDeltaBatch(batch, &post, nullptr);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+
+  // The forgery: Q(D) gained ("t3", "t"), and neither its XOR fold nor
+  // its size moved.
+  auto answer = [&q](const Database& db) {
+    auto ucq = q.ToUnion(8);
+    EXPECT_TRUE(ucq.ok());
+    auto rel = EvalUnion(*ucq, db, ConjunctiveEvalOptions());
+    EXPECT_TRUE(rel.ok());
+    return std::move(*rel);
+  };
+  auto fold = [](const Relation& rel) {
+    uint64_t acc = 0;
+    for (const Tuple& t : rel) acc ^= FingerprintTuple("$answer", t);
+    return acc;
+  };
+  const Relation before = answer(spec.db);
+  const Relation after = answer(post);
+  ASSERT_FALSE(before.Contains(pair("t3", "t")));
+  ASSERT_TRUE(after.Contains(pair("t3", "t")));
+  ASSERT_EQ(before.size(), after.size());
+  ASSERT_EQ(fold(before), fold(after));
+
+  auto inc = RecertifyRcdp(q, post, spec.master, spec.constraints,
+                           base->certificate, *report);
+  ASSERT_TRUE(inc.ok()) << inc.status().ToString();
+  auto scratch = CertifyRcdp(q, post, spec.master, spec.constraints);
+  ASSERT_TRUE(scratch.ok()) << scratch.status().ToString();
+  ASSERT_EQ(scratch->result.counterexample_disjunct, 1u);
+  EXPECT_EQ(Evidence(inc->result), Evidence(scratch->result));
+  EXPECT_EQ(inc->result.counterexample_disjunct, 1u);
+  EXPECT_TRUE(inc->certificate == scratch->certificate);
 }
 
 }  // namespace

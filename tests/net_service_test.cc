@@ -371,6 +371,57 @@ TEST(NetServiceTest, SubmitAndAwaitOfAHitIsOneRoundTrip) {
   EXPECT_EQ(ts.service->verdicts_served_from_cache(), 1u);
 }
 
+TEST(NetServiceTest, EveryHitSubmittedBeforeItsAwaitIsOneRoundTrip) {
+  TestServer ts =
+      StartServer(FreshDir("hits_kept"), FreshSocket("hits_kept"), WithCache());
+  ASSERT_NE(ts.server, nullptr);
+  NetClient client(ts.server->address());
+  const JobSpec job = MakeJob(GridSpec(5, 6));
+  ASSERT_TRUE(client.Submit("miss", job).ok());
+  ASSERT_TRUE(client.AwaitTerminal("miss").ok());
+  const std::string direct = DirectRcdpEvidence(GridSpec(5, 6));
+
+  // Both submits go out before either await, as relcheck --connect
+  // sends a spec's queries.
+  const size_t trips = client.stats().round_trips;
+  const size_t frames = ts.server->stats().frames_received;
+  ASSERT_TRUE(client.Submit("hit-1", job).ok());
+  ASSERT_TRUE(client.Submit("hit-2", job).ok());
+  for (const std::string key : {"hit-1", "hit-2"}) {
+    auto reply = client.AwaitTerminal(key);
+    ASSERT_TRUE(reply.ok()) << key << ": " << reply.status().ToString();
+    EXPECT_EQ(reply->evidence, direct) << key;
+    EXPECT_EQ(reply->attempts, 0u) << key;
+  }
+  EXPECT_EQ(client.stats().round_trips - trips, 2u);
+  EXPECT_EQ(ts.server->stats().frames_received - frames, 2u);
+  EXPECT_EQ(ts.service->verdicts_served_from_cache(), 2u);
+}
+
+TEST(NetServiceTest, KeptSubmitRepliesAreBoundedOldestFirst) {
+  TestServer ts =
+      StartServer(FreshDir("hits_bound"), FreshSocket("hits_bound"), WithCache());
+  ASSERT_NE(ts.server, nullptr);
+  NetClient client(ts.server->address());
+  const JobSpec job = MakeJob(GridSpec(5, 6));
+  ASSERT_TRUE(client.Submit("miss", job).ok());
+  ASSERT_TRUE(client.AwaitTerminal("miss").ok());
+
+  // One hit more than the client keeps: the oldest reply is dropped,
+  // so its await polls, and only its await.
+  const size_t hits = NetClient::kMaxKeptReplies + 1;
+  for (size_t i = 0; i < hits; ++i) {
+    ASSERT_TRUE(client.Submit(StrCat("hit-", i), job).ok()) << i;
+  }
+  const size_t trips = client.stats().round_trips;
+  for (size_t i = 0; i < hits; ++i) {
+    auto reply = client.AwaitTerminal(StrCat("hit-", i));
+    ASSERT_TRUE(reply.ok()) << i << ": " << reply.status().ToString();
+    EXPECT_EQ(reply->attempts, 0u) << i;
+    EXPECT_EQ(client.stats().round_trips - trips, 1u) << i;
+  }
+}
+
 TEST(NetServiceTest, AMissStillPollsToTheDirectVerdict) {
   DecisionServiceOptions options = WithCache();
   options.start_paused = true;  // the job is queued when Submit answers

@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <condition_variable>
+#include <mutex>
 #include <optional>
+#include <set>
+#include <thread>
+#include <vector>
 
 #include "completeness/active_domain.h"
 #include "completeness/rcdp.h"
@@ -255,6 +260,69 @@ TEST(ParallelStopRuleTest, OnlyUnitsAboveThePublishedWinnerCancel) {
   Status st = run_unit(3, &delivered);
   EXPECT_EQ(st.code(), StatusCode::kCancelled) << st.ToString();
   EXPECT_EQ(delivered, 0u);
+}
+
+/// Rolling reports come from the thread that called the driver, while
+/// the pool searches on. Each of the 16 work units binds one value of
+/// x, and every unit but unit 0 waits at its first binding until a
+/// report has arrived: the first report (rank 1, unit 0 exhausted) is
+/// then made while those units are in flight, and by a thread that is
+/// running none of them.
+TEST(ParallelReportTest, CallingThreadReportsWhileWorkersSearch) {
+  auto db_schema = std::make_shared<Schema>();
+  ASSERT_TRUE(db_schema->AddRelation("S", 2).ok());
+  auto q = ParseQuery("Q(x) :- S(x, y).", QueryLanguage::kCq);
+  ASSERT_TRUE(q.ok());
+  auto tableau =
+      TableauQuery::FromConjunctive(*q.value().as_cq(), *db_schema);
+  ASSERT_TRUE(tableau.ok());
+  std::set<Value> base;
+  for (int64_t i = 0; i < static_cast<int64_t>(kControlledUnits); ++i) {
+    base.insert(Value::Int(i));
+  }
+  ActiveDomain adom = ActiveDomain::Build(base, 0);
+  ValueInterner interner;
+  ValuationEnumerator::Options enum_options;
+  enum_options.interner = &interner;
+
+  for (size_t threads : {1, 2, 8}) {
+    SCOPED_TRACE(threads);
+    std::mutex mu;
+    std::condition_variable reported;
+    std::vector<size_t> ranks;  // guarded by mu
+    const std::thread::id caller = std::this_thread::get_id();
+    ParallelSearchOptions parallel_options;
+    parallel_options.num_threads = threads;
+    parallel_options.on_progress = [&](size_t rank) {
+      EXPECT_EQ(std::this_thread::get_id(), caller) << rank;
+      std::lock_guard<std::mutex> lock(mu);
+      ranks.push_back(rank);
+      reported.notify_all();
+    };
+    auto prune = [&](size_t, const IdValuation& v) {
+      if (v.depth == 1 &&
+          v.enumerator->ResolveId(v.ids[0]) != Value::Int(0)) {
+        std::unique_lock<std::mutex> lock(mu);
+        reported.wait(lock, [&] { return !ranks.empty(); });
+      }
+      return false;
+    };
+    ParallelSearchOutcome outcome;
+    ParallelValuationSearchIds(
+        *tableau, adom, enum_options, parallel_options, prune,
+        [](size_t, const IdValuation&) { return true; },
+        [](size_t) { return ParallelUnitResult(); }, &outcome);
+    EXPECT_TRUE(outcome.failure.ok()) << outcome.failure.ToString();
+    EXPECT_FALSE(outcome.found);
+    EXPECT_EQ(outcome.next_rank, kControlledUnits);
+    std::lock_guard<std::mutex> lock(mu);
+    ASSERT_FALSE(ranks.empty());
+    EXPECT_EQ(ranks.front(), 1u);
+    for (size_t i = 0; i < ranks.size(); ++i) {
+      EXPECT_LT(ranks[i], kControlledUnits);
+      if (i > 0) EXPECT_LT(ranks[i - 1], ranks[i]);
+    }
+  }
 }
 
 }  // namespace

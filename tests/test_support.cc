@@ -83,6 +83,57 @@ std::string GridSpec(int max_x, int max_y) {
   return s;
 }
 
+std::string CompleteGridUcqSpec(int max_x, int max_y) {
+  std::string s =
+      "relation S(a, b)\nmaster relation M(m)\nmaster relation N(n)\n";
+  for (int x = 0; x <= max_x; ++x) {
+    for (int y = 0; y <= max_y; ++y) s += StrCat("fact S(", x, ", ", y, ")\n");
+  }
+  for (int m = 0; m <= max_x; ++m) s += StrCat("master fact M(", m, ")\n");
+  for (int n = 0; n <= max_y; ++n) s += StrCat("master fact N(", n, ")\n");
+  s += "constraint c0(x) :- S(x, y) |= M[0]\n";
+  s += "constraint c1(y) :- S(x, y) |= N[0]\n";
+  s += "query ucq Q(x, y) :- S(x, y), x = 0. Q(x, y) :- S(x, y)\n";
+  return s;
+}
+
+std::optional<std::vector<bool>> XorSubset(const std::vector<uint64_t>& values,
+                                           const std::vector<size_t>& order,
+                                           uint64_t target) {
+  struct Row {
+    uint64_t bits = 0;
+    std::vector<bool> used;
+  };
+  auto fold = [](Row* into, const Row& row) {
+    into->bits ^= row.bits;
+    for (size_t j = 0; j < row.used.size(); ++j) {
+      if (row.used[j]) into->used[j] = !into->used[j];
+    }
+  };
+  const std::vector<bool> none(values.size(), false);
+  std::vector<Row> basis(64, Row{0, none});  // basis[b]: top bit b
+  for (const size_t j : order) {
+    Row row{values[j], none};
+    row.used[j] = true;
+    for (size_t b = 64; b-- > 0 && row.bits != 0;) {
+      if (((row.bits >> b) & 1) == 0) continue;
+      if (basis[b].bits == 0) {
+        basis[b] = row;
+        break;
+      }
+      fold(&row, basis[b]);
+    }
+  }
+  Row rest{target, none};
+  for (size_t b = 64; b-- > 0;) {
+    if (((rest.bits >> b) & 1) != 0 && basis[b].bits != 0) {
+      fold(&rest, basis[b]);
+    }
+  }
+  if (rest.bits != 0) return std::nullopt;
+  return rest.used;
+}
+
 std::string DirectRcdpEvidence(const std::string& spec_text, size_t threads) {
   auto spec = ParseCompletenessSpec(spec_text);
   EXPECT_TRUE(spec.ok()) << spec.status().ToString();

@@ -2,8 +2,11 @@
 #define RELCOMP_TESTS_TEST_SUPPORT_H_
 
 #include <cstddef>
+#include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 namespace relcomp {
 
@@ -44,6 +47,24 @@ std::string ReadFile(const std::string& path);
 /// winner are cancelled part-way, and 2 of 43 eight-thread runs claimed
 /// 96 and 108.
 std::string GridSpec(int max_x, int max_y);
+
+/// The full grid: GridSpec's instance with its corner present too,
+/// audited by a two-disjunct UCQ whose first disjunct is pinned to
+/// x = 0. Every extension the masters allow is already in S, so the
+/// decision is COMPLETE and every work unit of both disjuncts' searches
+/// runs to exhaustion, at any thread count; the start of the second
+/// disjunct is always reported to a progress sink, on the calling
+/// thread.
+std::string CompleteGridUcqSpec(int max_x, int max_y);
+
+/// A subset of `values` whose XOR is `target`, found by Gaussian
+/// elimination over GF(2)^64 with the basis taken in `order` (a
+/// permutation of the indexes of `values`), as a membership mask;
+/// std::nullopt when `target` is outside their span. Forges two sets
+/// whose XOR folds of per-tuple hashes agree.
+std::optional<std::vector<bool>> XorSubset(const std::vector<uint64_t>& values,
+                                           const std::vector<size_t>& order,
+                                           uint64_t target);
 
 /// The decision service's canonical evidence string for an RCDP job on
 /// the first query of `spec_text`, recomputed by a direct DecideRcdp

@@ -11,9 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <array>
 #include <atomic>
-#include <bitset>
 #include <memory>
 #include <numeric>
 #include <optional>
@@ -226,41 +224,6 @@ Tuple TargetTuple(size_t k) {
   return Tuple({Value::Str(StrCat("t", k)), Value::Str("t")});
 }
 
-/// The fillers whose FingerprintTuple values XOR to `target`, by
-/// Gaussian elimination over GF(2)^64 with the basis taken in `order`;
-/// std::nullopt when `target` is outside their span.
-std::optional<std::bitset<kFillers>> XorSolution(
-    const std::vector<uint64_t>& fillers, const std::vector<size_t>& order,
-    uint64_t target) {
-  struct Row {
-    uint64_t bits = 0;
-    std::bitset<kFillers> used;
-  };
-  std::array<Row, 64> basis{};  // basis[b]: a row whose top bit is b
-  for (const size_t j : order) {
-    Row row{fillers[j], {}};
-    row.used.set(j);
-    for (size_t b = 64; b-- > 0 && row.bits != 0;) {
-      if (((row.bits >> b) & 1) == 0) continue;
-      if (basis[b].bits == 0) {
-        basis[b] = row;
-        break;
-      }
-      row.bits ^= basis[b].bits;
-      row.used ^= basis[b].used;
-    }
-  }
-  Row rest{target, {}};
-  for (size_t b = 64; b-- > 0;) {
-    if (((rest.bits >> b) & 1) != 0 && basis[b].bits != 0) {
-      rest.bits ^= basis[b].bits;
-      rest.used ^= basis[b].used;
-    }
-  }
-  if (rest.bits != 0) return std::nullopt;
-  return rest.used;
-}
-
 std::string CollisionSpec(const std::vector<Tuple>& facts) {
   std::string s = "relation R(a, b)\nmaster relation M(a, b)\n";
   for (size_t k = 0; k < kTargets; ++k) {
@@ -295,21 +258,20 @@ TEST(VerdictCacheTest, InstancesWithEqualXorFoldsAreServedTheirOwnVerdicts) {
   std::vector<size_t> order(kFillers);
   std::iota(order.begin(), order.end(), 0);
   std::mt19937 rng(7);
-  std::optional<std::bitset<kFillers>> solution;
+  std::optional<std::vector<bool>> solution;
   for (int attempt = 0; attempt < 10000 && !solution.has_value(); ++attempt) {
     std::shuffle(order.begin(), order.end(), rng);
-    solution = XorSolution(fillers, order, missing);
-    if (solution.has_value() &&
-        (solution->count() % 2 == 0 || solution->count() > 31)) {
-      solution.reset();
-    }
+    solution = XorSubset(fillers, order, missing);
+    if (!solution.has_value()) continue;
+    const auto count = std::count(solution->begin(), solution->end(), true);
+    if (count % 2 == 0 || count > 31) solution.reset();
   }
   ASSERT_TRUE(solution.has_value());
 
   std::vector<size_t> in_s;
   std::vector<size_t> out_s;
   for (size_t j = 0; j < kFillers; ++j) {
-    (solution->test(j) ? in_s : out_s).push_back(j);
+    ((*solution)[j] ? in_s : out_s).push_back(j);
   }
   const size_t half = in_s.size() / 2;  // |S_A|
   std::vector<Tuple> a;
